@@ -13,8 +13,10 @@
 // instead (the benchjson/benchgate ctest fixtures use this; the
 // committed BENCH_blocking.json carries both full-size rows). Per-row
 // metrics: build_seconds, query_seconds, qps, recall (gated via
-// tools/bench_compare.py), candidate count, and the progressive band
-// floors/sizes (check_bench_json.py asserts the floors descend).
+// tools/bench_compare.py), candidate count, per-query search latency
+// quantiles, and the progressive band floors/sizes (check_bench_json.py
+// asserts the floors descend). The top-level latency_seconds are the
+// per-query search quantiles of the last row.
 //
 // The workload fixes per-token noise at 0.05 rather than the generator
 // default 0.08: at 0.08 the EXACT-search gold recall ceiling is ~0.96
@@ -63,7 +65,13 @@ struct RowResult {
   int candidates = 0;
   std::vector<float> band_floors;
   std::vector<int> band_pairs;
+  std::vector<double> search_seconds;  // One top-N search per sampled query.
 };
+
+// Queries timed one by one for the search latency quantiles: an even
+// stride over the query set, so the extra searches stay a small share
+// of the row's query time.
+constexpr int kLatencySample = 2000;
 
 RowResult RunOne(int records, const EmbedBlockOptions& options) {
   using Clock = std::chrono::steady_clock;
@@ -101,6 +109,13 @@ RowResult RunOne(int records, const EmbedBlockOptions& options) {
   row.band_floors = stream.band_floors();
   row.candidates = static_cast<int>(pairs.size());
   row.recall = BlockingRecall(pairs, raw.matches);
+
+  const int stride = std::max(1, queries / kLatencySample);
+  for (int q = 0; q < queries; q += stride) {
+    const auto search_start = Clock::now();
+    (void)blocker.TopN(raw.table_a[static_cast<size_t>(q)], options.top_n);
+    row.search_seconds.push_back(SecondsSince(search_start));
+  }
   return row;
 }
 
@@ -153,27 +168,32 @@ int main(int argc, char** argv) {
 
   bench::Table table("Embedding-index blocking (queries:corpus = 1:4)",
                      {"records", "build s", "query s", "qps", "recall",
-                      "candidates"});
-  std::vector<double> wall_times;
+                      "candidates", "search p50 ms", "search p95 ms"});
+  std::vector<double> last_search_seconds;
   double last_qps = 0.0;
   for (const int records : sizes) {
     const RowResult row = RunOne(records, options);
     const std::string label = SizeLabel(records);
+    const double search_p50 = bench::PercentileOf(row.search_seconds, 0.5);
+    const double search_p95 = bench::PercentileOf(row.search_seconds, 0.95);
     table.AddRow({label, Fmt(row.build_seconds, 2), Fmt(row.query_seconds, 2),
                   Fmt(row.qps, 0), Fmt(row.recall, 4),
-                  std::to_string(row.candidates)});
+                  std::to_string(row.candidates), Fmt(search_p50 * 1e3, 3),
+                  Fmt(search_p95 * 1e3, 3)});
     result.AddMetric("recall." + label, row.recall);
     result.AddMetric("candidates." + label, row.candidates);
     result.AddMetric("build_seconds." + label, row.build_seconds);
     result.AddMetric("query_seconds." + label, row.query_seconds);
     result.AddMetric("qps." + label, row.qps);
+    result.AddMetric("search_p50_seconds." + label, search_p50);
+    result.AddMetric("search_p95_seconds." + label, search_p95);
     for (size_t k = 0; k < row.band_floors.size(); ++k) {
       result.AddMetric("band_floor." + label + "." + std::to_string(k),
                        row.band_floors[k]);
       result.AddMetric("band_pairs." + label + "." + std::to_string(k),
                        row.band_pairs[k]);
     }
-    wall_times.push_back(row.build_seconds + row.query_seconds);
+    last_search_seconds = row.search_seconds;
     last_qps = row.qps;
   }
   table.Print();
@@ -181,7 +201,7 @@ int main(int argc, char** argv) {
       "\nRecall is against the generator's gold matches; candidates are\n"
       "emitted through the progressive band iterator (floors descend).\n");
 
-  result.SetLatencies(wall_times);
+  result.SetLatencies(last_search_seconds);
   result.set_throughput(last_qps);
   const std::string json_out = bench::JsonOutPath(argc, argv);
   if (!bench::WriteBenchJson(json_out, result)) return 1;

@@ -1,9 +1,11 @@
 // Tensor-core micro-bench: throughput of the kernelized ops (GEMM,
 // fused Linear, row-softmax, row-layernorm) at HierGAT-realistic shapes
 // (token sequences of a few dozen rows, feature dims d in {64,128,256}),
-// plus a head-to-head of the blocked SGEMM kernel against the seed
-// i-k-j scalar loop it replaced. Emits hiergat-bench-v1 JSON via
-// --json_out=PATH (validated by tools/check_bench_json.py).
+// a head-to-head of the blocked SGEMM kernel against the seed i-k-j
+// scalar loop it replaced, and per-call GEMM cost at the 2..8-row
+// shapes the small LM scores with (gemm_small.*). Emits
+// hiergat-bench-v1 JSON via --json_out=PATH (validated by
+// tools/check_bench_json.py).
 
 #include <chrono>
 #include <functional>
@@ -169,6 +171,94 @@ int main_impl(int argc, char** argv) {
         "(%.2fx less moved), p50 %.1f us vs %.1f us f32\n\n",
         q8_bytes, f32_bytes, f32_bytes / q8_bytes, q8_p50 * 1e6,
         kern_p50 * 1e6);
+  }
+
+  // -- Small-shape GEMM at the scoring shapes -------------------------
+  // The small LM (dim 32, two heads of 16, FFN 64) runs every GEMM over
+  // 2..14-row sequences, so row counts that are not a multiple of the
+  // 4-row micro-tile are the common case. The d64/128/256 rows above
+  // all use 24 rows and cannot see a slow row remainder; these rows
+  // time NN at m in {2,4,6,8} and the attention-score NT (L x L x 16).
+  // The two ratios compare a row count against the next multiple of 4,
+  // which does the same or more work: a healthy kernel keeps them <= ~1.
+  bench::Table small_table("Small-shape GEMM (single thread)",
+                           {"op", "shape", "p50 us/call", "GFLOP/s"});
+  {
+    const int small_inner = inner * 250;
+    std::vector<float> sa(96 * 96), sb(96 * 96), sc(96 * 96, 0.0f);
+    for (float& v : sa) v = rng.NextGaussian();
+    for (float& v : sb) v = rng.NextGaussian();
+    // Per-call p50 us of each batch of `small_inner` calls. The batches
+    // run interleaved rep by rep, so a slow phase of a shared host hits
+    // the shapes a ratio compares alike.
+    auto per_call_us = [&](const std::vector<std::function<void()>>& calls) {
+      std::vector<std::vector<double>> times(calls.size());
+      for (const auto& call : calls) call();  // Warmup.
+      for (int r = 0; r < reps; ++r) {
+        for (size_t c = 0; c < calls.size(); ++c) {
+          const auto start = std::chrono::steady_clock::now();
+          calls[c]();
+          times[c].push_back(Seconds(start));
+        }
+      }
+      std::vector<double> us;
+      for (const auto& t : times) {
+        us.push_back(bench::PercentileOf(t, 0.5) / small_inner * 1e6);
+      }
+      return us;
+    };
+    double m2_over_m4 = 0.0, m6_over_m8 = 0.0;
+    struct KN {
+      int k, n;
+    };
+    const int kRowCounts[] = {2, 4, 6, 8};
+    for (const KN kn : {KN{32, 16}, KN{32, 96}, KN{64, 32}}) {
+      std::vector<std::function<void()>> calls;
+      for (const int m : kRowCounts) {
+        calls.push_back([&, m] {
+          for (int i = 0; i < small_inner; ++i) {
+            backend::GemmNN(m, kn.n, kn.k, 1.0f, sa.data(), sb.data(),
+                            sc.data());
+          }
+        });
+      }
+      const std::vector<double> us = per_call_us(calls);
+      for (size_t r = 0; r < us.size(); ++r) {
+        const int m = kRowCounts[r];
+        const std::string mkn = "m" + std::to_string(m) + "k" +
+                                std::to_string(kn.k) + "n" +
+                                std::to_string(kn.n);
+        small_table.AddRow({"gemm nn", mkn, bench::Fmt(us[r], 3),
+                            bench::Fmt(Flops(m, kn.n, kn.k) / us[r] / 1e3, 2)});
+        result.AddMetric("gemm_small.nn." + mkn + "_us", us[r]);
+      }
+      if (kn.n == 16) m2_over_m4 = us[0] / us[1];
+      if (kn.n == 96) m6_over_m8 = us[2] / us[3];
+    }
+    const int kLens[] = {4, 8, 12};
+    std::vector<std::function<void()>> nt_calls;
+    for (const int len : kLens) {
+      nt_calls.push_back([&, len] {
+        for (int i = 0; i < small_inner; ++i) {
+          backend::GemmNT(len, len, 16, 0.25f, sa.data(), sb.data(),
+                          sc.data());
+        }
+      });
+    }
+    const std::vector<double> nt_us = per_call_us(nt_calls);
+    for (size_t r = 0; r < nt_us.size(); ++r) {
+      const int len = kLens[r];
+      const std::string key = "L" + std::to_string(len) + "k16";
+      small_table.AddRow({"gemm nt (scores)", key, bench::Fmt(nt_us[r], 3),
+                          bench::Fmt(Flops(len, len, 16) / nt_us[r] / 1e3, 2)});
+      result.AddMetric("gemm_small.nt." + key + "_us", nt_us[r]);
+    }
+    result.AddMetric("gemm_small.m6_over_m8_us", m6_over_m8);
+    result.AddMetric("gemm_small.m2_over_m4_us", m2_over_m4);
+    std::printf(
+        "small-shape gemm: m=6 costs %.2fx m=8 at k=32 n=96, m=2 costs "
+        "%.2fx m=4 at k=32 n=16\n\n",
+        m6_over_m8, m2_over_m4);
   }
 
   // -- Graph-level ops at HierGAT-realistic shapes --------------------
@@ -400,6 +490,7 @@ int main_impl(int argc, char** argv) {
                    static_cast<double>(pool_stats.bytes_reused));
 
   table.Print();
+  small_table.Print();
   graph_table.Print();
   std::printf(
       "\ngemm [128,128]x[128,128]: kernel %.1f us vs seed %.1f us "

@@ -49,9 +49,9 @@ struct SessionOptions {
   /// Quantizes the model's weights to Q8_0 blocks right after load
   /// (PairwiseModel::QuantizeWeights): ~3.56x fewer weight bytes moved
   /// per score at a small accuracy cost (golden tests bound the score
-  /// drift at 5e-3). Requires a `checkpoint_path` — quantizing an
-  /// untrained model is rejected — and a model with quantized kernels
-  /// (the HierGAT family).
+  /// drift by q8::kScoreTolerance, core/quant.h). Requires a
+  /// `checkpoint_path` — quantizing an untrained model is rejected — and
+  /// a model with quantized kernels (the HierGAT family).
   bool quantize_weights = false;
 };
 

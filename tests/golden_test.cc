@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/quant.h"
 #include "core/serialize.h"
 #include "er/er.h"
 #include "er/golden.h"
@@ -162,21 +163,11 @@ TEST(GoldenTest, F16ResaveReproducesTheFixtureBitwise) {
             ReadFileBytes(FixturePath(golden::kHierGatCheckpoint)));
 }
 
-// Stated Q8_0 score tolerance against the committed f32 golden
-// scores. Per-block rounding error is ~0.5% of each weight's block
-// amax, but it accumulates through every projection of the LM
-// encoder and the downstream heads: the measured worst probe drift
-// for the committed fixtures is ~7.5e-3 (an MSE-optimal per-block
-// scale search was tried and did not reduce it — the drift is
-// accumulation-dominated, not rounding-dominated). 1e-2 bounds that
-// with headroom while still catching any real regression, which
-// would show up orders of magnitude larger.
-constexpr float kQ8ScoreTolerance = 1e-2f;
-
 TEST(GoldenTest, QuantizedHierGatReproducesScoresWithinTolerance) {
   // Q8_0 weights are lossy, but the loss is bounded: quantizing the
   // fixture model must keep every probe score within the stated
-  // tolerance of the committed f32 golden scores.
+  // tolerance (q8::kScoreTolerance, core/quant.h) of the committed f32
+  // golden scores.
   HierGatModel model;
   ASSERT_TRUE(model.Load(FixturePath(golden::kHierGatCheckpoint)).ok());
   ASSERT_TRUE(model.QuantizeWeights().ok());
@@ -187,7 +178,7 @@ TEST(GoldenTest, QuantizedHierGatReproducesScoresWithinTolerance) {
 
   auto golden_or = golden::ReadScores(FixturePath(golden::kHierGatScores));
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), kQ8ScoreTolerance);
+  ExpectScoresNear(scores, golden_or.value(), q8::kScoreTolerance);
 
   // The quantized compiled path must agree with quantized eager
   // scoring exactly (same kernels, same accumulation order).
@@ -209,7 +200,7 @@ TEST(GoldenTest, QuantizedHierGatPlusReproducesScoresWithinTolerance) {
   auto golden_or =
       golden::ReadScores(FixturePath(golden::kHierGatPlusScores));
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), kQ8ScoreTolerance);
+  ExpectScoresNear(scores, golden_or.value(), q8::kScoreTolerance);
 }
 
 TEST(GoldenTest, QuantizedSaveLoadSaveIsByteStable) {

@@ -1,16 +1,22 @@
 // Parity tests for the raw-pointer kernel layer against naive
 // references, across the shapes that stress the blocking/unrolling
-// (1x1, single row/col, tall/skinny, non-multiple-of-block), plus
+// (1x1, single row/col, tall/skinny, non-multiple-of-block); exact-order
+// tests that pin every registered backend's GEMM family to the
+// accumulation order written out in frozen reference loops; plus
 // lifecycle tests for the pooled storage behind TensorImpl.
 
 #include "tensor/kernels.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "tensor/backend.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
@@ -115,6 +121,152 @@ TEST_P(GemmParity, TNMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(OddShapes, GemmParity,
                          ::testing::ValuesIn(kShapes));
+
+// -- Exact accumulation order -------------------------------------------
+//
+// The naive references above only agree to 1e-4, and backend parity
+// compares backends compiled from one body, so neither catches a
+// kernel change that reorders a sum. These frozen loops spell out the
+// per-element order every GEMM kernel must keep (DESIGN.md §9) and are
+// compared bit for bit. They compute one output element at a time, so
+// they share no tiling with the kernels. This TU is built with
+// -ffp-contract=off (tests/CMakeLists.txt) so that no multiply-add here
+// is fused.
+
+// Columns [0, n - n % 16) are micro-tile columns, the rest the column
+// tail; 4-column NT blocks cover [0, n - n % 4); NT lanes are 8 wide.
+constexpr int kTileCols = 16;
+constexpr int kNtBlockCols = 4;
+constexpr int kNtLanes = 8;
+
+// NN (kTransA = false, A [m, k]) and TN (kTransA = true, A [k, m]).
+// A tile column sums (alpha * a) * b in ascending kk from zero and adds
+// the sum to c once; a tail column adds each product to c directly.
+template <bool kTransA>
+void OrderedGemmNNTN(int m, int n, int k, float alpha, const float* a,
+                     const float* b, float* c) {
+  const int tile_cols = n - n % kTileCols;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float& out = c[static_cast<size_t>(i) * n + j];
+      float acc = 0.0f;
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = kTransA ? a[static_cast<size_t>(kk) * m + i]
+                                 : a[static_cast<size_t>(i) * k + kk];
+        const float term = (alpha * av) * b[static_cast<size_t>(kk) * n + j];
+        if (j < tile_cols) {
+          acc += term;
+        } else {
+          out += term;
+        }
+      }
+      if (j < tile_cols) out += acc;
+    }
+  }
+}
+
+// NT: eight lane partials, lane kk % 8, over the first k - k % 8 terms.
+// In a 4-column block the kk tail joins lane 0 before the lanes are
+// summed (lane 0 first); in a tail column it is added after the sum.
+void OrderedGemmNT(int m, int n, int k, float alpha, const float* a,
+                   const float* b, float* c) {
+  const int block_cols = n - n % kNtBlockCols;
+  const int lane_k = k - k % kNtLanes;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const float* arow = a + static_cast<size_t>(i) * k;
+      const float* brow = b + static_cast<size_t>(j) * k;
+      float lane[kNtLanes] = {};
+      for (int kk = 0; kk < lane_k; ++kk) {
+        lane[kk % kNtLanes] += arow[kk] * brow[kk];
+      }
+      float sum = 0.0f;
+      if (j < block_cols) {
+        for (int kk = lane_k; kk < k; ++kk) lane[0] += arow[kk] * brow[kk];
+        for (float partial : lane) sum += partial;
+      } else {
+        for (float partial : lane) sum += partial;
+        for (int kk = lane_k; kk < k; ++kk) sum += arow[kk] * brow[kk];
+      }
+      c[static_cast<size_t>(i) * n + j] += alpha * sum;
+    }
+  }
+}
+
+using GemmFn = void (*)(int, int, int, float, const float*, const float*,
+                        float*);
+
+// Runs `kernel` and `reference` on the same inputs (a non-zero C start
+// checks the += contract) and compares bit patterns, so -0.0 vs 0.0 and
+// NaN payloads count as differences too.
+void ExpectSameBits(GemmFn kernel, GemmFn reference, int m, int n, int k,
+                    const std::string& what) {
+  SCOPED_TRACE(what + " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+               " k=" + std::to_string(k));
+  const uint64_t seed = static_cast<uint64_t>(m) * 1000003 + n * 1009 + k;
+  // A is [m, k] or [k, m] and B is [k, n] or [n, k]: one size each.
+  const auto a = RandomVec(static_cast<size_t>(m) * k, seed);
+  const auto b = RandomVec(static_cast<size_t>(n) * k, seed + 1);
+  auto got = RandomVec(static_cast<size_t>(m) * n, seed + 2);
+  auto want = got;
+  kernel(m, n, k, 0.37f, a.data(), b.data(), got.data());
+  reference(m, n, k, 0.37f, a.data(), b.data(), want.data());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+              std::bit_cast<uint32_t>(want[i]))
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+void ExpectGemmFamilyOrder(int m, int n, int k) {
+  for (const backend::Kernels* kr : backend::Registered()) {
+    const std::string name = kr->name;
+    ExpectSameBits(kr->gemm_nn, OrderedGemmNNTN<false>, m, n, k,
+                   name + " gemm_nn");
+    ExpectSameBits(kr->gemm_tn, OrderedGemmNNTN<true>, m, n, k,
+                   name + " gemm_tn");
+    ExpectSameBits(kr->gemm_nt, OrderedGemmNT, m, n, k, name + " gemm_nt");
+  }
+}
+
+// Every row count 1..13 (each 4-row split and 1..3-row remainder) at
+// the scoring shapes of the small LM: k and n over its widths.
+TEST(GemmExactOrder, ScoringShapesEveryRowCount) {
+  for (int m = 1; m <= 13; ++m) {
+    for (int k : {16, 32, 64, 96}) {
+      for (int n : {16, 32, 48, 64, 96}) {
+        ExpectGemmFamilyOrder(m, n, k);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// Attention scores: L x L x 16 through the NT kernel.
+TEST(GemmExactOrder, AttentionScoreBlocks) {
+  for (int len = 2; len <= 13; ++len) {
+    for (const backend::Kernels* kr : backend::Registered()) {
+      ExpectSameBits(kr->gemm_nt, OrderedGemmNT, len, len, 16,
+                     std::string(kr->name) + " gemm_nt");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// The tails the scoring shapes never reach: column tails (n % 16,
+// n % 4), the NT kk tail (k % 8), empty m or k, and long k (up to 600)
+// under a row remainder.
+TEST(GemmExactOrder, TailsAndLongK) {
+  const GemmShape shapes[] = {
+      {1, 1, 1},    {2, 3, 5},    {3, 17, 9},   {5, 7, 13},  {6, 33, 23},
+      {7, 50, 31},  {9, 18, 2},   {3, 16, 255}, {2, 16, 256}, {1, 32, 257},
+      {3, 48, 600}, {6, 20, 513}, {5, 96, 300}, {0, 16, 8},  {4, 16, 0},
+  };
+  for (const GemmShape& shape : shapes) {
+    ExpectGemmFamilyOrder(shape.m, shape.n, shape.k);
+    if (HasFatalFailure()) return;
+  }
+}
 
 TEST(KernelsTest, BackwardVariantsMatchMatMulGradients) {
   // The NT/TN kernels are exactly the two MatMul backward shapes:

@@ -128,9 +128,27 @@ def check_file(path):
                 )
         if "batching_speedup" not in metrics:
             return fail(path, 'serve_qps must emit "batching_speedup"')
+        # The top-level latency is one config's full per-request sample
+        # (bench_serve_qps uses b32d1000), so it must carry that config's
+        # p95 too — not its p50 copied into both fields.
+        sources = [
+            cfg for cfg in configs if metrics[f"p50_seconds.{cfg}"] == lat["p50"]
+        ]
+        if not sources:
+            return fail(
+                path, '"latency_seconds.p50" matches no config\'s "p50_seconds"'
+            )
+        if all(metrics[f"p95_seconds.{cfg}"] != lat["p95"] for cfg in sources):
+            return fail(
+                path,
+                f'"latency_seconds.p95" ({lat["p95"]}) is not the p95 of the '
+                f'config its p50 comes from ({sources[0]}: '
+                f'{metrics[f"p95_seconds.{sources[0]}"]})',
+            )
 
     # Blocking benches (bench_blocking) carry per-size rows: recall must
-    # be a probability, candidate counts non-negative integers, and the
+    # be a probability, candidate counts non-negative integers, per-query
+    # search latency quantiles present and ordered, and the
     # progressive band floors must descend monotonically (the whole point
     # of progressive emission — earlier bands are higher-confidence).
     if doc["benchmark"] == "blocking":
@@ -144,12 +162,16 @@ def check_file(path):
             recall = metrics[f"recall.{size}"]
             if not 0.0 <= recall <= 1.0:
                 return fail(path, f'"recall.{size}" must be in [0, 1], got {recall}')
-            for field in ("candidates", "build_seconds", "query_seconds", "qps"):
+            for field in ("candidates", "build_seconds", "query_seconds", "qps",
+                          "search_p50_seconds", "search_p95_seconds"):
                 key = f"{field}.{size}"
                 if key not in metrics:
                     return fail(path, f'blocking row "{size}" missing "{key}"')
                 if metrics[key] < 0:
                     return fail(path, f'"{key}" must be >= 0')
+            p50 = metrics[f"search_p50_seconds.{size}"]
+            if metrics[f"search_p95_seconds.{size}"] < p50:
+                return fail(path, f'blocking row "{size}": search p95 must be >= p50')
             candidates = metrics[f"candidates.{size}"]
             if candidates != int(candidates):
                 return fail(path, f'"candidates.{size}" must be an integer count')
