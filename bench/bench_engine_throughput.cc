@@ -178,48 +178,7 @@ int main_impl(int argc, char** argv) {
   }
 #endif
 
-  // -- Q8_0 quantized weights (ordered last on purpose) ---------------
-  // QuantizeWeights rewrites the f32 weights with their dequantized
-  // values, so every f32 row above must be measured before this one.
-  // Sequential compiled scoring with the cache off mirrors the
-  // "compiled graphs, cache off" f32 row for a like-for-like latency
-  // comparison; the Linear-vs-LinearQ8 node counters give the weight
-  // bytes actually moved per replay on the same scoring path.
   const auto warm_stats = model.summary_cache().stats();
-  auto node_counter = [](const std::string& name) {
-    static const char kPrefix[] = "hiergat.graph.node.";
-    for (const auto& [counter, value] :
-         obs::MetricsRegistry::Global().CounterValues(kPrefix)) {
-      if (counter == std::string(kPrefix) + name) return value;
-    }
-    return static_cast<int64_t>(0);
-  };
-  const double f32_linear_replays =
-      static_cast<double>(node_counter("Linear.replays"));
-  const double f32_linear_bytes =
-      static_cast<double>(node_counter("Linear.est_bytes"));
-  model.set_cache_enabled(false);
-  model.set_graph_compile_enabled(true);
-  {
-    const Status quant_status = model.QuantizeWeights();
-    if (!quant_status.ok()) {
-      std::fprintf(stderr, "QuantizeWeights failed: %s\n",
-                   quant_status.ToString().c_str());
-      return 1;
-    }
-  }
-  const double q8_seconds = run_sequential();
-  const double q8_linear_replays =
-      static_cast<double>(node_counter("LinearQ8.replays"));
-  const double q8_linear_bytes =
-      static_cast<double>(node_counter("LinearQ8.est_bytes"));
-  const double f32_bytes_per_replay =
-      f32_linear_replays > 0 ? f32_linear_bytes / f32_linear_replays : 0.0;
-  const double q8_bytes_per_replay =
-      q8_linear_replays > 0 ? q8_linear_bytes / q8_linear_replays : 0.0;
-  const double linear_bytes_ratio =
-      q8_bytes_per_replay > 0 ? f32_bytes_per_replay / q8_bytes_per_replay
-                              : 0.0;
 
   const double n = static_cast<double>(workload.size());
   bench::Table table("Throughput (higher is better)",
@@ -238,14 +197,7 @@ int main_impl(int argc, char** argv) {
   table.AddRow({"engine 4 threads, graphs + cache",
                 bench::Fmt(n / four_thread_seconds, 1),
                 bench::Fmt(seed_seconds / four_thread_seconds, 2) + "x"});
-  table.AddRow({"sequential + compiled graphs, q8 weights",
-                bench::Fmt(n / q8_seconds, 1),
-                bench::Fmt(seed_seconds / q8_seconds, 2) + "x"});
   table.Print();
-  std::printf(
-      "\nq8 weights: Linear nodes move %.0f bytes/replay vs %.0f f32 "
-      "(%.2fx less weight+activation traffic)\n",
-      q8_bytes_per_replay, f32_bytes_per_replay, linear_bytes_ratio);
   std::printf(
       "\ncompiled scoring graphs: %d graphs, %zu arena bytes vs %zu eager "
       "intermediate bytes (%.0f%% folded away); planned+threaded batch is "
@@ -281,12 +233,6 @@ int main_impl(int argc, char** argv) {
   result.AddMetric("compiled_pairs_per_sec", n / compiled_seconds);
   result.AddMetric("engine1_pairs_per_sec", n / one_thread_seconds);
   result.AddMetric("engine4_pairs_per_sec", n / four_thread_seconds);
-  result.AddMetric("q8_pairs_per_sec", n / q8_seconds);
-  result.AddMetric("q8_speedup_vs_eager", eager_seconds / q8_seconds);
-  result.AddMetric("q8_vs_f32_compiled_speedup", compiled_seconds / q8_seconds);
-  result.AddMetric("q8.linear_bytes_per_replay", q8_bytes_per_replay);
-  result.AddMetric("f32.linear_bytes_per_replay", f32_bytes_per_replay);
-  result.AddMetric("q8.linear_bytes_moved_ratio", linear_bytes_ratio);
   result.AddMetric("compiled_speedup_vs_eager",
                    eager_seconds / compiled_seconds);
   result.AddMetric("planned_threaded_speedup_vs_eager",

@@ -138,39 +138,24 @@ int main_impl(int argc, char** argv) {
   }
   table.AddSeparator();
 
-  // -- Q8_0 quantized weights vs f32 at the same shape ----------------
-  // The same [128,128] weight matrix, block-quantized (core/quant.h):
-  // 36 wire bytes per 32 weights instead of 128, a 3.56x cut in weight
-  // bytes-moved per GEMM call with f32 activations kept at full
-  // precision. The bytes ratio is the headline (it is what shrinks the
-  // per-core working set); p50 rides along for the latency picture.
+  // -- Q8_0 checkpoint storage at the same shape ----------------------
+  // The same [128,128] weight matrix stored as Q8_0 blocks
+  // (core/quant.h): 36 wire bytes per 32 weights instead of 128, the
+  // 3.56x checkpoint shrink. Storage only — scoring dequantizes at load
+  // and runs the f32 kernels above.
   {
     q8::QuantizedTensor wq;
     wq.QuantizeFrom(b.data(), kHead, kHead);
-    const std::vector<double> q8_times = TimeReps(reps, [&] {
-      for (int i = 0; i < inner; ++i)
-        backend::GemmF32Q8(kHead, kHead, kHead, a.data(),
-                           wq.blocks().data(), c.data());
-    });
-    const double q8_p50 = bench::PercentileOf(q8_times, 0.5) / inner;
     const double f32_bytes =
         static_cast<double>(kHead) * kHead * sizeof(float);
     const double q8_bytes = static_cast<double>(wq.wire_bytes());
-    table.AddRow({"gemm f32 x q8 weights", "[128,128]x[128,128]q8",
-                  bench::Fmt(q8_p50 * 1e6),
-                  bench::Fmt(Flops(kHead, kHead, kHead) / q8_p50 / 1e9, 2)});
-    table.AddSeparator();
-    result.AddMetric("gemm128.q8_us", q8_p50 * 1e6);
-    result.AddMetric("gemm128.q8_speedup_vs_f32", kern_p50 / q8_p50);
     result.AddMetric("gemm128.weight_bytes_f32", f32_bytes);
     result.AddMetric("gemm128.weight_bytes_q8", q8_bytes);
     result.AddMetric("gemm128.weight_bytes_ratio_f32_over_q8",
                      f32_bytes / q8_bytes);
-    std::printf(
-        "q8 weights at [128,128]: %.0f weight bytes/call vs %.0f f32 "
-        "(%.2fx less moved), p50 %.1f us vs %.1f us f32\n\n",
-        q8_bytes, f32_bytes, f32_bytes / q8_bytes, q8_p50 * 1e6,
-        kern_p50 * 1e6);
+    std::printf("q8 storage at [128,128]: %.0f weight bytes vs %.0f f32 "
+                "(%.2fx smaller)\n\n",
+                q8_bytes, f32_bytes, f32_bytes / q8_bytes);
   }
 
   // -- Small-shape GEMM at the scoring shapes -------------------------
@@ -274,8 +259,6 @@ int main_impl(int argc, char** argv) {
     Tensor beta = Tensor::Zeros({d});
     Tensor q = Tensor::Randn({kRows, d}, rng);
     Tensor k = Tensor::Randn({kRows, d}, rng);
-    auto wq = std::make_shared<q8::QuantizedTensor>();
-    wq->QuantizeFrom(w.data().data(), d, d);
     NoGradGuard guard;  // Inference path: value-only nodes, pooled churn.
     const std::string shape =
         "[" + std::to_string(kRows) + "," + std::to_string(d) + "]";
@@ -287,8 +270,6 @@ int main_impl(int argc, char** argv) {
     const OpCase cases[] = {
         {"MatMul", [&] { return MatMul(x, w); }, Flops(kRows, d, d)},
         {"Linear (fused)", [&] { return LinearOp(x, w, bias); },
-         Flops(kRows, d, d)},
-        {"LinearQ8 (fused)", [&] { return LinearQ8Op(x, wq, bias); },
          Flops(kRows, d, d)},
         {"AttentionScores", [&] { return AttentionScores(q, k, 0.125f); },
          Flops(kRows, kRows, d)},

@@ -10,16 +10,18 @@ namespace q8 {
 
 // Q8_0 block quantization (ggml-style): each run of 32 consecutive
 // row elements stores one f32 scale plus 32 int8 quants, so a weight
-// row costs 36 bytes per 32 floats instead of 128 — a 3.56x shrink in
-// weight bytes-moved with full-precision activations. Rows quantize
-// independently (a rank-2 [rows, cols] tensor has ceil(cols / 32)
-// blocks per row; rank-1 is a single row), so a partial trailing block
-// never straddles two rows.
+// row costs 36 bytes per 32 floats instead of 128 — a 3.56x smaller
+// checkpoint. Rows quantize independently (a rank-2 [rows, cols]
+// tensor has ceil(cols / 32) blocks per row; rank-1 is a single row),
+// so a partial trailing block never straddles two rows.
 //
-// The codec here is the *scalar reference*: serialization and
-// in-place checkpoint quantization always use it, keeping checkpoint
-// bytes independent of which compute backend (tensor/backend.h) is
-// active on the writing host.
+// Q8_0 is a storage format only: QuantizeAll and the checkpoint loader
+// write the dequantized values into the f32 weight tensors, and every
+// kernel computes in f32 (DESIGN.md §13).
+//
+// The codec here is scalar and the only one: serialization and
+// in-place checkpoint quantization always use it, so checkpoint bytes
+// do not depend on the host that wrote them.
 
 constexpr int kBlockSize = 32;
 /// On-disk bytes per block: 4-byte little-endian f32 scale + 32 int8.
@@ -27,15 +29,15 @@ constexpr size_t kWireBytes = 36;
 
 /// Stated bound on how far a score from Q8_0-quantized weights may
 /// drift from the f32 model's score (golden_test pins the committed
-/// fixtures to it; SessionOptions::quantize_weights, the README and
-/// DESIGN.md §13 cite it). Per-block rounding error is ~0.5% of each
-/// weight's block amax, but it accumulates through every projection of
-/// the LM encoder and the downstream heads: the measured worst probe
-/// drift for the committed fixtures is ~7.5e-3 (an MSE-optimal
-/// per-block scale search was tried and did not reduce it — the drift
-/// is accumulation-dominated, not rounding-dominated). 1e-2 bounds that
-/// with headroom while still catching any real regression, which would
-/// show up orders of magnitude larger.
+/// fixtures to it; the README and DESIGN.md §13 cite it). Per-block
+/// rounding error is ~0.5% of each weight's block amax, but it
+/// accumulates through every projection of the LM encoder and the
+/// downstream heads: the measured worst probe drift for the committed
+/// fixtures is ~7.5e-3 (an MSE-optimal per-block scale search was tried
+/// and did not reduce it — the drift is accumulation-dominated, not
+/// rounding-dominated). 1e-2 bounds that with headroom while still
+/// catching any real regression, which would show up orders of
+/// magnitude larger.
 constexpr float kScoreTolerance = 1e-2f;
 
 struct Block {

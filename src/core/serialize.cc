@@ -348,8 +348,8 @@ Status NamedParameters::QuantizeAll() {
     HG_RETURN_IF_ERROR(Q8RowsCols(name, tensor.shape(), &rows, &cols));
     Tensor handle = tensor;  // Shared handle; mutates model storage.
     it->second->QuantizeFrom(handle.data().data(), rows, cols);
-    // Write the dequantized values back so eager f32 math and the
-    // quantized kernels score from identical weights.
+    // Write the dequantized values back: inference computes in f32 on
+    // exactly what a load of the saved kQ8_0 checkpoint would produce.
     it->second->DequantizeTo(handle.data().data());
   }
   return Status::Ok();

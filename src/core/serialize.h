@@ -49,8 +49,8 @@ inline constexpr uint32_t kCheckpointFormatVersion = 1;
 /// Stored element type of a checkpoint tensor. kF16 halves fixture size
 /// (used by the golden checkpoints); kF32 is lossless and the default.
 /// kQ8_0 stores per-32-element blocks of f32 scale + int8 quants
-/// (core/quant.h) — ~3.56x smaller than f32, used for quantized-weight
-/// serving checkpoints.
+/// (core/quant.h) — ~3.56x smaller than f32. It is a storage format
+/// only: the loader dequantizes it and inference runs on f32.
 enum class DType : uint8_t {
   kF32 = 0,
   kF16 = 1,
@@ -98,9 +98,8 @@ class NamedParameters {
   }
 
   /// Registers `tensor` like Add and additionally attaches the module's
-  /// quantized-weight slot (nn::Linear / nn::Embedding own one per
-  /// weight). When the slot is active its Q8_0 blocks are the storage
-  /// of record: TensorWriter::AddAll serializes them verbatim (so
+  /// Q8_0 storage slot (nn::Linear / nn::Embedding own one per weight).
+  /// When the slot is active its Q8_0 blocks are the storage of record: TensorWriter::AddAll serializes them verbatim (so
   /// quantized save→load→save is byte-stable) and TensorReader::ReadAll
   /// fills them from kQ8_0 checkpoint entries.
   Status AddQuantizable(const std::string& name, const Tensor& tensor,
@@ -113,8 +112,9 @@ class NamedParameters {
   /// Quantizes every slotted parameter in place with the scalar
   /// reference codec: fills each slot's blocks from the current f32
   /// values, then writes the dequantized values *back into the f32
-  /// tensor* so eager f32 math and quantized kernels score from
-  /// identical weights. FailedPrecondition when nothing is quantizable.
+  /// tensor*, which is what inference computes with — the same values a
+  /// later load of the saved kQ8_0 checkpoint produces. FailedPrecondition
+  /// when nothing is quantizable.
   Status QuantizeAll();
 
   /// Registration order is the serialization order.

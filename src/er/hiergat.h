@@ -73,9 +73,9 @@ class HierGatModel : public NeuralPairwiseModel {
   Status Save(const std::string& path, DType dtype) const;
   Status Load(const std::string& path) override;
 
-  /// Converts every Linear weight and embedding table to Q8_0 blocks in
-  /// place (see PairwiseModel::QuantizeWeights). Inference dispatches
-  /// the quantized kernels afterwards and Save emits a kQ8_0
+  /// Rounds every Linear weight and embedding table through Q8_0 blocks
+  /// in place (see PairwiseModel::QuantizeWeights). Inference keeps the
+  /// f32 kernels on the dequantized weights and Save emits a kQ8_0
   /// checkpoint; caches and compiled graphs are invalidated.
   Status QuantizeWeights() override;
 

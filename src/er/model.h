@@ -100,11 +100,12 @@ class PairwiseModel {
                                       " does not support checkpointing");
   }
 
-  /// Converts the model's weights to Q8_0 block-quantized storage in
-  /// place (core/quant.h): inference runs the quantized kernels, and a
-  /// subsequent Save writes a kQ8_0 checkpoint. Lossy and one-way —
-  /// reload an f32 checkpoint to restore full precision. Models without
-  /// quantized inference keep this default.
+  /// Rounds the model's weights through Q8_0 blocks in place
+  /// (core/quant.h): the f32 weights take the dequantized values, which
+  /// inference keeps using, and a subsequent Save writes the ~3.56x
+  /// smaller kQ8_0 checkpoint. Lossy and one-way — reload an f32
+  /// checkpoint to restore full precision. Models without Q8_0
+  /// checkpoint support keep this default.
   virtual Status QuantizeWeights() {
     return Status::FailedPrecondition(name() +
                                       " does not support weight quantization");

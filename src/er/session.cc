@@ -36,9 +36,6 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
     }
     session->collective_model_->set_graph_compile_enabled(
         options.enable_graph_compile);
-    if (options.quantize_weights) {
-      HG_RETURN_IF_ERROR(session->collective_model_->QuantizeWeights());
-    }
   } else {
     if (!options.checkpoint_path.empty()) {
       auto model_or = LoadMatcher(options.checkpoint_path);
@@ -57,9 +54,6 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
     }
     session->pairwise_model_->set_graph_compile_enabled(
         options.enable_graph_compile);
-    if (options.quantize_weights) {
-      HG_RETURN_IF_ERROR(session->pairwise_model_->QuantizeWeights());
-    }
   }
 
   session->engine_ = std::make_unique<InferenceEngine>(options.engine);
@@ -76,8 +70,7 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
                        : " from " + options.checkpoint_path)
                << ", " << session->engine_->num_threads()
                << " engine thread(s), graph_compile="
-               << (options.enable_graph_compile ? "on" : "off")
-               << (options.quantize_weights ? ", q8 weights" : "");
+               << (options.enable_graph_compile ? "on" : "off");
   return StatusOr<std::unique_ptr<Session>>(std::move(session));
 }
 

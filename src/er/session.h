@@ -31,7 +31,10 @@ struct SessionOptions {
   /// Collective (query + candidate set) vs pairwise matching.
   bool collective = false;
   /// When non-empty, Open restores a trained model from this
-  /// checkpoint instead of constructing an untrained one.
+  /// checkpoint instead of constructing an untrained one. A Q8_0
+  /// checkpoint (PairwiseModel::QuantizeWeights + Save, ~3.56x smaller)
+  /// opens like any other: the loader dequantizes it and scoring runs
+  /// the same f32 kernels.
   std::string checkpoint_path;
   /// Backbone size / pre-training overrides for fresh models; see
   /// MatcherOptions in er/er.h.
@@ -46,13 +49,6 @@ struct SessionOptions {
   /// Compiled-graph scoring (DESIGN.md §11). On by default; turn off to
   /// force the eager path (results are bit-identical either way).
   bool enable_graph_compile = true;
-  /// Quantizes the model's weights to Q8_0 blocks right after load
-  /// (PairwiseModel::QuantizeWeights): ~3.56x fewer weight bytes moved
-  /// per score at a small accuracy cost (golden tests bound the score
-  /// drift by q8::kScoreTolerance, core/quant.h). Requires a
-  /// `checkpoint_path` — quantizing an untrained model is rejected — and
-  /// a model with quantized kernels (the HierGAT family).
-  bool quantize_weights = false;
 };
 
 /// One trained (or trainable) matcher plus the engine that serves it —

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/logging.h"
-#include "tensor/graph.h"
 
 namespace hiergat {
 
@@ -14,12 +13,6 @@ Embedding::Embedding(int vocab_size, int dim, Rng& rng, float init_stddev)
 }
 
 Tensor Embedding::Forward(const std::vector<int>& ids) const {
-  if (table_q8_->active() && !GradModeEnabled() &&
-      !graph::GraphCapture::Active()) {
-    // Eager inference only: EmbeddingLookupQ8 records no graph node,
-    // so a capture must trace the f32 gather instead.
-    return EmbeddingLookupQ8(table_q8_, ids);
-  }
   return EmbeddingLookup(table_, ids);
 }
 

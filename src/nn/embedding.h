@@ -12,10 +12,9 @@ namespace hiergat {
 
 /// Trainable lookup table of `vocab_size` x `dim` embeddings.
 ///
-/// Like nn::Linear the table owns a Q8_0 slot; once activated,
-/// eager-inference lookups dequantize only the selected rows
-/// (EmbeddingLookupQ8). Training and graph-capture calls use the f32
-/// table — the quantized lookup records no graph node.
+/// Like nn::Linear the table owns a Q8_0 storage slot for checkpoints;
+/// lookups always gather from the f32 table, which QuantizeAll and a
+/// kQ8_0 load fill with the dequantized values.
 class Embedding : public Module {
  public:
   Embedding(int vocab_size, int dim, Rng& rng, float init_stddev = 0.1f);
@@ -37,9 +36,6 @@ class Embedding : public Module {
   int vocab_size() const { return vocab_size_; }
   int dim() const { return dim_; }
   const Tensor& table() const { return table_; }
-
-  /// True when inference lookups dequantize from Q8_0 blocks.
-  bool quantized() const { return table_q8_->active(); }
 
  private:
   int vocab_size_;

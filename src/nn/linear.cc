@@ -15,11 +15,6 @@ Linear::Linear(int in_features, int out_features, Rng& rng, bool use_bias)
 
 Tensor Linear::Forward(const Tensor& x) const {
   HG_CHECK_EQ(x.dim(1), in_features_);
-  if (weight_q8_->active() && !GradModeEnabled()) {
-    // Quantized-weight inference: streams Q8_0 blocks instead of the
-    // f32 weight. Training still needs the f32 tensor for gradients.
-    return LinearQ8Op(x, weight_q8_, bias_);
-  }
   // Fused GEMM + bias: one graph node, no intermediate xW tensor.
   return LinearOp(x, weight_, bias_);
 }

@@ -12,13 +12,10 @@ namespace hiergat {
 
 /// Fully connected layer: y = x W + b for x of shape [n, in_features].
 ///
-/// The weight owns a Q8_0 quantized slot (core/quant.h). While the slot
-/// is inactive the layer is a plain f32 affine map. Activating it —
-/// via NamedParameters::QuantizeAll or by loading a kQ8_0 checkpoint —
-/// makes inference-mode Forward run the quantized-weight GEMM
-/// (LinearQ8Op) instead; training-mode calls keep using the f32 weight,
-/// whose values QuantizeAll rewrites to the dequantized ones so both
-/// paths score identically.
+/// The weight owns a Q8_0 storage slot (core/quant.h). It only decides
+/// how a checkpoint stores the weight: NamedParameters::QuantizeAll and
+/// a kQ8_0 load both fill the f32 weight with the dequantized values,
+/// and Forward always runs the f32 LinearOp on it.
 class Linear : public Module {
  public:
   Linear(int in_features, int out_features, Rng& rng, bool use_bias = true);
@@ -37,9 +34,6 @@ class Linear : public Module {
   const Tensor& bias() const { return bias_; }
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
-
-  /// True when Forward dispatches the quantized-weight kernel.
-  bool quantized() const { return weight_q8_->active(); }
 
  private:
   int in_features_;

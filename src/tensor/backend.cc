@@ -40,9 +40,6 @@ const Kernels* ScalarBackend() {
       &kernels::SoftmaxBackwardRows,
       &kernels::LayerNormRows,
       &kernels::LayerNormBackwardRows,
-      &kernels::GemmF32Q8,
-      &kernels::DequantizeRowsQ8,
-      &kernels::DotQ8,
   };
   return &table;
 }
@@ -185,21 +182,6 @@ void ParallelLayerNormRows(ThreadPool* pool, int rows, int cols, float eps,
                                          eps, x + r0 * cols, gamma, beta,
                                          y + r0 * cols, xhat + r0 * cols,
                                          inv_std + r0);
-                    });
-}
-
-void ParallelGemmF32Q8(ThreadPool* pool, int m, int n, int k,
-                       const float* a, const q8::Block* wq, float* c) {
-  const Kernels& kr = Active();
-  const int64_t flops = static_cast<int64_t>(m) * n * k;
-  if (RunSerial(pool, m, flops, kMinParallelFlops)) {
-    kr.gemm_f32_q8(m, n, k, a, wq, c);
-    return;
-  }
-  pool->ParallelFor(0, m, RowGrain(m, pool->num_threads(), 1),
-                    [=, &kr](int64_t r0, int64_t r1) {
-                      kr.gemm_f32_q8(static_cast<int>(r1 - r0), n, k,
-                                     a + r0 * k, wq, c + r0 * n);
                     });
 }
 

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/quant.h"
-
 namespace hiergat {
 
 class ThreadPool;  // tensor/threadpool.h
@@ -77,13 +75,6 @@ struct Kernels {
                                    const float* inv_std, const float* gamma,
                                    const float* gy, float* gx, float* ggamma,
                                    float* gbeta);
-
-  // Quantized (Q8_0) weights.
-  void (*gemm_f32_q8)(int m, int n, int k, const float* a,
-                      const q8::Block* wq, float* c);
-  void (*dequantize_rows_q8)(int rows, int cols, const q8::Block* blocks,
-                             float* out);
-  float (*dot_q8)(int n, const float* x, const q8::Block* blocks);
 };
 
 /// The selected backend (env override or best native). Resolved on
@@ -167,17 +158,6 @@ inline void LayerNormBackwardRows(int rows, int cols, const float* xhat,
   Active().layer_norm_backward_rows(rows, cols, xhat, inv_std, gamma, gy, gx,
                                     ggamma, gbeta);
 }
-inline void GemmF32Q8(int m, int n, int k, const float* a,
-                      const q8::Block* wq, float* c) {
-  Active().gemm_f32_q8(m, n, k, a, wq, c);
-}
-inline void DequantizeRowsQ8(int rows, int cols, const q8::Block* blocks,
-                             float* out) {
-  Active().dequantize_rows_q8(rows, cols, blocks, out);
-}
-inline float DotQ8(int n, const float* x, const q8::Block* blocks) {
-  return Active().dot_q8(n, x, blocks);
-}
 
 // -- Intra-op parallel wrappers ------------------------------------------
 //
@@ -198,9 +178,6 @@ void ParallelLayerNormRows(ThreadPool* pool, int rows, int cols, float eps,
                            const float* x, const float* gamma,
                            const float* beta, float* y, float* xhat,
                            float* inv_std);
-/// Rows of C partitioned; Wq is shared read-only across chunks.
-void ParallelGemmF32Q8(ThreadPool* pool, int m, int n, int k, const float* a,
-                       const q8::Block* wq, float* c);
 
 }  // namespace backend
 }  // namespace hiergat

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/quant.h"
 #include "tensor/backend.h"
 
 namespace hiergat {
@@ -46,9 +45,6 @@ const Kernels* Avx2Backend() {
       &avx2_impl::SoftmaxBackwardRows,
       &avx2_impl::LayerNormRows,
       &avx2_impl::LayerNormBackwardRows,
-      &avx2_impl::GemmF32Q8,
-      &avx2_impl::DequantizeRowsQ8,
-      &avx2_impl::DotQ8,
   };
   return &table;
 }

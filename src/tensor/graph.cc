@@ -125,7 +125,7 @@ struct CompiledGraph::Impl {
     std::vector<int> scratch;
     int output = -1;
     int64_t flops = -1;  ///< From Record; -1 = default to output size.
-    int64_t bytes = -1;  ///< From Record; -1 = planner's f32 traffic.
+    int64_t bytes = 0;   ///< f32 traffic, filled in at plan time.
     NodeCounters* counters = nullptr;  ///< Resolved at plan time.
   };
 
@@ -334,15 +334,10 @@ void PlanGraph(Impl* g) {
       return static_cast<int64_t>(g->values[static_cast<size_t>(id)].size);
     };
     if (node.flops < 0) node.flops = size_of(node.output);
-    if (node.bytes < 0) {
-      // No override from Record: default to the node's visible f32
-      // traffic. Quantized-weight GEMMs pass exact byte counts because
-      // their weight blocks live in the closure, not in a value.
-      int64_t traffic_floats = size_of(node.output);
-      for (int id : node.inputs) traffic_floats += size_of(id);
-      for (int id : node.scratch) traffic_floats += size_of(id);
-      node.bytes = traffic_floats * static_cast<int64_t>(sizeof(float));
-    }
+    int64_t traffic_floats = size_of(node.output);
+    for (int id : node.inputs) traffic_floats += size_of(id);
+    for (int id : node.scratch) traffic_floats += size_of(id);
+    node.bytes = traffic_floats * static_cast<int64_t>(sizeof(float));
     node.counters = CountersForName(node.name);
     g->node_costs.push_back({node.name, node.flops, node.bytes});
     g->stats.est_flops += node.flops;
@@ -583,8 +578,7 @@ void OnUnsupported(const char* what) {
 
 void Record(const Tensor& out, const std::vector<Tensor>& inputs,
             const char* name, NodeFn fn,
-            const std::vector<size_t>& scratch_sizes, int64_t flops,
-            int64_t bytes) {
+            const std::vector<size_t>& scratch_sizes, int64_t flops) {
   Recorder* r = tls_recorder;
   if (r == nullptr || r->poisoned) return;
   r->unclaimed.erase(out.impl().get());
@@ -630,7 +624,6 @@ void Record(const Tensor& out, const std::vector<Tensor>& inputs,
   node.inputs = std::move(in_ids);
   node.output = out_id;
   node.flops = flops;
-  node.bytes = bytes;
   for (size_t floats : scratch_sizes) {
     Impl::Value s;
     s.kind = Kind::kArena;

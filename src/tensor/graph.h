@@ -187,16 +187,13 @@ void OnUnsupported(const char* what);
 /// passed to `fn` in order. `flops` is the op's static FLOP count per
 /// execution; ops with real arithmetic intensity (the GEMM family,
 /// attention) pass exact counts, and the default -1 estimates one FLOP
-/// per output element (right for elementwise/reduction ops). `bytes`
-/// overrides the planner's default bytes-moved estimate (f32 traffic
-/// over inputs + scratch + output); ops whose real traffic is not
-/// visible in their recorded values — quantized-weight GEMMs stream
-/// Q8_0 blocks held in the closure, not an f32 input — pass an exact
-/// count, and the default -1 keeps the planner's estimate.
+/// per output element (right for elementwise/reduction ops). The
+/// planner estimates bytes moved as the node's f32 traffic over inputs
+/// + scratch + output.
 void Record(const Tensor& out, const std::vector<Tensor>& inputs,
             const char* name, NodeFn fn,
             const std::vector<size_t>& scratch_sizes = {},
-            int64_t flops = -1, int64_t bytes = -1);
+            int64_t flops = -1);
 
 /// Records `out` as a pure view of `base` at `offset_floats`
 /// (SliceRows/Row/Reshape/Flatten): no node, no replay work.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/quant.h"
 #include "tensor/threadpool.h"
 
 namespace hiergat {

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/quant.h"
-
 namespace hiergat {
 
 class ThreadPool;  // tensor/threadpool.h
@@ -54,24 +52,6 @@ void GemmTN(int m, int n, int k, float alpha, const float* a, const float* b,
 /// per-pair scoring); shares the GemmNN tiling with m = 1.
 void Gemv(int n, int k, float alpha, const float* x, const float* b,
           float* y);
-
-// -- Quantized (Q8_0) ----------------------------------------------------
-//
-// f32 activations x Q8_0 block-quantized weights (core/quant.h). Wq is
-// the row-wise quantization of a [k, n] row-major weight matrix: row
-// kk holds q8::BlocksPerRow(n) consecutive blocks.
-
-/// C[m,n] += A[m,k] * dequant(Wq)[k,n].
-void GemmF32Q8(int m, int n, int k, const float* a, const q8::Block* wq,
-               float* c);
-
-/// out[rows,cols] = dequant(blocks) — dense expansion of a quantized
-/// [rows, cols] table (quantized embedding-row gather).
-void DequantizeRowsQ8(int rows, int cols, const q8::Block* blocks,
-                      float* out);
-
-/// sum_j x[j] * dequant(blocks)[j] over one quantized row of length n.
-float DotQ8(int n, const float* x, const q8::Block* blocks);
 
 // -- Elementwise ---------------------------------------------------------
 

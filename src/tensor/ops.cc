@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/logging.h"
-#include "core/quant.h"
 #include "tensor/backend.h"
 #include "tensor/graph.h"
 #include "tensor/pool.h"
@@ -885,58 +884,6 @@ Tensor LinearOp(const Tensor& x, const Tensor& w, const Tensor& bias) {
   return out;
 }
 
-Tensor LinearQ8Op(const Tensor& x,
-                  const std::shared_ptr<q8::QuantizedTensor>& wq,
-                  const Tensor& bias) {
-  HG_CHECK_EQ(x.rank(), 2);
-  HG_CHECK(wq != nullptr && wq->active()) << "LinearQ8Op: inactive weights";
-  const int m = x.dim(0), k = x.dim(1), n = wq->cols();
-  HG_CHECK_EQ(k, wq->rows())
-      << "LinearQ8Op " << ShapeToString(x.shape()) << " x q8[" << wq->rows()
-      << ", " << wq->cols() << "]";
-  const bool has_bias = bias.defined();
-  if (has_bias) {
-    HG_CHECK_EQ(bias.rank(), 1);
-    HG_CHECK_EQ(bias.dim(0), n);
-  }
-  // Inference-only: no backward closure, output never requires grad
-  // (nn::Linear routes through the f32 path whenever gradients are on).
-  std::vector<Tensor> parents = {x};
-  if (has_bias) parents.push_back(bias);
-  Tensor out = Tensor::MakeNode({m, n}, /*requires_grad=*/false,
-                                std::move(parents));
-  backend::GemmF32Q8(m, n, k, x.data().data(), wq->blocks().data(),
-                     out.data().data());
-  if (has_bias) {
-    backend::AddBiasRows(m, n, bias.data().data(), out.data().data());
-  }
-  if (Capturing()) {
-    std::vector<Tensor> rec_inputs = {x};
-    if (has_bias) rec_inputs.push_back(bias);
-    // The weight blocks live in the closure, not in a recorded value,
-    // so the planner cannot see their traffic — pass the exact bytes:
-    // f32 activations in/out (+ bias) plus the Q8_0 wire bytes
-    // actually streamed per replay.
-    const int64_t bytes =
-        (static_cast<int64_t>(m) * k + static_cast<int64_t>(m) * n +
-         (has_bias ? n : 0)) *
-            static_cast<int64_t>(sizeof(float)) +
-        static_cast<int64_t>(wq->wire_bytes());
-    graph::Record(out, rec_inputs, "LinearQ8",
-                  [m, n, k, has_bias, wq](const float* const* in,
-                                          float* const*, float* op,
-                                          ThreadPool* pool) {
-                    std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
-                    backend::ParallelGemmF32Q8(pool, m, n, k, in[0],
-                                               wq->blocks().data(), op);
-                    if (has_bias) backend::AddBiasRows(m, n, in[1], op);
-                  },
-                  {}, 2LL * m * n * k + (has_bias ? 1LL * m * n : 0),
-                  bytes);
-  }
-  return out;
-}
-
 Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
                        const Tensor& mask) {
   HG_CHECK_EQ(q.rank(), 2);
@@ -1021,29 +968,6 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
 
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids) {
   return GatherRows(weight, ids);
-}
-
-Tensor EmbeddingLookupQ8(const std::shared_ptr<q8::QuantizedTensor>& table,
-                         const std::vector<int>& ids) {
-  HG_CHECK(table != nullptr && table->active())
-      << "EmbeddingLookupQ8: inactive table";
-  // Eager-only: the output is produced from closure-held blocks with no
-  // recorded inputs, so a capture could not replay it — callers
-  // (nn::Embedding) fall back to the f32 path while capturing, and any
-  // stray use under capture poisons the trace via the unclaimed check.
-  const int cols = table->cols();
-  const int bpr = table->blocks_per_row();
-  Tensor out = Tensor::MakeNode({static_cast<int>(ids.size()), cols},
-                                /*requires_grad=*/false, {});
-  const q8::Block* blocks = table->blocks().data();
-  float* od = out.data().data();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    HG_CHECK(ids[i] >= 0 && ids[i] < table->rows());
-    backend::DequantizeRowsQ8(
-        1, cols, blocks + static_cast<size_t>(ids[i]) * bpr,
-        od + i * cols);
-  }
-  return out;
 }
 
 Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training) {

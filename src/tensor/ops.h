@@ -1,10 +1,8 @@
 #ifndef HIERGAT_TENSOR_OPS_H_
 #define HIERGAT_TENSOR_OPS_H_
 
-#include <memory>
 #include <vector>
 
-#include "core/quant.h"
 #include "core/rng.h"
 #include "tensor/tensor.h"
 
@@ -105,17 +103,6 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 Tensor LinearOp(const Tensor& x, const Tensor& w,
                 const Tensor& bias = Tensor());
 
-/// LinearOp against Q8_0 block-quantized weights (core/quant.h):
-/// x [n, in] (f32) * wq [in, out] (Q8_0) + bias. Inference-only — the
-/// output never requires grad and no backward is recorded; callers
-/// route through the f32 path when gradients are on. Under graph
-/// capture this records a "LinearQ8" node whose bytes estimate counts
-/// the quantized weight wire bytes (rows * blocks * 36), keeping
-/// hot-node reports honest about the bandwidth actually moved.
-Tensor LinearQ8Op(const Tensor& x,
-                  const std::shared_ptr<q8::QuantizedTensor>& wq,
-                  const Tensor& bias = Tensor());
-
 /// Fused attention probabilities: row-softmax(scale * q * k^T + mask)
 /// in one graph node instead of MatMul + Transpose + Scale + Add +
 /// Softmax. `q` is [Lq, d], `k` is [Lk, d] (untransposed, as projected);
@@ -126,13 +113,6 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
 
 /// Gathers embedding rows: weight [V, F], ids in [0, V) -> [n, F].
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids);
-
-/// EmbeddingLookup against a Q8_0 block-quantized table: dequantizes
-/// only the selected rows (V * bpr * 36 bytes resident instead of
-/// V * F * 4). Inference-only and eager-only — callers fall back to
-/// the f32 path under autograd or graph capture.
-Tensor EmbeddingLookupQ8(const std::shared_ptr<q8::QuantizedTensor>& table,
-                         const std::vector<int>& ids);
 
 /// Inverted dropout: zeroes entries with probability p and rescales the
 /// survivors by 1/(1-p). Identity when `training` is false or p == 0.

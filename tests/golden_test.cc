@@ -248,6 +248,32 @@ TEST(GoldenTest, QuantizedHierGatPlusSaveLoadSaveIsByteStable) {
   EXPECT_EQ(ReadFileBytes(path_a), ReadFileBytes(path_b));
 }
 
+TEST(GoldenTest, QuantizedCheckpointServesThroughSessionOpen) {
+  // The way to serve Q8_0 weights: quantize, save, and open the saved
+  // checkpoint like any other. The loader dequantizes it into the same
+  // f32 weights the in-memory quantized model holds, so the session
+  // scores them exactly like that model does.
+  HierGatModel model;
+  ASSERT_TRUE(model.Load(FixturePath(golden::kHierGatCheckpoint)).ok());
+  ASSERT_TRUE(model.QuantizeWeights().ok());
+  const std::string path = TempPath("hiergat_q8_session.ckpt");
+  ASSERT_TRUE(model.Save(path).ok());
+
+  SessionOptions options;
+  options.checkpoint_path = path;
+  auto session_or = Session::Open(options);
+  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+
+  const PairDataset data = golden::MakePairDataset();
+  const std::vector<EntityPair> probes = golden::ProbePairs(data);
+  const std::vector<float> scores = session_or.value()->Score(probes);
+  EXPECT_EQ(scores, model.ScoreBatch(probes));
+
+  auto golden_or = golden::ReadScores(FixturePath(golden::kHierGatScores));
+  ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
+  ExpectScoresNear(scores, golden_or.value(), q8::kScoreTolerance);
+}
+
 TEST(GoldenTest, CheckpointTagDispatchRejectsWrongFamily) {
   auto pairwise_or =
       LoadMatcher(FixturePath(golden::kHierGatPlusCheckpoint));

@@ -1,4 +1,6 @@
-// Q8_0 codec tests plus backend-registry parity: every registered
+// Q8_0 codec tests, the storage-only contract (a quantized nn::Linear /
+// nn::Embedding computes exactly the f32 ops on its dequantized
+// weights), and backend-registry parity: every registered
 // backend (scalar, avx2/neon where compiled) must produce *bit-
 // identical* results for the dispatched kernels — the backends compile
 // the same kernel bodies (tensor/kernel_body.inc) with vectorization
@@ -9,16 +11,20 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/serialize.h"
+#include "nn/embedding.h"
+#include "nn/linear.h"
 #include "tensor/backend.h"
+#include "tensor/graph.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
-#include "tensor/threadpool.h"
 
 namespace hiergat {
 namespace {
@@ -115,61 +121,102 @@ TEST(QuantCodecTest, QuantizedTensorLifecycle) {
   EXPECT_EQ(q.blocks().size(), 0u);
 }
 
-// -- Quantized kernels vs dequantized reference -------------------------
+// -- Q8_0 storage: quantized layers compute in f32 ----------------------
+//
+// QuantizeAll rounds each weight through Q8_0 and writes the
+// dequantized values back into the f32 tensor; from then on the layers
+// must be exactly the f32 ops on those values, eagerly and replayed.
 
-TEST(QuantKernelTest, GemmF32Q8MatchesDequantizedGemm) {
-  const int m = 7, n = 45, k = 13;
-  const auto a = RandomVec(static_cast<size_t>(m) * k, 31);
-  const auto w = RandomVec(static_cast<size_t>(k) * n, 37);
-  q8::QuantizedTensor wq;
-  wq.QuantizeFrom(w.data(), k, n);
-
-  std::vector<float> got(static_cast<size_t>(m) * n, 0.0f);
-  kernels::GemmF32Q8(m, n, k, a.data(), wq.blocks().data(), got.data());
-
-  std::vector<float> dq(static_cast<size_t>(k) * n);
-  wq.DequantizeTo(dq.data());
-  std::vector<float> want(static_cast<size_t>(m) * n, 0.0f);
-  kernels::GemmNN(m, n, k, 1.0f, a.data(), dq.data(), want.data());
-  for (size_t i = 0; i < got.size(); ++i)
-    EXPECT_NEAR(got[i], want[i], 1e-4f) << "element " << i;
+/// Captures `build` over one input shaped like `x` (traced on a
+/// different probe, so the replay really reads `x`), replays it on `x`
+/// and returns the output.
+std::vector<float> ReplayOn(const Tensor& x,
+                            const std::function<Tensor(const Tensor&)>& build) {
+  Tensor probe = Tensor::FromVector(
+      x.shape(), std::vector<float>(x.data().size(), 0.5f));
+  graph::GraphCapture capture;
+  capture.MarkInput(probe);
+  const Tensor y = build(probe);
+  capture.MarkOutput(y);
+  auto compiled_or = capture.Finish();
+  EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  if (!compiled_or.ok()) return {};
+  const graph::CompiledGraph& compiled = *compiled_or.value();
+  std::vector<float> out(static_cast<size_t>(compiled.output_size(0)));
+  const float* in[] = {x.data().data()};
+  float* outs[] = {out.data()};
+  compiled.Run(in, outs, nullptr);
+  return out;
 }
 
-TEST(QuantKernelTest, DotQ8MatchesDequantizedDot) {
-  for (int n : {1, 31, 32, 33, 100}) {
-    const auto x = RandomVec(static_cast<size_t>(n), 41);
-    const auto w = RandomVec(static_cast<size_t>(n), 43);
-    q8::QuantizedTensor wq;
-    wq.QuantizeFrom(w.data(), 1, n);
-    const float got = kernels::DotQ8(n, x.data(), wq.blocks().data());
-    std::vector<float> dq(static_cast<size_t>(n));
-    wq.DequantizeTo(dq.data());
-    double want = 0.0;
-    for (int i = 0; i < n; ++i)
-      want += static_cast<double>(x[static_cast<size_t>(i)]) *
-              dq[static_cast<size_t>(i)];
-    EXPECT_NEAR(got, static_cast<float>(want), 1e-4f) << "n=" << n;
+/// The scalar codec's round trip of `t`: what QuantizeAll must leave.
+std::vector<float> Dequantized(const Tensor& t, int rows, int cols) {
+  q8::QuantizedTensor q;
+  q.QuantizeFrom(t.data().data(), rows, cols);
+  std::vector<float> out(t.data().size());
+  q.DequantizeTo(out.data());
+  return out;
+}
+
+TEST(QuantStorageTest, QuantizedLinearIsF32LinearOpOnDequantizedWeight) {
+  NoGradGuard no_grad;
+  Rng rng(131);
+  // 40 output columns: one full block and a partial one per weight row.
+  Linear layer(24, 40, rng);
+  Tensor bias = layer.bias();  // Shared handle: make the bias non-zero.
+  for (float& b : bias.data()) b = rng.NextGaussian();
+  const std::vector<float> want_weight = Dequantized(layer.weight(), 24, 40);
+
+  NamedParameters params;
+  params.AddModule("fc", layer);
+  ASSERT_TRUE(params.QuantizeAll().ok());
+  EXPECT_EQ(layer.weight().data(), want_weight);
+
+  // 5 rows: one 4-row GEMM tile plus a remainder row.
+  Tensor x = Tensor::Randn({5, 24}, rng);
+  const Tensor want = LinearOp(x, layer.weight(), layer.bias());
+  const Tensor got = layer.Forward(x);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (size_t i = 0; i < want.data().size(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << "eager element " << i;
+  }
+  const std::vector<float> replayed =
+      ReplayOn(x, [&](const Tensor& in) { return layer.Forward(in); });
+  ASSERT_EQ(replayed.size(), want.data().size());
+  for (size_t i = 0; i < want.data().size(); ++i) {
+    EXPECT_EQ(replayed[i], want.data()[i]) << "replayed element " << i;
   }
 }
 
-TEST(QuantKernelTest, ParallelGemmF32Q8IsThreadCountInvariant) {
-  const int m = 64, n = 48, k = 96;  // Big enough to pass the threshold.
-  const auto a = RandomVec(static_cast<size_t>(m) * k, 47);
-  const auto w = RandomVec(static_cast<size_t>(k) * n, 53);
-  q8::QuantizedTensor wq;
-  wq.QuantizeFrom(w.data(), k, n);
+TEST(QuantStorageTest, QuantizedEmbeddingIsF32LookupOnDequantizedTable) {
+  NoGradGuard no_grad;
+  Rng rng(137);
+  Embedding embedding(9, 40, rng);
+  const std::vector<float> want_table =
+      Dequantized(embedding.table(), 9, 40);
 
-  std::vector<float> serial(static_cast<size_t>(m) * n, 0.0f);
-  backend::GemmF32Q8(m, n, k, a.data(), wq.blocks().data(), serial.data());
+  NamedParameters params;
+  params.AddModule("emb", embedding);
+  ASSERT_TRUE(params.QuantizeAll().ok());
+  EXPECT_EQ(embedding.table().data(), want_table);
 
-  ThreadPool pool(4);
-  std::vector<float> parallel(static_cast<size_t>(m) * n, 0.0f);
-  backend::ParallelGemmF32Q8(&pool, m, n, k, a.data(), wq.blocks().data(),
-                             parallel.data());
-  // Row-partitioned: bit-identical to the serial run at any thread
-  // count.
-  for (size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(parallel[i], serial[i]) << "element " << i;
+  const std::vector<int> ids = {3, 0, 8, 3};
+  const Tensor want = EmbeddingLookup(embedding.table(), ids);
+  const Tensor got = embedding.Forward(ids);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (size_t i = 0; i < want.data().size(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << "eager element " << i;
+  }
+  // A lookup in a fixed table folds to a constant at capture; adding it
+  // to a replayed zero input sends the folded rows through a real node.
+  const Tensor zeros = Tensor::Zeros({4, 40});
+  const std::vector<float> replayed = ReplayOn(zeros, [&](const Tensor& in) {
+    return Add(in, embedding.Forward(ids));
+  });
+  ASSERT_EQ(replayed.size(), want.data().size());
+  for (size_t i = 0; i < want.data().size(); ++i) {
+    EXPECT_EQ(replayed[i], want.data()[i]) << "replayed element " << i;
+  }
 }
 
 // -- Backend registry ---------------------------------------------------
@@ -187,9 +234,6 @@ TEST(BackendRegistryTest, ScalarIsAlwaysRegisteredFirst) {
     EXPECT_NE(kr->gemv, nullptr);
     EXPECT_NE(kr->softmax_rows, nullptr);
     EXPECT_NE(kr->layer_norm_rows, nullptr);
-    EXPECT_NE(kr->gemm_f32_q8, nullptr);
-    EXPECT_NE(kr->dequantize_rows_q8, nullptr);
-    EXPECT_NE(kr->dot_q8, nullptr);
   }
 }
 
@@ -296,86 +340,8 @@ TEST_P(BackendParity, SoftmaxAndLayerNormBitIdentical) {
   }
 }
 
-TEST_P(BackendParity, QuantizedKernelsBitIdentical) {
-  const auto [m, n, k] = GetParam();
-  const auto a = RandomVec(static_cast<size_t>(m) * k, 103);
-  const auto w = RandomVec(static_cast<size_t>(k) * n, 107);
-  q8::QuantizedTensor wq;
-  wq.QuantizeFrom(w.data(), k, n);
-  const size_t out_size = static_cast<size_t>(m) * n;
-
-  std::vector<float> want(out_size, 0.0f);
-  kernels::GemmF32Q8(m, n, k, a.data(), wq.blocks().data(), want.data());
-  std::vector<float> want_dq(static_cast<size_t>(k) * n);
-  kernels::DequantizeRowsQ8(k, n, wq.blocks().data(), want_dq.data());
-  // dot_q8 contracts n elements against row 0 of Wq, so the query needs
-  // its own length-n buffer (`a` only holds m*k floats).
-  const auto x = RandomVec(static_cast<size_t>(n), 109);
-  const float want_dot = kernels::DotQ8(n, x.data(), wq.blocks().data());
-
-  for (const backend::Kernels* kr : backend::Registered()) {
-    std::vector<float> got(out_size, 0.0f);
-    kr->gemm_f32_q8(m, n, k, a.data(), wq.blocks().data(), got.data());
-    for (size_t i = 0; i < out_size; ++i)
-      ASSERT_EQ(got[i], want[i]) << kr->name << " gemm_f32_q8 element " << i;
-
-    std::vector<float> dq(want_dq.size());
-    kr->dequantize_rows_q8(k, n, wq.blocks().data(), dq.data());
-    for (size_t i = 0; i < dq.size(); ++i)
-      ASSERT_EQ(dq[i], want_dq[i]) << kr->name << " dequantize element " << i;
-
-    ASSERT_EQ(kr->dot_q8(n, x.data(), wq.blocks().data()), want_dot)
-        << kr->name << " dot_q8";
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(OddShapes, BackendParity,
                          ::testing::ValuesIn(kShapes));
-
-// -- Quantized ops ------------------------------------------------------
-
-TEST(QuantOpsTest, LinearQ8OpMatchesDequantizedLinearOp) {
-  NoGradGuard guard;
-  Rng rng(109);
-  Tensor x = Tensor::Randn({6, 24}, rng);
-  Tensor w = Tensor::Randn({24, 10}, rng);
-  Tensor bias = Tensor::Randn({10}, rng);
-
-  auto wq = std::make_shared<q8::QuantizedTensor>();
-  wq->QuantizeFrom(w.data().data(), 24, 10);
-  // Rewrite w to the dequantized values — exactly what QuantizeAll does
-  // — so both paths see the same weights.
-  wq->DequantizeTo(w.data().data());
-
-  Tensor got = LinearQ8Op(x, wq, bias);
-  Tensor want = LinearOp(x, w, bias);
-  ASSERT_EQ(got.shape(), want.shape());
-  for (size_t i = 0; i < got.data().size(); ++i)
-    EXPECT_NEAR(got.data()[i], want.data()[i], 1e-4f) << "element " << i;
-}
-
-TEST(QuantOpsTest, EmbeddingLookupQ8DequantizesSelectedRows) {
-  NoGradGuard guard;
-  Rng rng(113);
-  Tensor table = Tensor::Randn({9, 16}, rng);
-  auto tq = std::make_shared<q8::QuantizedTensor>();
-  tq->QuantizeFrom(table.data().data(), 9, 16);
-
-  const std::vector<int> ids = {3, 0, 8, 3};
-  Tensor got = EmbeddingLookupQ8(tq, ids);
-  ASSERT_EQ(got.dim(0), 4);
-  ASSERT_EQ(got.dim(1), 16);
-
-  std::vector<float> dq(9 * 16);
-  tq->DequantizeTo(dq.data());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (int j = 0; j < 16; ++j) {
-      EXPECT_EQ(got.data()[i * 16 + static_cast<size_t>(j)],
-                dq[static_cast<size_t>(ids[i]) * 16 + static_cast<size_t>(j)])
-          << "row " << i << " col " << j;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace hiergat

@@ -245,7 +245,7 @@ TEST(SerializeQ8Test, RoundTripWithinHalfScale) {
 
 TEST(SerializeQ8Test, WireSizeBeats3p5xOverF32) {
   // 128 f32 bytes per 32 elements become 36: the checkpoint itself must
-  // show the >= 3.5x weight-bytes reduction the quantized GEMM streams.
+  // show the >= 3.5x weight-bytes reduction Q8_0 storage exists for.
   Tensor w = RandomTensor({64, 64}, 8);
   TensorWriter f32_writer("TestModel");
   ASSERT_TRUE(f32_writer.Add("w", w).ok());

@@ -95,11 +95,7 @@ def main(argv):
     print("-" * len(header))
     for name, (count, total_us, flops, nbytes) in ranked[: args.top]:
         avg_us = total_us / count if count else 0.0
-        # Quantized-weight replay nodes (LinearQ8 etc.) are labeled so a
-        # mixed f32/q8 trace reads unambiguously; their bytes column
-        # already counts Q8_0 wire bytes, not dense f32 bytes.
-        label = f"{name} (q8)" if "Q8" in name else name
-        left = f"{label:<40} {count:>8} {total_us / 1e3:>10.3f} {avg_us:>9.1f}"
+        left = f"{name:<40} {count:>8} {total_us / 1e3:>10.3f} {avg_us:>9.1f}"
         if flops:
             # A span with cost estimates but zero recorded time (e.g. a
             # ring-truncated or untimed replay) has no meaningful rate:

@@ -12,6 +12,9 @@
 // (--trace_out) and the flight recorder via obs::DrainAndDump — the
 // same dump path a crash would take.
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -49,7 +52,6 @@ struct Flags {
   int max_delay_us = 1000;
   int max_pending_pairs = 8192;
   int max_per_connection = 64;
-  bool quantize = false;
   std::vector<std::pair<std::string, std::string>> models;  // name -> path.
   std::string model_dir;
   std::string trace_out;
@@ -70,11 +72,37 @@ void PrintUsage(const char* argv0) {
       "  --max_delay_us=N       batch hold time in usec  (default 1000)\n"
       "  --max_pending_pairs=N  admission cap, 0=off     (default 8192)\n"
       "  --max_per_connection=N per-conn in-flight cap   (default 64)\n"
-      "  --quantize             serve Q8_0-quantized weights\n"
-      "  --trace_out=PATH       write a Chrome trace on shutdown\n");
+      "  --trace_out=PATH       write a Chrome trace on shutdown\n",
+      argv0);
+}
+
+/// Parses all of `text` as a decimal integer in [0, max]. Rejects an
+/// empty string, a sign or leading space, trailing characters, and
+/// values that overflow `long` or exceed `max`.
+bool ParseNonNegativeInt(const char* text, long max, int* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value > max) return false;
+  *out = static_cast<int>(value);
+  return true;
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  struct IntFlag {
+    const char* name;
+    long max;
+    int* value;
+  };
+  const IntFlag int_flags[] = {
+      {"--port", 65535, &flags->port},
+      {"--threads", INT_MAX, &flags->threads},
+      {"--max_batch_size", INT_MAX, &flags->max_batch_size},
+      {"--max_delay_us", INT_MAX, &flags->max_delay_us},
+      {"--max_pending_pairs", INT_MAX, &flags->max_pending_pairs},
+      {"--max_per_connection", INT_MAX, &flags->max_per_connection},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* name) -> const char* {
@@ -85,7 +113,22 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       return nullptr;
     };
-    if (const char* v = value_of("--model")) {
+    const IntFlag* int_flag = nullptr;
+    const char* int_text = nullptr;
+    for (const IntFlag& f : int_flags) {
+      if ((int_text = value_of(f.name)) != nullptr) {
+        int_flag = &f;
+        break;
+      }
+    }
+    if (int_flag != nullptr) {
+      if (!ParseNonNegativeInt(int_text, int_flag->max, int_flag->value)) {
+        std::fprintf(stderr, "%s wants an integer in [0, %ld], got \"%s\"\n",
+                     int_flag->name, int_flag->max, int_text);
+        PrintUsage(argv[0]);
+        return false;
+      }
+    } else if (const char* v = value_of("--model")) {
       const char* eq = std::strchr(v, '=');
       if (eq == nullptr || eq == v || eq[1] == '\0') {
         std::fprintf(stderr, "--model wants NAME=CKPT, got \"%s\"\n", v);
@@ -96,22 +139,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->model_dir = v;
     } else if (const char* v = value_of("--host")) {
       flags->host = v;
-    } else if (const char* v = value_of("--port")) {
-      flags->port = std::atoi(v);
-    } else if (const char* v = value_of("--threads")) {
-      flags->threads = std::atoi(v);
-    } else if (const char* v = value_of("--max_batch_size")) {
-      flags->max_batch_size = std::atoi(v);
-    } else if (const char* v = value_of("--max_delay_us")) {
-      flags->max_delay_us = std::atoi(v);
-    } else if (const char* v = value_of("--max_pending_pairs")) {
-      flags->max_pending_pairs = std::atoi(v);
-    } else if (const char* v = value_of("--max_per_connection")) {
-      flags->max_per_connection = std::atoi(v);
     } else if (const char* v = value_of("--trace_out")) {
       flags->trace_out = v;
-    } else if (arg == "--quantize") {
-      flags->quantize = true;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
       return false;
@@ -154,7 +183,6 @@ int Main(int argc, char** argv) {
     SessionOptions session_options;
     session_options.checkpoint_path = path;
     session_options.engine.num_threads = flags.threads;
-    session_options.quantize_weights = flags.quantize;
     const Status status = registry.LoadModel(name, session_options);
     if (!status.ok()) {
       std::fprintf(stderr, "loading model \"%s\" from %s failed: %s\n",

@@ -3,12 +3,15 @@
 
 Usage: serve_smoke_test.py SERVER_BINARY CHECKPOINT
 
-Starts the server on an ephemeral port with CHECKPOINT published as
-model "smoke", probes the HTTP shim (/healthz, /readyz, /metrics),
-sends SIGTERM, and asserts a clean graceful drain (exit code 0 with the
-drain banner on stdout). Stdlib-only on purpose — this is the "does the
-shipped binary actually serve" gate for the ci workflow preset, not a
-protocol test (tests/serve_test.cc covers the wire format in-process).
+First checks that bad command lines (a non-numeric, negative or
+out-of-range integer flag, the unknown flag --quantize) exit with code
+2 and the usage text instead of starting a server. Then starts the
+server on an ephemeral port with CHECKPOINT published as model "smoke",
+probes the HTTP shim (/healthz, /readyz, /metrics), sends SIGTERM, and
+asserts a clean graceful drain (exit code 0 with the drain banner on
+stdout). Stdlib-only on purpose — this is the "does the shipped binary
+actually serve" gate for the ci workflow preset, not a protocol test
+(tests/serve_test.cc covers the wire format in-process).
 """
 
 import re
@@ -16,6 +19,15 @@ import signal
 import socket
 import subprocess
 import sys
+
+# Flag sets the binary must refuse with exit code 2 before it binds.
+BAD_FLAGS = [
+    ["--port=abc"],
+    ["--port=70000"],
+    ["--threads=x"],
+    ["--threads=-1"],
+    ["--quantize"],
+]
 
 
 def http_get(port, path):
@@ -49,6 +61,18 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     binary, checkpoint = argv[1], argv[2]
+
+    for flags in BAD_FLAGS:
+        command = [binary, f"--model=smoke={checkpoint}"] + flags
+        try:
+            result = subprocess.run(command, stdout=subprocess.PIPE,
+                                    stderr=subprocess.STDOUT, text=True,
+                                    timeout=30)
+        except subprocess.TimeoutExpired:
+            return fail(f"{flags} did not exit within 30 s")
+        if result.returncode != 2 or "usage:" not in result.stdout:
+            return fail(f"{flags}: want exit code 2 with usage, got "
+                        f"{result.returncode}:\n{result.stdout}")
 
     server = subprocess.Popen(
         [binary, "--port=0", f"--model=smoke={checkpoint}"],
