@@ -1,8 +1,8 @@
 // Product matching end to end: raw source tables -> keyword blocking ->
 // labeled training pairs -> model comparison (the full Figure 5
 // pipeline, including the Blocker stage the experiment harnesses skip).
-// Matchers are built by name via MakeMatcher and the surviving
-// candidates are scored in one batch through the InferenceEngine.
+// Each matcher is opened by name as an er::Session, and the surviving
+// candidates are scored in one batch through the session's engine.
 
 #include <cstdio>
 #include <map>
@@ -61,22 +61,32 @@ int main() {
   const Status status = WritePairsCsv("/tmp/product_pairs.csv", data.train);
   std::printf("exported training pairs: %s\n", status.ToString().c_str());
 
-  // Compare a classical and a neural matcher on the same data, both
-  // built by name and evaluated through the shared engine so scoring
-  // uses the batched inference path.
+  // Compare a classical and a neural matcher on the same data, each
+  // opened by name as a Session and evaluated through its engine so
+  // scoring uses the batched inference path.
   TrainOptions options;
   options.epochs = 8;
-  InferenceEngine engine(EngineOptions{.num_threads = 4});
 
-  MatcherOptions matcher_options;
-  matcher_options.lm_size = LmSize::kSmall;
-  matcher_options.lm_pretrain_steps = 1500;
+  SessionOptions session_options;
+  session_options.lm_size = LmSize::kSmall;
+  session_options.lm_pretrain_steps = 1500;
+  session_options.engine.num_threads = 4;
   for (const char* name : {"magellan", "hiergat"}) {
-    const std::unique_ptr<PairwiseModel> model =
-        MakeMatcher(name, matcher_options);
-    model->Train(data, options);
-    std::printf("\n%s: %s\n", model->name().c_str(),
-                engine.Evaluate(*model, data.test).ToString().c_str());
+    session_options.matcher = name;
+    auto session_or = Session::Open(session_options);
+    if (!session_or.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name,
+                   session_or.status().ToString().c_str());
+      return 1;
+    }
+    Session& session = *session_or.value();
+    const Status trained = session.Train(data, options);
+    if (!trained.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name, trained.ToString().c_str());
+      return 1;
+    }
+    std::printf("\n%s: %s\n", session.model()->name().c_str(),
+                session.Evaluate(data.test).ToString().c_str());
   }
   return 0;
 }

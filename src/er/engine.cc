@@ -59,20 +59,17 @@ obs::Histogram& BatchItemsHistogram() {
   return histogram;
 }
 obs::Gauge& QueueDepthGauge() {
+  // Process-wide: every live engine adds its callers (a hot swap or a
+  // multi-model server runs several engines at once).
   static obs::Gauge& gauge =
       obs::MetricsRegistry::Global().GetGauge("hiergat.engine.queue_depth");
   return gauge;
 }
-obs::Counter& QueueLimitWaitsCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.engine.queue_limit_waits");
-  return counter;
-}
-obs::Counter& AdmissionRejectedCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.engine.admission.rejected");
-  return counter;
-}
+
+/// Smallest range a worker pops from its own slot per step: the model's
+/// ScoreBatch sees at least this many items at once (when available),
+/// so per-batch setup amortizes; stealing may hand out larger chunks.
+constexpr int kGrain = 4;
 
 constexpr uint64_t Pack(int begin, int end) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(begin)) << 32) |
@@ -129,8 +126,6 @@ InferenceEngine::InferenceEngine(const EngineOptions& options)
     : num_threads_(options.num_threads > 0
                        ? options.num_threads
                        : std::max(1u, std::thread::hardware_concurrency())),
-      grain_(std::max(1, options.min_grain)),
-      max_queue_depth_(std::max(0, options.max_queue_depth)),
       slots_(static_cast<size_t>(num_threads_)) {
   threads_.reserve(static_cast<size_t>(num_threads_));
   for (int w = 0; w < num_threads_; ++w) {
@@ -214,7 +209,7 @@ int InferenceEngine::ProcessRanges(int worker_id,
   std::atomic<uint64_t>& own = self.range;
   for (;;) {
     int begin, end;
-    if (PopFront(own, grain_, &begin, &end)) {
+    if (PopFront(own, kGrain, &begin, &end)) {
       {
         HG_TRACE_SPAN("engine.ScoreRange");
         fn(begin, end);
@@ -242,10 +237,9 @@ int InferenceEngine::ProcessRanges(int worker_id,
   }
 }
 
-bool InferenceEngine::RunJob(int total,
-                             const std::function<void(int, int)>& process,
-                             bool reject_if_full) {
-  if (total <= 0) return true;
+void InferenceEngine::RunJob(int total,
+                             const std::function<void(int, int)>& process) {
+  if (total <= 0) return;
   // Each RunJob is one request: root a fresh trace context unless the
   // caller already carries one (e.g. a server wrapping several engine
   // calls in a single request context).
@@ -256,26 +250,10 @@ bool InferenceEngine::RunJob(int total,
   // in-flight job, so callers queue here for the pool. queue_wait is
   // the time a caller spends behind other callers' jobs.
   const uint64_t enqueue_ns = obs::MonotonicNowNs();
-  {
-    std::unique_lock<std::mutex> queue_lock(queue_mutex_);
-    if (max_queue_depth_ > 0 && queue_depth_ >= max_queue_depth_) {
-      if (reject_if_full) {
-        AdmissionRejectedCounter().Increment();
-        obs::RecordFlightEvent(obs::FlightEventKind::kServeShed,
-                               "engine.RunJob", total, queue_depth_);
-        return false;
-      }
-      QueueLimitWaitsCounter().Increment();
-      obs::RecordFlightEvent(obs::FlightEventKind::kQueueLimitWait,
-                             "engine.RunJob", queue_depth_);
-      queue_cv_.wait(queue_lock,
-                     [&] { return queue_depth_ < max_queue_depth_; });
-    }
-    ++queue_depth_;
-    QueueDepthGauge().Set(static_cast<double>(queue_depth_));
-    obs::RecordFlightEvent(obs::FlightEventKind::kJobEnqueue,
-                           "engine.RunJob", total, queue_depth_);
-  }
+  const int depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
+  QueueDepthGauge().Add(1);
+  obs::RecordFlightEvent(obs::FlightEventKind::kJobEnqueue, "engine.RunJob",
+                         total, depth);
   std::lock_guard<std::mutex> jobs_lock(jobs_mutex_);
   const uint64_t start_ns = obs::MonotonicNowNs();
   QueueWaitSecondsHistogram().Observe(
@@ -313,13 +291,8 @@ bool InferenceEngine::RunJob(int total,
       static_cast<double>(obs::MonotonicNowNs() - start_ns) * 1e-9);
   obs::RecordFlightEvent(obs::FlightEventKind::kJobDone, "engine.RunJob",
                          total);
-  {
-    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-    --queue_depth_;
-    QueueDepthGauge().Set(static_cast<double>(queue_depth_));
-  }
-  queue_cv_.notify_one();
-  return true;
+  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+  QueueDepthGauge().Add(-1);
 }
 
 std::vector<float> InferenceEngine::Score(const PairwiseModel& model,
@@ -332,26 +305,6 @@ std::vector<float> InferenceEngine::Score(const PairwiseModel& model,
     std::copy(part.begin(), part.end(),
               probabilities.begin() + begin);
   });
-  return probabilities;
-}
-
-StatusOr<std::vector<float>> InferenceEngine::TryScore(
-    const PairwiseModel& model, std::span<const EntityPair> pairs) {
-  std::vector<float> probabilities(pairs.size());
-  const bool ran = RunJob(
-      static_cast<int>(pairs.size()),
-      [&](int begin, int end) {
-        const std::vector<float> part = model.ScoreBatch(
-            pairs.subspan(static_cast<size_t>(begin),
-                          static_cast<size_t>(end - begin)));
-        std::copy(part.begin(), part.end(), probabilities.begin() + begin);
-      },
-      /*reject_if_full=*/true);
-  if (!ran) {
-    return Status::ResourceExhausted(
-        "engine: " + std::to_string(max_queue_depth_) +
-        " job(s) already queued (max_queue_depth)");
-  }
   return probabilities;
 }
 

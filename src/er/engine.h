@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/status.h"
 #include "er/metrics.h"
 #include "er/model.h"
 #include "obs/trace.h"
@@ -30,23 +29,13 @@ struct EngineWorkerStats {
 struct EngineOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Smallest range a worker pops from its own queue per step. The
-  /// model's ScoreBatch sees at least this many pairs at once (when
-  /// available), so per-batch setup amortizes; stealing may hand out
-  /// larger chunks.
-  int min_grain = 4;
-  /// Caps how many caller jobs may be enqueued (including the running
-  /// one) before additional callers block *before* joining the queue;
-  /// 0 means unlimited. The pool runs one job at a time either way —
-  /// the cap is backpressure for fan-in servers, and each wait is
-  /// counted in `hiergat.engine.queue_limit_waits`.
-  int max_queue_depth = 0;
 };
 
 /// Batched, multi-threaded inference over trained matchers.
 ///
 /// A fixed pool of workers splits the input range evenly; each worker
-/// pops grains off the front of its own range and, when dry, steals the
+/// pops grains (4 items, so the model's ScoreBatch amortizes per-batch
+/// setup) off the front of its own range and, when dry, steals the
 /// back half of a peer's remaining range (lock-free packed-range CAS).
 /// Scored through PairwiseModel::ScoreBatch, whose contract (constness,
 /// determinism, split-invariance) makes the result bit-identical for
@@ -58,6 +47,8 @@ struct EngineOptions {
 /// models it scores. Score/Evaluate may be called from multiple caller
 /// threads: the pool runs one job at a time and concurrent calls are
 /// serialized internally (each blocks until its own job completes).
+/// The engine never refuses work; shedding load is the server edge's
+/// job (serve::AdmissionController, DESIGN.md §14).
 class InferenceEngine {
  public:
   explicit InferenceEngine(const EngineOptions& options = EngineOptions());
@@ -75,14 +66,6 @@ class InferenceEngine {
   /// model.ScoreBatch(pairs) on one thread.
   std::vector<float> Score(const PairwiseModel& model,
                            std::span<const EntityPair> pairs);
-
-  /// Non-blocking admission variant of Score for fan-in servers: when
-  /// `max_queue_depth` jobs are already enqueued, returns
-  /// ResourceExhausted immediately instead of blocking behind them
-  /// (each rejection is counted in `hiergat.engine.admission.rejected`).
-  /// With max_queue_depth == 0 this never rejects and equals Score.
-  StatusOr<std::vector<float>> TryScore(const PairwiseModel& model,
-                                        std::span<const EntityPair> pairs);
 
   /// P/R/F1 over the pairs, scored through the pool.
   EvalResult Evaluate(const PairwiseModel& model,
@@ -111,27 +94,20 @@ class InferenceEngine {
 
   /// Runs `process(begin, end)` over a partition of [0, total) on the
   /// pool and blocks until every index is processed and all workers are
-  /// idle again. When `reject_if_full` is set and the queue is at
-  /// max_queue_depth, returns false without running anything (the
-  /// TryScore path); otherwise always runs and returns true.
-  bool RunJob(int total, const std::function<void(int, int)>& process,
-              bool reject_if_full = false);
+  /// idle again.
+  void RunJob(int total, const std::function<void(int, int)>& process);
   void WorkerLoop(int worker_id);
   int ProcessRanges(int worker_id, const std::function<void(int, int)>& fn);
 
   int num_threads_;
-  int grain_;
-  int max_queue_depth_;
   std::vector<Slot> slots_;
   std::vector<std::thread> threads_;
 
   /// Serializes RunJob across caller threads; held for a whole job.
   std::mutex jobs_mutex_;
-
-  /// Admission control (see EngineOptions::max_queue_depth).
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  int queue_depth_ = 0;
+  /// Callers inside RunJob (queued or running); this engine's share of
+  /// the process-wide `hiergat.engine.queue_depth` gauge.
+  std::atomic<int> queue_depth_{0};
 
   std::mutex mutex_;
   std::condition_variable cv_;       // Wakes workers on a new job.

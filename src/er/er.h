@@ -4,12 +4,10 @@
 /// Umbrella header: the public surface of the ER system in one include.
 /// Typical flow: load/generate a dataset, Session::Open(...), Train,
 /// then batch-score blocker output through Session::Score (which routes
-/// through the engine's worker pool). The Make*/Load* factories below
-/// predate er::Session and remain as thin wrappers for callers that
-/// want a bare model without an engine.
-
-#include <memory>
-#include <string>
+/// through the engine's worker pool). Session::Open is the one way to
+/// build a matcher by name or restore one from a checkpoint; for
+/// long-lived serving, put Sessions behind serve::ModelRegistry +
+/// serve::Server (DESIGN.md §14).
 
 #include "blocking/blocker.h"
 #include "data/csv.h"
@@ -26,46 +24,5 @@
 #include "er/model.h"
 #include "er/session.h"
 #include "er/summary_cache.h"
-
-namespace hiergat {
-
-/// Knobs shared by every matcher the factory can build; model-specific
-/// hyper-parameters keep their defaults (construct the concrete class
-/// directly to tune those). The run seed stays in TrainOptions.
-struct MatcherOptions {
-  LmSize lm_size = LmSize::kMedium;
-  /// Masked-LM pre-training steps for LM-backed matchers; negative
-  /// keeps each model's own default. Ignored by models without an LM.
-  int lm_pretrain_steps = -1;
-};
-
-/// Builds a pairwise matcher by name: "hiergat", "ditto", "deepmatcher"
-/// (alias "dm"), "dm+", or "magellan" (case-insensitive). Returns
-/// nullptr for unknown names. Deprecated in favor of Session::Open,
-/// which also wires up the engine and inference options; for
-/// long-lived serving, put Sessions behind serve::ModelRegistry +
-/// serve::Server (DESIGN.md §14) instead of holding a raw model.
-std::unique_ptr<PairwiseModel> MakeMatcher(
-    const std::string& name, const MatcherOptions& options = MatcherOptions());
-
-/// Builds a collective matcher by name: "hiergat+", "gcn", "gat", or
-/// "hgat" (case-insensitive). Returns nullptr for unknown names.
-std::unique_ptr<CollectiveModel> MakeCollectiveMatcher(
-    const std::string& name, const MatcherOptions& options = MatcherOptions());
-
-/// Reconstructs a ready-to-score pairwise matcher from a checkpoint
-/// written by PairwiseModel::Save. The model type is dispatched on the
-/// checkpoint's embedded tag, and the config travels with the weights,
-/// so no MatcherOptions are needed. Deprecated in favor of
-/// Session::Open with SessionOptions::checkpoint_path — or, to serve
-/// the checkpoint over the network with batching and hot-swap,
-/// serve::ModelRegistry::LoadModel (DESIGN.md §14).
-StatusOr<std::unique_ptr<PairwiseModel>> LoadMatcher(const std::string& path);
-
-/// Collective counterpart of LoadMatcher (currently "HierGAT+").
-StatusOr<std::unique_ptr<CollectiveModel>> LoadCollectiveMatcher(
-    const std::string& path);
-
-}  // namespace hiergat
 
 #endif  // HIERGAT_ER_ER_H_

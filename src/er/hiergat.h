@@ -83,9 +83,6 @@ class HierGatModel : public NeuralPairwiseModel {
   /// for benchmarking the uncached path).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   const SummaryCache& summary_cache() const { return summary_cache_; }
-  void set_summary_cache_capacity(size_t max_entries) override {
-    summary_cache_.set_max_entries(max_entries);
-  }
 
   /// Compiled-graph scoring (DESIGN.md §11). ScoreBatch automatically
   /// replays through compiled summarize/compare graphs once they exist
@@ -94,7 +91,7 @@ class HierGatModel : public NeuralPairwiseModel {
   /// attribute token-sequence lengths. Odd shapes and capture failures
   /// fall back to the eager path, which stays bit-identical.
   Status CompileScoringGraph(const std::vector<int>& attribute_lengths);
-  void set_graph_compile_enabled(bool enabled) override {
+  void set_graph_compile_enabled(bool enabled) {
     graph_compile_enabled_ = enabled;
   }
   /// Planner footprint of the compiled graphs (undefined before any

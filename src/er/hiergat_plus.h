@@ -65,15 +65,12 @@ class HierGatPlusModel : public NeuralCollectiveModel {
   /// Inference-time entity-summary cache (hit/miss/eviction stats; also
   /// aggregated into the `hiergat.cache.*` metrics).
   const SummaryCache& summary_cache() const { return summary_cache_; }
-  void set_summary_cache_capacity(size_t max_entries) override {
-    summary_cache_.set_max_entries(max_entries);
-  }
 
   /// See HierGatModel::CompileScoringGraph. The collective compare
   /// graph takes the aligned entity embeddings as inputs and returns
   /// raw logits (PredictQuery softmaxes over the candidate rows).
   Status CompileScoringGraph(const std::vector<int>& attribute_lengths);
-  void set_graph_compile_enabled(bool enabled) override {
+  void set_graph_compile_enabled(bool enabled) {
     graph_compile_enabled_ = enabled;
   }
   CompiledScoring::Stats compiled_stats() const;

@@ -74,21 +74,11 @@ class PairwiseModel {
   /// previously scored model; a no-op for models without caches.
   virtual void InvalidateInferenceCache() const {}
 
-  /// Toggles compiled-graph scoring (DESIGN.md §11). A no-op for models
-  /// without a compiled inference path.
-  virtual void set_graph_compile_enabled(bool enabled) { (void)enabled; }
-
-  /// Caps the inference-time summary cache. A no-op for cacheless
-  /// models.
-  virtual void set_summary_cache_capacity(size_t max_entries) {
-    (void)max_entries;
-  }
-
   /// Serializes the trained model (config + weights) to a versioned
   /// binary checkpoint at `path`, and restores it for load-and-serve
   /// inference without retraining (see src/core/serialize.h and
-  /// LoadMatcher in er/er.h). Models without checkpoint support keep
-  /// these defaults, which report FailedPrecondition.
+  /// SessionOptions::checkpoint_path). Models without checkpoint
+  /// support keep these defaults, which report FailedPrecondition.
   virtual Status Save(const std::string& path) const {
     (void)path;
     return Status::FailedPrecondition(name() +
@@ -139,12 +129,6 @@ class CollectiveModel {
   /// See PairwiseModel::InvalidateInferenceCache.
   virtual void InvalidateInferenceCache() const {}
 
-  /// See the PairwiseModel equivalents.
-  virtual void set_graph_compile_enabled(bool enabled) { (void)enabled; }
-  virtual void set_summary_cache_capacity(size_t max_entries) {
-    (void)max_entries;
-  }
-
   /// See PairwiseModel::Save / Load.
   virtual Status Save(const std::string& path) const {
     (void)path;
@@ -179,12 +163,6 @@ class PairwiseAsCollective : public CollectiveModel {
   std::vector<float> PredictQuery(const CollectiveQuery& query) const override;
   void InvalidateInferenceCache() const override {
     pairwise_->InvalidateInferenceCache();
-  }
-  void set_graph_compile_enabled(bool enabled) override {
-    pairwise_->set_graph_compile_enabled(enabled);
-  }
-  void set_summary_cache_capacity(size_t max_entries) override {
-    pairwise_->set_summary_cache_capacity(max_entries);
   }
   Status QuantizeWeights() override { return pairwise_->QuantizeWeights(); }
 

@@ -1,59 +1,126 @@
 #include "er/session.h"
 
+#include <algorithm>
+#include <cctype>
 #include <utility>
 
 #include "core/logging.h"
-#include "er/er.h"
+#include "core/serialize.h"
+#include "er/baselines/deepmatcher.h"
+#include "er/baselines/ditto.h"
+#include "er/baselines/gnn.h"
+#include "er/baselines/magellan.h"
+#include "er/hiergat.h"
+#include "er/hiergat_plus.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 
 namespace hiergat {
 
+namespace {
+
+std::string Lower(const std::string& s) {
+  std::string out = s;
+  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return out;
+}
+
+/// Copies the session's backbone overrides into an LM-backed config;
+/// a negative `lm_pretrain_steps` keeps the model's own default.
+template <typename Config>
+Config LmConfig(const SessionOptions& options) {
+  Config config;
+  config.lm_size = options.lm_size;
+  if (options.lm_pretrain_steps >= 0) {
+    config.lm_pretrain_steps = options.lm_pretrain_steps;
+  }
+  return config;
+}
+
+/// Pairwise matchers by name (case-insensitive); null for unknown names.
+std::unique_ptr<PairwiseModel> MakePairwise(const SessionOptions& options) {
+  const std::string key = Lower(options.matcher);
+  if (key == "hiergat") {
+    return std::make_unique<HierGatModel>(LmConfig<HierGatConfig>(options));
+  }
+  if (key == "ditto") {
+    return std::make_unique<DittoModel>(LmConfig<DittoConfig>(options));
+  }
+  if (key == "deepmatcher" || key == "dm") {
+    return std::make_unique<DeepMatcherModel>();
+  }
+  if (key == "dm+" || key == "dmplus") return std::make_unique<DmPlusModel>();
+  if (key == "magellan") return std::make_unique<MagellanModel>();
+  return nullptr;
+}
+
+/// Collective matchers by name (case-insensitive); null for unknown names.
+std::unique_ptr<CollectiveModel> MakeCollective(const SessionOptions& options) {
+  const std::string key = Lower(options.matcher);
+  if (key == "hiergat+" || key == "hiergatplus") {
+    return std::make_unique<HierGatPlusModel>(
+        LmConfig<HierGatPlusConfig>(options));
+  }
+  if (key == "gcn") return std::make_unique<GcnCollectiveModel>();
+  if (key == "gat") return std::make_unique<GatCollectiveModel>();
+  if (key == "hgat") return std::make_unique<HgatCollectiveModel>();
+  return nullptr;
+}
+
+/// Restores a checkpoint of the model family `Model` (tagged `tag`).
+/// The tag is peeked first so a checkpoint of the other family reports
+/// "not a known <kind> matcher" instead of a confusing tag-mismatch
+/// error from the wrong Load.
+template <typename Model, typename Base>
+StatusOr<std::unique_ptr<Base>> LoadTagged(const std::string& path,
+                                           const std::string& tag,
+                                           const char* kind) {
+  auto reader_or = TensorReader::Open(path);
+  HG_RETURN_IF_ERROR(reader_or.status());
+  const std::string found = reader_or.value().model_tag();
+  if (found != tag) {
+    return Status::InvalidArgument("checkpoint tag '" + found +
+                                   "' is not a known " + kind + " matcher");
+  }
+  std::unique_ptr<Base> model = std::make_unique<Model>();
+  HG_RETURN_IF_ERROR(model->Load(path));
+  return StatusOr<std::unique_ptr<Base>>(std::move(model));
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<Session>> Session::Open(
     const SessionOptions& options) {
   std::unique_ptr<Session> session(new Session());
 
-  MatcherOptions matcher_options;
-  matcher_options.lm_size = options.lm_size;
-  matcher_options.lm_pretrain_steps = options.lm_pretrain_steps;
-
   if (options.collective) {
     if (!options.checkpoint_path.empty()) {
-      auto model_or = LoadCollectiveMatcher(options.checkpoint_path);
+      auto model_or = LoadTagged<HierGatPlusModel, CollectiveModel>(
+          options.checkpoint_path, "HierGAT+", "collective");
       HG_RETURN_IF_ERROR(model_or.status());
       session->collective_model_ = std::move(model_or).value();
     } else {
-      session->collective_model_ =
-          MakeCollectiveMatcher(options.matcher, matcher_options);
+      session->collective_model_ = MakeCollective(options);
       if (session->collective_model_ == nullptr) {
         return Status::InvalidArgument("unknown collective matcher '" +
                                        options.matcher + "'");
       }
     }
-    if (options.summary_cache_capacity > 0) {
-      session->collective_model_->set_summary_cache_capacity(
-          options.summary_cache_capacity);
-    }
-    session->collective_model_->set_graph_compile_enabled(
-        options.enable_graph_compile);
   } else {
     if (!options.checkpoint_path.empty()) {
-      auto model_or = LoadMatcher(options.checkpoint_path);
+      auto model_or = LoadTagged<HierGatModel, PairwiseModel>(
+          options.checkpoint_path, "HierGAT", "pairwise");
       HG_RETURN_IF_ERROR(model_or.status());
       session->pairwise_model_ = std::move(model_or).value();
     } else {
-      session->pairwise_model_ = MakeMatcher(options.matcher, matcher_options);
+      session->pairwise_model_ = MakePairwise(options);
       if (session->pairwise_model_ == nullptr) {
         return Status::InvalidArgument("unknown pairwise matcher '" +
                                        options.matcher + "'");
       }
     }
-    if (options.summary_cache_capacity > 0) {
-      session->pairwise_model_->set_summary_cache_capacity(
-          options.summary_cache_capacity);
-    }
-    session->pairwise_model_->set_graph_compile_enabled(
-        options.enable_graph_compile);
   }
 
   session->engine_ = std::make_unique<InferenceEngine>(options.engine);
@@ -69,8 +136,7 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
                        ? std::string(" (untrained)")
                        : " from " + options.checkpoint_path)
                << ", " << session->engine_->num_threads()
-               << " engine thread(s), graph_compile="
-               << (options.enable_graph_compile ? "on" : "off");
+               << " engine thread(s)";
   return StatusOr<std::unique_ptr<Session>>(std::move(session));
 }
 

@@ -15,16 +15,14 @@
 
 namespace hiergat {
 
-struct MatcherOptions;  // er/er.h
-
 /// Everything needed to stand up a ready-to-serve matcher, in one
-/// struct. Session::Open consolidates what used to take four separate
-/// entry points (MakeMatcher / MakeCollectiveMatcher / LoadMatcher /
-/// LoadCollectiveMatcher plus a hand-built InferenceEngine) behind a
-/// single call.
+/// struct. Session::Open is the only way to construct a model by name
+/// or restore one from a checkpoint.
 struct SessionOptions {
-  /// Matcher name for a fresh model ("hiergat", "ditto", "hiergat+",
-  /// ... — see MakeMatcher / MakeCollectiveMatcher). Ignored when
+  /// Matcher name for a fresh model (case-insensitive). Pairwise:
+  /// "hiergat", "ditto", "deepmatcher" (alias "dm"), "dm+" (alias
+  /// "dmplus"), "magellan". Collective: "hiergat+" (alias
+  /// "hiergatplus"), "gcn", "gat", "hgat". Ignored when
   /// `checkpoint_path` is set: the checkpoint's embedded tag picks the
   /// model type.
   std::string matcher = "hiergat";
@@ -36,19 +34,15 @@ struct SessionOptions {
   /// opens like any other: the loader dequantizes it and scoring runs
   /// the same f32 kernels.
   std::string checkpoint_path;
-  /// Backbone size / pre-training overrides for fresh models; see
-  /// MatcherOptions in er/er.h.
+  /// Backbone size for fresh LM-backed matchers (HierGAT, Ditto,
+  /// HierGAT+); the config of a checkpoint travels with its weights.
   LmSize lm_size = LmSize::kMedium;
+  /// Masked-LM pre-training steps for fresh LM-backed matchers;
+  /// negative keeps each model's own default.
   int lm_pretrain_steps = -1;
 
-  /// Inference-engine knobs (worker threads, grain, admission cap).
+  /// Inference-engine worker threads (`engine.num_threads`).
   EngineOptions engine;
-  /// Re-caps the model's entity-summary cache; 0 keeps the model
-  /// default (SummaryCache::kDefaultMaxEntries).
-  size_t summary_cache_capacity = 0;
-  /// Compiled-graph scoring (DESIGN.md §11). On by default; turn off to
-  /// force the eager path (results are bit-identical either way).
-  bool enable_graph_compile = true;
 };
 
 /// One trained (or trainable) matcher plus the engine that serves it —
@@ -65,8 +59,9 @@ struct SessionOptions {
 /// caller threads are safe (jobs serialize; see InferenceEngine).
 class Session {
  public:
-  /// Builds (or, with `checkpoint_path`, loads) the model, applies the
-  /// cache/graph-compile options, and starts the engine.
+  /// Builds (or, with `checkpoint_path`, loads) the model and starts
+  /// the engine. An unknown matcher name, or a checkpoint of the other
+  /// family (pairwise vs collective), is InvalidArgument.
   static StatusOr<std::unique_ptr<Session>> Open(
       const SessionOptions& options = SessionOptions());
 
@@ -99,7 +94,6 @@ class Session {
   const CollectiveModel* collective_model() const {
     return collective_model_.get();
   }
-  InferenceEngine& engine() { return *engine_; }
 
  private:
   Session() = default;

@@ -73,7 +73,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kJobEnqueue: return "job_enqueue";
     case FlightEventKind::kJobStart: return "job_start";
     case FlightEventKind::kJobDone: return "job_done";
-    case FlightEventKind::kQueueLimitWait: return "queue_limit_wait";
     case FlightEventKind::kCacheEviction: return "cache_eviction";
     case FlightEventKind::kGraphCompile: return "graph_compile";
     case FlightEventKind::kGraphCaptureFail: return "graph_capture_fail";

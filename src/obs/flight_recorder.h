@@ -10,12 +10,12 @@ namespace hiergat {
 namespace obs {
 
 /// What a flight-recorder event describes. Keep this list in sync with
-/// FlightEventKindName() — the names appear in crash dumps.
+/// FlightEventKindName() — the names appear in crash dumps. Values are
+/// stable across releases; 4 is retired and must not be reused.
 enum class FlightEventKind : int32_t {
-  kJobEnqueue = 1,    ///< Engine job admitted; a = items, b = queue depth.
+  kJobEnqueue = 1,    ///< Engine job queued; a = items, b = engine depth.
   kJobStart = 2,      ///< Engine job began executing; a = items.
   kJobDone = 3,       ///< Engine job finished; a = items.
-  kQueueLimitWait = 4,  ///< Caller blocked on max_queue_depth; a = depth.
   kCacheEviction = 5,   ///< Summary-cache flush; a = evicted, b = size after.
   kGraphCompile = 6,    ///< Scoring graph captured; a = key (e.g. length).
   kGraphCaptureFail = 7,  ///< Capture hit an unsupported op; eager fallback.

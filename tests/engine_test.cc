@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
@@ -164,6 +165,23 @@ TEST(SummaryCacheTest, CachedTensorsAreDetached) {
   EXPECT_FALSE(value.requires_grad());
 }
 
+/// A model whose ScoreBatch blocks until released, so a test can hold
+/// an engine job in flight deterministically.
+class BlockingModel : public PairwiseModel {
+ public:
+  std::string name() const override { return "blocking"; }
+  void Train(const PairDataset&, const TrainOptions&) override {}
+  float ScorePair(const EntityPair&) const override { return 0.5f; }
+  std::vector<float> ScoreBatch(
+      std::span<const EntityPair> pairs) const override {
+    started_.store(true);
+    while (!release_.load()) std::this_thread::yield();
+    return std::vector<float>(pairs.size(), 0.5f);
+  }
+  mutable std::atomic<bool> started_{false};
+  mutable std::atomic<bool> release_{false};
+};
+
 /// Shared trained models so the (expensive) training runs once.
 class EngineParityTest : public ::testing::Test {
  protected:
@@ -212,7 +230,6 @@ TEST_F(EngineParityTest, ThreadCountInvariantAcrossModels) {
     for (int threads : {1, 4}) {
       EngineOptions options;
       options.num_threads = threads;
-      options.min_grain = 2;
       InferenceEngine engine(options);
       const std::vector<float> batched = engine.Score(*model, pairs);
       ExpectBitIdentical(sequential, batched);
@@ -225,6 +242,31 @@ TEST_F(EngineParityTest, ScoreBatchMatchesPerPairLoop) {
       SequentialScores(*hiergat_, data_->test);
   const std::vector<float> batched = hiergat_->ScoreBatch(data_->test);
   ExpectBitIdentical(sequential, batched);
+}
+
+TEST_F(EngineParityTest, ScoreBatchIsSplitInvariantForSmallSlices) {
+  // The model.h contract the engine relies on: scoring a batch in
+  // slices of any size gives the whole-batch result bit for bit. The
+  // engine's own grain is fixed at 4, so slices of 1-3 pairs are
+  // exercised here directly.
+  const std::vector<EntityPair>& pairs = data_->test;
+  for (const PairwiseModel* model :
+       {static_cast<const PairwiseModel*>(hiergat_),
+        static_cast<const PairwiseModel*>(magellan_),
+        static_cast<const PairwiseModel*>(deepmatcher_)}) {
+    const std::vector<float> whole = model->ScoreBatch(pairs);
+    for (size_t slice : {1, 2, 3}) {
+      std::vector<float> sliced;
+      for (size_t begin = 0; begin < pairs.size(); begin += slice) {
+        const size_t len = std::min(slice, pairs.size() - begin);
+        const std::vector<float> part = model->ScoreBatch(
+            std::span<const EntityPair>(pairs.data() + begin, len));
+        sliced.insert(sliced.end(), part.begin(), part.end());
+      }
+      SCOPED_TRACE(model->name() + " slices of " + std::to_string(slice));
+      ExpectBitIdentical(whole, sliced);
+    }
+  }
 }
 
 TEST_F(EngineParityTest, WarmCacheMatchesColdForward) {
@@ -295,7 +337,7 @@ TEST_F(EngineParityTest, HandlesEmptyAndTinyBatches) {
 }
 
 TEST_F(EngineParityTest, EngineIsReusableAcrossCallsAndModels) {
-  InferenceEngine engine(EngineOptions{.num_threads = 2, .min_grain = 1});
+  InferenceEngine engine(EngineOptions{.num_threads = 2});
   const std::span<const EntityPair> pairs(data_->test.data(), 8);
   const std::vector<float> a = engine.Score(*hiergat_, pairs);
   const std::vector<float> b = engine.Score(*magellan_, pairs);
@@ -309,7 +351,7 @@ TEST_F(EngineParityTest, RepeatedTinyJobsToleratStragglerWorkers) {
   // through each short job; a straggler waking after RunJob returned
   // must not copy a null job_fn_ or claim ranges of the next job.
   // Many back-to-back tiny jobs make that interleaving likely.
-  InferenceEngine engine(EngineOptions{.num_threads = 8, .min_grain = 1});
+  InferenceEngine engine(EngineOptions{.num_threads = 8});
   const std::span<const EntityPair> two(data_->test.data(), 2);
   const float p0 = magellan_->PredictProbability(data_->test[0]);
   const float p1 = magellan_->PredictProbability(data_->test[1]);
@@ -366,7 +408,6 @@ TEST_F(EngineParityTest, ConcurrentCompiledScoringIsThreadSafe) {
   hiergat_->InvalidateInferenceCache();
   EngineOptions options;
   options.num_threads = 4;
-  options.min_grain = 2;
   InferenceEngine engine(options);
   const std::vector<float> sequential =
       SequentialScores(*hiergat_, data_->test);
@@ -376,15 +417,14 @@ TEST_F(EngineParityTest, ConcurrentCompiledScoringIsThreadSafe) {
   }
 }
 
-TEST_F(EngineParityTest, QueueDepthLimitAdmitsAndCompletesAllJobs) {
+TEST_F(EngineParityTest, ConcurrentCallersSerializeToIdenticalScores) {
   EngineOptions options;
   options.num_threads = 2;
-  options.max_queue_depth = 1;
   InferenceEngine engine(options);
   const std::span<const EntityPair> pairs(data_->test.data(), 8);
   const std::vector<float> baseline = engine.Score(*magellan_, pairs);
 
-  // Four caller threads contend for a queue that admits one job at a
+  // Four caller threads contend for a pool that runs one job at a
   // time; every job must still complete with identical results.
   std::vector<std::thread> callers;
   std::vector<std::vector<float>> results(4);
@@ -401,55 +441,31 @@ TEST_F(EngineParityTest, QueueDepthLimitAdmitsAndCompletesAllJobs) {
   }
 }
 
-TEST_F(EngineParityTest, TryScoreRejectsWhenQueueFullAndCountsShed) {
-  // A model whose ScoreBatch blocks until released, so the test can pin
-  // the engine's queue at max_queue_depth deterministically.
-  class BlockingModel : public PairwiseModel {
-   public:
-    std::string name() const override { return "blocking"; }
-    void Train(const PairDataset&, const TrainOptions&) override {}
-    float ScorePair(const EntityPair&) const override { return 0.5f; }
-    std::vector<float> ScoreBatch(
-        std::span<const EntityPair> pairs) const override {
-      started_.store(true);
-      while (!release_.load()) std::this_thread::yield();
-      return std::vector<float>(pairs.size(), 0.5f);
-    }
-    mutable std::atomic<bool> started_{false};
-    mutable std::atomic<bool> release_{false};
-  };
-
-  EngineOptions options;
-  options.num_threads = 2;
-  options.max_queue_depth = 1;
-  InferenceEngine engine(options);
+TEST_F(EngineParityTest, QueueDepthGaugeSumsAcrossLiveEngines) {
+  // Two engines (a hot swap overlapping old and new Sessions, or a
+  // two-model server) each hold one job; the process-wide gauge must
+  // show both, not whichever engine wrote last.
+  obs::Gauge& depth =
+      obs::MetricsRegistry::Global().GetGauge("hiergat.engine.queue_depth");
+  const double before = depth.Value();
   const std::span<const EntityPair> pairs(data_->test.data(), 4);
 
-  obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.engine.admission.rejected");
-  const int64_t rejected_before = rejected.Value();
+  InferenceEngine engine_a(EngineOptions{.num_threads = 1});
+  InferenceEngine engine_b(EngineOptions{.num_threads = 1});
+  BlockingModel blocking_a;
+  BlockingModel blocking_b;
+  std::thread caller_a([&] { engine_a.Score(blocking_a, pairs); });
+  std::thread caller_b([&] { engine_b.Score(blocking_b, pairs); });
+  while (!blocking_a.started_.load() || !blocking_b.started_.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(depth.Value(), before + 2);
 
-  BlockingModel blocking;
-  std::thread occupant([&] { engine.Score(blocking, pairs); });
-  while (!blocking.started_.load()) std::this_thread::yield();
-
-  // Queue is at capacity (the blocked job holds the only slot):
-  // TryScore must shed immediately instead of blocking behind it.
-  const StatusOr<std::vector<float>> shed = engine.TryScore(*magellan_, pairs);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
-      << shed.status().ToString();
-  EXPECT_EQ(rejected.Value(), rejected_before + 1);
-
-  blocking.release_.store(true);
-  occupant.join();
-
-  // Idle queue: TryScore admits and matches the blocking Score path.
-  const StatusOr<std::vector<float>> scored =
-      engine.TryScore(*magellan_, pairs);
-  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
-  ExpectBitIdentical(engine.Score(*magellan_, pairs), scored.value());
-  EXPECT_EQ(rejected.Value(), rejected_before + 1);
+  blocking_a.release_.store(true);
+  blocking_b.release_.store(true);
+  caller_a.join();
+  caller_b.join();
+  EXPECT_EQ(depth.Value(), before);
 }
 
 TEST_F(EngineParityTest, PairwiseAsCollectiveRoutesThroughBatchPath) {

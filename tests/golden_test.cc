@@ -45,15 +45,25 @@ void ExpectScoresNear(const std::vector<float>& actual,
   }
 }
 
+std::unique_ptr<Session> OpenFixture(const char* checkpoint,
+                                     bool collective) {
+  SessionOptions options;
+  options.checkpoint_path = FixturePath(checkpoint);
+  options.collective = collective;
+  auto session_or = Session::Open(options);
+  EXPECT_TRUE(session_or.ok()) << session_or.status().ToString();
+  return session_or.ok() ? std::move(session_or).value() : nullptr;
+}
+
 TEST(GoldenTest, HierGatFixtureReproducesScores) {
-  auto model_or = LoadMatcher(FixturePath(golden::kHierGatCheckpoint));
-  ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
-  const std::unique_ptr<PairwiseModel>& model = model_or.value();
-  EXPECT_EQ(model->name(), "HierGAT");
+  std::unique_ptr<Session> session =
+      OpenFixture(golden::kHierGatCheckpoint, /*collective=*/false);
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->model()->name(), "HierGAT");
 
   const PairDataset data = golden::MakePairDataset();
   const std::vector<EntityPair> probes = golden::ProbePairs(data);
-  const std::vector<float> scores = model->ScoreBatch(probes);
+  const std::vector<float> scores = session->Score(probes);
 
   auto golden_or =
       golden::ReadScores(FixturePath(golden::kHierGatScores));
@@ -62,15 +72,15 @@ TEST(GoldenTest, HierGatFixtureReproducesScores) {
 }
 
 TEST(GoldenTest, HierGatPlusFixtureReproducesScores) {
-  auto model_or =
-      LoadCollectiveMatcher(FixturePath(golden::kHierGatPlusCheckpoint));
-  ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
-  const std::unique_ptr<CollectiveModel>& model = model_or.value();
-  EXPECT_EQ(model->name(), "HierGAT+");
+  std::unique_ptr<Session> session =
+      OpenFixture(golden::kHierGatPlusCheckpoint, /*collective=*/true);
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->collective_model()->name(), "HierGAT+");
 
   const CollectiveDataset data = golden::MakeCollectiveDataset();
   const std::vector<CollectiveQuery> probes = golden::ProbeQueries(data);
-  const std::vector<float> scores = golden::ScoreQueries(*model, probes);
+  const std::vector<float> scores =
+      golden::ScoreQueries(*session->collective_model(), probes);
 
   auto golden_or =
       golden::ReadScores(FixturePath(golden::kHierGatPlusScores));
@@ -275,15 +285,30 @@ TEST(GoldenTest, QuantizedCheckpointServesThroughSessionOpen) {
 }
 
 TEST(GoldenTest, CheckpointTagDispatchRejectsWrongFamily) {
-  auto pairwise_or =
-      LoadMatcher(FixturePath(golden::kHierGatPlusCheckpoint));
+  // Session::Open peeks the checkpoint's embedded tag: a checkpoint of
+  // the other family is InvalidArgument naming the tag it found.
+  SessionOptions pairwise;
+  pairwise.checkpoint_path = FixturePath(golden::kHierGatPlusCheckpoint);
+  auto pairwise_or = Session::Open(pairwise);
   ASSERT_FALSE(pairwise_or.ok());
-  EXPECT_NE(pairwise_or.status().message().find("HierGAT+"),
-            std::string::npos);
+  EXPECT_EQ(pairwise_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pairwise_or.status().message().find("'HierGAT+'"),
+            std::string::npos)
+      << pairwise_or.status().ToString();
 
-  auto collective_or =
-      LoadCollectiveMatcher(FixturePath(golden::kHierGatCheckpoint));
+  SessionOptions collective;
+  collective.collective = true;
+  collective.checkpoint_path = FixturePath(golden::kHierGatCheckpoint);
+  auto collective_or = Session::Open(collective);
   ASSERT_FALSE(collective_or.ok());
+  EXPECT_EQ(collective_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(collective_or.status().message().find("'HierGAT'"),
+            std::string::npos)
+      << collective_or.status().ToString();
+
+  SessionOptions missing;
+  missing.checkpoint_path = TempPath("no_such_checkpoint.ckpt");
+  EXPECT_FALSE(Session::Open(missing).ok());
 }
 
 TEST(GoldenTest, CheckpointMetricsAreEmitted) {
@@ -294,42 +319,36 @@ TEST(GoldenTest, CheckpointMetricsAreEmitted) {
   EXPECT_GE(metrics.GetGauge("hiergat.ckpt.load_ms").Value(), 0.0);
 }
 
-// Two independently loaded copies of the same checkpoint, each scored
-// by its own 4-worker engine, must agree exactly — and the summary
-// cache must actually serve hits. This test carries the `golden` label
-// and runs under the tsan preset too.
+// Two Sessions over the same checkpoint, each with its own 4-worker
+// engine, must agree exactly — and the summary cache must actually
+// serve hits. This test carries the `golden` label and runs under the
+// tsan and asan presets too.
 TEST(GoldenTest, TwoEnginesFourThreadsAgreeAndHitTheCache) {
-  auto model_a_or = LoadMatcher(FixturePath(golden::kHierGatCheckpoint));
-  auto model_b_or = LoadMatcher(FixturePath(golden::kHierGatCheckpoint));
-  ASSERT_TRUE(model_a_or.ok());
-  ASSERT_TRUE(model_b_or.ok());
-  auto* model_a =
-      dynamic_cast<HierGatModel*>(model_a_or.value().get());
-  auto* model_b =
-      dynamic_cast<HierGatModel*>(model_b_or.value().get());
+  SessionOptions options;
+  options.checkpoint_path = FixturePath(golden::kHierGatCheckpoint);
+  options.engine.num_threads = 4;
+  auto session_a_or = Session::Open(options);
+  auto session_b_or = Session::Open(options);
+  ASSERT_TRUE(session_a_or.ok()) << session_a_or.status().ToString();
+  ASSERT_TRUE(session_b_or.ok()) << session_b_or.status().ToString();
+  Session& session_a = *session_a_or.value();
+  Session& session_b = *session_b_or.value();
+  auto* model_a = dynamic_cast<HierGatModel*>(session_a.model());
   ASSERT_NE(model_a, nullptr);
-  ASSERT_NE(model_b, nullptr);
 
   const PairDataset data = golden::MakePairDataset();
   std::vector<EntityPair> pairs = data.test;
 
-  EngineOptions options;
-  options.num_threads = 4;
-  InferenceEngine engine_a(options);
-  InferenceEngine engine_b(options);
-
   std::vector<float> scores_a;
   std::vector<float> scores_b;
-  std::thread thread_a(
-      [&] { scores_a = engine_a.Score(*model_a, pairs); });
-  std::thread thread_b(
-      [&] { scores_b = engine_b.Score(*model_b, pairs); });
+  std::thread thread_a([&] { scores_a = session_a.Score(pairs); });
+  std::thread thread_b([&] { scores_b = session_b.Score(pairs); });
   thread_a.join();
   thread_b.join();
   EXPECT_EQ(scores_a, scores_b);
 
   // A second pass over the same pairs is served from the caches.
-  const std::vector<float> again = engine_a.Score(*model_a, pairs);
+  const std::vector<float> again = session_a.Score(pairs);
   EXPECT_EQ(again, scores_a);
   EXPECT_GT(model_a->summary_cache().stats().hits, 0);
   EXPECT_GT(model_a->summary_cache().stats().HitRate(), 0.0);

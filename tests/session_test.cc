@@ -1,8 +1,7 @@
 // Tests for er::Session — the unified Open/Train/Score/SaveCheckpoint
-// facade. A session must behave exactly like the hand-wired
-// model+engine it replaces: same scores, checkpoint round-trips to
-// identical probabilities, and the inference options (graph compile,
-// cache cap) actually reach the model.
+// facade. Every accepted matcher name must open the right model, a
+// session must behave exactly like the hand-wired model+engine it
+// replaces, and checkpoints must round-trip to identical probabilities.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +59,44 @@ TEST(SessionTest, UnknownMatcherNameIsAnError) {
   EXPECT_EQ(session_or.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(SessionTest, EveryMatcherNameOpensItsModel) {
+  struct NameCase {
+    const char* matcher;
+    bool collective;
+    const char* model_name;
+  };
+  const NameCase cases[] = {
+      {"hiergat", false, "HierGAT"},    {"HierGAT", false, "HierGAT"},
+      {"ditto", false, "Ditto"},        {"deepmatcher", false, "DeepMatcher"},
+      {"dm", false, "DeepMatcher"},     {"dm+", false, "DM+"},
+      {"dmplus", false, "DM+"},         {"magellan", false, "Magellan"},
+      {"hiergat+", true, "HierGAT+"},   {"hiergatplus", true, "HierGAT+"},
+      {"gcn", true, "GCN"},             {"gat", true, "GAT"},
+      {"hgat", true, "HGAT"},
+  };
+  for (const NameCase& c : cases) {
+    SCOPED_TRACE(c.matcher);
+    SessionOptions options = TinySessionOptions();
+    options.matcher = c.matcher;
+    options.collective = c.collective;
+    auto session_or = Session::Open(options);
+    ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+    const Session& session = *session_or.value();
+    EXPECT_EQ(session.collective(), c.collective);
+    if (c.collective) {
+      EXPECT_EQ(session.collective_model()->name(), c.model_name);
+    } else {
+      EXPECT_EQ(session.model()->name(), c.model_name);
+    }
+
+    // The same name asked of the other family is not a known matcher.
+    options.collective = !c.collective;
+    auto wrong_or = Session::Open(options);
+    ASSERT_FALSE(wrong_or.ok());
+    EXPECT_EQ(wrong_or.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SessionTest, WrongKindTrainIsFailedPrecondition) {
   auto session_or = Session::Open(TinySessionOptions());
   ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
@@ -99,43 +136,6 @@ TEST(SessionTest, CheckpointRoundTripsToIdenticalProbeScores) {
     EXPECT_EQ(trained[i], restored[i]) << "probe pair " << i;
   }
   std::remove(path.c_str());
-}
-
-TEST(SessionTest, GraphCompileToggleKeepsScoresBitIdentical) {
-  const PairDataset data = SmallDataset(902);
-
-  auto session_or = Session::Open(TinySessionOptions());
-  ASSERT_TRUE(session_or.ok());
-  std::unique_ptr<Session> session = std::move(session_or).value();
-  ASSERT_TRUE(session->Train(data, TinyOptions()).ok());
-  const std::vector<float> compiled = session->Score(data.test);
-
-  SessionOptions eager_options = TinySessionOptions();
-  eager_options.enable_graph_compile = false;
-  const std::string path = TempCheckpointPath("session_eager.ckpt");
-  ASSERT_TRUE(session->SaveCheckpoint(path).ok());
-  eager_options.checkpoint_path = path;
-  auto eager_or = Session::Open(eager_options);
-  ASSERT_TRUE(eager_or.ok());
-  const std::vector<float> eager = std::move(eager_or).value()->Score(
-      data.test);
-
-  ASSERT_EQ(compiled.size(), eager.size());
-  for (size_t i = 0; i < compiled.size(); ++i) {
-    EXPECT_EQ(compiled[i], eager[i]) << "probe pair " << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SessionTest, SummaryCacheCapacityReachesTheModel) {
-  SessionOptions options = TinySessionOptions();
-  options.summary_cache_capacity = 7;
-  auto session_or = Session::Open(options);
-  ASSERT_TRUE(session_or.ok());
-  std::unique_ptr<Session> session = std::move(session_or).value();
-  auto* hiergat = dynamic_cast<HierGatModel*>(session->model());
-  ASSERT_NE(hiergat, nullptr);
-  EXPECT_EQ(hiergat->summary_cache().max_entries(), 7u);
 }
 
 TEST(SessionTest, EvaluateMatchesScoreDerivedMetrics) {
