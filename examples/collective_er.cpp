@@ -3,14 +3,37 @@
 // against judging the same candidates independently.
 
 #include <cstdio>
+#include <cstdlib>
 
-#include "blocking/blocker.h"
-#include "data/synthetic.h"
-#include "er/hiergat.h"
-#include "er/hiergat_plus.h"
-#include "er/model.h"
+#include "er/er.h"
 
 using namespace hiergat;  // Example code; library code never does this.
+
+namespace {
+
+/// Opens a `matcher` session on the small backbone and trains it on
+/// `data` (a CollectiveDataset for a collective session, a PairDataset
+/// otherwise); exits on any error.
+template <typename Dataset>
+std::unique_ptr<Session> OpenAndTrain(const char* matcher, bool collective,
+                                      const Dataset& data,
+                                      const TrainOptions& options) {
+  SessionOptions session_options;
+  session_options.matcher = matcher;
+  session_options.collective = collective;
+  session_options.lm_size = LmSize::kSmall;
+  session_options.lm_pretrain_steps = 1200;
+  auto session_or = Session::Open(session_options);
+  Status status = session_or.status();
+  if (status.ok()) status = session_or.value()->Train(data, options);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", matcher, status.ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(session_or).value();
+}
+
+}  // namespace
 
 int main() {
   // A multi-source camera corpus: each product is listed by several
@@ -35,29 +58,24 @@ int main() {
   // Joint decisions: HierGAT+ builds ONE graph per query holding the
   // query and all candidates, so candidates compete and shared filler
   // tokens are discounted (entity-level context + alignment).
-  HierGatPlusConfig config;
-  config.lm_size = LmSize::kSmall;
-  config.lm_pretrain_steps = 1200;
-  HierGatPlusModel hg_plus(config);
-  hg_plus.Train(data, options);
+  const std::unique_ptr<Session> joint =
+      OpenAndTrain("hiergat+", /*collective=*/true, data, options);
   std::printf("\nHierGAT+ (joint):       %s\n",
-              hg_plus.Evaluate(data.test).ToString().c_str());
+              joint->Evaluate(data.test).ToString().c_str());
 
-  // Independent decisions: the pairwise model scores each candidate in
-  // isolation (how Table 7 runs the pairwise baselines).
-  HierGatConfig pairwise_config;
-  pairwise_config.lm_size = LmSize::kSmall;
-  pairwise_config.lm_pretrain_steps = 1200;
-  HierGatModel pairwise(pairwise_config);
-  PairwiseAsCollective adapter(&pairwise);
-  adapter.Train(data, options);
+  // Independent decisions: the pairwise model scores each (query,
+  // candidate) pair in isolation (how Table 7 runs the pairwise
+  // baselines).
+  const PairDataset pairs = FlattenCollective(data);
+  const std::unique_ptr<Session> independent =
+      OpenAndTrain("hiergat", /*collective=*/false, pairs, options);
   std::printf("HierGAT (independent):  %s\n",
-              adapter.Evaluate(data.test).ToString().c_str());
+              independent->Evaluate(pairs.test).ToString().c_str());
 
   // Inspect one query's joint prediction.
   const CollectiveQuery& query = data.test.front();
   std::printf("\nquery: %s\n", query.query.Serialize().c_str());
-  const std::vector<float> probs = hg_plus.PredictQuery(query);
+  const std::vector<float> probs = joint->ScoreQueries({&query, 1}).front();
   for (size_t c = 0; c < query.candidates.size(); ++c) {
     std::printf("  [%s] P=%.2f  %s\n", query.labels[c] ? "MATCH" : "  -  ",
                 probs[c], query.candidates[c].Serialize().c_str());

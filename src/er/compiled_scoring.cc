@@ -225,23 +225,6 @@ Tensor CompiledScoring::Compare(const std::vector<Tensor>& left,
   return out;
 }
 
-Status CompiledScoring::Compile(const std::vector<int>& attribute_lengths) {
-  Status first_error = Status::Ok();
-  if (CompareGraph() == nullptr) {
-    first_error = Status::Unimplemented(
-        "compare graph capture failed (scoring stays eager)");
-  }
-  for (int length : attribute_lengths) {
-    if (length < 0) continue;
-    if (SummarizeGraph(length) == nullptr && first_error.ok()) {
-      first_error = Status::Unimplemented(
-          "summarize graph capture failed for length " +
-          std::to_string(length));
-    }
-  }
-  return first_error;
-}
-
 void CompiledScoring::Clear() {
   std::unique_lock<std::mutex> lock(mutex_);
   const int64_t discarded = static_cast<int64_t>(summarize_.size()) +

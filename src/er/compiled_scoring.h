@@ -77,11 +77,6 @@ class CompiledScoring {
                  const std::vector<Tensor>& right, const Tensor& left_entity,
                  const Tensor& right_entity) const;
 
-  /// Ahead-of-time compilation: the compare graph plus a summarize
-  /// graph per entry of `attribute_lengths`. Returns the first capture
-  /// failure (scoring still works — eagerly — after an error).
-  Status Compile(const std::vector<int>& attribute_lengths);
-
   /// Drops every compiled graph (parameters changed; they recompile
   /// lazily). In-flight replays finish on the old graphs.
   void Clear();

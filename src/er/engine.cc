@@ -142,18 +142,6 @@ InferenceEngine::~InferenceEngine() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::vector<EngineWorkerStats> InferenceEngine::worker_stats() const {
-  std::vector<EngineWorkerStats> stats(static_cast<size_t>(num_threads_));
-  for (int w = 0; w < num_threads_; ++w) {
-    const Slot& slot = slots_[static_cast<size_t>(w)];
-    auto& out = stats[static_cast<size_t>(w)];
-    out.items = slot.items.load(std::memory_order_relaxed);
-    out.ranges = slot.ranges.load(std::memory_order_relaxed);
-    out.steals = slot.steals.load(std::memory_order_relaxed);
-  }
-  return stats;
-}
-
 void InferenceEngine::WorkerLoop(int worker_id) {
   // Introspection caches (last_attention() and friends) are mutable
   // per-module state; recording from concurrent workers would race, and
@@ -205,8 +193,7 @@ void InferenceEngine::WorkerLoop(int worker_id) {
 int InferenceEngine::ProcessRanges(int worker_id,
                                    const std::function<void(int, int)>& fn) {
   int processed = 0;
-  Slot& self = slots_[static_cast<size_t>(worker_id)];
-  std::atomic<uint64_t>& own = self.range;
+  std::atomic<uint64_t>& own = slots_[static_cast<size_t>(worker_id)].range;
   for (;;) {
     int begin, end;
     if (PopFront(own, kGrain, &begin, &end)) {
@@ -215,8 +202,6 @@ int InferenceEngine::ProcessRanges(int worker_id,
         fn(begin, end);
       }
       processed += end - begin;
-      self.items.fetch_add(end - begin, std::memory_order_relaxed);
-      self.ranges.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     bool stole = false;
@@ -228,7 +213,6 @@ int InferenceEngine::ProcessRanges(int worker_id,
         // split it further; an empty slot is never CAS-matched, so the
         // plain store cannot clobber a concurrent steal.
         own.store(Pack(begin, end), std::memory_order_release);
-        self.steals.fetch_add(1, std::memory_order_relaxed);
         StealsCounter().Increment();
         stole = true;
       }

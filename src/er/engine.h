@@ -16,16 +16,6 @@
 
 namespace hiergat {
 
-/// Cumulative per-worker activity since engine construction; read them
-/// after a run to see how work-stealing balanced the load (also exported
-/// as `hiergat.engine.*` metrics and, with tracing on, one
-/// `chrome://tracing` track per worker).
-struct EngineWorkerStats {
-  int64_t items = 0;   ///< Pairs/queries this worker scored.
-  int64_t ranges = 0;  ///< Grain-sized ranges it processed.
-  int64_t steals = 0;  ///< Ranges it stole from a peer's queue.
-};
-
 struct EngineOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int num_threads = 0;
@@ -59,9 +49,6 @@ class InferenceEngine {
 
   int num_threads() const { return num_threads_; }
 
-  /// Per-worker item/range/steal counters (cumulative across jobs).
-  std::vector<EngineWorkerStats> worker_stats() const;
-
   /// P(match) per pair, in input order. Equivalent to (but faster than)
   /// model.ScoreBatch(pairs) on one thread.
   std::vector<float> Score(const PairwiseModel& model,
@@ -82,14 +69,11 @@ class InferenceEngine {
                       std::span<const CollectiveQuery> queries);
 
  private:
+  /// One cache line per worker, so owner pops and peer steals on
+  /// neighbouring slots never contend.
   struct alignas(64) Slot {
     /// Packed half-open range begin<<32 | end; begin == end means empty.
     std::atomic<uint64_t> range{0};
-    /// Worker-local activity counters (the thief increments its own
-    /// slot's `steals`); relaxed — read via worker_stats().
-    std::atomic<int64_t> items{0};
-    std::atomic<int64_t> ranges{0};
-    std::atomic<int64_t> steals{0};
   };
 
   /// Runs `process(begin, end)` over a partition of [0, total) on the

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "core/logging.h"
-#include "er/checkpoint_meta.h"
 #include "graph/hhg.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -15,8 +15,6 @@
 namespace hiergat {
 
 namespace {
-
-constexpr char kHierGatTag[] = "HierGAT";
 
 obs::Counter& CompiledPairs() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -36,77 +34,183 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// Checkpoint-metadata encoding of the family: every config field
+// travels as a string key/value next to the weights, so Load can
+// reconstruct the exact module geometry before reading tensors. Enum
+// and integer fields are validated on read (a checkpoint written by a
+// future config version, or a forged one, fails loudly instead of
+// mis-casting).
+
+/// Reads integer meta `key` into `out`; InvalidArgument naming the key
+/// unless the value lies in [min_value, INT_MAX].
+Status ReadIntMeta(const TensorReader& reader, const std::string& key,
+                   int min_value, int* out) {
+  HG_ASSIGN_OR_RETURN(const int64_t value, reader.GetMetaInt(key));
+  if (value < min_value || value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "checkpoint meta '" + key + "' = " + std::to_string(value) +
+        " is outside [" + std::to_string(min_value) + ", " +
+        std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  *out = static_cast<int>(value);
+  return Status::Ok();
+}
+
+/// InvalidArgument naming meta `key` unless stored tensor `tensor` has
+/// extent `expected` on `axis` (the tensor's shape depends on the key).
+Status CheckStoredDim(const TensorReader& reader, const std::string& key,
+                      const std::string& tensor, size_t axis,
+                      int64_t expected) {
+  const Shape* shape = reader.FindShape(tensor);
+  if (shape == nullptr || shape->size() <= axis ||
+      (*shape)[axis] != expected) {
+    return Status::InvalidArgument("checkpoint meta '" + key +
+                                   "' does not match the stored shape of " +
+                                   tensor);
+  }
+  return Status::Ok();
+}
+
+void WriteContextualMeta(TensorWriter* writer,
+                         const ContextualConfig& config) {
+  writer->SetMetaBool("context.use_token_context", config.use_token_context);
+  writer->SetMetaBool("context.use_attribute_context",
+                      config.use_attribute_context);
+  writer->SetMetaBool("context.use_entity_context",
+                      config.use_entity_context);
+  writer->SetMetaInt("context.max_common_tokens", config.max_common_tokens);
+  writer->SetMetaFloat("context.dropout", config.dropout);
+}
+
+Status ReadContextualMeta(const TensorReader& reader,
+                          ContextualConfig* config) {
+  HG_ASSIGN_OR_RETURN(config->use_token_context,
+                      reader.GetMetaBool("context.use_token_context"));
+  HG_ASSIGN_OR_RETURN(config->use_attribute_context,
+                      reader.GetMetaBool("context.use_attribute_context"));
+  HG_ASSIGN_OR_RETURN(config->use_entity_context,
+                      reader.GetMetaBool("context.use_entity_context"));
+  HG_RETURN_IF_ERROR(ReadIntMeta(reader, "context.max_common_tokens", 0,
+                                 &config->max_common_tokens));
+  HG_ASSIGN_OR_RETURN(config->dropout,
+                      reader.GetMetaFloat("context.dropout"));
+  return Status::Ok();
+}
+
+Status ReadLmSizeMeta(const TensorReader& reader, LmSize* size) {
+  HG_ASSIGN_OR_RETURN(const int64_t value, reader.GetMetaInt("lm_size"));
+  if (value < static_cast<int64_t>(LmSize::kSmall) ||
+      value > static_cast<int64_t>(LmSize::kLarge)) {
+    return Status::InvalidArgument("unknown lm_size " +
+                                   std::to_string(value));
+  }
+  *size = static_cast<LmSize>(value);
+  return Status::Ok();
+}
+
+Status ReadViewCombinationMeta(const TensorReader& reader,
+                               ViewCombination* combination) {
+  HG_ASSIGN_OR_RETURN(const int64_t value,
+                      reader.GetMetaInt("combination"));
+  if (value < static_cast<int64_t>(ViewCombination::kViewAverage) ||
+      value > static_cast<int64_t>(ViewCombination::kWeightAverage)) {
+    return Status::InvalidArgument("unknown view combination " +
+                                   std::to_string(value));
+  }
+  *combination = static_cast<ViewCombination>(value);
+  return Status::Ok();
+}
+
+/// The pairwise model's stack carries a HierGatPlusConfig whose two
+/// HierGAT+ switches it never reads.
+HierGatPlusConfig StackConfig(const HierGatConfig& config) {
+  HierGatPlusConfig out;
+  static_cast<HierGatConfig&>(out) = config;
+  return out;
+}
+
 }  // namespace
 
-HierGatModel::HierGatModel(const HierGatConfig& config) : config_(config) {}
+namespace internal_hiergat {
 
-HierGatModel::~HierGatModel() = default;
+HierGatStack::HierGatStack(bool is_collective,
+                           const HierGatPlusConfig& initial)
+    : collective(is_collective), config(initial) {}
 
-void HierGatModel::Build(const PairDataset& data, uint64_t seed) {
-  HG_CHECK(!data.train.empty() || !data.test.empty());
-  const EntityPair& proto =
-      data.train.empty() ? data.test.front() : data.train.front();
-  num_attributes_ = proto.left.num_attributes();
-  HG_CHECK_GT(num_attributes_, 0);
-
-  backbone_ = MakeBackbone(data, config_.lm_size, config_.lm_pretrain_steps,
-                           seed);
+void HierGatStack::Build(LmBackbone new_backbone, int attributes,
+                         uint64_t seed) {
+  num_attributes = attributes;
+  backbone = std::move(new_backbone);
   BuildModules(seed);
-  built_ = true;
+  built = true;
 }
 
-void HierGatModel::BuildModules(uint64_t seed) {
-  Rng rng(seed ^ 0x1234u);
-  contextual_ = std::make_unique<ContextualEmbedder>(backbone_.lm.get(),
-                                                     config_.context, rng);
-  aggregator_ = std::make_unique<HierarchicalAggregator>(
-      backbone_.lm.get(), config_.dropout, rng);
-  comparator_ = std::make_unique<HierarchicalComparator>(
-      backbone_.lm.get(), num_attributes_, config_.combination, rng);
-  classifier_ = std::make_unique<Mlp>(
-      std::vector<int>{backbone_.lm->dim(), config_.classifier_hidden, 2},
-      rng);
-  summary_cache_.Clear();
+void HierGatStack::BuildModules(uint64_t seed) {
+  // RNG draw order is part of the training contract: contextual ->
+  // aggregator -> comparator -> [aligner] -> classifier.
+  Rng rng(seed ^ (collective ? 0x9876u : 0x1234u));
+  contextual = std::make_unique<ContextualEmbedder>(backbone.lm.get(),
+                                                    config.context, rng);
+  aggregator = std::make_unique<HierarchicalAggregator>(
+      backbone.lm.get(), config.dropout, rng);
+  const ViewCombination combination = config.use_entity_summarization
+                                          ? config.combination
+                                          : ViewCombination::kViewAverage;
+  comparator = std::make_unique<HierarchicalComparator>(
+      backbone.lm.get(), num_attributes, combination, rng);
+  if (collective) {
+    aligner = std::make_unique<EntityAligner>(
+        num_attributes * backbone.lm->dim(), rng);
+  }
+  classifier = std::make_unique<Mlp>(
+      std::vector<int>{backbone.lm->dim(), config.classifier_hidden, 2}, rng);
+  summary_cache.Clear();
 
-  CompiledScoringConfig compiled;
-  compiled.lm = backbone_.lm.get();
-  compiled.aggregator = aggregator_.get();
-  compiled.comparator = comparator_.get();
-  compiled.classifier = classifier_.get();
-  compiled.num_attributes = num_attributes_;
-  compiled.entity_inputs = false;   // Entities summarize inside the graph.
-  compiled.include_softmax = true;  // ScoreBatch wants P(match).
-  compiled_ = std::make_unique<CompiledScoring>(compiled);
+  CompiledScoringConfig compiled_config;
+  compiled_config.lm = backbone.lm.get();
+  compiled_config.aggregator = aggregator.get();
+  compiled_config.comparator = comparator.get();
+  compiled_config.classifier = classifier.get();
+  compiled_config.num_attributes = num_attributes;
+  // HierGAT+'s aligned entity matrix comes from the (eager) alignment
+  // layer, so entity embeddings enter its compare graph as inputs and
+  // logits stay raw (PredictQuery softmaxes the [N, 2] rows itself).
+  // Pairwise HierGAT summarizes entities inside the graph and wants
+  // P(match) out of ScoreBatch.
+  compiled_config.entity_inputs = collective;
+  compiled_config.include_softmax = !collective;
+  compiled = std::make_unique<CompiledScoring>(compiled_config);
 }
 
-void HierGatModel::RegisterCheckpointParameters(NamedParameters* out) const {
-  out->AddModule("lm", *backbone_.lm);
-  out->AddModule("contextual", *contextual_);
-  out->AddModule("aggregator", *aggregator_);  // No own parameters today.
-  out->AddModule("comparator", *comparator_);
-  out->AddModule("classifier", *classifier_);
+void HierGatStack::RegisterCheckpointParameters(NamedParameters* out) const {
+  out->AddModule("lm", *backbone.lm);
+  out->AddModule("contextual", *contextual);
+  out->AddModule("aggregator", *aggregator);  // No own parameters today.
+  out->AddModule("comparator", *comparator);
+  if (aligner != nullptr) out->AddModule("aligner", *aligner);
+  out->AddModule("classifier", *classifier);
 }
 
-Status HierGatModel::Save(const std::string& path) const {
-  return Save(path, DType::kF32);
-}
-
-Status HierGatModel::Save(const std::string& path, DType dtype) const {
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "HierGatModel::Save: train or load a model first");
+Status HierGatStack::Save(const std::string& path, DType dtype) const {
+  if (!built) {
+    return Status::FailedPrecondition(std::string(tag()) +
+                                      " Save: train or load a model first");
   }
   const auto start = std::chrono::steady_clock::now();
-  TensorWriter writer(kHierGatTag);
-  writer.SetMetaInt("lm_size", static_cast<int64_t>(config_.lm_size));
-  writer.SetMetaInt("combination",
-                    static_cast<int64_t>(config_.combination));
-  writer.SetMetaFloat("dropout", config_.dropout);
-  writer.SetMetaInt("classifier_hidden", config_.classifier_hidden);
-  writer.SetMetaInt("lm_pretrain_steps", config_.lm_pretrain_steps);
-  WriteContextualMeta(&writer, config_.context);
-  writer.SetMetaInt("num_attributes", num_attributes_);
-  writer.SetMeta("vocab", SerializeVocabulary(*backbone_.vocab));
+  TensorWriter writer(tag());
+  writer.SetMetaInt("lm_size", static_cast<int64_t>(config.lm_size));
+  writer.SetMetaInt("combination", static_cast<int64_t>(config.combination));
+  if (collective) {
+    writer.SetMetaBool("use_alignment", config.use_alignment);
+    writer.SetMetaBool("use_entity_summarization",
+                       config.use_entity_summarization);
+  }
+  writer.SetMetaFloat("dropout", config.dropout);
+  writer.SetMetaInt("classifier_hidden", config.classifier_hidden);
+  writer.SetMetaInt("lm_pretrain_steps", config.lm_pretrain_steps);
+  WriteContextualMeta(&writer, config.context);
+  writer.SetMetaInt("num_attributes", num_attributes);
+  writer.SetMeta("vocab", SerializeVocabulary(*backbone.vocab));
 
   NamedParameters params;
   RegisterCheckpointParameters(&params);
@@ -121,10 +225,10 @@ Status HierGatModel::Save(const std::string& path, DType dtype) const {
   return Status::Ok();
 }
 
-Status HierGatModel::QuantizeWeights() {
-  if (!built_) {
+Status HierGatStack::QuantizeWeights() {
+  if (!built) {
     return Status::FailedPrecondition(
-        "HierGatModel::QuantizeWeights: train or load a model first");
+        std::string(tag()) + " QuantizeWeights: train or load a model first");
   }
   NamedParameters params;
   RegisterCheckpointParameters(&params);
@@ -135,52 +239,67 @@ Status HierGatModel::QuantizeWeights() {
   return Status::Ok();
 }
 
-Status HierGatModel::Load(const std::string& path) {
+Status HierGatStack::Load(const std::string& path) {
   const auto start = std::chrono::steady_clock::now();
   auto reader_or = TensorReader::Open(path);
   HG_RETURN_IF_ERROR(reader_or.status());
   const TensorReader& reader = reader_or.value();
-  if (reader.model_tag() != kHierGatTag) {
+  if (reader.model_tag() != tag()) {
     return Status::InvalidArgument("checkpoint holds a '" +
-                                   reader.model_tag() +
-                                   "' model, expected 'HierGAT'");
+                                   reader.model_tag() + "' model, expected '" +
+                                   tag() + "'");
   }
 
-  HierGatConfig config;
-  HG_RETURN_IF_ERROR(ReadLmSizeMeta(reader, &config.lm_size));
-  HG_RETURN_IF_ERROR(ReadViewCombinationMeta(reader, &config.combination));
-  HG_ASSIGN_OR_RETURN(config.dropout, reader.GetMetaFloat("dropout"));
-  HG_ASSIGN_OR_RETURN(const int64_t classifier_hidden,
-                      reader.GetMetaInt("classifier_hidden"));
-  HG_ASSIGN_OR_RETURN(const int64_t lm_pretrain_steps,
-                      reader.GetMetaInt("lm_pretrain_steps"));
-  HG_RETURN_IF_ERROR(ReadContextualMeta(reader, &config.context));
-  HG_ASSIGN_OR_RETURN(const int64_t num_attributes,
-                      reader.GetMetaInt("num_attributes"));
-  HG_ASSIGN_OR_RETURN(const std::string vocab_text,
-                      reader.GetMeta("vocab"));
-  if (num_attributes <= 0 || classifier_hidden <= 0) {
-    return Status::InvalidArgument("checkpoint has invalid dimensions");
+  HierGatPlusConfig loaded = config;
+  HG_RETURN_IF_ERROR(ReadLmSizeMeta(reader, &loaded.lm_size));
+  HG_RETURN_IF_ERROR(ReadViewCombinationMeta(reader, &loaded.combination));
+  if (collective) {
+    HG_ASSIGN_OR_RETURN(loaded.use_alignment,
+                        reader.GetMetaBool("use_alignment"));
+    HG_ASSIGN_OR_RETURN(loaded.use_entity_summarization,
+                        reader.GetMetaBool("use_entity_summarization"));
   }
-  config.classifier_hidden = static_cast<int>(classifier_hidden);
-  config.lm_pretrain_steps = static_cast<int>(lm_pretrain_steps);
+  HG_ASSIGN_OR_RETURN(loaded.dropout, reader.GetMetaFloat("dropout"));
+  HG_RETURN_IF_ERROR(ReadIntMeta(reader, "classifier_hidden", 1,
+                                 &loaded.classifier_hidden));
+  HG_RETURN_IF_ERROR(ReadIntMeta(reader, "lm_pretrain_steps",
+                                 std::numeric_limits<int>::min(),
+                                 &loaded.lm_pretrain_steps));
+  HG_RETURN_IF_ERROR(ReadContextualMeta(reader, &loaded.context));
+  int attributes = 0;
+  HG_RETURN_IF_ERROR(ReadIntMeta(reader, "num_attributes", 1, &attributes));
+  HG_ASSIGN_OR_RETURN(const std::string vocab_text, reader.GetMeta("vocab"));
+  std::unique_ptr<Vocabulary> vocab = DeserializeVocabulary(vocab_text);
+
+  // Every module is sized from these values: check them against the
+  // stored shapes before allocating anything, so a forged dimension is
+  // a Status rather than a huge allocation. The comparator's view
+  // attention scores [1, (2K + 1) * F] rows.
+  const int64_t f = LmConfigFor(loaded.lm_size).dim;
+  HG_RETURN_IF_ERROR(CheckStoredDim(reader, "vocab", "lm.token_table.table",
+                                    0, vocab->size()));
+  HG_RETURN_IF_ERROR(CheckStoredDim(reader, "classifier_hidden",
+                                    "classifier.fc0.weight", 1,
+                                    loaded.classifier_hidden));
+  HG_RETURN_IF_ERROR(CheckStoredDim(
+      reader, "num_attributes", "comparator.view_attention.scorer.weight", 0,
+      (2 * int64_t{attributes} + 1) * f));
 
   // Rebuild geometry with a fixed throwaway seed: every initialized
   // weight is overwritten from the checkpoint below (ReadAll is strict,
   // so nothing can be left at its random initialization).
-  config_ = config;
-  num_attributes_ = static_cast<int>(num_attributes);
-  built_ = false;
-  backbone_.vocab = DeserializeVocabulary(vocab_text);
-  backbone_.lm = std::make_unique<MiniLm>(config_.lm_size,
-                                          backbone_.vocab.get(), /*seed=*/0);
+  config = loaded;
+  num_attributes = attributes;
+  built = false;
+  backbone.vocab = std::move(vocab);
+  backbone.lm = std::make_unique<MiniLm>(config.lm_size, backbone.vocab.get(),
+                                         /*seed=*/0);
   BuildModules(/*seed=*/0);
 
   NamedParameters params;
   RegisterCheckpointParameters(&params);
   HG_RETURN_IF_ERROR(reader.ReadAll(params));
-  built_ = true;
-  summary_cache_.Clear();
+  built = true;
 
   auto& metrics = obs::MetricsRegistry::Global();
   metrics.GetGauge("hiergat.ckpt.bytes")
@@ -189,9 +308,47 @@ Status HierGatModel::Load(const std::string& path) {
   return Status::Ok();
 }
 
+void HierGatStack::InvalidateInferenceCache() const {
+  summary_cache.Clear();
+  // Compiled graphs folded the old parameter values into constants.
+  if (compiled != nullptr) compiled->Clear();
+}
+
+CompiledScoring::Stats HierGatStack::compiled_stats() const {
+  return compiled != nullptr ? compiled->stats() : CompiledScoring::Stats{};
+}
+
+std::vector<Tensor> HierGatStack::TrainableParameters() const {
+  std::vector<Tensor> params;
+  AppendParameters(&params, backbone.lm->Parameters());
+  AppendParameters(&params, contextual->Parameters());
+  AppendParameters(&params, aggregator->Parameters());
+  AppendParameters(&params, comparator->Parameters());
+  if (aligner != nullptr) AppendParameters(&params, aligner->Parameters());
+  AppendParameters(&params, classifier->Parameters());
+  return params;
+}
+
+std::vector<float> HierGatStack::ParameterLrMultipliers() const {
+  // Slow fine-tuning for the pre-trained token table (see DittoModel).
+  std::vector<float> multipliers(TrainableParameters().size(), 1.0f);
+  multipliers[0] = 0.1f;
+  return multipliers;
+}
+
+}  // namespace internal_hiergat
+
+HierGatModel::HierGatModel(const HierGatConfig& config)
+    : stack_(/*collective=*/false, StackConfig(config)) {}
+
 void HierGatModel::Train(const PairDataset& data,
                          const TrainOptions& options) {
-  Build(data, options.seed);
+  HG_CHECK(!data.train.empty() || !data.test.empty());
+  const EntityPair& proto =
+      data.train.empty() ? data.test.front() : data.train.front();
+  stack_.Build(MakeBackbone(data, stack_.config.lm_size,
+                            stack_.config.lm_pretrain_steps, options.seed),
+               proto.left.num_attributes(), options.seed);
   NeuralPairwiseModel::Train(data, options);
 }
 
@@ -200,8 +357,8 @@ Tensor HierGatModel::ForwardSimilarity(const EntityPair& pair, bool training,
   HG_TRACE_SPAN("HierGatModel::ForwardSimilarity");
   const Hhg hhg = Hhg::Build({pair.left, pair.right});
   SummaryCache* cache =
-      (!training && cache_enabled_) ? &summary_cache_ : nullptr;
-  const Tensor wpc = contextual_->Compute(hhg, training, rng, cache);
+      (!training && cache_enabled_) ? &stack_.summary_cache : nullptr;
+  const Tensor wpc = stack_.contextual->Compute(hhg, training, rng, cache);
   return SimilarityFromWpc(hhg, wpc, training, rng);
 }
 
@@ -216,55 +373,57 @@ Tensor HierGatModel::SimilarityFromWpc(const Hhg& hhg, const Tensor& wpc,
   for (int e = 0; e < 2; ++e) {
     for (int attr_id : hhg.entity(e).attributes) {
       attr_embeddings[static_cast<size_t>(e)].push_back(
-          aggregator_->SummarizeAttribute(
+          stack_.aggregator->SummarizeAttribute(
               wpc, hhg.attribute(attr_id).token_seq, training, rng));
     }
     entity_embeddings[static_cast<size_t>(e)] =
-        aggregator_->SummarizeEntity(attr_embeddings[static_cast<size_t>(e)]);
+        stack_.aggregator->SummarizeEntity(
+            attr_embeddings[static_cast<size_t>(e)]);
   }
 
   // Hierarchical comparison: one similarity view per aligned attribute.
   const int k = std::min(static_cast<int>(attr_embeddings[0].size()),
                          static_cast<int>(attr_embeddings[1].size()));
-  HG_CHECK_EQ(k, num_attributes_)
+  HG_CHECK_EQ(k, stack_.num_attributes)
       << "pair schema differs from training schema";
   std::vector<Tensor> similarities;
   similarities.reserve(static_cast<size_t>(k));
   for (int a = 0; a < k; ++a) {
-    similarities.push_back(comparator_->CompareAttribute(
+    similarities.push_back(stack_.comparator->CompareAttribute(
         attr_embeddings[0][static_cast<size_t>(a)],
         attr_embeddings[1][static_cast<size_t>(a)], training, rng));
   }
-  return comparator_->CombineViews(similarities, entity_embeddings[0],
-                                   entity_embeddings[1]);
+  return stack_.comparator->CombineViews(similarities, entity_embeddings[0],
+                                         entity_embeddings[1]);
 }
 
 Tensor HierGatModel::ForwardLogits(const EntityPair& pair, bool training,
                                    Rng& rng) const {
-  HG_CHECK(built_) << "HierGatModel::Train must run before inference";
-  return classifier_->Forward(ForwardSimilarity(pair, training, rng));
+  HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
+  return stack_.classifier->Forward(ForwardSimilarity(pair, training, rng));
 }
 
 bool HierGatModel::TryScorePairCompiled(const Hhg& hhg, const Tensor& wpc,
                                         float* probability) const {
-  if (!graph_compile_enabled_ || compiled_ == nullptr ||
+  if (!stack_.graph_compile_enabled || stack_.compiled == nullptr ||
       graph::GraphCapture::Active()) {
     return false;
   }
   std::vector<std::vector<Tensor>> attrs(2);
   for (int e = 0; e < 2; ++e) {
     const std::vector<int>& ids = hhg.entity(e).attributes;
-    if (static_cast<int>(ids.size()) != num_attributes_) return false;
+    if (static_cast<int>(ids.size()) != stack_.num_attributes) return false;
     for (int attr_id : ids) {
       Tensor summary =
-          compiled_->Summarize(wpc, hhg.attribute(attr_id).token_seq);
+          stack_.compiled->Summarize(wpc, hhg.attribute(attr_id).token_seq);
       if (!summary.defined()) return false;
       attrs[static_cast<size_t>(e)].push_back(std::move(summary));
     }
   }
   // Pairwise HierGAT summarizes entities inside the compare graph, so
   // no entity inputs; the graph ends in Softmax and returns P(match).
-  Tensor probs = compiled_->Compare(attrs[0], attrs[1], Tensor(), Tensor());
+  Tensor probs =
+      stack_.compiled->Compare(attrs[0], attrs[1], Tensor(), Tensor());
   if (!probs.defined()) return false;
   *probability = probs.at(0, 1);
   return true;
@@ -276,85 +435,51 @@ std::vector<float> HierGatModel::ScoreBatch(
   // their job's context and inherit it here.
   obs::ScopedTraceRoot trace_root;
   HG_TRACE_SPAN("HierGatModel::ScoreBatch");
-  HG_CHECK(built_) << "HierGatModel::Train must run before inference";
+  HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
   NoGradGuard no_grad;
   Rng unused(0);
   std::vector<float> probabilities;
   probabilities.reserve(pairs.size());
   for (const EntityPair& pair : pairs) {
-    // Every pair in the batch shares summary_cache_, so repeated
+    // Every pair in the batch shares the summary cache, so repeated
     // attribute values hit the memo from the second occurrence on.
     const Hhg hhg = Hhg::Build({pair.left, pair.right});
-    SummaryCache* cache = cache_enabled_ ? &summary_cache_ : nullptr;
+    SummaryCache* cache = cache_enabled_ ? &stack_.summary_cache : nullptr;
     const Tensor wpc =
-        contextual_->Compute(hhg, /*training=*/false, unused, cache);
+        stack_.contextual->Compute(hhg, /*training=*/false, unused, cache);
     float probability = 0.0f;
     if (TryScorePairCompiled(hhg, wpc, &probability)) {
       CompiledPairs().Increment();
     } else {
       EagerPairs().Increment();
-      Tensor probs = Softmax(classifier_->Forward(
+      Tensor probs = Softmax(stack_.classifier->Forward(
           SimilarityFromWpc(hhg, wpc, /*training=*/false, unused)));
       probability = probs.at(0, 1);
     }
     probabilities.push_back(probability);
   }
   if (cache_enabled_) {
-    const SummaryCache::Stats stats = summary_cache_.stats();
+    const SummaryCache::Stats stats = stack_.summary_cache.stats();
     HG_LOG(INFO) << "summary cache after ScoreBatch(" << pairs.size()
                  << "): hits=" << stats.hits << " misses=" << stats.misses
                  << " evictions=" << stats.evictions
-                 << " size=" << summary_cache_.size() << " hit_rate="
+                 << " size=" << stack_.summary_cache.size() << " hit_rate="
                  << stats.HitRate();
   }
   return probabilities;
 }
 
-void HierGatModel::InvalidateInferenceCache() const {
-  summary_cache_.Clear();
-  // Compiled graphs folded the old parameter values into constants.
-  if (compiled_ != nullptr) compiled_->Clear();
-}
-
-Status HierGatModel::CompileScoringGraph(
-    const std::vector<int>& attribute_lengths) {
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "HierGatModel::CompileScoringGraph: train or load a model first");
-  }
-  return compiled_->Compile(attribute_lengths);
-}
-
-CompiledScoring::Stats HierGatModel::compiled_stats() const {
-  return compiled_ != nullptr ? compiled_->stats() : CompiledScoring::Stats{};
-}
-
-std::vector<Tensor> HierGatModel::TrainableParameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, backbone_.lm->Parameters());
-  AppendParameters(&params, contextual_->Parameters());
-  AppendParameters(&params, aggregator_->Parameters());
-  AppendParameters(&params, comparator_->Parameters());
-  AppendParameters(&params, classifier_->Parameters());
-  return params;
-}
-
-std::vector<float> HierGatModel::ParameterLrMultipliers() const {
-  // Slow fine-tuning for the pre-trained token table (see DittoModel).
-  std::vector<float> multipliers(TrainableParameters().size(), 1.0f);
-  multipliers[0] = 0.1f;
-  return multipliers;
-}
-
 HierGatModel::AttentionReport HierGatModel::InspectAttention(
     const EntityPair& pair) const {
-  HG_CHECK(built_);
+  HG_CHECK(stack_.built);
   NoGradGuard no_grad;
   Rng unused(0);
   AttentionReport report;
   const Hhg hhg = Hhg::Build({pair.left, pair.right});
   const Tensor wpc =
-      contextual_->Compute(hhg, /*training=*/false, unused);
+      stack_.contextual->Compute(hhg, /*training=*/false, unused);
+  const HierarchicalAggregator& aggregator = *stack_.aggregator;
+  const HierarchicalComparator& comparator = *stack_.comparator;
 
   std::vector<std::vector<Tensor>> attr_embeddings(2);
   std::vector<Tensor> entity_embeddings(2);
@@ -363,34 +488,34 @@ HierGatModel::AttentionReport HierGatModel::InspectAttention(
     for (int attr_id : hhg.entity(e).attributes) {
       const Hhg::AttributeNode& attr = hhg.attribute(attr_id);
       attr_embeddings[static_cast<size_t>(e)].push_back(
-          aggregator_->SummarizeAttribute(wpc, attr.token_seq,
-                                          /*training=*/false, unused));
+          aggregator.SummarizeAttribute(wpc, attr.token_seq,
+                                        /*training=*/false, unused));
       AttentionReport::AttributeAttention viz;
       viz.key = attr.key;
       for (int t : attr.token_seq) viz.tokens.push_back(hhg.token(t));
-      viz.weights = aggregator_->last_token_attention();
+      viz.weights = aggregator.last_token_attention();
       viz.weights.resize(viz.tokens.size(), 0.0f);
       side.push_back(std::move(viz));
     }
     entity_embeddings[static_cast<size_t>(e)] =
-        aggregator_->SummarizeEntity(attr_embeddings[static_cast<size_t>(e)]);
+        aggregator.SummarizeEntity(attr_embeddings[static_cast<size_t>(e)]);
   }
   std::vector<Tensor> similarities;
-  for (int a = 0; a < num_attributes_; ++a) {
-    similarities.push_back(comparator_->CompareAttribute(
+  for (int a = 0; a < stack_.num_attributes; ++a) {
+    similarities.push_back(comparator.CompareAttribute(
         attr_embeddings[0][static_cast<size_t>(a)],
         attr_embeddings[1][static_cast<size_t>(a)], /*training=*/false,
         unused));
   }
-  Tensor similarity = comparator_->CombineViews(
+  Tensor similarity = comparator.CombineViews(
       similarities, entity_embeddings[0], entity_embeddings[1]);
-  if (comparator_->combination() == ViewCombination::kWeightAverage) {
-    const Tensor& weights = comparator_->last_view_weights();
+  if (comparator.combination() == ViewCombination::kWeightAverage) {
+    const Tensor& weights = comparator.last_view_weights();
     for (int i = 0; i < weights.dim(1); ++i) {
       report.attribute_weights.push_back(weights.at(0, i));
     }
   }
-  Tensor probs = Softmax(classifier_->Forward(similarity));
+  Tensor probs = Softmax(stack_.classifier->Forward(similarity));
   report.match_probability = probs.at(0, 1);
   return report;
 }

@@ -36,6 +36,84 @@ struct HierGatConfig {
   int lm_pretrain_steps = 150;
 };
 
+/// Hyper-parameters of the collective HierGAT+ model: HierGAT's, with
+/// entity-level context on, a shorter backbone pre-training, and the
+/// two Table 11 ablation switches.
+struct HierGatPlusConfig : HierGatConfig {
+  /// Non-Align drops the entity alignment layer; Non-Sum drops the
+  /// entity summarization context (falls back to view averaging without
+  /// the v_lr^e conditioning).
+  bool use_alignment = true;
+  bool use_entity_summarization = true;
+
+  HierGatPlusConfig() {
+    context.use_entity_context = true;
+    lm_pretrain_steps = 100;
+  }
+};
+
+namespace internal_hiergat {
+
+/// The module stack HierGAT and HierGAT+ share (§5.2.3: HierGAT+ is
+/// HierGAT plus entity-level context and the entity alignment layer of
+/// Eq. 5). It owns the modules, the family's checkpoint layout (tag,
+/// meta keys in order, parameter names) and Load's dimension checks,
+/// quantization, the inference caches and the trainer hooks; each model
+/// holds one and keeps only its forward passes.
+struct HierGatStack {
+  /// `collective` selects HierGAT+: its checkpoint tag, init-seed salt,
+  /// alignment layer and the two ablation flags in the checkpoint meta.
+  /// The pairwise model uses only the HierGatConfig part of `config`.
+  HierGatStack(bool is_collective, const HierGatPlusConfig& initial);
+
+  /// Installs a freshly made backbone and initializes the fine-tuning
+  /// modules over `attributes` aligned attributes (K) from `seed`.
+  void Build(LmBackbone new_backbone, int attributes, uint64_t seed);
+
+  /// Checkpointing: Save writes config + vocabulary + trained weights
+  /// to a versioned binary file (format: src/core/serialize.h); Load
+  /// reconstructs the stack from such a file, rejecting any meta
+  /// dimension that does not fit an int or disagrees with the stored
+  /// tensor shapes before a module is allocated.
+  Status Save(const std::string& path, DType dtype) const;
+  Status Load(const std::string& path);
+  Status QuantizeWeights();
+  void InvalidateInferenceCache() const;
+  CompiledScoring::Stats compiled_stats() const;
+  std::vector<Tensor> TrainableParameters() const;
+  std::vector<float> ParameterLrMultipliers() const;
+
+  const bool collective;
+  HierGatPlusConfig config;
+  LmBackbone backbone;
+  std::unique_ptr<ContextualEmbedder> contextual;
+  std::unique_ptr<HierarchicalAggregator> aggregator;
+  std::unique_ptr<HierarchicalComparator> comparator;
+  std::unique_ptr<EntityAligner> aligner;  ///< HierGAT+ only.
+  std::unique_ptr<Mlp> classifier;
+  int num_attributes = 0;
+  bool built = false;
+  bool graph_compile_enabled = true;
+  mutable SummaryCache summary_cache;
+  /// Rebuilt with the modules (so Load can't replay stale weights: the
+  /// graphs compile lazily, after ReadAll has overwritten parameters).
+  mutable std::unique_ptr<CompiledScoring> compiled;
+
+ private:
+  /// The checkpoint's model tag.
+  const char* tag() const { return collective ? "HierGAT+" : "HierGAT"; }
+
+  /// Constructs the fine-tuning modules over the current backbone
+  /// (shared by Build and Load; Load overwrites the weights after).
+  void BuildModules(uint64_t seed);
+
+  /// Stable dotted-name registration of every checkpointed tensor; the
+  /// same registration drives Save, Load and QuantizeWeights.
+  void RegisterCheckpointParameters(NamedParameters* out) const;
+};
+
+}  // namespace internal_hiergat
+
 /// The pairwise Hierarchical Graph Attention Transformer matcher.
 ///
 /// Pipeline per candidate pair (Figure 6): HHG construction ->
@@ -45,7 +123,6 @@ struct HierGatConfig {
 class HierGatModel : public NeuralPairwiseModel {
  public:
   explicit HierGatModel(const HierGatConfig& config = HierGatConfig());
-  ~HierGatModel() override;
 
   std::string name() const override { return "HierGAT"; }
 
@@ -60,43 +137,47 @@ class HierGatModel : public NeuralPairwiseModel {
   std::vector<float> ScoreBatch(
       std::span<const EntityPair> pairs) const override;
 
-  /// Drops the memoized attribute summaries (stale once parameters
-  /// move; the trainer calls this around validation passes).
-  void InvalidateInferenceCache() const override;
+  /// Drops the memoized attribute summaries and compiled graphs (stale
+  /// once parameters move; the trainer calls this around validation
+  /// passes).
+  void InvalidateInferenceCache() const override {
+    stack_.InvalidateInferenceCache();
+  }
 
-  /// Checkpointing: Save writes config + vocabulary + trained weights
-  /// to a versioned binary file (format: src/core/serialize.h); Load
-  /// reconstructs the full model from such a file — no dataset and no
-  /// training required. The dtype overload picks the stored precision
-  /// (kF16 halves golden-fixture size; kF32 is lossless).
-  Status Save(const std::string& path) const override;
-  Status Save(const std::string& path, DType dtype) const;
-  Status Load(const std::string& path) override;
+  /// Checkpoint round-trip (see internal_hiergat::HierGatStack). The
+  /// dtype overload picks the stored precision (kF16 halves golden-
+  /// fixture size; kF32 is lossless).
+  Status Save(const std::string& path) const override {
+    return stack_.Save(path, DType::kF32);
+  }
+  Status Save(const std::string& path, DType dtype) const {
+    return stack_.Save(path, dtype);
+  }
+  Status Load(const std::string& path) override { return stack_.Load(path); }
 
   /// Rounds every Linear weight and embedding table through Q8_0 blocks
   /// in place (see PairwiseModel::QuantizeWeights). Inference keeps the
   /// f32 kernels on the dequantized weights and Save emits a kQ8_0
   /// checkpoint; caches and compiled graphs are invalidated.
-  Status QuantizeWeights() override;
+  Status QuantizeWeights() override { return stack_.QuantizeWeights(); }
 
   /// Toggles the inference-time summary cache (on by default; useful
   /// for benchmarking the uncached path).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  const SummaryCache& summary_cache() const { return summary_cache_; }
+  const SummaryCache& summary_cache() const { return stack_.summary_cache; }
 
-  /// Compiled-graph scoring (DESIGN.md §11). ScoreBatch automatically
-  /// replays through compiled summarize/compare graphs once they exist
-  /// (they compile lazily on first sight of each attribute length);
-  /// CompileScoringGraph forces ahead-of-time compilation for the given
-  /// attribute token-sequence lengths. Odd shapes and capture failures
-  /// fall back to the eager path, which stays bit-identical.
-  Status CompileScoringGraph(const std::vector<int>& attribute_lengths);
+  /// Compiled-graph scoring (DESIGN.md §11). ScoreBatch replays through
+  /// compiled summarize/compare graphs, compiled lazily on first sight
+  /// of each attribute length. Odd shapes and capture failures fall
+  /// back to the eager path, which stays bit-identical.
   void set_graph_compile_enabled(bool enabled) {
-    graph_compile_enabled_ = enabled;
+    stack_.graph_compile_enabled = enabled;
   }
-  /// Planner footprint of the compiled graphs (undefined before any
+  /// Planner footprint of the compiled graphs (zero before any
   /// compilation); exposed for benches and tests.
-  CompiledScoring::Stats compiled_stats() const;
+  CompiledScoring::Stats compiled_stats() const {
+    return stack_.compiled_stats();
+  }
 
   /// Attention introspection for Figure 9: token weights within each
   /// attribute (from the attribute-summarization [CLS] attention) and
@@ -114,27 +195,19 @@ class HierGatModel : public NeuralPairwiseModel {
   };
   AttentionReport InspectAttention(const EntityPair& pair) const;
 
-  const HierGatConfig& config() const { return config_; }
+  const HierGatConfig& config() const { return stack_.config; }
 
  protected:
   Tensor ForwardLogits(const EntityPair& pair, bool training,
                        Rng& rng) const override;
-  std::vector<Tensor> TrainableParameters() const override;
-  std::vector<float> ParameterLrMultipliers() const override;
+  std::vector<Tensor> TrainableParameters() const override {
+    return stack_.TrainableParameters();
+  }
+  std::vector<float> ParameterLrMultipliers() const override {
+    return stack_.ParameterLrMultipliers();
+  }
 
  private:
-  /// Lazily constructs backbone + modules once the schema (K) is known.
-  /// `seed` comes from TrainOptions (see HierGatConfig).
-  void Build(const PairDataset& data, uint64_t seed);
-
-  /// Constructs the fine-tuning modules over an existing backbone
-  /// (shared by Build and Load; Load overwrites the weights after).
-  void BuildModules(uint64_t seed);
-
-  /// Stable dotted-name registration of every checkpointed tensor; the
-  /// same registration drives Save and Load.
-  void RegisterCheckpointParameters(NamedParameters* out) const;
-
   /// Shared forward: attribute embeddings, entity embeddings, similarity.
   Tensor ForwardSimilarity(const EntityPair& pair, bool training,
                            Rng& rng) const;
@@ -151,20 +224,8 @@ class HierGatModel : public NeuralPairwiseModel {
   bool TryScorePairCompiled(const Hhg& hhg, const Tensor& wpc,
                             float* probability) const;
 
-  HierGatConfig config_;
-  LmBackbone backbone_;
-  std::unique_ptr<ContextualEmbedder> contextual_;
-  std::unique_ptr<HierarchicalAggregator> aggregator_;
-  std::unique_ptr<HierarchicalComparator> comparator_;
-  std::unique_ptr<Mlp> classifier_;
-  int num_attributes_ = 0;
-  bool built_ = false;
+  internal_hiergat::HierGatStack stack_;
   bool cache_enabled_ = true;
-  bool graph_compile_enabled_ = true;
-  mutable SummaryCache summary_cache_;
-  /// Rebuilt by BuildModules (so Load can't replay stale weights: the
-  /// graphs compile lazily, after ReadAll has overwritten parameters).
-  mutable std::unique_ptr<CompiledScoring> compiled_;
 };
 
 }  // namespace hiergat

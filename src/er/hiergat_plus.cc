@@ -1,216 +1,21 @@
 #include "er/hiergat_plus.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "core/logging.h"
-#include "er/checkpoint_meta.h"
 #include "graph/hhg.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/graph.h"
 #include "tensor/ops.h"
 
 namespace hiergat {
 
-namespace {
-
-constexpr char kHierGatPlusTag[] = "HierGAT+";
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
-
-HierGatPlusModel::HierGatPlusModel(const HierGatPlusConfig& config)
-    : config_(config) {}
-
-HierGatPlusModel::~HierGatPlusModel() = default;
-
-void HierGatPlusModel::Build(const CollectiveDataset& data, uint64_t seed) {
-  HG_CHECK(!data.train.empty());
-  num_attributes_ = data.train.front().query.num_attributes();
-  HG_CHECK_GT(num_attributes_, 0);
-
-  backbone_ = MakeBackboneCollective(data, config_.lm_size,
-                                     config_.lm_pretrain_steps, seed);
-  BuildModules(seed);
-  built_ = true;
-}
-
-void HierGatPlusModel::BuildModules(uint64_t seed) {
-  Rng rng(seed ^ 0x9876u);
-  contextual_ = std::make_unique<ContextualEmbedder>(backbone_.lm.get(),
-                                                     config_.context, rng);
-  aggregator_ = std::make_unique<HierarchicalAggregator>(
-      backbone_.lm.get(), config_.dropout, rng);
-  const ViewCombination combination =
-      config_.use_entity_summarization ? config_.combination
-                                       : ViewCombination::kViewAverage;
-  comparator_ = std::make_unique<HierarchicalComparator>(
-      backbone_.lm.get(), num_attributes_, combination, rng);
-  aligner_ = std::make_unique<EntityAligner>(
-      num_attributes_ * backbone_.lm->dim(), rng);
-  classifier_ = std::make_unique<Mlp>(
-      std::vector<int>{backbone_.lm->dim(), config_.classifier_hidden, 2},
-      rng);
-  summary_cache_.Clear();
-
-  CompiledScoringConfig compiled;
-  compiled.lm = backbone_.lm.get();
-  compiled.aggregator = aggregator_.get();
-  compiled.comparator = comparator_.get();
-  compiled.classifier = classifier_.get();
-  compiled.num_attributes = num_attributes_;
-  // The aligned entity matrix comes from the (eager) alignment layer,
-  // so entity embeddings enter the compare graph as inputs; logits stay
-  // raw because PredictQuery softmaxes the [N, 2] rows itself.
-  compiled.entity_inputs = true;
-  compiled.include_softmax = false;
-  compiled_ = std::make_unique<CompiledScoring>(compiled);
-}
-
-void HierGatPlusModel::RegisterCheckpointParameters(
-    NamedParameters* out) const {
-  out->AddModule("lm", *backbone_.lm);
-  out->AddModule("contextual", *contextual_);
-  out->AddModule("aggregator", *aggregator_);  // No own parameters today.
-  out->AddModule("comparator", *comparator_);
-  out->AddModule("aligner", *aligner_);
-  out->AddModule("classifier", *classifier_);
-}
-
-Status HierGatPlusModel::Save(const std::string& path) const {
-  return Save(path, DType::kF32);
-}
-
-Status HierGatPlusModel::Save(const std::string& path, DType dtype) const {
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "HierGatPlusModel::Save: train or load a model first");
-  }
-  const auto start = std::chrono::steady_clock::now();
-  TensorWriter writer(kHierGatPlusTag);
-  writer.SetMetaInt("lm_size", static_cast<int64_t>(config_.lm_size));
-  writer.SetMetaInt("combination",
-                    static_cast<int64_t>(config_.combination));
-  writer.SetMetaBool("use_alignment", config_.use_alignment);
-  writer.SetMetaBool("use_entity_summarization",
-                     config_.use_entity_summarization);
-  writer.SetMetaFloat("dropout", config_.dropout);
-  writer.SetMetaInt("classifier_hidden", config_.classifier_hidden);
-  writer.SetMetaInt("lm_pretrain_steps", config_.lm_pretrain_steps);
-  WriteContextualMeta(&writer, config_.context);
-  writer.SetMetaInt("num_attributes", num_attributes_);
-  writer.SetMeta("vocab", SerializeVocabulary(*backbone_.vocab));
-
-  NamedParameters params;
-  RegisterCheckpointParameters(&params);
-  HG_RETURN_IF_ERROR(writer.AddAll(params, dtype));
-  const std::string bytes = writer.SerializeToString();
-  HG_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
-
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.GetGauge("hiergat.ckpt.bytes")
-      .Set(static_cast<double>(bytes.size()));
-  metrics.GetGauge("hiergat.ckpt.save_ms").Set(MillisSince(start));
-  return Status::Ok();
-}
-
-Status HierGatPlusModel::QuantizeWeights() {
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "HierGatPlusModel::QuantizeWeights: train or load a model first");
-  }
-  NamedParameters params;
-  RegisterCheckpointParameters(&params);
-  HG_RETURN_IF_ERROR(params.QuantizeAll());
-  InvalidateInferenceCache();
-  return Status::Ok();
-}
-
-Status HierGatPlusModel::Load(const std::string& path) {
-  const auto start = std::chrono::steady_clock::now();
-  auto reader_or = TensorReader::Open(path);
-  HG_RETURN_IF_ERROR(reader_or.status());
-  const TensorReader& reader = reader_or.value();
-  if (reader.model_tag() != kHierGatPlusTag) {
-    return Status::InvalidArgument("checkpoint holds a '" +
-                                   reader.model_tag() +
-                                   "' model, expected 'HierGAT+'");
-  }
-
-  HierGatPlusConfig config;
-  HG_RETURN_IF_ERROR(ReadLmSizeMeta(reader, &config.lm_size));
-  HG_RETURN_IF_ERROR(ReadViewCombinationMeta(reader, &config.combination));
-  HG_ASSIGN_OR_RETURN(config.use_alignment,
-                      reader.GetMetaBool("use_alignment"));
-  HG_ASSIGN_OR_RETURN(config.use_entity_summarization,
-                      reader.GetMetaBool("use_entity_summarization"));
-  HG_ASSIGN_OR_RETURN(config.dropout, reader.GetMetaFloat("dropout"));
-  HG_ASSIGN_OR_RETURN(const int64_t classifier_hidden,
-                      reader.GetMetaInt("classifier_hidden"));
-  HG_ASSIGN_OR_RETURN(const int64_t lm_pretrain_steps,
-                      reader.GetMetaInt("lm_pretrain_steps"));
-  HG_RETURN_IF_ERROR(ReadContextualMeta(reader, &config.context));
-  HG_ASSIGN_OR_RETURN(const int64_t num_attributes,
-                      reader.GetMetaInt("num_attributes"));
-  HG_ASSIGN_OR_RETURN(const std::string vocab_text,
-                      reader.GetMeta("vocab"));
-  if (num_attributes <= 0 || classifier_hidden <= 0) {
-    return Status::InvalidArgument("checkpoint has invalid dimensions");
-  }
-  config.classifier_hidden = static_cast<int>(classifier_hidden);
-  config.lm_pretrain_steps = static_cast<int>(lm_pretrain_steps);
-
-  // See HierGatModel::Load: throwaway init seed, strict ReadAll below.
-  config_ = config;
-  num_attributes_ = static_cast<int>(num_attributes);
-  built_ = false;
-  backbone_.vocab = DeserializeVocabulary(vocab_text);
-  backbone_.lm = std::make_unique<MiniLm>(config_.lm_size,
-                                          backbone_.vocab.get(), /*seed=*/0);
-  BuildModules(/*seed=*/0);
-
-  NamedParameters params;
-  RegisterCheckpointParameters(&params);
-  HG_RETURN_IF_ERROR(reader.ReadAll(params));
-  built_ = true;
-  summary_cache_.Clear();
-
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.GetGauge("hiergat.ckpt.bytes")
-      .Set(static_cast<double>(reader.file_bytes()));
-  metrics.GetGauge("hiergat.ckpt.load_ms").Set(MillisSince(start));
-  return Status::Ok();
-}
-
 void HierGatPlusModel::Train(const CollectiveDataset& data,
                              const TrainOptions& options) {
-  Build(data, options.seed);
+  HG_CHECK(!data.train.empty());
+  stack_.Build(MakeBackboneCollective(data, stack_.config.lm_size,
+                                      stack_.config.lm_pretrain_steps,
+                                      options.seed),
+               data.train.front().query.num_attributes(), options.seed);
   NeuralCollectiveModel::Train(data, options);
-}
-
-void HierGatPlusModel::InvalidateInferenceCache() const {
-  summary_cache_.Clear();
-  // Compiled graphs folded the old parameter values into constants.
-  if (compiled_ != nullptr) compiled_->Clear();
-}
-
-Status HierGatPlusModel::CompileScoringGraph(
-    const std::vector<int>& attribute_lengths) {
-  if (!built_) {
-    return Status::FailedPrecondition(
-        "HierGatPlusModel::CompileScoringGraph: train or load a model first");
-  }
-  return compiled_->Compile(attribute_lengths);
-}
-
-CompiledScoring::Stats HierGatPlusModel::compiled_stats() const {
-  return compiled_ != nullptr ? compiled_->stats() : CompiledScoring::Stats{};
 }
 
 Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
@@ -218,7 +23,9 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
   // Direct callers get a per-query request context; engine workers
   // carry their job's context and inherit it here.
   obs::ScopedTraceRoot trace_root;
-  HG_CHECK(built_) << "HierGatPlusModel::Train must run before inference";
+  HG_CHECK(stack_.built)
+      << "HierGatPlusModel::Train must run before inference";
+  const int num_attributes = stack_.num_attributes;
   // One HHG for the query and all candidates (Figure 2's relation
   // network lives inside this shared graph).
   std::vector<Entity> entities;
@@ -227,14 +34,16 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
   entities.insert(entities.end(), query.candidates.begin(),
                   query.candidates.end());
   const Hhg hhg = Hhg::Build(entities);
-  SummaryCache* cache = training ? nullptr : &summary_cache_;
-  const Tensor wpc = contextual_->Compute(hhg, training, rng, cache);
+  SummaryCache* cache = training ? nullptr : &stack_.summary_cache;
+  const Tensor wpc = stack_.contextual->Compute(hhg, training, rng, cache);
 
   // Compiled-graph replay (DESIGN.md §11): only on the pure inference
   // path — training (and any grad-enabled forward) must build autograd
   // graphs, and a capture in flight must keep tracing eager ops.
+  const CompiledScoring* compiled = stack_.compiled.get();
   const bool use_compiled = !training && !GradModeEnabled() &&
-                            graph_compile_enabled_ && compiled_ != nullptr &&
+                            stack_.graph_compile_enabled &&
+                            compiled != nullptr &&
                             !graph::GraphCapture::Active();
 
   const int m = hhg.num_entities();
@@ -246,28 +55,28 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
     for (int attr_id : hhg.entity(e).attributes) {
       const std::vector<int>& token_seq = hhg.attribute(attr_id).token_seq;
       Tensor summary;
-      if (use_compiled) summary = compiled_->Summarize(wpc, token_seq);
+      if (use_compiled) summary = compiled->Summarize(wpc, token_seq);
       if (!summary.defined()) {
         // Eager fallback (capture failed for this length); bit-identical
         // to replay, so mixing paths within one query is fine.
-        summary = aggregator_->SummarizeAttribute(wpc, token_seq, training,
-                                                  rng);
+        summary = stack_.aggregator->SummarizeAttribute(wpc, token_seq,
+                                                        training, rng);
       }
       attr_embeddings[static_cast<size_t>(e)].push_back(std::move(summary));
     }
     // Schema sanity: all entities share the dataset's K attributes.
     HG_CHECK_EQ(static_cast<int>(attr_embeddings[static_cast<size_t>(e)].size()),
-                num_attributes_);
-    entity_rows.push_back(aggregator_->SummarizeEntity(
+                num_attributes);
+    entity_rows.push_back(stack_.aggregator->SummarizeEntity(
         attr_embeddings[static_cast<size_t>(e)]));
   }
   Tensor entity_matrix = ConcatRows(entity_rows);  // [M, K*F]
 
-  if (config_.use_alignment) {
+  if (stack_.config.use_alignment) {
     std::vector<std::vector<int>> related;
     related.reserve(static_cast<size_t>(m));
     for (int e = 0; e < m; ++e) related.push_back(hhg.RelatedEntities(e));
-    entity_matrix = aligner_->Align(entity_matrix, related);
+    entity_matrix = stack_.aligner->Align(entity_matrix, related);
   }
 
   // Compare the query (entity 0) with every candidate.
@@ -278,45 +87,27 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
     Tensor candidate_entity = SliceRows(entity_matrix, c, c + 1);
     if (use_compiled) {
       Tensor logits =
-          compiled_->Compare(attr_embeddings[0],
-                             attr_embeddings[static_cast<size_t>(c)],
-                             query_entity, candidate_entity);
+          compiled->Compare(attr_embeddings[0],
+                            attr_embeddings[static_cast<size_t>(c)],
+                            query_entity, candidate_entity);
       if (logits.defined()) {
         logits_rows.push_back(std::move(logits));
         continue;
       }
     }
     std::vector<Tensor> similarities;
-    similarities.reserve(static_cast<size_t>(num_attributes_));
-    for (int a = 0; a < num_attributes_; ++a) {
-      similarities.push_back(comparator_->CompareAttribute(
+    similarities.reserve(static_cast<size_t>(num_attributes));
+    for (int a = 0; a < num_attributes; ++a) {
+      similarities.push_back(stack_.comparator->CompareAttribute(
           attr_embeddings[0][static_cast<size_t>(a)],
           attr_embeddings[static_cast<size_t>(c)][static_cast<size_t>(a)],
           training, rng));
     }
-    Tensor similarity = comparator_->CombineViews(similarities, query_entity,
-                                                  candidate_entity);
-    logits_rows.push_back(classifier_->Forward(similarity));
+    Tensor similarity = stack_.comparator->CombineViews(
+        similarities, query_entity, candidate_entity);
+    logits_rows.push_back(stack_.classifier->Forward(similarity));
   }
   return ConcatRows(logits_rows);  // [N, 2]
-}
-
-std::vector<Tensor> HierGatPlusModel::TrainableParameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, backbone_.lm->Parameters());
-  AppendParameters(&params, contextual_->Parameters());
-  AppendParameters(&params, aggregator_->Parameters());
-  AppendParameters(&params, comparator_->Parameters());
-  AppendParameters(&params, aligner_->Parameters());
-  AppendParameters(&params, classifier_->Parameters());
-  return params;
-}
-
-std::vector<float> HierGatPlusModel::ParameterLrMultipliers() const {
-  // Slow fine-tuning for the pre-trained token table (see DittoModel).
-  std::vector<float> multipliers(TrainableParameters().size(), 1.0f);
-  multipliers[0] = 0.1f;
-  return multipliers;
 }
 
 }  // namespace hiergat

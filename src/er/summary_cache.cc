@@ -76,12 +76,6 @@ void SummaryCache::EvictDownToLocked(size_t target) {
   }
 }
 
-void SummaryCache::set_max_entries(size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = max_entries > 0 ? max_entries : 1;
-  if (entries_.size() > max_entries_) EvictDownToLocked(max_entries_);
-}
-
 void SummaryCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();

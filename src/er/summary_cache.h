@@ -75,10 +75,6 @@ class SummaryCache {
   size_t size() const;
   size_t max_entries() const { return max_entries_; }
 
-  /// Re-caps the cache (0 is clamped to 1), evicting down to the new
-  /// cap immediately if it shrank below the current size.
-  void set_max_entries(size_t max_entries);
-
   Stats stats() const;
 
  private:
@@ -86,7 +82,7 @@ class SummaryCache {
   /// mutex_.
   void EvictDownToLocked(size_t target);
 
-  size_t max_entries_;
+  const size_t max_entries_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Tensor> entries_;
   Stats stats_;

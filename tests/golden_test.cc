@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/quant.h"
@@ -35,6 +36,48 @@ std::string ReadFileBytes(const std::string& path) {
   std::ostringstream contents;
   contents << in.rdbuf();
   return contents.str();
+}
+
+uint32_t ReadU32(const std::string& bytes, size_t offset) {
+  uint32_t value = 0;
+  for (int i = 3; i >= 0; --i) {
+    value = (value << 8) | static_cast<uint8_t>(bytes[offset + i]);
+  }
+  return value;
+}
+
+std::string U32Bytes(uint32_t value) {
+  std::string out(4, '\0');
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(value >> (8 * i));
+  return out;
+}
+
+/// Rewrites meta `key` of checkpoint image `image` to `value` and
+/// recomputes the CRC footer, as a hostile writer would (layout:
+/// src/core/serialize.h).
+std::string ForgeMeta(const std::string& image, const std::string& key,
+                      const std::string& value) {
+  size_t offset = 8;                        // magic + format version.
+  offset += 4 + ReadU32(image, offset);     // Model tag.
+  const uint32_t meta_count = ReadU32(image, offset);
+  offset += 4;
+  for (uint32_t i = 0; i < meta_count; ++i) {
+    const uint32_t key_len = ReadU32(image, offset);
+    const std::string found = image.substr(offset + 4, key_len);
+    offset += 4 + key_len;
+    const size_t value_len = ReadU32(image, offset);
+    if (found == key) {
+      std::string forged = image.substr(0, offset) +
+                           U32Bytes(static_cast<uint32_t>(value.size())) +
+                           value +
+                           image.substr(offset + 4 + value_len);
+      forged.resize(forged.size() - 4);
+      return forged + U32Bytes(Crc32(forged));
+    }
+    offset += 4 + value_len;
+  }
+  ADD_FAILURE() << "no meta key " << key;
+  return image;
 }
 
 void ExpectScoresNear(const std::vector<float>& actual,
@@ -309,6 +352,38 @@ TEST(GoldenTest, CheckpointTagDispatchRejectsWrongFamily) {
   SessionOptions missing;
   missing.checkpoint_path = TempPath("no_such_checkpoint.ckpt");
   EXPECT_FALSE(Session::Open(missing).ok());
+}
+
+TEST(GoldenTest, ForgedMetaDimensionsFailLoadWithAStatus) {
+  // Every module is sized from the checkpoint's meta dimensions. A
+  // forged value (CRC recomputed) must fail Load with InvalidArgument
+  // naming the key before anything is allocated: not abort on a huge
+  // allocation, truncate to a plausible size, or overflow K * F.
+  const std::pair<const char*, const char*> kForgeries[] = {
+      {"classifier_hidden", "2147483647"},
+      {"classifier_hidden", "4294967328"},
+      {"num_attributes", "100000000"},
+  };
+  for (const bool collective : {false, true}) {
+    const std::string fixture = ReadFileBytes(FixturePath(
+        collective ? golden::kHierGatPlusCheckpoint
+                   : golden::kHierGatCheckpoint));
+    for (const auto& [key, value] : kForgeries) {
+      SCOPED_TRACE(std::string(collective ? "HierGAT+ " : "HierGAT ") + key +
+                   " = " + value);
+      const std::string path = TempPath("forged_meta.ckpt");
+      ASSERT_TRUE(
+          WriteFileAtomic(path, ForgeMeta(fixture, key, value)).ok());
+      SessionOptions options;
+      options.collective = collective;
+      options.checkpoint_path = path;
+      auto session_or = Session::Open(options);
+      ASSERT_FALSE(session_or.ok());
+      EXPECT_EQ(session_or.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(session_or.status().message().find(key), std::string::npos)
+          << session_or.status().ToString();
+    }
+  }
 }
 
 TEST(GoldenTest, CheckpointMetricsAreEmitted) {
