@@ -19,7 +19,7 @@ enum class StatusCode {
   kIOError,
   kUnimplemented,
   /// Load shedding: the caller should back off and retry; used by the
-  /// serving admission control and the engine's non-blocking queue cap.
+  /// serving batcher's queue cap (admission control).
   kResourceExhausted,
   /// The component is (temporarily or permanently) not accepting work,
   /// e.g. a batcher or server after Shutdown.

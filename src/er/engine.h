@@ -38,7 +38,7 @@ struct EngineOptions {
 /// threads: the pool runs one job at a time and concurrent calls are
 /// serialized internally (each blocks until its own job completes).
 /// The engine never refuses work; shedding load is the server edge's
-/// job (serve::AdmissionController, DESIGN.md §14).
+/// job (the serve::DynamicBatcher queue cap, DESIGN.md §14).
 class InferenceEngine {
  public:
   explicit InferenceEngine(const EngineOptions& options = EngineOptions());

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
+#include <string>
 #include <utility>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace hiergat {
@@ -27,6 +28,11 @@ obs::Counter& PairsCounter() {
       obs::MetricsRegistry::Global().GetCounter("hiergat.serve.batch.pairs");
   return counter;
 }
+obs::Counter& RejectedCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      "hiergat.serve.admission.rejected");
+  return counter;
+}
 obs::Histogram& BatchPairsHistogram() {
   // Coalesced batch sizes in pairs, 1 .. 4096 doubling.
   static obs::Histogram& histogram =
@@ -44,7 +50,7 @@ obs::Histogram& QueueWaitSecondsHistogram() {
           obs::Histogram::ExponentialBounds(1e-6, 4.0, 12));
   return histogram;
 }
-obs::Gauge& QueueDepthGauge() {
+obs::Gauge& QueuedPairsGauge() {
   static obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(
       "hiergat.serve.batch.queue_pairs");
   return gauge;
@@ -54,11 +60,8 @@ obs::Gauge& QueueDepthGauge() {
 
 DynamicBatcher::DynamicBatcher(const BatcherOptions& options)
     : options_{std::max(1, options.max_batch_size),
-               std::max(0, options.max_delay_us)} {
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-}
-
-DynamicBatcher::~DynamicBatcher() { Shutdown(); }
+               std::max(0, options.max_delay_us),
+               std::max(0, options.max_pending_pairs)} {}
 
 StatusOr<std::vector<float>> DynamicBatcher::Score(
     std::shared_ptr<Session> session, std::vector<EntityPair> pairs) {
@@ -67,150 +70,139 @@ StatusOr<std::vector<float>> DynamicBatcher::Score(
   }
   if (pairs.empty()) return std::vector<float>();
 
-  auto pending = std::make_shared<Pending>();
-  pending->session = std::move(session);
-  pending->pairs = std::move(pairs);
-  pending->context = obs::CurrentTraceContext();
-  pending->enqueue_ns = obs::MonotonicNowNs();
-
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (shutdown_) {
-      return Status::Unavailable("batcher: shut down");
-    }
-    queue_.push_back(pending);
-    QueueDepthGauge().Add(static_cast<double>(pending->pairs.size()));
-  }
-  queue_cv_.notify_one();
+  Pending pending;
+  pending.session = session.get();
+  pending.pairs = pairs;
+  pending.context = obs::CurrentTraceContext();
+  pending.enqueue_ns = obs::MonotonicNowNs();
+  const int64_t n = static_cast<int64_t>(pairs.size());
 
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return pending->done; });
+  if (shutdown_) {
+    return Status::Unavailable("batcher: shut down");
+  }
+  if (options_.max_pending_pairs > 0 &&
+      queued_pairs_ + n > options_.max_pending_pairs) {
+    RejectedCounter().Increment();
+    obs::RecordFlightEvent(obs::FlightEventKind::kServeShed,
+                           "admission.queue", n, queued_pairs_);
+    return Status::ResourceExhausted(
+        "admission: " + std::to_string(queued_pairs_) +
+        " pair(s) already pending (max_pending_pairs " +
+        std::to_string(options_.max_pending_pairs) + ")");
+  }
+  queue_.push_back(&pending);
+  queued_pairs_ += n;
+  QueuedPairsGauge().Add(static_cast<double>(n));
+  // A full batch ends the leader's window early.
+  if (queue_.front() != &pending &&
+      queued_pairs_ >= options_.max_batch_size) {
+    queue_.front()->cv.notify_one();
+  }
+
+  pending.cv.wait(
+      lock, [&] { return pending.done || queue_.front() == &pending; });
+  if (!pending.done) LeadBatch(pending, lock);
+  lock.unlock();
+
   QueueWaitSecondsHistogram().Observe(
-      static_cast<double>(obs::MonotonicNowNs() - pending->enqueue_ns) * 1e-9);
-  return std::move(pending->scores);
+      static_cast<double>(obs::MonotonicNowNs() - pending.enqueue_ns) * 1e-9);
+  return std::move(pending.scores);
 }
 
-std::vector<std::shared_ptr<DynamicBatcher::Pending>>
-DynamicBatcher::TakeBatchLocked() {
-  std::vector<std::shared_ptr<Pending>> batch;
-  if (queue_.empty()) return batch;
-  Session* const session = queue_.front()->session.get();
-  size_t total = 0;
-  while (!queue_.empty() && queue_.front()->session.get() == session) {
-    const size_t next = queue_.front()->pairs.size();
-    // Never split a request; close the batch when adding the next one
-    // would overflow (unless the batch is still empty — an oversized
-    // request dispatches alone).
-    if (!batch.empty() &&
-        total + next > static_cast<size_t>(options_.max_batch_size)) {
+void DynamicBatcher::LeadBatch(Pending& leader,
+                               std::unique_lock<std::mutex>& lock) {
+  // Batch window: hold the batch open until it is full or the leader —
+  // the oldest queued request — has waited max_delay_us since its own
+  // arrival. During shutdown the queue is drained without waiting.
+  const auto deadline =
+      std::chrono::steady_clock::time_point(
+          std::chrono::nanoseconds(leader.enqueue_ns)) +
+      std::chrono::microseconds(options_.max_delay_us);
+  leader.cv.wait_until(lock, deadline, [&] {
+    return shutdown_ || queued_pairs_ >= options_.max_batch_size;
+  });
+
+  // The batch is the same-session run at the front. Never split a
+  // request; close the batch when adding the next one would overflow
+  // (an oversized leader runs alone).
+  std::vector<Pending*> batch;
+  int64_t total = 0;
+  for (Pending* pending : queue_) {
+    const int64_t next = static_cast<int64_t>(pending->pairs.size());
+    if (pending->session != leader.session ||
+        (!batch.empty() && total + next > options_.max_batch_size)) {
       break;
     }
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
+    batch.push_back(pending);
     total += next;
-    if (total >= static_cast<size_t>(options_.max_batch_size)) break;
+    if (total >= options_.max_batch_size) break;
   }
-  QueueDepthGauge().Add(-static_cast<double>(total));
-  return batch;
-}
+  lock.unlock();
 
-void DynamicBatcher::DispatcherLoop() {
-  obs::SetTraceThreadName("serve-batcher");
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;
-      continue;
+  // Concatenate, score once on this thread, split back. The leader's
+  // thread already runs under the oldest request's trace context, so
+  // engine/graph spans attach to a real request id.
+  std::vector<EntityPair> joined;
+  std::span<const EntityPair> all_pairs = leader.pairs;
+  if (batch.size() > 1) {
+    joined.reserve(static_cast<size_t>(total));
+    for (const Pending* pending : batch) {
+      joined.insert(joined.end(), pending->pairs.begin(),
+                    pending->pairs.end());
     }
-    // Batch window: hold the batch open until it is full or the oldest
-    // request has waited max_delay_us. During shutdown pending work is
-    // drained immediately — no point delaying requests nobody will join.
-    if (options_.max_delay_us > 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.max_delay_us);
-      auto PendingPairs = [&] {
-        size_t total = 0;
-        for (const auto& pending : queue_) total += pending->pairs.size();
-        return total;
-      };
-      while (!shutdown_ &&
-             PendingPairs() < static_cast<size_t>(options_.max_batch_size)) {
-        if (queue_cv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-    }
-
-    std::vector<std::shared_ptr<Pending>> batch = TakeBatchLocked();
-    if (batch.empty()) continue;
-    lock.unlock();
-
-    // Concatenate, score once, split back. The batch runs under the
-    // oldest request's trace context so engine/graph spans attach to a
-    // real request id even when several were coalesced.
-    std::vector<EntityPair> all_pairs;
-    size_t total = 0;
-    for (const auto& pending : batch) total += pending->pairs.size();
-    all_pairs.reserve(total);
-    for (const auto& pending : batch) {
-      all_pairs.insert(all_pairs.end(), pending->pairs.begin(),
-                       pending->pairs.end());
-    }
-    const uint64_t exec_start_ns = obs::MonotonicNowNs();
-    std::vector<float> scores;
-    {
-      obs::ScopedTraceContext context_guard(batch.front()->context);
-      HG_TRACE_SPAN("serve.batch.Dispatch");
-      scores = batch.front()->session->Score(all_pairs);
-    }
-    const uint64_t exec_dur_ns = obs::MonotonicNowNs() - exec_start_ns;
-
-    BatchesCounter().Increment();
-    RequestsCounter().Increment(static_cast<int64_t>(batch.size()));
-    PairsCounter().Increment(static_cast<int64_t>(total));
-    BatchPairsHistogram().Observe(static_cast<double>(total));
-
-    size_t offset = 0;
-    for (const auto& pending : batch) {
-      const size_t n = pending->pairs.size();
-      pending->scores.assign(scores.begin() + static_cast<ptrdiff_t>(offset),
-                             scores.begin() +
-                                 static_cast<ptrdiff_t>(offset + n));
-      offset += n;
-      // Per-request span: every coalesced request records the batch's
-      // execution interval under its own trace id, so a request-scoped
-      // Perfetto view shows when (and for how long) its scores were
-      // computed even though the work was shared.
-      if (obs::TraceRecorder::Global().enabled()) {
-        obs::TraceRecorder::Global().Record("serve.batch.Score",
-                                            exec_start_ns, exec_dur_ns,
-                                            pending->context.trace_id);
-      }
-    }
-
-    lock.lock();
-    requests_ += static_cast<int64_t>(batch.size());
-    ++batches_;
-    pairs_ += static_cast<int64_t>(total);
-    for (const auto& pending : batch) pending->done = true;
-    done_cv_.notify_all();
+    all_pairs = joined;
   }
+  const uint64_t exec_start_ns = obs::MonotonicNowNs();
+  std::vector<float> scores;
+  {
+    HG_TRACE_SPAN("serve.batch.Dispatch");
+    scores = leader.session->Score(all_pairs);
+  }
+  const uint64_t exec_dur_ns = obs::MonotonicNowNs() - exec_start_ns;
+
+  BatchesCounter().Increment();
+  RequestsCounter().Increment(static_cast<int64_t>(batch.size()));
+  PairsCounter().Increment(total);
+  BatchPairsHistogram().Observe(static_cast<double>(total));
+
+  size_t offset = 0;
+  for (Pending* pending : batch) {
+    const size_t n = pending->pairs.size();
+    pending->scores.assign(
+        scores.begin() + static_cast<ptrdiff_t>(offset),
+        scores.begin() + static_cast<ptrdiff_t>(offset + n));
+    offset += n;
+    // Per-request span: every coalesced request records the batch's
+    // execution interval under its own trace id, so a request-scoped
+    // Perfetto view shows when (and for how long) its scores were
+    // computed even though the work was shared.
+    if (obs::TraceRecorder::Global().enabled()) {
+      obs::TraceRecorder::Global().Record("serve.batch.Score", exec_start_ns,
+                                          exec_dur_ns,
+                                          pending->context.trace_id);
+    }
+  }
+
+  lock.lock();
+  queue_.erase(queue_.begin(),
+               queue_.begin() + static_cast<ptrdiff_t>(batch.size()));
+  queued_pairs_ -= total;
+  QueuedPairsGauge().Add(-static_cast<double>(total));
+  requests_ += static_cast<int64_t>(batch.size());
+  ++batches_;
+  pairs_ += total;
+  for (Pending* pending : batch) {
+    pending->done = true;
+    if (pending != &leader) pending->cv.notify_one();
+  }
+  if (!queue_.empty()) queue_.front()->cv.notify_one();
 }
 
 void DynamicBatcher::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  queue_cv_.notify_all();
-  // call_once so a server Shutdown racing the destructor never joins
-  // the dispatcher twice.
-  std::call_once(join_once_, [&] {
-    if (dispatcher_.joinable()) dispatcher_.join();
-  });
+  std::lock_guard<std::mutex> lock(mutex_);
+  shutdown_ = true;
+  if (!queue_.empty()) queue_.front()->cv.notify_one();
 }
 
 DynamicBatcher::Stats DynamicBatcher::stats() const {

@@ -100,7 +100,6 @@ void WriteHttpResponse(int fd, int code, const char* reason,
 Server::Server(ModelRegistry* registry, const ServerOptions& options)
     : registry_(registry),
       options_(options),
-      admission_(options.admission),
       batcher_(options.batcher) {}
 
 StatusOr<std::unique_ptr<Server>> Server::Start(ModelRegistry* registry,
@@ -170,21 +169,20 @@ void Server::Shutdown() {
     listen_fd_ = -1;
   }
 
-  // Nudge every connection's blocking read, then join. Requests already
-  // admitted keep flowing through the batcher and are answered before
-  // the connection thread exits its loop.
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (int fd : connection_fds_) shutdown(fd, SHUT_RD);
-  }
+  // Nudge every open connection's blocking read, then join. Requests
+  // already read keep flowing through the batcher and are answered
+  // before the connection thread exits its loop.
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    threads.swap(connection_threads_);
+    threads.swap(finished_threads_);
+    for (auto& [fd, thread] : open_connections_) {
+      shutdown(fd, SHUT_RD);
+      threads.push_back(std::move(thread));
+    }
+    open_connections_.clear();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : threads) t.join();
 
   batcher_.Shutdown();
   HG_LOG(INFO) << "serve: drained (" << requests_.load() << " request(s), "
@@ -218,13 +216,29 @@ void Server::AcceptLoop() {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_.fetch_add(1, std::memory_order_relaxed);
     ConnectionsCounter().Increment();
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] {
-      obs::SetTraceThreadName("serve-conn");
-      HandleConnection(fd);
-    });
+    std::vector<std::thread> finished;
+    {
+      // Registered under the mutex, so the thread's CloseConnection
+      // always finds its own entry.
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      finished.swap(finished_threads_);
+      open_connections_.emplace(fd, std::thread([this, fd] {
+                             obs::SetTraceThreadName("serve-conn");
+                             HandleConnection(fd);
+                             CloseConnection(fd);
+                           }));
+    }
+    for (std::thread& t : finished) t.join();
   }
+}
+
+void Server::CloseConnection(int fd) {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  close(fd);
+  const auto it = open_connections_.find(fd);
+  if (it == open_connections_.end()) return;  // Shutdown took it to join.
+  finished_threads_.push_back(std::move(it->second));
+  open_connections_.erase(it);
 }
 
 void Server::HandleConnection(int fd) {
@@ -232,20 +246,15 @@ void Server::HandleConnection(int fd) {
   // frame magic; anything else (e.g. "GET ") is handed to the HTTP shim.
   char sniff[4];
   Status sniff_status = ReadFull(fd, sniff, sizeof(sniff));
-  if (!sniff_status.ok()) {
-    close(fd);
-    return;
-  }
+  if (!sniff_status.ok()) return;
   uint32_t magic;
   std::memcpy(&magic, sniff, sizeof(magic));
   if (magic != kFrameMagic) {
     HandleHttp(fd, std::string(sniff, sizeof(sniff)));
-    close(fd);
     return;
   }
 
   // Framed loop: frames after the first re-read their own magic.
-  std::atomic<int> in_flight{0};
   bool first_frame = true;
   while (!shutdown_.load(std::memory_order_acquire)) {
     StatusOr<std::string> payload = first_frame
@@ -273,17 +282,15 @@ void Server::HandleConnection(int fd) {
       response.status = ToWireStatus(request.status());
       response.message = request.status().ToString();
     } else {
-      response = HandleRequest(request.value(), &in_flight);
+      response = HandleRequest(request.value());
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
     RequestsCounter().Increment();
     if (!WriteFrame(fd, EncodeResponse(response)).ok()) break;
   }
-  close(fd);
 }
 
-Response Server::HandleRequest(const Request& request,
-                                     std::atomic<int>* connection_in_flight) {
+Response Server::HandleRequest(const Request& request) {
   HG_TRACE_SPAN("serve.Request");
   const auto started_ns = obs::MonotonicNowNs();
   Response response;
@@ -312,14 +319,6 @@ Response Server::HandleRequest(const Request& request,
     }
 
     case MessageType::kScore: {
-      const int num_pairs = static_cast<int>(request.score.pairs.size());
-      StatusOr<AdmissionController::Permit> permit =
-          admission_.Admit(num_pairs, connection_in_flight);
-      if (!permit.ok()) {
-        response.status = ToWireStatus(permit.status());
-        response.message = permit.status().ToString();
-        break;
-      }
       std::shared_ptr<Session> session = registry_->Get(request.score.model);
       if (session == nullptr) {
         ErrorsCounter().Increment();
@@ -333,12 +332,16 @@ Response Server::HandleRequest(const Request& request,
       StatusOr<std::vector<float>> scores =
           batcher_.Score(std::move(session), request.score.pairs);
       if (!scores.ok()) {
-        ErrorsCounter().Increment();
+        // A shed is counted by hiergat.serve.admission.rejected.
+        if (scores.status().code() != StatusCode::kResourceExhausted) {
+          ErrorsCounter().Increment();
+        }
         response.status = ToWireStatus(scores.status());
         response.message = scores.status().ToString();
         break;
       }
-      PairsCounter().Increment(num_pairs);
+      PairsCounter().Increment(
+          static_cast<int64_t>(request.score.pairs.size()));
       response.scores = std::move(scores).value();
       break;
     }

@@ -3,31 +3,32 @@
 
 /// The long-lived matching server (DESIGN.md §14): a framed-TCP
 /// protocol (serve/wire.h) in front of a ModelRegistry, with dynamic
-/// batching (serve/batcher.h) and admission control (serve/admission.h)
-/// between the socket and the engine. The same listening port also
-/// answers a minimal HTTP/1.1 shim — the first four bytes of each
-/// connection pick the protocol ("HGSV" = framed, anything else is
-/// parsed as HTTP):
+/// batching and admission control (serve/batcher.h) between the socket
+/// and the engine. The same listening port also answers a minimal
+/// HTTP/1.1 shim — the first four bytes of each connection pick the
+/// protocol ("HGSV" = framed, anything else is parsed as HTTP):
 ///
 ///   GET /healthz  -> 200 "ok"            (process liveness)
 ///   GET /readyz   -> 200 / 503           (>= 1 model published)
 ///   GET /metrics  -> Prometheus text     (MetricsRegistry export)
 ///
-/// Threading: one acceptor thread plus one thread per connection.
+/// Threading: one acceptor thread plus one thread per open connection.
 /// Connection threads decode frames and block in the batcher while
-/// their pairs are scored; the batcher's dispatcher is the only caller
-/// of Session::Score, so the engine sees a few large jobs instead of
-/// many 1-pair jobs.
+/// their pairs are scored; the connection thread whose request leads a
+/// batch runs Session::Score for the whole batch, so the engine sees a
+/// few large jobs instead of many 1-pair jobs. A connection answers one
+/// frame before it reads the next, so it never has more than one
+/// request in flight.
 
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/status.h"
-#include "serve/admission.h"
 #include "serve/batcher.h"
 #include "serve/registry.h"
 #include "serve/wire.h"
@@ -42,7 +43,6 @@ struct ServerOptions {
   int port = 0;
   int listen_backlog = 64;
   BatcherOptions batcher;
-  AdmissionOptions admission;
 };
 
 class Server {
@@ -62,8 +62,8 @@ class Server {
   int port() const { return port_; }
 
   /// Graceful drain: stops accepting, unblocks and joins every
-  /// connection thread, then drains the batcher (pending admitted
-  /// requests are still scored and answered). Idempotent.
+  /// connection thread (requests already read are still scored and
+  /// answered), then shuts the batcher. Idempotent.
   void Shutdown();
 
   struct Stats {
@@ -78,10 +78,12 @@ class Server {
 
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Closes `fd` and retires its connection thread for the acceptor to
+  /// join; runs on that thread as its last step.
+  void CloseConnection(int fd);
   /// One framed request -> one response (never throws, never crashes
   /// the connection loop; protocol errors become error responses).
-  Response HandleRequest(const Request& request,
-                               std::atomic<int>* connection_in_flight);
+  Response HandleRequest(const Request& request);
   void HandleHttp(int fd, const std::string& sniffed);
 
   ModelRegistry* const registry_;  // Not owned.
@@ -89,18 +91,18 @@ class Server {
   int listen_fd_ = -1;
   int port_ = 0;
 
-  AdmissionController admission_;
   DynamicBatcher batcher_;
 
   std::atomic<bool> shutdown_{false};
   std::thread acceptor_;
 
   std::mutex connections_mutex_;
-  /// Live connection fds (for Shutdown's shutdown(2) nudge) and every
-  /// connection thread ever started (joined on Shutdown; finished
-  /// threads cost one join each — fine for the fan-in sizes we serve).
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  /// Open connections' threads by fd. A connection closes its fd and
+  /// moves its thread to finished_threads_ under the mutex, so Shutdown
+  /// never nudges a reused fd; the acceptor joins finished threads on
+  /// every accept, so live threads stay bounded by open connections.
+  std::unordered_map<int, std::thread> open_connections_;
+  std::vector<std::thread> finished_threads_;
 
   std::atomic<int64_t> connections_{0};
   std::atomic<int64_t> requests_{0};

@@ -1,12 +1,14 @@
 // Tests for the serving layer (src/serve): wire-format round-trips and
 // hostile-input rejection, registry hot-swap under concurrent scoring
-// load, dynamic-batcher coalescing correctness, admission-control
-// sheds, and an end-to-end framed-TCP + HTTP-shim smoke against a real
-// server on an ephemeral port. Runs under the TSan preset (ctest -L
-// serve) — the registry swap, batcher, and server teardown are the
-// interesting race surfaces.
+// load, dynamic-batcher coalescing correctness and batch window,
+// admission-control sheds, and an end-to-end framed-TCP + HTTP-shim
+// smoke against a real server on an ephemeral port. Runs under the TSan
+// preset (ctest -L serve) — the registry swap, batcher, and server
+// teardown are the interesting race surfaces.
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,7 +19,6 @@
 #include "data/entity.h"
 #include "er/session.h"
 #include "obs/metrics.h"
-#include "serve/admission.h"
 #include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/registry.h"
@@ -320,46 +321,79 @@ TEST(BatcherTest, RejectsAfterShutdownAndNullSession) {
             StatusCode::kUnavailable);
 }
 
+TEST(BatcherTest, WindowStartsAtEachRequestsOwnArrival) {
+  // Two sessions, so the two requests can never share a batch.
+  auto a_or = Session::Open(FixtureSessionOptions());
+  auto b_or = Session::Open(FixtureSessionOptions());
+  ASSERT_TRUE(a_or.ok() && b_or.ok());
+  std::shared_ptr<Session> a = std::move(a_or).value();
+  std::shared_ptr<Session> b = std::move(b_or).value();
+  const std::vector<EntityPair> pair = MakePairs(1);
+  // Warm both so the timed calls do not compile scoring graphs.
+  (void)a->Score(pair);
+  (void)b->Score(pair);
+
+  constexpr auto kWindow = std::chrono::milliseconds(200);
+  BatcherOptions options;
+  options.max_delay_us = 200000;
+  DynamicBatcher batcher(options);
+
+  std::thread first([&] { EXPECT_TRUE(batcher.Score(a, pair).ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const auto arrived = std::chrono::steady_clock::now();
+  EXPECT_TRUE(batcher.Score(b, pair).ok());
+  const auto waited = std::chrono::steady_clock::now() - arrived;
+  first.join();
+
+  // B's window closes one window after B arrived, and A's batch ran
+  // inside it. A window restarted after A's batch would keep B about
+  // two windows.
+  EXPECT_LT(waited, kWindow * 3 / 2);
+  EXPECT_EQ(batcher.stats().batches, 2);
+}
+
 // --- Admission -------------------------------------------------------
 
 TEST(AdmissionTest, ShedsOverQueueLimitAndCountsRejections) {
-  AdmissionOptions options;
+  auto session_or = Session::Open(FixtureSessionOptions());
+  ASSERT_TRUE(session_or.ok());
+  std::shared_ptr<Session> session = std::move(session_or).value();
+
+  BatcherOptions options;
+  options.max_batch_size = 4;
+  options.max_delay_us = 10000000;  // Only a full batch closes the window.
   options.max_pending_pairs = 4;
-  options.max_per_connection = 0;
-  AdmissionController admission(options);
+  DynamicBatcher batcher(options);
   obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
       "hiergat.serve.admission.rejected");
+  const obs::Gauge& queued = obs::MetricsRegistry::Global().GetGauge(
+      "hiergat.serve.batch.queue_pairs");
   const int64_t before = rejected.Value();
 
-  auto first = admission.Admit(3, nullptr);
-  ASSERT_TRUE(first.ok());
-  auto second = admission.Admit(2, nullptr);  // 3 + 2 > 4: shed.
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+  // 5 pairs can never fit under a 4-pair cap.
+  EXPECT_EQ(batcher.Score(session, MakePairs(5)).status().code(),
+            StatusCode::kResourceExhausted);
   EXPECT_EQ(rejected.Value(), before + 1);
 
-  // Releasing the permit frees the capacity again.
-  first.value().Release();
-  EXPECT_EQ(admission.pending_pairs(), 0);
-  EXPECT_TRUE(admission.Admit(4, nullptr).ok());
-}
-
-TEST(AdmissionTest, PerConnectionGateBlamesTheNoisyConnection) {
-  AdmissionOptions options;
-  options.max_pending_pairs = 0;
-  options.max_per_connection = 2;
-  AdmissionController admission(options);
-
-  std::atomic<int> noisy{0};
-  std::atomic<int> quiet{0};
-  auto a = admission.Admit(1, &noisy);
-  auto b = admission.Admit(1, &noisy);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(admission.Admit(1, &noisy).status().code(),
+  // A queued 3-pair request counts against the cap until it is answered:
+  // 3 + 2 > 4 sheds, 3 + 1 fills the batch and closes the window.
+  std::thread leader(
+      [&] { EXPECT_TRUE(batcher.Score(session, MakePairs(3)).ok()); });
+  while (queued.Value() < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(batcher.Score(session, MakePairs(2)).status().code(),
             StatusCode::kResourceExhausted);
-  // Another connection is unaffected.
-  EXPECT_TRUE(admission.Admit(1, &quiet).ok());
+  EXPECT_EQ(rejected.Value(), before + 2);
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_TRUE(batcher.Score(session, MakePairs(1)).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(5));
+  leader.join();
+  EXPECT_EQ(batcher.stats().batches, 1);
+
+  EXPECT_TRUE(batcher.Score(session, MakePairs(4)).ok());
+  EXPECT_EQ(queued.Value(), 0.0);
 }
 
 // --- End-to-end ------------------------------------------------------
@@ -431,14 +465,38 @@ TEST(ServerTest, ReadyzReports503WithNoModels) {
   EXPECT_NE(readyz.value().find("503"), std::string::npos);
 }
 
+int MapsLineCount() {
+  std::ifstream maps("/proc/self/maps");
+  int lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(ServerTest, FinishedConnectionsReleaseTheirThreads) {
+  ModelRegistry registry;  // Health probes need no model.
+  ServerOptions options;
+  options.port = 0;
+  auto server_or = Server::Start(&registry, options);
+  ASSERT_TRUE(server_or.ok());
+  const int port = server_or.value()->port();
+  ASSERT_TRUE(HttpGet("127.0.0.1", port, "/healthz").ok());
+
+  // A finished connection thread that is never joined keeps its stack
+  // and guard page mapped: about 2 lines per connection.
+  const int before = MapsLineCount();
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(HttpGet("127.0.0.1", port, "/healthz").ok());
+  }
+  EXPECT_LT(MapsLineCount() - before, 50);
+}
+
 TEST(ServerTest, OverloadShedsWithExplicitResourceExhausted) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.LoadModel("small", FixtureSessionOptions()).ok());
 
   ServerOptions options;
   options.port = 0;
-  options.admission.max_pending_pairs = 1;  // Overloads immediately.
-  options.admission.max_per_connection = 64;
+  options.batcher.max_pending_pairs = 1;  // Overloads immediately.
   auto server_or = Server::Start(&registry, options);
   ASSERT_TRUE(server_or.ok());
   std::unique_ptr<Server> server = std::move(server_or).value();

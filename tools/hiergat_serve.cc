@@ -51,7 +51,6 @@ struct Flags {
   int max_batch_size = 32;
   int max_delay_us = 1000;
   int max_pending_pairs = 8192;
-  int max_per_connection = 64;
   std::vector<std::pair<std::string, std::string>> models;  // name -> path.
   std::string model_dir;
   std::string trace_out;
@@ -71,7 +70,6 @@ void PrintUsage(const char* argv0) {
       "  --max_batch_size=N     pairs per coalesced batch (default 32)\n"
       "  --max_delay_us=N       batch hold time in usec  (default 1000)\n"
       "  --max_pending_pairs=N  admission cap, 0=off     (default 8192)\n"
-      "  --max_per_connection=N per-conn in-flight cap   (default 64)\n"
       "  --trace_out=PATH       write a Chrome trace on shutdown\n",
       argv0);
 }
@@ -101,7 +99,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       {"--max_batch_size", INT_MAX, &flags->max_batch_size},
       {"--max_delay_us", INT_MAX, &flags->max_delay_us},
       {"--max_pending_pairs", INT_MAX, &flags->max_pending_pairs},
-      {"--max_per_connection", INT_MAX, &flags->max_per_connection},
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -198,8 +195,7 @@ int Main(int argc, char** argv) {
   server_options.port = flags.port;
   server_options.batcher.max_batch_size = flags.max_batch_size;
   server_options.batcher.max_delay_us = flags.max_delay_us;
-  server_options.admission.max_pending_pairs = flags.max_pending_pairs;
-  server_options.admission.max_per_connection = flags.max_per_connection;
+  server_options.batcher.max_pending_pairs = flags.max_pending_pairs;
 
   auto server_or = serve::Server::Start(&registry, server_options);
   if (!server_or.ok()) {

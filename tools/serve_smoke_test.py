@@ -4,10 +4,10 @@
 Usage: serve_smoke_test.py SERVER_BINARY CHECKPOINT
 
 First checks that bad command lines (a non-numeric, negative or
-out-of-range integer flag, the unknown flag --quantize) exit with code
-2 and the usage text instead of starting a server. Then starts the
-server on an ephemeral port with CHECKPOINT published as model "smoke",
-probes the HTTP shim (/healthz, /readyz, /metrics), sends SIGTERM, and
+out-of-range integer flag, the unknown flags --quantize and
+--max_per_connection) exit with code 2 and the usage text instead of
+starting a server. Then starts the server on an ephemeral port with
+CHECKPOINT published as model "smoke", probes the HTTP shim (/healthz, /readyz, /metrics), sends SIGTERM, and
 asserts a clean graceful drain (exit code 0 with the drain banner on
 stdout). Stdlib-only on purpose — this is the "does the shipped binary
 actually serve" gate for the ci workflow preset, not a protocol test
@@ -27,6 +27,7 @@ BAD_FLAGS = [
     ["--threads=x"],
     ["--threads=-1"],
     ["--quantize"],
+    ["--max_per_connection=4"],
 ]
 
 
