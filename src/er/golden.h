@@ -28,6 +28,12 @@ inline constexpr char kHierGatScores[] = "hiergat_small.scores";
 inline constexpr char kHierGatPlusCheckpoint[] = "hiergat_plus_small.ckpt";
 inline constexpr char kHierGatPlusScores[] = "hiergat_plus_small.scores";
 
+/// Largest per-score difference golden_test accepts between a score and
+/// its fixture, or between compiled replay and eager scoring (which are
+/// in fact bit-identical). One value for every f32 golden comparison;
+/// Q8_0 round trips use q8::kScoreTolerance (core/quant.h).
+inline constexpr float kScoreTolerance = 1e-5f;
+
 /// The bundled mini dataset specs. Deliberately tiny: the vocabulary is
 /// checkpointed alongside the weights, so dataset size bounds fixture
 /// size.

@@ -1,5 +1,7 @@
 #include "tensor/backend.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -107,11 +109,37 @@ const char* ActiveName() { return Active().name; }
 
 // -- Parallel wrappers ---------------------------------------------------
 
-using kernels::internal::kGemmRowMultiple;
-using kernels::internal::kMinParallelElems;
-using kernels::internal::kMinParallelFlops;
-using kernels::internal::RowGrain;
-using kernels::internal::RunSerial;
+namespace {
+
+// Minimum work before a kernel fans out: below this, dispatch overhead
+// (one epoch bump + chunk claims) exceeds the compute being split.
+constexpr int64_t kMinParallelFlops = 64 * 1024;  // multiply-adds
+constexpr int64_t kMinParallelElems = 8 * 1024;   // row-op elements
+
+// GEMM row chunks stay aligned to the 4-row micro-tile height (kMR in
+// kernel_body.inc).
+constexpr int kGemmRowMultiple = 4;
+
+/// True when a parallel wrapper should just run the serial kernel.
+bool RunSerial(const ThreadPool* pool, int rows, int64_t work,
+               int64_t min_work) {
+  return pool == nullptr || pool->num_threads() <= 1 || rows < 2 ||
+         work < min_work || ParallelismBanned();
+}
+
+/// Rows per chunk targeting ~4 chunks per lane, rounded up to
+/// `multiple` with a floor of one multiple. Depends only on the shape
+/// and the lane count, never on timing (chunk boundaries are part of
+/// the bit-identity contract).
+int64_t RowGrain(int rows, int lanes, int multiple) {
+  const int64_t target =
+      (static_cast<int64_t>(rows) + 4 * lanes - 1) / (4 * lanes);
+  const int64_t aligned =
+      (target + multiple - 1) / multiple * static_cast<int64_t>(multiple);
+  return std::max<int64_t>(multiple, aligned);
+}
+
+}  // namespace
 
 void ParallelGemmNN(ThreadPool* pool, int m, int n, int k, float alpha,
                     const float* a, const float* b, float* c) {
@@ -143,12 +171,6 @@ void ParallelGemmNT(ThreadPool* pool, int m, int n, int k, float alpha,
                       kr.gemm_nt(static_cast<int>(r1 - r0), n, k, alpha,
                                  a + r0 * k, b, c + r0 * n);
                     });
-}
-
-void ParallelGemmTN(ThreadPool* pool, int m, int n, int k, float alpha,
-                    const float* a, const float* b, float* c) {
-  (void)pool;  // Strided A blocks keep TN serial (see kernels.h).
-  Active().gemm_tn(m, n, k, alpha, a, b, c);
 }
 
 void ParallelSoftmaxRows(ThreadPool* pool, int rows, int cols,

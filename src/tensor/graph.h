@@ -21,13 +21,14 @@ namespace graph {
 ///
 /// Capture is *tracing*: under a GraphCapture guard, ops in tensor/ops.cc
 /// still execute eagerly (so the capture call itself returns correct
-/// values) and additionally append a node — a raw-pointer closure over
-/// the op's dimensions — to the active recorder. Finish() runs the
-/// allocation planner over the trace and produces an immutable
-/// CompiledGraph whose Run() replays the node closures against a single
-/// arena block: no Tensor, shared_ptr, BufferPool, or metric traffic per
-/// op, constant subgraphs folded away, and slices/reshapes reduced to
-/// pointer offsets.
+/// values) and additionally append a node to the active recorder. The
+/// node is the op's one forward body, a raw-pointer closure over the
+/// op's dimensions, which eager execution runs with a null pool.
+/// Finish() runs the allocation planner over the trace and produces an
+/// immutable CompiledGraph whose Run() replays the node closures against
+/// a single arena block: no Tensor, shared_ptr, BufferPool, or metric
+/// traffic per op, constant subgraphs folded away, and slices/reshapes
+/// reduced to pointer offsets.
 ///
 /// Capture rules (what makes a trace compilable):
 ///  - Tensors created *before* the capture (weights, embedded inputs)

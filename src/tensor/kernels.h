@@ -2,11 +2,8 @@
 #define HIERGAT_TENSOR_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace hiergat {
-
-class ThreadPool;  // tensor/threadpool.h
 
 namespace kernels {
 
@@ -20,9 +17,11 @@ namespace kernels {
 // This namespace is the *scalar reference backend*: the bodies live in
 // kernel_body.inc and are compiled here at the build's baseline ISA.
 // tensor/backend.{h,cc} re-compiles the same bodies per wide ISA
-// (AVX2) and dispatches through a registry resolved at startup; ops.cc
-// calls backend::, never kernels:: directly. Tests and backward paths
-// that want the reference semantics keep calling kernels::.
+// (AVX2) and dispatches through a registry resolved at startup. ops.cc,
+// forward bodies and backward closures alike, calls backend::, never
+// kernels:: directly; the row-partitioned parallel wrappers live there
+// too. Only the registry's scalar table, tests and benches name
+// kernels:: symbols.
 //
 // Conventions:
 //  - GEMM kernels *accumulate*: C += alpha * op(A) * op(B). Callers
@@ -101,75 +100,6 @@ void LayerNormBackwardRows(int rows, int cols, const float* xhat,
                            const float* inv_std, const float* gamma,
                            const float* gy, float* gx, float* ggamma,
                            float* gbeta);
-
-// -- Intra-op parallel wrappers ------------------------------------------
-//
-// Row-partitioned versions of the forward kernels above, dispatched
-// over a persistent ThreadPool (tensor/threadpool.h). Each wrapper
-// falls back to the serial kernel when `pool` is null, the pool has one
-// lane, intra-op parallelism is banned on the calling thread, or the
-// problem is below the parallel threshold — callers can use them
-// unconditionally.
-//
-// Bit-identity: every kernel here accumulates each output element over
-// k (or its row) in ascending order regardless of how rows are blocked,
-// and ParallelFor's chunk boundaries depend only on the shape — so the
-// parallel wrappers produce bit-identical results to the serial
-// kernels at any thread count. GEMM row chunks are still aligned to the
-// kMR micro-tile for locality.
-
-/// C[m,n] += alpha * A[m,k] * B[k,n], rows of C partitioned.
-void ParallelGemmNN(ThreadPool* pool, int m, int n, int k, float alpha,
-                    const float* a, const float* b, float* c);
-
-/// C[m,n] += alpha * A[m,k] * B[n,k]^T, rows of C partitioned.
-void ParallelGemmNT(ThreadPool* pool, int m, int n, int k, float alpha,
-                    const float* a, const float* b, float* c);
-
-/// C[m,n] += alpha * A[k,m]^T * B[k,n]. Runs serial: the transposed-A
-/// layout has leading dimension m, so a row block of C is a *strided*
-/// column block of A that the dense kernel cannot address. TN only
-/// appears on backward passes, which run under autograd rather than
-/// the compiled replay path this family exists for.
-void ParallelGemmTN(ThreadPool* pool, int m, int n, int k, float alpha,
-                    const float* a, const float* b, float* c);
-
-/// Row-wise softmax, rows partitioned. In-place (y == x) is allowed.
-void ParallelSoftmaxRows(ThreadPool* pool, int rows, int cols, const float* x,
-                         float* y);
-
-/// Row-wise layer norm, rows partitioned; same outputs as LayerNormRows.
-void ParallelLayerNormRows(ThreadPool* pool, int rows, int cols, float eps,
-                           const float* x, const float* gamma,
-                           const float* beta, float* y, float* xhat,
-                           float* inv_std);
-
-// -- Parallel-dispatch policy --------------------------------------------
-//
-// Shared by the wrappers above and the backend-registry wrappers
-// (tensor/backend.cc) so both layers split rows identically — chunk
-// boundaries are part of the bit-identity contract.
-
-namespace internal {
-
-// Minimum work before a kernel fans out: below this, dispatch overhead
-// (one epoch bump + chunk claims) exceeds the compute being split.
-constexpr int64_t kMinParallelFlops = 64 * 1024;  // multiply-adds
-constexpr int64_t kMinParallelElems = 8 * 1024;   // row-op elements
-
-// GEMM row chunks stay aligned to the kMR micro-tile height.
-constexpr int kGemmRowMultiple = 4;
-
-/// True when a parallel wrapper should just run the serial kernel.
-bool RunSerial(const ThreadPool* pool, int rows, int64_t work,
-               int64_t min_work);
-
-/// Rows per chunk targeting ~4 chunks per lane, rounded up to
-/// `multiple` (the GEMM micro-tile height) with a floor of one
-/// multiple.
-int64_t RowGrain(int rows, int lanes, int multiple);
-
-}  // namespace internal
 
 }  // namespace kernels
 }  // namespace hiergat

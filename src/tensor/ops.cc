@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <vector>
 
 #include "core/logging.h"
 #include "tensor/backend.h"
@@ -37,11 +41,75 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
       << ShapeToString(b.shape());
 }
 
-// Every op below executes eagerly as always; under an active
-// GraphCapture it additionally records a replay closure over its raw
-// dimensions (see tensor/graph.h). The Capturing() gate keeps the
-// closure/std::function construction entirely off the non-capture path.
+// Every recorded op writes its forward math once, as a graph::NodeFn-
+// shaped body, and runs it through Forward(). Eagerly the body runs
+// over the tensors' own buffers with a null pool, i.e. the serial
+// kernels. Only under an active GraphCapture does Forward() also hand
+// the same body to graph::Record as the op's replay node (see
+// tensor/graph.h), which runs it over arena slots with the replay's
+// pool. Replay matches eager bit for bit because there is no second
+// copy of the math, and the row-chunked kernels a body calls keep each
+// element's accumulation order at any thread count (backend.h). The
+// Capturing() gate keeps the std::function, the recorded input vector
+// and the scratch sizes off the eager path.
 bool Capturing() { return graph::GraphCapture::Active(); }
+
+// Most inputs a fixed-arity op takes (LayerNorm, Linear with bias,
+// AttentionScores with mask) and most scratch buffers any op asks for
+// (LayerNorm's xhat and inv_std).
+constexpr size_t kMaxInputs = 3;
+constexpr size_t kMaxScratch = 2;
+
+/// Runs `body` as the forward of `out` over a fixed-arity op's inputs.
+/// An undefined input (absent bias or mask) is skipped, so `in[i]`
+/// indexes the defined inputs in order. `scratch_sizes` (in floats) are
+/// per-call buffers: borrowed from the pool eagerly, arena-planned at
+/// replay. `name` and `flops` label the replay node (graph::Record).
+template <typename Body>
+void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
+             const char* name, Body body, int64_t flops = -1,
+             std::initializer_list<size_t> scratch_sizes = {}) {
+  HG_CHECK(inputs.size() <= kMaxInputs && scratch_sizes.size() <= kMaxScratch);
+  const float* in[kMaxInputs] = {};
+  size_t num_in = 0;
+  for (const Tensor* t : inputs) {
+    if (t->defined()) in[num_in++] = t->data().data();
+  }
+  if (scratch_sizes.size() == 0) {
+    body(in, nullptr, out.data().data(), nullptr);
+  } else {
+    auto& pool = internal_tensor::BufferPool::ThreadLocal();
+    std::vector<float> bufs[kMaxScratch];
+    float* scratch[kMaxScratch] = {};
+    size_t s = 0;
+    for (size_t size : scratch_sizes) {
+      bufs[s] = pool.Acquire(size);
+      scratch[s] = bufs[s].data();
+      ++s;
+    }
+    body(in, scratch, out.data().data(), nullptr);
+    while (s > 0) pool.Release(std::move(bufs[--s]));
+  }
+  if (Capturing()) {
+    std::vector<Tensor> recorded;
+    for (const Tensor* t : inputs) {
+      if (t->defined()) recorded.push_back(*t);
+    }
+    graph::Record(out, recorded, name, std::move(body),
+                  std::vector<size_t>(scratch_sizes), flops);
+  }
+}
+
+/// Forward() for an op over any number of inputs (the concats).
+template <typename Body>
+void ForwardParts(Tensor& out, const std::vector<Tensor>& inputs,
+                  const char* name, Body body) {
+  std::vector<const float*> in;
+  in.reserve(inputs.size());
+  for (const Tensor& t : inputs) in.push_back(t.data().data());
+  body(in.data(), nullptr, out.data().data(), nullptr);
+  if (Capturing()) graph::Record(out, inputs, name, std::move(body));
+}
 
 /// Applies a scalar function and its derivative as a unary op. `name`
 /// labels the replay node (static lifetime, used for trace spans).
@@ -50,17 +118,12 @@ Tensor UnaryOp(const Tensor& a, const char* name, Fwd fwd, Bwd bwd) {
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a});
   const size_t n = a.data().size();
-  const float* ad = a.data().data();
-  float* od = out.data().data();
-  for (size_t i = 0; i < n; ++i) od[i] = fwd(ad[i]);
-  if (Capturing()) {
-    graph::Record(out, {a}, name,
-                  [n, fwd](const float* const* in, float* const*, float* op,
-                           ThreadPool*) {
-                    const float* xd = in[0];
-                    for (size_t i = 0; i < n; ++i) op[i] = fwd(xd[i]);
-                  });
-  }
+  Forward(out, {&a}, name,
+          [n, fwd](const float* const* in, float* const*, float* op,
+                   ThreadPool*) {
+            const float* xd = in[0];
+            for (size_t i = 0; i < n; ++i) op[i] = fwd(xd[i]);
+          });
   if (rg) {
     Impl ai = a.impl().get();
     Impl oi = out.impl().get();
@@ -84,17 +147,12 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   if (IsBiasBroadcast(a, b)) {
     Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
     const int rows = a.dim(0), cols = a.dim(1);
-    std::copy(a.data().begin(), a.data().end(), out.data().begin());
-    backend::AddBiasRows(rows, cols, b.data().data(), out.data().data());
-    if (Capturing()) {
-      graph::Record(out, {a, b}, "Add(bias)",
-                    [rows, cols](const float* const* in, float* const*,
-                                 float* op, ThreadPool*) {
-                      const size_t n = static_cast<size_t>(rows) * cols;
-                      std::copy(in[0], in[0] + n, op);
-                      backend::AddBiasRows(rows, cols, in[1], op);
-                    });
-    }
+    Forward(out, {&a, &b}, "Add(bias)",
+            [rows, cols](const float* const* in, float* const*, float* op,
+                         ThreadPool*) {
+              std::copy(in[0], in[0] + static_cast<size_t>(rows) * cols, op);
+              backend::AddBiasRows(rows, cols, in[1], op);
+            });
     if (rg) {
       Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
       out.set_backward_fn([ai, bi, oi, rows, cols]() {
@@ -114,14 +172,11 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   }
   CheckSameShape(a, b, "Add");
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
-  backend::AddInto(a.data().size(), a.data().data(), b.data().data(),
-                   out.data().data());
-  if (Capturing()) {
-    const size_t n = a.data().size();
-    graph::Record(out, {a, b}, "Add",
-                  [n](const float* const* in, float* const*, float* op,
-                      ThreadPool*) { backend::AddInto(n, in[0], in[1], op); });
-  }
+  const size_t n = a.data().size();
+  Forward(out, {&a, &b}, "Add",
+          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
+            backend::AddInto(n, in[0], in[1], op);
+          });
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, bi, oi]() {
@@ -147,26 +202,15 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   if (IsBiasBroadcast(a, b)) {
     Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
     const int rows = a.dim(0), cols = a.dim(1);
-    const float* ad = a.data().data();
-    const float* bd = b.data().data();
-    float* od = out.data().data();
-    for (int r = 0; r < rows; ++r) {
-      backend::SubInto(static_cast<size_t>(cols),
-                       ad + static_cast<size_t>(r) * cols, bd,
-                       od + static_cast<size_t>(r) * cols);
-    }
-    if (Capturing()) {
-      graph::Record(out, {a, b}, "Sub(bias)",
-                    [rows, cols](const float* const* in, float* const*,
-                                 float* op, ThreadPool*) {
-                      for (int r = 0; r < rows; ++r) {
-                        backend::SubInto(static_cast<size_t>(cols),
-                                         in[0] + static_cast<size_t>(r) * cols,
-                                         in[1],
-                                         op + static_cast<size_t>(r) * cols);
-                      }
-                    });
-    }
+    Forward(out, {&a, &b}, "Sub(bias)",
+            [rows, cols](const float* const* in, float* const*, float* op,
+                         ThreadPool*) {
+              for (int r = 0; r < rows; ++r) {
+                backend::SubInto(static_cast<size_t>(cols),
+                                 in[0] + static_cast<size_t>(r) * cols, in[1],
+                                 op + static_cast<size_t>(r) * cols);
+              }
+            });
     if (rg) {
       Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
       out.set_backward_fn([ai, bi, oi, rows, cols]() {
@@ -189,14 +233,11 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   }
   CheckSameShape(a, b, "Sub");
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
-  backend::SubInto(a.data().size(), a.data().data(), b.data().data(),
-                   out.data().data());
-  if (Capturing()) {
-    const size_t n = a.data().size();
-    graph::Record(out, {a, b}, "Sub",
-                  [n](const float* const* in, float* const*, float* op,
-                      ThreadPool*) { backend::SubInto(n, in[0], in[1], op); });
-  }
+  const size_t n = a.data().size();
+  Forward(out, {&a, &b}, "Sub",
+          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
+            backend::SubInto(n, in[0], in[1], op);
+          });
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, bi, oi]() {
@@ -219,14 +260,11 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Mul");
   const bool rg = AnyRequiresGrad(a, b);
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
-  backend::MulInto(a.data().size(), a.data().data(), b.data().data(),
-                   out.data().data());
-  if (Capturing()) {
-    const size_t n = a.data().size();
-    graph::Record(out, {a, b}, "Mul",
-                  [n](const float* const* in, float* const*, float* op,
-                      ThreadPool*) { backend::MulInto(n, in[0], in[1], op); });
-  }
+  const size_t n = a.data().size();
+  Forward(out, {&a, &b}, "Mul",
+          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
+            backend::MulInto(n, in[0], in[1], op);
+          });
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, bi, oi]() {
@@ -248,14 +286,10 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Scale(const Tensor& a, float s) {
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a});
-  backend::ScaleInto(a.data().size(), s, a.data().data(),
-                     out.data().data());
-  if (Capturing()) {
-    const size_t n = a.data().size();
-    graph::Record(out, {a}, "Scale",
-                  [n, s](const float* const* in, float* const*, float* op,
-                         ThreadPool*) { backend::ScaleInto(n, s, in[0], op); });
-  }
+  const size_t n = a.data().size();
+  Forward(out, {&a}, "Scale",
+          [n, s](const float* const* in, float* const*, float* op,
+                 ThreadPool*) { backend::ScaleInto(n, s, in[0], op); });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, s]() {
@@ -283,21 +317,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
   const bool rg = AnyRequiresGrad(a, b);
   Tensor out = Tensor::MakeNode({m, n}, rg, {a, b});
-  // Fresh buffers come from the pool zero-filled, so the accumulating
-  // GEMM kernel computes plain assignment here.
-  backend::GemmNN(m, n, k, 1.0f, a.data().data(), b.data().data(),
-                  out.data().data());
-  if (Capturing()) {
-    graph::Record(out, {a, b}, "MatMul",
-                  [m, n, k](const float* const* in, float* const*, float* op,
-                            ThreadPool* pool) {
-                    // Arena slots are uninitialized; GEMM accumulates.
-                    std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
-                    backend::ParallelGemmNN(pool, m, n, k, 1.0f, in[0], in[1],
-                                            op);
-                  },
-                  {}, 2LL * m * n * k);
-  }
+  Forward(
+      out, {&a, &b}, "MatMul",
+      [m, n, k](const float* const* in, float* const*, float* op,
+                ThreadPool* pool) {
+        // Arena slots are uninitialized; GEMM accumulates.
+        std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
+        backend::ParallelGemmNN(pool, m, n, k, 1.0f, in[0], in[1], op);
+      },
+      2LL * m * n * k);
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, bi, oi, m, k, n]() {
@@ -324,22 +352,15 @@ Tensor Transpose(const Tensor& a) {
   const int r = a.dim(0), c = a.dim(1);
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode({c, r}, rg, {a});
-  const float* ad = a.data().data();
-  float* od = out.data().data();
-  for (int i = 0; i < r; ++i)
-    for (int j = 0; j < c; ++j)
-      od[static_cast<size_t>(j) * r + i] = ad[static_cast<size_t>(i) * c + j];
-  if (Capturing()) {
-    graph::Record(out, {a}, "Transpose",
-                  [r, c](const float* const* in, float* const*, float* op,
-                         ThreadPool*) {
-                    const float* xd = in[0];
-                    for (int i = 0; i < r; ++i)
-                      for (int j = 0; j < c; ++j)
-                        op[static_cast<size_t>(j) * r + i] =
-                            xd[static_cast<size_t>(i) * c + j];
-                  });
-  }
+  Forward(out, {&a}, "Transpose",
+          [r, c](const float* const* in, float* const*, float* op,
+                 ThreadPool*) {
+            const float* xd = in[0];
+            for (int i = 0; i < r; ++i)
+              for (int j = 0; j < c; ++j)
+                op[static_cast<size_t>(j) * r + i] =
+                    xd[static_cast<size_t>(i) * c + j];
+          });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, r, c]() {
@@ -388,25 +409,19 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   }
   rg = rg && GradModeEnabled();
   Tensor out = Tensor::MakeNode({rows, cols}, rg, parts);
-  size_t offset = 0;
-  for (const Tensor& p : parts) {
-    std::copy(p.data().begin(), p.data().end(), out.data().begin() + offset);
-    offset += p.data().size();
-  }
-  if (Capturing()) {
-    std::vector<size_t> sizes;
-    sizes.reserve(parts.size());
-    for (const Tensor& p : parts) sizes.push_back(p.data().size());
-    graph::Record(out, parts, "ConcatRows",
-                  [sizes](const float* const* in, float* const*, float* op,
-                          ThreadPool*) {
-                    size_t offset = 0;
-                    for (size_t pi = 0; pi < sizes.size(); ++pi) {
-                      std::copy(in[pi], in[pi] + sizes[pi], op + offset);
-                      offset += sizes[pi];
-                    }
-                  });
-  }
+  std::vector<size_t> sizes;
+  sizes.reserve(parts.size());
+  for (const Tensor& p : parts) sizes.push_back(p.data().size());
+  ForwardParts(out, parts, "ConcatRows",
+               [sizes = std::move(sizes)](const float* const* in,
+                                          float* const*, float* op,
+                                          ThreadPool*) {
+                 size_t offset = 0;
+                 for (size_t pi = 0; pi < sizes.size(); ++pi) {
+                   std::copy(in[pi], in[pi] + sizes[pi], op + offset);
+                   offset += sizes[pi];
+                 }
+               });
   if (rg) {
     std::vector<Impl> impls;
     for (const Tensor& p : parts) impls.push_back(p.impl().get());
@@ -439,48 +454,30 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   }
   rg = rg && GradModeEnabled();
   Tensor out = Tensor::MakeNode({rows, cols}, rg, parts);
+  std::vector<int> widths;
+  widths.reserve(parts.size());
+  for (const Tensor& p : parts) widths.push_back(p.dim(1));
   // Row-wise contiguous copies (matching ConcatRows) instead of
   // per-element at/set.
-  int col_offset = 0;
-  for (const Tensor& p : parts) {
-    const int pc = p.dim(1);
-    const float* pd = p.data().data();
-    float* od = out.data().data() + col_offset;
-    for (int r = 0; r < rows; ++r) {
-      std::copy(pd + static_cast<size_t>(r) * pc,
-                pd + static_cast<size_t>(r + 1) * pc,
-                od + static_cast<size_t>(r) * cols);
-    }
-    col_offset += pc;
-  }
-  if (Capturing()) {
-    std::vector<int> widths;
-    widths.reserve(parts.size());
-    for (const Tensor& p : parts) widths.push_back(p.dim(1));
-    graph::Record(out, parts, "ConcatCols",
-                  [widths, rows, cols](const float* const* in, float* const*,
-                                       float* op, ThreadPool*) {
-                    int col_offset = 0;
-                    for (size_t pi = 0; pi < widths.size(); ++pi) {
-                      const int pc = widths[pi];
-                      const float* pd = in[pi];
-                      float* od = op + col_offset;
-                      for (int r = 0; r < rows; ++r) {
-                        std::copy(pd + static_cast<size_t>(r) * pc,
-                                  pd + static_cast<size_t>(r + 1) * pc,
-                                  od + static_cast<size_t>(r) * cols);
-                      }
-                      col_offset += pc;
-                    }
-                  });
-  }
+  ForwardParts(out, parts, "ConcatCols",
+               [widths, rows, cols](const float* const* in, float* const*,
+                                    float* op, ThreadPool*) {
+                 int col_offset = 0;
+                 for (size_t pi = 0; pi < widths.size(); ++pi) {
+                   const int pc = widths[pi];
+                   const float* pd = in[pi];
+                   float* od = op + col_offset;
+                   for (int r = 0; r < rows; ++r) {
+                     std::copy(pd + static_cast<size_t>(r) * pc,
+                               pd + static_cast<size_t>(r + 1) * pc,
+                               od + static_cast<size_t>(r) * cols);
+                   }
+                   col_offset += pc;
+                 }
+               });
   if (rg) {
     std::vector<Impl> impls;
-    std::vector<int> widths;
-    for (const Tensor& p : parts) {
-      impls.push_back(p.impl().get());
-      widths.push_back(p.dim(1));
-    }
+    for (const Tensor& p : parts) impls.push_back(p.impl().get());
     Impl oi = out.impl().get();
     out.set_backward_fn([impls, widths, oi, rows, cols]() {
       int col_offset = 0;
@@ -535,26 +532,16 @@ Tensor SliceCols(const Tensor& a, int begin, int end) {
   const int rows = a.dim(0), cols = a.dim(1), width = end - begin;
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode({rows, width}, rg, {a});
-  const float* ad = a.data().data() + begin;
-  float* od = out.data().data();
-  for (int r = 0; r < rows; ++r) {
-    std::copy(ad + static_cast<size_t>(r) * cols,
-              ad + static_cast<size_t>(r) * cols + width,
-              od + static_cast<size_t>(r) * width);
-  }
-  if (Capturing()) {
-    graph::Record(out, {a}, "SliceCols",
-                  [rows, cols, begin, width](const float* const* in,
-                                             float* const*, float* op,
-                                             ThreadPool*) {
-                    const float* xd = in[0] + begin;
-                    for (int r = 0; r < rows; ++r) {
-                      std::copy(xd + static_cast<size_t>(r) * cols,
-                                xd + static_cast<size_t>(r) * cols + width,
-                                op + static_cast<size_t>(r) * width);
-                    }
-                  });
-  }
+  Forward(out, {&a}, "SliceCols",
+          [rows, cols, begin, width](const float* const* in, float* const*,
+                                     float* op, ThreadPool*) {
+            const float* xd = in[0] + begin;
+            for (int r = 0; r < rows; ++r) {
+              std::copy(xd + static_cast<size_t>(r) * cols,
+                        xd + static_cast<size_t>(r) * cols + width,
+                        op + static_cast<size_t>(r) * width);
+            }
+          });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, rows, cols, begin, width]() {
@@ -578,25 +565,17 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
   const bool rg = AnyRequiresGrad(a);
   Tensor out =
       Tensor::MakeNode({static_cast<int>(indices.size()), cols}, rg, {a});
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int src = indices[i];
-    HG_CHECK(src >= 0 && src < a.dim(0));
-    std::copy(a.data().begin() + static_cast<size_t>(src) * cols,
-              a.data().begin() + static_cast<size_t>(src + 1) * cols,
-              out.data().begin() + i * cols);
-  }
-  if (Capturing()) {
-    graph::Record(out, {a}, "GatherRows",
-                  [indices, cols](const float* const* in, float* const*,
-                                  float* op, ThreadPool*) {
-                    const float* xd = in[0];
-                    for (size_t i = 0; i < indices.size(); ++i) {
-                      std::copy(xd + static_cast<size_t>(indices[i]) * cols,
-                                xd + static_cast<size_t>(indices[i] + 1) * cols,
-                                op + i * cols);
-                    }
-                  });
-  }
+  for (const int src : indices) HG_CHECK(src >= 0 && src < a.dim(0));
+  Forward(out, {&a}, "GatherRows",
+          [indices, cols](const float* const* in, float* const*, float* op,
+                          ThreadPool*) {
+            const float* xd = in[0];
+            for (size_t i = 0; i < indices.size(); ++i) {
+              std::copy(xd + static_cast<size_t>(indices[i]) * cols,
+                        xd + static_cast<size_t>(indices[i] + 1) * cols,
+                        op + i * cols);
+            }
+          });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, indices, cols]() {
@@ -664,19 +643,13 @@ Tensor Log(const Tensor& a) {
 Tensor Sum(const Tensor& a) {
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode({1}, rg, {a});
-  float total = 0.0f;
-  for (float v : a.data()) total += v;
-  out.data()[0] = total;
-  if (Capturing()) {
-    const size_t n = a.data().size();
-    graph::Record(out, {a}, "Sum",
-                  [n](const float* const* in, float* const*, float* op,
-                      ThreadPool*) {
-                    float total = 0.0f;
-                    for (size_t i = 0; i < n; ++i) total += in[0][i];
-                    op[0] = total;
-                  });
-  }
+  const size_t n = a.data().size();
+  Forward(out, {&a}, "Sum",
+          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
+            float total = 0.0f;
+            for (size_t i = 0; i < n; ++i) total += in[0][i];
+            op[0] = total;
+          });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi]() {
@@ -697,15 +670,12 @@ Tensor SumRows(const Tensor& a) {
   const int rows = a.dim(0), cols = a.dim(1);
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode({1, cols}, rg, {a});
-  backend::ColSumAccumulate(rows, cols, a.data().data(), out.data().data());
-  if (Capturing()) {
-    graph::Record(out, {a}, "SumRows",
-                  [rows, cols](const float* const* in, float* const*,
-                               float* op, ThreadPool*) {
-                    std::fill(op, op + cols, 0.0f);
-                    backend::ColSumAccumulate(rows, cols, in[0], op);
-                  });
-  }
+  Forward(out, {&a}, "SumRows",
+          [rows, cols](const float* const* in, float* const*, float* op,
+                       ThreadPool*) {
+            std::fill(op, op + cols, 0.0f);
+            backend::ColSumAccumulate(rows, cols, in[0], op);
+          });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, rows, cols]() {
@@ -728,16 +698,14 @@ Tensor Softmax(const Tensor& a) {
   const int cols = a.rank() == 2 ? a.dim(1) : a.dim(0);
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a});
-  backend::SoftmaxRows(rows, cols, a.data().data(), out.data().data());
-  if (Capturing()) {
-    // ~5 FLOPs per element: max scan, subtract, exp, sum, divide.
-    graph::Record(out, {a}, "Softmax",
-                  [rows, cols](const float* const* in, float* const*,
-                               float* op, ThreadPool* pool) {
-                    backend::ParallelSoftmaxRows(pool, rows, cols, in[0], op);
-                  },
-                  {}, 5LL * rows * cols);
-  }
+  // ~5 FLOPs per element: max scan, subtract, exp, sum, divide.
+  Forward(
+      out, {&a}, "Softmax",
+      [rows, cols](const float* const* in, float* const*, float* op,
+                   ThreadPool* pool) {
+        backend::ParallelSoftmaxRows(pool, rows, cols, in[0], op);
+      },
+      5LL * rows * cols);
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, rows, cols]() {
@@ -760,40 +728,33 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   (x.requires_grad() || gamma.requires_grad() ||
                    beta.requires_grad());
   Tensor out = Tensor::MakeNode(x.shape(), rg, {x, gamma, beta});
+  // scratch[0] is xhat [rows*cols], scratch[1] the per-row inverse
+  // stddev [rows].
+  auto body = [rows, cols, eps](const float* const* in,
+                                float* const* scratch, float* op,
+                                ThreadPool* pool) {
+    backend::ParallelLayerNormRows(pool, rows, cols, eps, in[0], in[1], in[2],
+                                   op, scratch[0], scratch[1]);
+  };
   if (!rg) {
-    // Inference path: the kernel still needs xhat/inv_std scratch, but
-    // nothing outlives the call — borrow it from the pool.
-    auto& pool = internal_tensor::BufferPool::ThreadLocal();
-    std::vector<float> xhat = pool.Acquire(x.data().size());
-    std::vector<float> inv_std = pool.Acquire(static_cast<size_t>(rows));
-    backend::LayerNormRows(rows, cols, eps, x.data().data(),
-                           gamma.data().data(), beta.data().data(),
-                           out.data().data(), xhat.data(), inv_std.data());
-    pool.Release(std::move(xhat));
-    pool.Release(std::move(inv_std));
-    if (Capturing()) {
-      // ~8 FLOPs per element: mean, variance (two passes), normalize,
-      // scale + shift.
-      graph::Record(
-          out, {x, gamma, beta}, "LayerNorm",
-          [rows, cols, eps](const float* const* in, float* const* scratch,
-                            float* op, ThreadPool* pool) {
-            backend::ParallelLayerNormRows(pool, rows, cols, eps, in[0],
-                                           in[1], in[2], op, scratch[0],
-                                           scratch[1]);
-          },
-          {x.data().size(), static_cast<size_t>(rows)},
-          8LL * rows * cols);
-    }
+    // Inference path: xhat/inv_std are per-call scratch. ~8 FLOPs per
+    // element: mean, variance (two passes), normalize, scale + shift.
+    Forward(out, {&x, &gamma, &beta}, "LayerNorm", body, 8LL * rows * cols,
+            {x.data().size(), static_cast<size_t>(rows)});
     return out;
   }
-  // Cache per-row inverse stddev and normalized values for backward.
+  // Training path: the same body, but xhat/inv_std are kept for
+  // backward. Nothing is recorded, so a capture under autograd stays
+  // poisoned.
   auto inv_std = std::make_shared<std::vector<float>>(
       static_cast<size_t>(rows));
   auto xhat = std::make_shared<std::vector<float>>(x.data().size());
-  backend::LayerNormRows(rows, cols, eps, x.data().data(),
-                         gamma.data().data(), beta.data().data(),
-                         out.data().data(), xhat->data(), inv_std->data());
+  {
+    const float* in[] = {x.data().data(), gamma.data().data(),
+                         beta.data().data()};
+    float* scratch[] = {xhat->data(), inv_std->data()};
+    body(in, scratch, out.data().data(), nullptr);
+  }
   {
     Impl xi = x.impl().get(), gi = gamma.impl().get(),
          bi = beta.impl().get(), oi = out.impl().get();
@@ -840,24 +801,15 @@ Tensor LinearOp(const Tensor& x, const Tensor& w, const Tensor& bias) {
   std::vector<Tensor> parents = {x, w};
   if (has_bias) parents.push_back(bias);
   Tensor out = Tensor::MakeNode({m, n}, rg, std::move(parents));
-  backend::GemmNN(m, n, k, 1.0f, x.data().data(), w.data().data(),
-                  out.data().data());
-  if (has_bias) {
-    backend::AddBiasRows(m, n, bias.data().data(), out.data().data());
-  }
-  if (Capturing()) {
-    std::vector<Tensor> rec_inputs = {x, w};
-    if (has_bias) rec_inputs.push_back(bias);
-    graph::Record(out, rec_inputs, "Linear",
-                  [m, n, k, has_bias](const float* const* in, float* const*,
-                                      float* op, ThreadPool* pool) {
-                    std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
-                    backend::ParallelGemmNN(pool, m, n, k, 1.0f, in[0], in[1],
-                                            op);
-                    if (has_bias) backend::AddBiasRows(m, n, in[2], op);
-                  },
-                  {}, 2LL * m * n * k + (has_bias ? 1LL * m * n : 0));
-  }
+  Forward(
+      out, {&x, &w, &bias}, "Linear",
+      [m, n, k, has_bias](const float* const* in, float* const*, float* op,
+                          ThreadPool* pool) {
+        std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
+        backend::ParallelGemmNN(pool, m, n, k, 1.0f, in[0], in[1], op);
+        if (has_bias) backend::AddBiasRows(m, n, in[2], op);
+      },
+      2LL * m * n * k + (has_bias ? 1LL * m * n : 0));
   if (rg) {
     Impl xi = x.impl().get(), wi = w.impl().get(), oi = out.impl().get();
     Impl bi = has_bias ? bias.impl().get() : nullptr;
@@ -907,34 +859,19 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
   Tensor out = Tensor::MakeNode({lq, lk}, rg, std::move(parents));
   // scores = scale * Q * K^T (+ mask), softmaxed per row, all in the
   // output buffer — no Transpose node, no scores/scaled temporaries.
-  float* od = out.data().data();
-  backend::GemmNT(lq, lk, d, scale, q.data().data(), k.data().data(), od);
-  if (has_mask) {
-    backend::Accumulate(out.data().size(), mask.data().data(), od);
-  }
-  backend::SoftmaxRows(lq, lk, od, od);
-  if (Capturing()) {
-    std::vector<Tensor> rec_inputs = {q, k};
-    if (has_mask) rec_inputs.push_back(mask);
-    // Fused scaled GEMM-NT (2*lq*lk*d), optional mask add (lq*lk), and
-    // row softmax (~5*lq*lk).
-    graph::Record(out, rec_inputs, "AttentionScores",
-                  [lq, lk, d, scale, has_mask](const float* const* in,
-                                               float* const*, float* op,
-                                               ThreadPool* pool) {
-                    std::fill(op, op + static_cast<size_t>(lq) * lk, 0.0f);
-                    backend::ParallelGemmNT(pool, lq, lk, d, scale, in[0],
-                                            in[1], op);
-                    if (has_mask) {
-                      backend::Accumulate(static_cast<size_t>(lq) * lk, in[2],
-                                          op);
-                    }
-                    backend::ParallelSoftmaxRows(pool, lq, lk, op, op);
-                  },
-                  {},
-                  2LL * lq * lk * d + (has_mask ? 1LL * lq * lk : 0) +
-                      5LL * lq * lk);
-  }
+  // FLOPs: scaled GEMM-NT (2*lq*lk*d), optional mask add (lq*lk), and
+  // row softmax (~5*lq*lk).
+  Forward(
+      out, {&q, &k, &mask}, "AttentionScores",
+      [lq, lk, d, scale, has_mask](const float* const* in, float* const*,
+                                   float* op, ThreadPool* pool) {
+        const size_t n = static_cast<size_t>(lq) * lk;
+        std::fill(op, op + n, 0.0f);
+        backend::ParallelGemmNT(pool, lq, lk, d, scale, in[0], in[1], op);
+        if (has_mask) backend::Accumulate(n, in[2], op);
+        backend::ParallelSoftmaxRows(pool, lq, lk, op, op);
+      },
+      2LL * lq * lk * d + (has_mask ? 1LL * lq * lk : 0) + 5LL * lq * lk);
   if (rg) {
     Impl qi = q.impl().get(), ki = k.impl().get(), oi = out.impl().get();
     Impl mi = has_mask ? mask.impl().get() : nullptr;

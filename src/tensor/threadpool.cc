@@ -1,9 +1,14 @@
 #include "tensor/threadpool.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <system_error>
 
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -42,6 +47,22 @@ obs::Counter& Parks() {
 
 }  // namespace
 
+int ParseNumThreads(const char* text) {
+  if (text == nullptr || text[0] == '\0') return 0;
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  // from_chars accepts a leading '-', so insist on a digit first.
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) &&
+      ec == std::errc() && ptr == end && value <= kMaxThreads) {
+    return value;
+  }
+  HG_LOG(WARN) << "HIERGAT_NUM_THREADS=\"" << text
+               << "\" is not an integer in [0, " << kMaxThreads
+               << "]; using hardware concurrency";
+  return 0;
+}
+
 bool ParallelismBanned() { return tls_parallelism_ban > 0; }
 
 ScopedParallelismBan::ScopedParallelismBan() { ++tls_parallelism_ban; }
@@ -73,12 +94,7 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("HIERGAT_NUM_THREADS")) {
-      return std::atoi(env);
-    }
-    return 0;
-  }());
+  static ThreadPool pool(ParseNumThreads(std::getenv("HIERGAT_NUM_THREADS")));
   return pool;
 }
 

@@ -14,8 +14,20 @@
 
 namespace hiergat {
 
+/// Most threads any configured count may ask for: HIERGAT_NUM_THREADS
+/// and hiergat_serve --threads are refused above it, so a typo cannot
+/// start millions of threads.
+inline constexpr int kMaxThreads = 1024;
+
+/// Parses a HIERGAT_NUM_THREADS value. All of `text` must be a decimal
+/// integer in [0, kMaxThreads]; that value is returned (0 means
+/// hardware concurrency). Anything else (a sign, trailing characters,
+/// out of range) logs a WARN and returns 0. Null or empty means unset
+/// and returns 0 silently.
+int ParseNumThreads(const char* text);
+
 /// Persistent intra-op worker pool for the chunked row-parallel kernels
-/// (kernels::ParallelGemmNN etc.) and compiled-graph replay. Workers are
+/// (backend::ParallelGemmNN etc.) and compiled-graph replay. Workers are
 /// started once and live for the pool's lifetime: a dispatch is one
 /// atomic epoch bump plus (when a worker has parked) one condvar
 /// notify, not a thread spawn. Workers spin briefly between tasks
@@ -43,8 +55,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Process-wide pool shared by the parallel kernels and the compiled
-  /// graph executor. Sized from HIERGAT_NUM_THREADS when set, else
-  /// hardware concurrency. Constructed on first use.
+  /// graph executor. Sized from HIERGAT_NUM_THREADS when set (see
+  /// ParseNumThreads), else hardware concurrency. Constructed on first
+  /// use.
   static ThreadPool& Global();
 
   /// Total lanes including the calling thread (>= 1).

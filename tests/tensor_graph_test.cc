@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/status.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tensor/threadpool.h"
@@ -102,6 +104,111 @@ TEST(TensorGraphTest, AttentionScoresReplayBitwise) {
   for (int i = 0; i < 18; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);
+  }
+}
+
+// Every recorded op, replayed over a fresh input, must match its eager
+// result bit for bit, both serially and on a 4-lane pool. The input is
+// [64, 160]: 10240 elements, above the row-op parallel threshold
+// (kMinParallelElems, 8192), and every GEMM here is at least
+// 64x32x160 multiply-adds, above kMinParallelFlops (65536). So on the
+// pool the row-chunked forward path really runs (`row_chunked` cases
+// assert it dispatched) and is compared with the serial eager one.
+TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
+  NoGradGuard no_grad;
+  constexpr int kRows = 64, kCols = 160;
+  Rng rng(41);
+  const Tensor w = Tensor::Randn({kCols, 32}, rng, 0.1f);
+  const Tensor b = Tensor::Randn({32}, rng);
+  const Tensor bias = Tensor::Randn({kCols}, rng);
+  const Tensor same = Tensor::Randn({kRows, kCols}, rng);
+  const Tensor keys = Tensor::Randn({kCols, kCols}, rng, 0.1f);
+  Tensor mask = Tensor::Zeros({kRows, kCols});
+  for (int r = 0; r < kRows; ++r) mask.set(r, (r * 7) % kCols, -1e9f);
+  const Tensor gamma = Tensor::Randn({kCols}, rng);
+  const Tensor beta = Tensor::Randn({kCols}, rng);
+  const Tensor extra_rows = Tensor::Randn({8, kCols}, rng);
+  const Tensor extra_cols = Tensor::Randn({kRows, 16}, rng);
+  std::vector<int> indices;
+  for (int i = 0; i < 40; ++i) indices.push_back((i * 13) % kRows);
+
+  struct Case {
+    const char* name;
+    bool row_chunked;
+    std::function<Tensor(const Tensor&)> fwd;
+  };
+  const std::vector<Case> cases = {
+      {"Add", false, [&](const Tensor& x) { return Add(x, same); }},
+      {"Add(bias)", false, [&](const Tensor& x) { return Add(x, bias); }},
+      {"Sub", false, [&](const Tensor& x) { return Sub(x, same); }},
+      {"Sub(bias)", false, [&](const Tensor& x) { return Sub(x, bias); }},
+      {"Mul", false, [&](const Tensor& x) { return Mul(x, same); }},
+      {"Scale", false, [&](const Tensor& x) { return Scale(x, -0.37f); }},
+      {"AddScalar", false,
+       [&](const Tensor& x) { return AddScalar(x, 0.25f); }},
+      {"Relu", false, [&](const Tensor& x) { return Relu(x); }},
+      {"LeakyRelu", false,
+       [&](const Tensor& x) { return LeakyRelu(x, 0.1f); }},
+      {"Tanh", false, [&](const Tensor& x) { return Tanh(x); }},
+      {"Sigmoid", false, [&](const Tensor& x) { return Sigmoid(x); }},
+      {"Gelu", false, [&](const Tensor& x) { return Gelu(x); }},
+      {"Exp", false, [&](const Tensor& x) { return Exp(x); }},
+      {"Log", false, [&](const Tensor& x) { return Log(x); }},
+      {"MatMul", true, [&](const Tensor& x) { return MatMul(x, w); }},
+      {"Transpose", false, [&](const Tensor& x) { return Transpose(x); }},
+      {"ConcatRows", false,
+       [&](const Tensor& x) { return ConcatRows({extra_rows, x}); }},
+      {"ConcatCols", false,
+       [&](const Tensor& x) { return ConcatCols({x, extra_cols, x}); }},
+      {"SliceCols", false,
+       [&](const Tensor& x) { return SliceCols(x, 17, 93); }},
+      {"GatherRows", false,
+       [&](const Tensor& x) { return GatherRows(x, indices); }},
+      {"Sum", false, [&](const Tensor& x) { return Sum(x); }},
+      {"SumRows", false, [&](const Tensor& x) { return SumRows(x); }},
+      {"Softmax", true, [&](const Tensor& x) { return Softmax(x); }},
+      {"LayerNorm", true,
+       [&](const Tensor& x) { return LayerNorm(x, gamma, beta); }},
+      {"Linear", true, [&](const Tensor& x) { return LinearOp(x, w, b); }},
+      {"Linear(no bias)", true,
+       [&](const Tensor& x) { return LinearOp(x, w, Tensor()); }},
+      {"AttentionScores", true,
+       [&](const Tensor& x) {
+         return AttentionScores(x, keys, 0.125f, mask);
+       }},
+      {"AttentionScores(no mask)", true,
+       [&](const Tensor& x) {
+         return AttentionScores(x, keys, 0.125f, Tensor());
+       }},
+  };
+
+  ThreadPool pool(4);
+  obs::Counter& tasks =
+      obs::MetricsRegistry::Global().GetCounter("hiergat.threadpool.tasks");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto compiled = CompileUnary(kRows, kCols, c.fwd);
+    ASSERT_NE(compiled, nullptr);
+    ASSERT_EQ(compiled->stats().num_nodes, 1);
+    for (ThreadPool* run_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      // A fresh input per run: the arena block is recycled between runs,
+      // so a row the pooled run failed to write would otherwise still
+      // hold the serial run's (correct) bits.
+      const Tensor x = Tensor::Randn({kRows, kCols}, rng);
+      const Tensor want = c.fwd(x);
+      const float* in[] = {x.data().data()};
+      std::vector<float> got(want.data().size(), -7.0f);
+      float* out[] = {got.data()};
+      const int64_t tasks_before = tasks.Value();
+      compiled->Run(in, out, run_pool);
+      if (run_pool != nullptr && c.row_chunked) {
+        EXPECT_GT(tasks.Value(), tasks_before) << "pool never dispatched";
+      }
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want.data()[i])
+            << (run_pool ? "pooled" : "serial") << " element " << i;
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,6 +20,25 @@ TEST(ThreadPoolTest, StartAndShutdown) {
   // when no task was ever dispatched (workers park immediately).
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4);
+}
+
+TEST(ThreadPoolTest, ParseNumThreadsIsStrictAndBounded) {
+  // Parsed as strings only: no case here starts a thread.
+  EXPECT_EQ(ParseNumThreads(nullptr), 0);
+  EXPECT_EQ(ParseNumThreads(""), 0);
+  EXPECT_EQ(ParseNumThreads("0"), 0);
+  EXPECT_EQ(ParseNumThreads("1"), 1);
+  EXPECT_EQ(ParseNumThreads("4"), 4);
+  EXPECT_EQ(ParseNumThreads("0016"), 16);
+  EXPECT_EQ(ParseNumThreads(std::to_string(kMaxThreads).c_str()),
+            kMaxThreads);
+  // Anything else falls back to 0 (hardware concurrency).
+  for (const char* bad :
+       {"4x", "abc", "x4", " 4", "4 ", "+4", "-1", "-0", "1.5", "0x10",
+        "1025", "100000", "2000000000", "99999999999999999999"}) {
+    EXPECT_EQ(ParseNumThreads(bad), 0) << '"' << bad << '"';
+  }
+  EXPECT_EQ(ParseNumThreads(std::to_string(kMaxThreads + 1).c_str()), 0);
 }
 
 TEST(ThreadPoolTest, SingleLanePoolRunsInline) {

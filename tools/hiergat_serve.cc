@@ -31,6 +31,7 @@
 #include "obs/trace.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "tensor/threadpool.h"
 
 namespace hiergat {
 namespace {
@@ -95,7 +96,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   };
   const IntFlag int_flags[] = {
       {"--port", 65535, &flags->port},
-      {"--threads", INT_MAX, &flags->threads},
+      {"--threads", kMaxThreads, &flags->threads},
       {"--max_batch_size", INT_MAX, &flags->max_batch_size},
       {"--max_delay_us", INT_MAX, &flags->max_delay_us},
       {"--max_pending_pairs", INT_MAX, &flags->max_pending_pairs},

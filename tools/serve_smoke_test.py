@@ -26,6 +26,7 @@ BAD_FLAGS = [
     ["--port=70000"],
     ["--threads=x"],
     ["--threads=-1"],
+    ["--threads=100000"],
     ["--quantize"],
     ["--max_per_connection=4"],
 ]
