@@ -37,7 +37,7 @@ class BenchResult {
   void AddParam(const std::string& key, double value);
   void AddParam(const std::string& key, int value);
 
-  /// Extra numeric results (F1 scores, cache hit rates, steal counts).
+  /// Extra numeric results (F1 scores, cache hit rates, speedups).
   void AddMetric(const std::string& key, double value);
 
   /// Per-op cost accounting row (DESIGN.md §12); `seconds` is the sampled

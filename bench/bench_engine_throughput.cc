@@ -1,5 +1,5 @@
 // Inference-engine throughput: pairs/sec of the batched multi-threaded
-// path (summary cache + worker pool) against the sequential eager
+// path (summary cache + thread pool) against the sequential eager
 // per-pair loop, on blocker output where entities recur across
 // candidate pairs.
 
@@ -33,8 +33,8 @@ double Seconds(const std::chrono::steady_clock::time_point& start) {
 int main_impl(int argc, char** argv) {
   bench::PrintHeader(
       "Inference engine throughput",
-      "batched scoring with the entity-summary cache and a work-stealing "
-      "pool outperforms the sequential per-pair loop on blocker output");
+      "batched scoring with the entity-summary cache and a thread pool "
+      "outperforms the sequential per-pair loop on blocker output");
 
   SyntheticSpec spec;
   spec.name = "engine-bench";
@@ -122,7 +122,7 @@ int main_impl(int argc, char** argv) {
   // p50/p95; later reps score against a warm summary cache, which is
   // the steady-state deployment condition. With --trace_out=PATH the
   // reps record spans into a Chrome/Perfetto trace (one track per
-  // engine worker).
+  // thread: the caller and each pool worker).
   std::string trace_out;
   static const char kTraceFlag[] = "--trace_out=";
   for (int i = 1; i < argc; ++i) {

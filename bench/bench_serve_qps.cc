@@ -3,7 +3,7 @@
 // batching off (batch size 1) versus on — the coalescing win the
 // serving layer exists for. Engine thread count is held equal across
 // configs, so the speedup isolates batching: a 1-pair engine job keeps
-// at most one worker busy, a coalesced batch uses the whole pool.
+// at most one lane busy, a coalesced batch uses the whole pool.
 //
 // The load generator is open-loop: each client thread sends on a fixed
 // schedule (HIERGAT_BENCH_SERVE_RATE total requests/sec; 0 = unpaced
@@ -245,7 +245,7 @@ int main_impl(int argc, char** argv) {
       speedup, kEngineThreads);
   std::printf(
       "note: the coalescing win scales with free cores — a batch spreads "
-      "across all engine workers while a 1-pair job uses one; on a "
+      "across all engine lanes while a 1-pair job uses one; on a "
       "single-core host only the amortized dispatch overhead remains.\n");
 
   if (!bench::WriteBenchJson(bench::JsonOutPath(argc, argv), result)) {

@@ -31,7 +31,7 @@ int main() {
               data.TotalSize(), data.PositiveCount(), data.NumAttributes());
 
   // 2. Session: pairwise HierGAT with the small MiniLM backbone plus a
-  //    4-worker inference engine, in one call. The backbone is
+  //    4-lane inference engine, in one call. The backbone is
   //    pre-trained on the dataset's unlabeled text, then the whole
   //    stack fine-tunes end-to-end; TrainOptions::seed drives both
   //    stages. Set options.checkpoint_path to resume a saved model
@@ -62,8 +62,8 @@ int main() {
   std::printf("\ntest metrics: %s\n", result.ToString().c_str());
 
   // 4. Batch-score the test pairs — the production path for blocker
-  //    output. The session routes through its engine (work-stealing
-  //    pool + summary cache) and the compiled scoring graphs
+  //    output. The session routes through its engine (thread pool
+  //    + summary cache) and the compiled scoring graphs
   //    (DESIGN.md §11); repeated same-shape batches replay planned
   //    arena graphs instead of re-running eager ops.
   const std::vector<float> probabilities = session->Score(data.test);
@@ -75,7 +75,7 @@ int main() {
               pair.label);
 
   // 5. Observability: every stage above recorded metrics (cache hit
-  //    rate, compiled-graph replays, per-worker steals, batch latency,
+  //    rate, compiled-graph replays, batch latency,
   //    training telemetry). Export them Prometheus-style; see
   //    DESIGN.md §8.
   std::printf("\n--- metrics (Prometheus exposition) ---\n%s",

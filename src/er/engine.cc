@@ -1,14 +1,11 @@
 #include "er/engine.h"
 
 #include <algorithm>
-#include <optional>
-#include <string>
 
 #include "nn/introspection.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/threadpool.h"
 
 namespace hiergat {
 
@@ -24,11 +21,6 @@ obs::Counter& JobsCounter() {
 obs::Counter& ItemsCounter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("hiergat.engine.items");
-  return counter;
-}
-obs::Counter& StealsCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("hiergat.engine.steals");
   return counter;
 }
 obs::Histogram& BatchSecondsHistogram() {
@@ -66,160 +58,14 @@ obs::Gauge& QueueDepthGauge() {
   return gauge;
 }
 
-/// Smallest range a worker pops from its own slot per step: the model's
-/// ScoreBatch sees at least this many items at once (when available),
-/// so per-batch setup amortizes; stealing may hand out larger chunks.
+/// Most items per chunk: the model's ScoreBatch sees up to this many at
+/// once, so per-batch setup amortizes.
 constexpr int kGrain = 4;
-
-constexpr uint64_t Pack(int begin, int end) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(begin)) << 32) |
-         static_cast<uint32_t>(end);
-}
-
-constexpr int RangeBegin(uint64_t packed) {
-  return static_cast<int>(packed >> 32);
-}
-
-constexpr int RangeEnd(uint64_t packed) {
-  return static_cast<int>(packed & 0xffffffffu);
-}
-
-/// Owner side: claims up to `grain` items off the front of `slot`.
-bool PopFront(std::atomic<uint64_t>& slot, int grain, int* out_begin,
-              int* out_end) {
-  uint64_t cur = slot.load(std::memory_order_acquire);
-  for (;;) {
-    const int begin = RangeBegin(cur);
-    const int end = RangeEnd(cur);
-    if (begin >= end) return false;
-    const int take = std::min(grain, end - begin);
-    if (slot.compare_exchange_weak(cur, Pack(begin + take, end),
-                                   std::memory_order_acq_rel)) {
-      *out_begin = begin;
-      *out_end = begin + take;
-      return true;
-    }
-  }
-}
-
-/// Thief side: claims the back half of the victim's remaining range.
-bool StealBack(std::atomic<uint64_t>& slot, int* out_begin, int* out_end) {
-  uint64_t cur = slot.load(std::memory_order_acquire);
-  for (;;) {
-    const int begin = RangeBegin(cur);
-    const int end = RangeEnd(cur);
-    const int remaining = end - begin;
-    if (remaining <= 0) return false;
-    const int take = (remaining + 1) / 2;
-    if (slot.compare_exchange_weak(cur, Pack(begin, end - take),
-                                   std::memory_order_acq_rel)) {
-      *out_begin = end - take;
-      *out_end = end;
-      return true;
-    }
-  }
-}
 
 }  // namespace
 
 InferenceEngine::InferenceEngine(const EngineOptions& options)
-    : num_threads_(options.num_threads > 0
-                       ? options.num_threads
-                       : std::max(1u, std::thread::hardware_concurrency())),
-      slots_(static_cast<size_t>(num_threads_)) {
-  threads_.reserve(static_cast<size_t>(num_threads_));
-  for (int w = 0; w < num_threads_; ++w) {
-    threads_.emplace_back([this, w] { WorkerLoop(w); });
-  }
-}
-
-InferenceEngine::~InferenceEngine() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void InferenceEngine::WorkerLoop(int worker_id) {
-  // Introspection caches (last_attention() and friends) are mutable
-  // per-module state; recording from concurrent workers would race, and
-  // batch scoring has no use for the values.
-  SetAttentionRecording(false);
-  obs::SetTraceThreadName("engine-worker-" + std::to_string(worker_id));
-  // Shared thread budget with the tensor ThreadPool: when the engine
-  // already fans items across >1 workers, intra-op parallelism inside a
-  // worker would oversubscribe the machine, so kernels launched from
-  // here run serial (see ScopedParallelismBan). A 1-worker engine keeps
-  // intra-op parallelism — the pool's lanes are then the only users.
-  std::optional<ScopedParallelismBan> intra_op_ban;
-  if (num_threads_ > 1) intra_op_ban.emplace();
-  uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    cv_.wait(lock, [&] {
-      return shutdown_ || job_generation_ != seen_generation;
-    });
-    if (shutdown_) return;
-    seen_generation = job_generation_;
-    const std::function<void(int, int)> fn = job_fn_;
-    // job_fn_ is non-null only while a job is in flight (set before the
-    // generation bump, reset after completion, all under mutex_). A null
-    // copy means this worker slept through the whole job; it must not
-    // enter ProcessRanges, or it could claim ranges of a later job whose
-    // accounting it never joined.
-    if (!fn) continue;
-    const obs::TraceContext job_context = job_context_;
-    ++active_workers_;
-    lock.unlock();
-    int processed;
-    {
-      // Adopt the caller's request context: spans recorded while
-      // scoring (engine.ScoreRange, model spans, graph nodes) link to
-      // the request that dispatched this job.
-      obs::ScopedTraceContext context_guard(job_context);
-      processed = ProcessRanges(worker_id, fn);
-    }
-    lock.lock();
-    --active_workers_;
-    done_items_ += processed;
-    if (done_items_ == job_total_ && active_workers_ == 0) {
-      done_cv_.notify_all();
-    }
-  }
-}
-
-int InferenceEngine::ProcessRanges(int worker_id,
-                                   const std::function<void(int, int)>& fn) {
-  int processed = 0;
-  std::atomic<uint64_t>& own = slots_[static_cast<size_t>(worker_id)].range;
-  for (;;) {
-    int begin, end;
-    if (PopFront(own, kGrain, &begin, &end)) {
-      {
-        HG_TRACE_SPAN("engine.ScoreRange");
-        fn(begin, end);
-      }
-      processed += end - begin;
-      continue;
-    }
-    bool stole = false;
-    for (int k = 1; k < num_threads_ && !stole; ++k) {
-      const int victim = (worker_id + k) % num_threads_;
-      if (StealBack(slots_[static_cast<size_t>(victim)].range, &begin,
-                    &end)) {
-        // Publish the stolen range as our own so other thieves can
-        // split it further; an empty slot is never CAS-matched, so the
-        // plain store cannot clobber a concurrent steal.
-        own.store(Pack(begin, end), std::memory_order_release);
-        StealsCounter().Increment();
-        stole = true;
-      }
-    }
-    if (!stole) return processed;  // Every slot drained.
-  }
-}
+    : pool_(options.num_threads) {}
 
 void InferenceEngine::RunJob(int total,
                              const std::function<void(int, int)>& process) {
@@ -230,9 +76,8 @@ void InferenceEngine::RunJob(int total,
   obs::ScopedTraceRoot trace_root;
   HG_TRACE_SPAN("InferenceEngine::RunJob");
   // One job at a time: Score/Evaluate may be called from multiple
-  // caller threads, but slots_/job_fn_/done_items_ describe a single
-  // in-flight job, so callers queue here for the pool. queue_wait is
-  // the time a caller spends behind other callers' jobs.
+  // caller threads, and they queue here for the pool. queue_wait is the
+  // time a caller spends behind other callers' jobs.
   const uint64_t enqueue_ns = obs::MonotonicNowNs();
   const int depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
   QueueDepthGauge().Add(1);
@@ -247,30 +92,18 @@ void InferenceEngine::RunJob(int total,
   BatchItemsHistogram().Observe(static_cast<double>(total));
   obs::RecordFlightEvent(obs::FlightEventKind::kJobStart, "engine.RunJob",
                          total);
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Even contiguous partition of [0, total); trailing workers may get
-  // an empty slot when there are fewer items than threads.
-  const int chunk = total / num_threads_;
-  const int remainder = total % num_threads_;
-  int begin = 0;
-  for (int w = 0; w < num_threads_; ++w) {
-    const int len = chunk + (w < remainder ? 1 : 0);
-    slots_[static_cast<size_t>(w)].range.store(Pack(begin, begin + len),
-                                               std::memory_order_release);
-    begin += len;
-  }
-  job_fn_ = process;
-  job_context_ = obs::CurrentTraceContext();
-  job_total_ = total;
-  done_items_ = 0;
-  ++job_generation_;
-  cv_.notify_all();
-  // Wait until all items are scored AND every worker left ProcessRanges
-  // (a worker still inside could otherwise race the next job's slots).
-  done_cv_.wait(lock,
-                [&] { return done_items_ == job_total_ && active_workers_ == 0; });
-  job_fn_ = nullptr;
-  job_context_ = obs::TraceContext{};
+  // Chunks of up to kGrain items, but no larger than an even split, so
+  // a job of fewer than lanes * kGrain items still reaches every lane.
+  const int lanes = pool_.num_threads();
+  const int grain = std::clamp((total + lanes - 1) / lanes, 1, kGrain);
+  pool_.ParallelFor(0, total, grain, [&](int64_t begin, int64_t end) {
+    // Introspection caches (last_attention() and friends) are mutable
+    // per-module state; recording from concurrent lanes would race, and
+    // batch scoring has no use for the values.
+    AttentionRecordingGuard no_recording(false);
+    HG_TRACE_SPAN("engine.ScoreRange");
+    process(static_cast<int>(begin), static_cast<int>(end));
+  });
   BatchSecondsHistogram().Observe(
       static_cast<double>(obs::MonotonicNowNs() - start_ns) * 1e-9);
   obs::RecordFlightEvent(obs::FlightEventKind::kJobDone, "engine.RunJob",

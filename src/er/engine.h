@@ -2,52 +2,55 @@
 #define HIERGAT_ER_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "er/metrics.h"
 #include "er/model.h"
-#include "obs/trace.h"
+#include "tensor/threadpool.h"
 
 namespace hiergat {
 
 struct EngineOptions {
-  /// Worker threads; 0 picks std::thread::hardware_concurrency().
+  /// Scoring lanes, the calling thread included; 0 picks
+  /// std::thread::hardware_concurrency().
   int num_threads = 0;
 };
 
 /// Batched, multi-threaded inference over trained matchers.
 ///
-/// A fixed pool of workers splits the input range evenly; each worker
-/// pops grains (4 items, so the model's ScoreBatch amortizes per-batch
-/// setup) off the front of its own range and, when dry, steals the
-/// back half of a peer's remaining range (lock-free packed-range CAS).
+/// Each job is one ThreadPool::ParallelFor over the input range on the
+/// engine's own pool, whose lanes include the calling thread. Chunks
+/// hold up to 4 items (fewer when that is what spreads the job over
+/// every lane), so the model's ScoreBatch amortizes per-batch setup.
 /// Scored through PairwiseModel::ScoreBatch, whose contract (constness,
 /// determinism, split-invariance) makes the result bit-identical for
-/// any thread count. Workers score with attention recording off, so
-/// the models' introspection caches are never raced; call
+/// any thread count. Chunks score with attention recording off, so the
+/// models' introspection caches are never raced; call
 /// HierGatModel::InspectAttention from the owning thread instead.
+///
+/// Thread budget: kernels inside a chunk that the pool fanned out run
+/// serially (a nested ParallelFor on any pool runs inline), so a
+/// multi-lane engine never oversubscribes the machine. A job that fits
+/// one chunk, and every job of a 1-lane engine, runs inline on the
+/// caller, whose kernels may still fan out on ThreadPool::Global().
 ///
 /// The engine is reusable across calls and models; it does not own the
 /// models it scores. Score/Evaluate may be called from multiple caller
-/// threads: the pool runs one job at a time and concurrent calls are
+/// threads: the engine runs one job at a time and concurrent calls are
 /// serialized internally (each blocks until its own job completes).
 /// The engine never refuses work; shedding load is the server edge's
 /// job (the serve::DynamicBatcher queue cap, DESIGN.md §14).
 class InferenceEngine {
  public:
   explicit InferenceEngine(const EngineOptions& options = EngineOptions());
-  ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  int num_threads() const { return num_threads_; }
+  int num_threads() const { return pool_.num_threads(); }
 
   /// P(match) per pair, in input order. Equivalent to (but faster than)
   /// model.ScoreBatch(pairs) on one thread.
@@ -59,8 +62,8 @@ class InferenceEngine {
                       std::span<const EntityPair> pairs);
 
   /// Per-query candidate probabilities; queries are distributed across
-  /// workers (each query's candidate set stays whole — it is the unit
-  /// of collective inference).
+  /// lanes (each query's candidate set stays whole — it is the unit of
+  /// collective inference).
   std::vector<std::vector<float>> ScoreQueries(
       const CollectiveModel& model, std::span<const CollectiveQuery> queries);
 
@@ -69,43 +72,16 @@ class InferenceEngine {
                       std::span<const CollectiveQuery> queries);
 
  private:
-  /// One cache line per worker, so owner pops and peer steals on
-  /// neighbouring slots never contend.
-  struct alignas(64) Slot {
-    /// Packed half-open range begin<<32 | end; begin == end means empty.
-    std::atomic<uint64_t> range{0};
-  };
-
   /// Runs `process(begin, end)` over a partition of [0, total) on the
-  /// pool and blocks until every index is processed and all workers are
-  /// idle again.
+  /// pool and blocks until every index is processed.
   void RunJob(int total, const std::function<void(int, int)>& process);
-  void WorkerLoop(int worker_id);
-  int ProcessRanges(int worker_id, const std::function<void(int, int)>& fn);
 
-  int num_threads_;
-  std::vector<Slot> slots_;
-  std::vector<std::thread> threads_;
-
+  ThreadPool pool_;
   /// Serializes RunJob across caller threads; held for a whole job.
   std::mutex jobs_mutex_;
   /// Callers inside RunJob (queued or running); this engine's share of
   /// the process-wide `hiergat.engine.queue_depth` gauge.
   std::atomic<int> queue_depth_{0};
-
-  std::mutex mutex_;
-  std::condition_variable cv_;       // Wakes workers on a new job.
-  std::condition_variable done_cv_;  // Wakes the caller on completion.
-  bool shutdown_ = false;
-  uint64_t job_generation_ = 0;
-  std::function<void(int, int)> job_fn_;
-  /// The caller's request context for the in-flight job (same lifecycle
-  /// and locking as job_fn_); workers install it so every span they
-  /// record carries the request's trace id.
-  obs::TraceContext job_context_;
-  int job_total_ = 0;
-  int done_items_ = 0;
-  int active_workers_ = 0;
 };
 
 }  // namespace hiergat

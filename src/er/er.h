@@ -4,7 +4,7 @@
 /// Umbrella header: the public surface of the ER system in one include.
 /// Typical flow: load/generate a dataset, Session::Open(...), Train,
 /// then batch-score blocker output through Session::Score (which routes
-/// through the engine's worker pool). Session::Open is the one way to
+/// through the engine's thread pool). Session::Open is the one way to
 /// build a matcher by name or restore one from a checkpoint; for
 /// long-lived serving, put Sessions behind serve::ModelRegistry +
 /// serve::Server (DESIGN.md §14).

@@ -431,7 +431,7 @@ bool HierGatModel::TryScorePairCompiled(const Hhg& hhg, const Tensor& wpc,
 
 std::vector<float> HierGatModel::ScoreBatch(
     std::span<const EntityPair> pairs) const {
-  // Direct callers get a per-call request context; engine workers carry
+  // Direct callers get a per-call request context; engine chunks carry
   // their job's context and inherit it here.
   obs::ScopedTraceRoot trace_root;
   HG_TRACE_SPAN("HierGatModel::ScoreBatch");

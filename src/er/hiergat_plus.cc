@@ -20,7 +20,7 @@ void HierGatPlusModel::Train(const CollectiveDataset& data,
 
 Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
                                             bool training, Rng& rng) const {
-  // Direct callers get a per-query request context; engine workers
+  // Direct callers get a per-query request context; engine chunks
   // carry their job's context and inherit it here.
   obs::ScopedTraceRoot trace_root;
   HG_CHECK(stack_.built)

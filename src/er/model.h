@@ -39,7 +39,7 @@ struct TrainOptions {
 /// Inference API: `ScoreBatch` is the primary entry point — blockers
 /// emit candidate *batches*, and the batch form is what lets a matcher
 /// amortize per-entity work (see HierGatModel's summary cache) and the
-/// InferenceEngine spread ranges across worker threads. Scoring is
+/// InferenceEngine spread ranges across its thread pool's lanes. Scoring is
 /// const: inference never mutates the model, so concurrent ScoreBatch
 /// calls on one trained model are safe. `PredictProbability` remains as
 /// a thin convenience wrapper for one-off pairs; hand-rolled per-pair

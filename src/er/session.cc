@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string>
 #include <utility>
 
 #include "core/logging.h"
@@ -14,6 +15,7 @@
 #include "er/hiergat_plus.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
+#include "tensor/threadpool.h"
 
 namespace hiergat {
 
@@ -93,6 +95,12 @@ StatusOr<std::unique_ptr<Base>> LoadTagged(const std::string& path,
 
 StatusOr<std::unique_ptr<Session>> Session::Open(
     const SessionOptions& options) {
+  const int threads = options.engine.num_threads;
+  if (threads < 0 || threads > kMaxThreads) {
+    return Status::InvalidArgument(
+        "engine.num_threads " + std::to_string(threads) +
+        " is not in [0, " + std::to_string(kMaxThreads) + "]");
+  }
   std::unique_ptr<Session> session(new Session());
 
   if (options.collective) {

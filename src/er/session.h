@@ -41,7 +41,8 @@ struct SessionOptions {
   /// negative keeps each model's own default.
   int lm_pretrain_steps = -1;
 
-  /// Inference-engine worker threads (`engine.num_threads`).
+  /// Inference-engine lanes (`engine.num_threads`, the calling thread
+  /// included; 0 means hardware concurrency, at most kMaxThreads).
   EngineOptions engine;
 };
 
@@ -55,13 +56,15 @@ struct SessionOptions {
 ///   std::vector<float> probs = session_or.value()->Score(pairs);
 ///
 /// A Session owns its model and engine; scoring entry points route
-/// through the engine's worker pool, so concurrent calls from several
+/// through the engine's thread pool, so concurrent calls from several
 /// caller threads are safe (jobs serialize; see InferenceEngine).
 class Session {
  public:
   /// Builds (or, with `checkpoint_path`, loads) the model and starts
-  /// the engine. An unknown matcher name, or a checkpoint of the other
-  /// family (pairwise vs collective), is InvalidArgument.
+  /// the engine. An unknown matcher name, a checkpoint of the other
+  /// family (pairwise vs collective), or an `engine.num_threads` outside
+  /// [0, kMaxThreads] is InvalidArgument (the last before any thread
+  /// starts).
   static StatusOr<std::unique_ptr<Session>> Open(
       const SessionOptions& options = SessionOptions());
 

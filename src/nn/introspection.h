@@ -9,10 +9,10 @@ namespace hiergat {
 // `mutable` member so visualizations (Figure 9, InspectAttention) can
 // read them after a forward pass. Those writes are harmless on a single
 // thread but are data races when the inference engine scores pairs from
-// a worker pool, and they cost time on every forward even when nobody
-// reads them. The flag below is thread-local: engine workers turn
-// recording off for their own forwards while the main thread keeps the
-// default-on behavior, so existing introspection code is unaffected.
+// a thread pool, and they cost time on every forward even when nobody
+// reads them. The flag below is thread-local: each engine chunk turns
+// recording off for its own forwards and restores the thread's previous
+// value after, so introspection outside the engine is unaffected.
 
 namespace internal_introspection {
 inline thread_local bool g_record_attention = true;
@@ -23,8 +23,7 @@ inline bool AttentionRecordingEnabled() {
   return internal_introspection::g_record_attention;
 }
 
-/// Sets the flag for the current thread (workers call this once at
-/// startup); returns the previous value.
+/// Sets the flag for the current thread; returns the previous value.
 inline bool SetAttentionRecording(bool enabled) {
   const bool previous = internal_introspection::g_record_attention;
   internal_introspection::g_record_attention = enabled;

@@ -97,7 +97,7 @@ class Histogram {
 /// resolve a metric once (static local) and then touch only its atomics.
 ///
 /// Naming scheme: `hiergat.<component>.<name>` — e.g.
-/// `hiergat.engine.steals`, `hiergat.cache.hits` (see DESIGN.md §8).
+/// `hiergat.engine.jobs`, `hiergat.cache.hits` (see DESIGN.md §8).
 class MetricsRegistry {
  public:
   /// The process-wide registry (leaky singleton: never destructed, so

@@ -16,9 +16,9 @@ namespace obs {
 /// Request-scoped trace identity: a trace id naming one logical request
 /// (one Session::Score / ScoreBatch call) plus the span id of the
 /// request's root span. The context lives in a thread-local slot and is
-/// copied — not shared — across thread hops: the engine hands it to its
-/// workers with each job, the ThreadPool hands it to chunk runners with
-/// each task, and compiled-graph replay inherits whatever the executing
+/// copied — not shared — across thread hops: a ThreadPool (the engine's
+/// own or the global one) hands it to chunk runners with each task, and
+/// compiled-graph replay inherits whatever the executing
 /// thread carries. Every completed span is stamped with the current
 /// trace id, so a Perfetto trace groups engine-job, threadpool-chunk,
 /// and graph-node spans under one per-request id instead of showing
@@ -37,8 +37,8 @@ TraceContext CurrentTraceContext();
 TraceContext NewTraceContext();
 
 /// RAII: installs `context` on this thread, restoring the previous
-/// context on destruction. Used at every thread hop (engine workers,
-/// threadpool chunk runners) to re-home the dispatcher's context.
+/// context on destruction. Used at every thread hop (threadpool chunk
+/// runners) to re-home the dispatcher's context.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext context);
@@ -52,7 +52,7 @@ class ScopedTraceContext {
 
 /// RAII: installs a fresh context only when the thread has none — the
 /// request-entry guard. Nested entry points (ScoreBatch called from an
-/// engine worker that already carries the job's context) inherit
+/// engine chunk that already carries the job's context) inherit
 /// instead of re-rooting.
 class ScopedTraceRoot {
  public:

@@ -3,8 +3,8 @@
 
 /// Dynamic batching and admission for the serving layer (DESIGN.md
 /// §14). Network requests arrive as small pair lists (often a single
-/// pair); scoring each one as its own engine job wastes the worker pool
-/// — a 1-pair job keeps at most one of the engine's workers busy, and
+/// pair); scoring each one as its own engine job wastes the thread pool
+/// — a 1-pair job keeps at most one of the engine's lanes busy, and
 /// per-job dispatch overhead is paid per pair. The batcher coalesces
 /// concurrent requests targeting the same Session into one Score call.
 ///

@@ -14,7 +14,7 @@
 ///      can never produce a score.
 ///   3. The old Session drains via its refcount: in-flight batches
 ///      hold a shared_ptr and finish on the old weights; the last
-///      release runs ~Session (which joins the engine's workers).
+///      release runs ~Session (which joins the engine pool's workers).
 ///
 /// Requests therefore always score against exactly one fully-loaded
 /// model version — never a mix, never a partial load.

@@ -124,7 +124,7 @@ constexpr int kGemmRowMultiple = 4;
 bool RunSerial(const ThreadPool* pool, int rows, int64_t work,
                int64_t min_work) {
   return pool == nullptr || pool->num_threads() <= 1 || rows < 2 ||
-         work < min_work || ParallelismBanned();
+         work < min_work || InParallelChunk();
 }
 
 /// Rows per chunk targeting ~4 chunks per lane, rounded up to

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <system_error>
 
+#include "core/logging.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,18 +18,19 @@ namespace hiergat {
 
 namespace {
 
-// Spin iterations between tasks before a worker parks on the condvar.
-// Replay dispatches a ParallelFor every few microseconds, so a short
-// spin usually catches the next task; the count is small enough that an
-// idle pool parks within tens of microseconds.
-constexpr int kSpinIterations = 2048;
+// How long a worker spins (yielding) for the next task before it parks
+// on the condvar. Replay dispatches a ParallelFor every few
+// microseconds, so the spin catches the next node; a pool idle for
+// longer (an engine between serving batches) parks, and its lanes stop
+// taking CPU from the threads that produce the next batch. Bounded in
+// time, not in yields: a yield takes ~0.4us on an idle host and longer
+// on a busy one.
+constexpr std::chrono::microseconds kSpinTime(50);
 
 // True while this thread is executing a ParallelFor chunk; a nested
 // ParallelFor from inside a kernel runs inline instead of deadlocking
 // on the single-task pool.
 thread_local bool tls_in_chunk = false;
-
-thread_local int tls_parallelism_ban = 0;
 
 obs::Counter& Tasks() {
   static obs::Counter& counter =
@@ -43,6 +46,11 @@ obs::Counter& Parks() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("hiergat.threadpool.parks");
   return counter;
+}
+obs::Gauge& ThreadsGauge() {
+  static obs::Gauge& gauge =
+      obs::MetricsRegistry::Global().GetGauge("hiergat.threadpool.threads");
+  return gauge;
 }
 
 }  // namespace
@@ -63,12 +71,10 @@ int ParseNumThreads(const char* text) {
   return 0;
 }
 
-bool ParallelismBanned() { return tls_parallelism_ban > 0; }
-
-ScopedParallelismBan::ScopedParallelismBan() { ++tls_parallelism_ban; }
-ScopedParallelismBan::~ScopedParallelismBan() { --tls_parallelism_ban; }
+bool InParallelChunk() { return tls_in_chunk; }
 
 ThreadPool::ThreadPool(int num_threads) {
+  HG_CHECK_LE(num_threads, kMaxThreads);
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
   }
@@ -77,9 +83,8 @@ ThreadPool::ThreadPool(int num_threads) {
   for (int i = 0; i < num_threads - 1; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  obs::MetricsRegistry::Global()
-      .GetGauge("hiergat.threadpool.threads")
-      .Set(num_threads);
+  // Summed over live pools: every engine owns one beside Global().
+  ThreadsGauge().Add(num_threads);
 }
 
 ThreadPool::~ThreadPool() {
@@ -91,6 +96,7 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
+  ThreadsGauge().Add(-num_threads());
 }
 
 ThreadPool& ThreadPool::Global() {
@@ -103,7 +109,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
   uint64_t seen_epoch = 0;
   for (;;) {
     // Spin-then-park until a new task is published or we shut down.
-    int spins = 0;
+    const auto spin_end = std::chrono::steady_clock::now() + kSpinTime;
     for (;;) {
       if (shutdown_.load(std::memory_order_acquire)) return;
       const uint64_t epoch = epoch_.load(std::memory_order_acquire);
@@ -111,7 +117,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
         seen_epoch = epoch;
         break;
       }
-      if (++spins < kSpinIterations) {
+      if (std::chrono::steady_clock::now() < spin_end) {
         std::this_thread::yield();
         continue;
       }
@@ -121,7 +127,6 @@ void ThreadPool::WorkerLoop(int worker_index) {
         return shutdown_.load(std::memory_order_relaxed) ||
                epoch_.load(std::memory_order_relaxed) != seen_epoch;
       });
-      spins = 0;
     }
     {
       // Shared hold for the whole claim loop: the next dispatcher's
@@ -157,8 +162,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
                              const std::function<void(int64_t, int64_t)>& fn) {
   if (end <= begin) return;
   grain = std::max<int64_t>(1, grain);
-  if (workers_.empty() || end - begin <= grain || ParallelismBanned() ||
-      tls_in_chunk) {
+  if (workers_.empty() || end - begin <= grain || tls_in_chunk) {
     fn(begin, end);
     return;
   }

@@ -14,8 +14,9 @@
 
 namespace hiergat {
 
-/// Most threads any configured count may ask for: HIERGAT_NUM_THREADS
-/// and hiergat_serve --threads are refused above it, so a typo cannot
+/// Most threads any configured count may ask for: HIERGAT_NUM_THREADS,
+/// hiergat_serve --threads and Session::Open's EngineOptions are refused
+/// above it, and a ThreadPool check-fails above it, so a typo cannot
 /// start millions of threads.
 inline constexpr int kMaxThreads = 1024;
 
@@ -30,9 +31,10 @@ int ParseNumThreads(const char* text);
 /// (backend::ParallelGemmNN etc.) and compiled-graph replay. Workers are
 /// started once and live for the pool's lifetime: a dispatch is one
 /// atomic epoch bump plus (when a worker has parked) one condvar
-/// notify, not a thread spawn. Workers spin briefly between tasks
-/// before parking, so back-to-back ParallelFor calls — the per-node
-/// cadence of graph replay — never pay a futex round trip.
+/// notify, not a thread spawn. Workers spin for up to 50us between
+/// tasks before parking, so back-to-back ParallelFor calls — the
+/// per-node cadence of graph replay — never pay a futex round trip,
+/// while a pool idle for longer (an engine between batches) parks.
 ///
 /// Determinism contract: ParallelFor partitions [begin, end) into
 /// fixed chunks of `grain` iterations derived from the arguments alone,
@@ -43,12 +45,14 @@ int ParseNumThreads(const char* text);
 /// count, including the serial num_threads == 1 case.
 ///
 /// Exported metrics: `hiergat.threadpool.{tasks,chunks,parks}` counters
-/// and the `hiergat.threadpool.threads` gauge.
+/// and the `hiergat.threadpool.threads` gauge (lanes summed over every
+/// live pool).
 class ThreadPool {
  public:
   /// `num_threads` counts the caller as one lane: a pool of N runs
   /// N - 1 background workers and the dispatching thread participates.
-  /// 0 means std::thread::hardware_concurrency().
+  /// 0 means std::thread::hardware_concurrency(); more than kMaxThreads
+  /// is a fatal check, raised before any thread starts.
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -67,10 +71,9 @@ class ThreadPool {
   /// chunks of `grain` iterations, blocking until every chunk is done.
   /// The caller executes chunks alongside the workers. Runs inline
   /// (one fn(begin, end) call) when the pool has no workers, the range
-  /// fits in one chunk, parallelism is banned on this thread (see
-  /// ScopedParallelismBan), or the call is nested inside another
-  /// ParallelFor chunk. Concurrent callers are serialized: the pool
-  /// executes one task at a time.
+  /// fits in one chunk, or the call is nested inside a ParallelFor chunk
+  /// of this or any other pool (see InParallelChunk). Concurrent callers
+  /// are serialized: the pool executes one task at a time.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& fn);
 
@@ -114,22 +117,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// True while intra-op parallelism is banned on the calling thread:
-/// ParallelFor runs inline and the parallel kernels stay serial. The
-/// InferenceEngine installs the ban on its workers when it runs more
-/// than one of them — inter-job parallelism already owns the cores, and
-/// nested fan-out would just thrash a fixed thread budget.
-bool ParallelismBanned();
-
-/// RAII scope that bans intra-op parallelism on this thread (counted,
-/// so scopes nest).
-class ScopedParallelismBan {
- public:
-  ScopedParallelismBan();
-  ~ScopedParallelismBan();
-  ScopedParallelismBan(const ScopedParallelismBan&) = delete;
-  ScopedParallelismBan& operator=(const ScopedParallelismBan&) = delete;
-};
+/// True while the calling thread runs a ParallelFor chunk of any pool.
+/// A nested ParallelFor then runs inline, and the parallel kernels stay
+/// serial: the outer fan-out already owns the lanes (the InferenceEngine
+/// scores its chunks this way), and nested fan-out would only thrash a
+/// fixed thread budget.
+bool InParallelChunk();
 
 }  // namespace hiergat
 

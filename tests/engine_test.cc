@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "er/summary_cache.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
+#include "tensor/threadpool.h"
 
 namespace hiergat {
 namespace {
@@ -181,6 +183,73 @@ class BlockingModel : public PairwiseModel {
   mutable std::atomic<bool> release_{false};
 };
 
+/// A model that records, per ScoreBatch call, the slice size, the
+/// calling thread, and how many calls a nested
+/// ThreadPool::Global().ParallelFor made — the engine's thread budget,
+/// seen from inside a chunk.
+class BudgetProbeModel : public PairwiseModel {
+ public:
+  struct Call {
+    size_t slice = 0;
+    std::thread::id thread;
+    int nested_calls = 0;
+  };
+  std::string name() const override { return "budget-probe"; }
+  void Train(const PairDataset&, const TrainOptions&) override {}
+  float ScorePair(const EntityPair&) const override { return 0.5f; }
+  std::vector<float> ScoreBatch(
+      std::span<const EntityPair> pairs) const override {
+    std::atomic<int> nested{0};
+    ThreadPool::Global().ParallelFor(
+        0, 1000, 10, [&](int64_t, int64_t) { nested.fetch_add(1); });
+    std::lock_guard<std::mutex> lock(mutex_);
+    calls_.push_back({pairs.size(), std::this_thread::get_id(), nested.load()});
+    return std::vector<float>(pairs.size(), 0.5f);
+  }
+  std::vector<Call> calls() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<Call> calls_;
+};
+
+TEST(EngineBudgetTest, MultiLaneEngineSpreadsSmallJobsAndRunsKernelsInline) {
+  // 8 pairs on 4 lanes: chunks of at most 2 pairs reach every lane, and
+  // a kernel's ParallelFor inside a chunk runs as one inline call.
+  BudgetProbeModel model;
+  InferenceEngine engine(EngineOptions{.num_threads = 4});
+  const std::vector<EntityPair> pairs(8);
+  ASSERT_EQ(engine.Score(model, pairs).size(), 8u);
+  const std::vector<BudgetProbeModel::Call> calls = model.calls();
+  EXPECT_EQ(calls.size(), 4u);
+  size_t scored = 0;
+  for (const BudgetProbeModel::Call& call : calls) {
+    EXPECT_LE(call.slice, 2u);
+    EXPECT_EQ(call.nested_calls, 1);
+    scored += call.slice;
+  }
+  EXPECT_EQ(scored, 8u);
+}
+
+TEST(EngineBudgetTest, SingleLaneEngineScoresOnTheCallingThread) {
+  BudgetProbeModel model;
+  InferenceEngine engine(EngineOptions{.num_threads = 1});
+  EXPECT_EQ(engine.num_threads(), 1);
+  const std::vector<EntityPair> pairs(8);
+  ASSERT_EQ(engine.Score(model, pairs).size(), 8u);
+  const std::vector<BudgetProbeModel::Call> calls = model.calls();
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].slice, 8u);
+  EXPECT_EQ(calls[0].thread, std::this_thread::get_id());
+  // Not inside a pool chunk, so the kernels keep intra-op parallelism.
+  if (ThreadPool::Global().num_threads() > 1) {
+    EXPECT_GT(calls[0].nested_calls, 1);
+  }
+}
+
 /// Shared trained models so the (expensive) training runs once.
 class EngineParityTest : public ::testing::Test {
  protected:
@@ -327,7 +396,7 @@ TEST_F(EngineParityTest, HandlesEmptyAndTinyBatches) {
   EXPECT_TRUE(
       engine.Score(*magellan_, std::span<const EntityPair>()).empty());
 
-  // Fewer items than workers: trailing slots are empty ranges.
+  // Fewer items than lanes: one single-item chunk per item.
   const std::span<const EntityPair> two(data_->test.data(), 2);
   const std::vector<float> batched = engine.Score(*magellan_, two);
   ASSERT_EQ(batched.size(), 2u);
@@ -345,11 +414,12 @@ TEST_F(EngineParityTest, EngineIsReusableAcrossCallsAndModels) {
   ASSERT_EQ(b.size(), 8u);
 }
 
-TEST_F(EngineParityTest, RepeatedTinyJobsToleratStragglerWorkers) {
-  // Regression: with more workers than items, most workers sleep
-  // through each short job; a straggler waking after RunJob returned
-  // must not copy a null job_fn_ or claim ranges of the next job.
-  // Many back-to-back tiny jobs make that interleaving likely.
+TEST_F(EngineParityTest, RepeatedTinyJobsTolerateStragglerWorkers) {
+  // With more lanes than items, most pool workers sleep through each
+  // short job; a straggler waking after the job returned must not read
+  // the next job's task fields mid-rewrite or claim its chunks (the
+  // pool's state_mutex_ waits stragglers out). Many back-to-back tiny
+  // jobs make that interleaving likely.
   InferenceEngine engine(EngineOptions{.num_threads = 8});
   const std::span<const EntityPair> two(data_->test.data(), 2);
   const float p0 = magellan_->PredictProbability(data_->test[0]);

@@ -11,6 +11,7 @@
 
 #include "data/synthetic.h"
 #include "er/er.h"
+#include "obs/metrics.h"
 
 namespace hiergat {
 namespace {
@@ -57,6 +58,24 @@ TEST(SessionTest, UnknownMatcherNameIsAnError) {
   auto session_or = Session::Open(options);
   EXPECT_FALSE(session_or.ok());
   EXPECT_EQ(session_or.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SessionTest, EngineThreadCountOutsideBoundsIsAnError) {
+  // Refused before the engine's pool exists: the live-lanes gauge does
+  // not move, so no thread was started.
+  const obs::Gauge& lanes =
+      obs::MetricsRegistry::Global().GetGauge("hiergat.threadpool.threads");
+  const double before = lanes.Value();
+  for (const int threads : {-1, kMaxThreads + 1}) {
+    SessionOptions options;
+    options.matcher = "magellan";
+    options.engine.num_threads = threads;
+    auto session_or = Session::Open(options);
+    ASSERT_FALSE(session_or.ok()) << threads;
+    EXPECT_EQ(session_or.status().code(), StatusCode::kInvalidArgument)
+        << threads;
+    EXPECT_EQ(lanes.Value(), before) << threads;
+  }
 }
 
 TEST(SessionTest, EveryMatcherNameOpensItsModel) {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace hiergat {
 namespace {
 
@@ -121,25 +123,44 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   EXPECT_EQ(total.load(), 8 * 100);
 }
 
-TEST(ThreadPoolTest, ScopedBanForcesInline) {
-  ThreadPool pool(4);
-  EXPECT_FALSE(ParallelismBanned());
-  {
-    ScopedParallelismBan ban;
-    EXPECT_TRUE(ParallelismBanned());
-    {
-      ScopedParallelismBan nested;  // Counted: scopes nest.
-      EXPECT_TRUE(ParallelismBanned());
-    }
-    EXPECT_TRUE(ParallelismBanned());
-    std::vector<int> calls;  // Unguarded: inline means single-threaded.
-    pool.ParallelFor(0, 1000, 10, [&](int64_t b, int64_t e) {
-      calls.push_back(static_cast<int>(e - b));
+TEST(ThreadPoolTest, NestedParallelForOnAnotherPoolRunsInline) {
+  // The thread budget: a chunk of pool A that calls ParallelFor on pool
+  // B (an engine chunk reaching a kernel on Global()) runs B's range as
+  // one inline call on its own thread instead of fanning out again.
+  ThreadPool outer(4);
+  ThreadPool inner(4);
+  std::atomic<int> outer_chunks{0};
+  std::atomic<int> bad_nested{0};
+  outer.ParallelFor(0, 8, 1, [&](int64_t, int64_t) {
+    outer_chunks.fetch_add(1, std::memory_order_relaxed);
+    EXPECT_TRUE(InParallelChunk());
+    const std::thread::id self = std::this_thread::get_id();
+    int calls = 0;  // Unguarded: inline means this thread only.
+    inner.ParallelFor(0, 1000, 10, [&](int64_t b, int64_t e) {
+      ++calls;
+      if (std::this_thread::get_id() != self || b != 0 || e != 1000) {
+        bad_nested.fetch_add(1, std::memory_order_relaxed);
+      }
     });
-    ASSERT_EQ(calls.size(), 1u);
-    EXPECT_EQ(calls[0], 1000);
+    if (calls != 1) bad_nested.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(outer_chunks.load(), 8);
+  EXPECT_EQ(bad_nested.load(), 0);
+  EXPECT_FALSE(InParallelChunk());
+}
+
+TEST(ThreadPoolTest, ThreadsGaugeSumsLivePools) {
+  // Every engine owns a pool beside Global(), so the gauge must count
+  // the lanes of all of them, not whichever pool was built last.
+  const obs::Gauge& lanes =
+      obs::MetricsRegistry::Global().GetGauge("hiergat.threadpool.threads");
+  const double before = lanes.Value();
+  {
+    ThreadPool three(3);
+    ThreadPool two(2);
+    EXPECT_EQ(lanes.Value(), before + 5);
   }
-  EXPECT_FALSE(ParallelismBanned());
+  EXPECT_EQ(lanes.Value(), before);
 }
 
 TEST(ThreadPoolTest, ConcurrentDispatchersSerialize) {

@@ -67,7 +67,8 @@ void PrintUsage(const char* argv0) {
       "  --model_dir=DIR        publish every *.ckpt in DIR (name = stem)\n"
       "  --host=ADDR            bind address         (default 127.0.0.1)\n"
       "  --port=N               TCP port, 0=ephemeral (default 7071)\n"
-      "  --threads=N            engine workers/model, 0=auto (default 0)\n"
+      "  --threads=N            engine lanes per model; the calling thread\n"
+      "                         is one, 0=auto (default 0)\n"
       "  --max_batch_size=N     pairs per coalesced batch (default 32)\n"
       "  --max_delay_us=N       batch hold time in usec  (default 1000)\n"
       "  --max_pending_pairs=N  admission cap, 0=off     (default 8192)\n"
