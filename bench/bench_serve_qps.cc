@@ -168,7 +168,7 @@ int main_impl(int argc, char** argv) {
 
   const int client_threads = 8;
   const int requests_per_thread = std::max(
-      10, static_cast<int>(bench::IntEnv("HIERGAT_BENCH_SERVE_REQUESTS", 30) *
+      10, static_cast<int>(bench::IntEnv("HIERGAT_BENCH_SERVE_REQUESTS", 150) *
                            bench::Scale()));
   const double rate = static_cast<double>(
       bench::IntEnv("HIERGAT_BENCH_SERVE_RATE", 0));  // 0 = unpaced.

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "core/logging.h"
-#include "core/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -151,98 +149,6 @@ std::vector<CandidatePair> ProgressiveCandidates::NextBatch() {
   if (!searched_) SearchAll();
   if (next_band_ >= bands_.size()) return {};
   return std::move(bands_[next_band_++]);
-}
-
-namespace {
-
-/// Shuffles indices [0, n) and splits them 3:1:1 — the same protocol as
-/// blocker.cc's SplitIndices so TF-IDF and embedding builds see
-/// identical query splits for a given seed.
-void SplitIndicesEmbed(int n, uint64_t seed, std::vector<int>* train,
-                       std::vector<int>* valid, std::vector<int>* test) {
-  std::vector<int> order(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-  Rng rng(seed);
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.NextUint64(i)]);
-  }
-  const size_t train_end = order.size() * 3 / 5;
-  const size_t valid_end = order.size() * 4 / 5;
-  train->assign(order.begin(), order.begin() + train_end);
-  valid->assign(order.begin() + train_end, order.begin() + valid_end);
-  test->assign(order.begin() + valid_end, order.end());
-}
-
-}  // namespace
-
-CollectiveDataset BuildCollectiveEmbed(const TwoTableDataset& raw,
-                                       const EmbedBlockOptions& options) {
-  HG_TRACE_SPAN("BuildCollectiveEmbed");
-  std::unordered_map<int, int> gold;
-  for (const auto& [a, b] : raw.matches) gold[a] = b;
-
-  CollectiveDataset out;
-  out.name = raw.name;
-  std::vector<int> train, valid, test;
-  SplitIndicesEmbed(static_cast<int>(raw.table_a.size()), options.seed,
-                    &train, &valid, &test);
-
-  // §6.3: split first, then block inside each split.
-  EmbedBlocker blocker(options);
-  blocker.AddAll(raw.table_b);
-  auto build = [&](const std::vector<int>& queries,
-                   std::vector<CollectiveQuery>* split) {
-    for (int qi : queries) {
-      CollectiveQuery q;
-      q.query = raw.table_a[static_cast<size_t>(qi)];
-      const std::vector<AnnIndex::Hit> top =
-          blocker.TopN(q.query, options.top_n, /*exclude=*/-1);
-      const auto it = gold.find(qi);
-      for (const AnnIndex::Hit& hit : top) {
-        const int bj = static_cast<int>(hit.id);
-        q.candidates.push_back(raw.table_b[static_cast<size_t>(bj)]);
-        q.labels.push_back(it != gold.end() && it->second == bj ? 1 : 0);
-      }
-      split->push_back(std::move(q));
-    }
-  };
-  build(train, &out.train);
-  build(valid, &out.valid);
-  build(test, &out.test);
-  return out;
-}
-
-CollectiveDataset BuildCollectiveFromMultiSourceEmbed(
-    const MultiSourceDataset& raw, const EmbedBlockOptions& options) {
-  HG_TRACE_SPAN("BuildCollectiveFromMultiSourceEmbed");
-  CollectiveDataset out;
-  out.name = raw.name;
-  std::vector<int> train, valid, test;
-  SplitIndicesEmbed(static_cast<int>(raw.entities.size()), options.seed,
-                    &train, &valid, &test);
-  EmbedBlocker blocker(options);
-  blocker.AddAll(raw.entities);
-  auto build = [&](const std::vector<int>& queries,
-                   std::vector<CollectiveQuery>* split) {
-    for (int qi : queries) {
-      CollectiveQuery q;
-      q.query = raw.entities[static_cast<size_t>(qi)];
-      const std::vector<AnnIndex::Hit> top =
-          blocker.TopN(q.query, options.top_n, /*exclude=*/qi);
-      const int cluster = raw.cluster_ids[static_cast<size_t>(qi)];
-      for (const AnnIndex::Hit& hit : top) {
-        const int j = static_cast<int>(hit.id);
-        q.candidates.push_back(raw.entities[static_cast<size_t>(j)]);
-        q.labels.push_back(
-            raw.cluster_ids[static_cast<size_t>(j)] == cluster ? 1 : 0);
-      }
-      split->push_back(std::move(q));
-    }
-  };
-  build(train, &out.train);
-  build(valid, &out.valid);
-  build(test, &out.test);
-  return out;
 }
 
 }  // namespace hiergat

@@ -11,7 +11,6 @@
 #include "blocking/ann_index.h"
 #include "core/status.h"
 #include "data/entity.h"
-#include "data/synthetic.h"
 #include "text/hashed_embeddings.h"
 
 namespace hiergat {
@@ -27,7 +26,6 @@ using EmbeddingFn = std::function<std::vector<float>(const Entity&)>;
 struct EmbedBlockOptions {
   int top_n = 16;      ///< Candidates per query.
   int bands = 4;       ///< Progressive-emission similarity bands.
-  uint64_t seed = 23;  ///< Split shuffling seed (BuildCollectiveEmbed).
   AnnIndexOptions index;  ///< Underlying sharded HNSW tuning.
 };
 
@@ -135,18 +133,6 @@ class ProgressiveCandidates {
   std::vector<std::vector<CandidatePair>> bands_;
   std::vector<float> floors_;
 };
-
-/// `BuildCollective` with the embedding blocker in place of TF-IDF:
-/// same §6.3 protocol (split the queries 3:1:1 first, then block inside
-/// each split against the full table_b index), but candidate generation
-/// scales to millions of records.
-CollectiveDataset BuildCollectiveEmbed(const TwoTableDataset& raw,
-                                       const EmbedBlockOptions& options);
-
-/// `BuildCollectiveFromMultiSource` with the embedding blocker: every
-/// entity queries the index of all entities, excluding itself.
-CollectiveDataset BuildCollectiveFromMultiSourceEmbed(
-    const MultiSourceDataset& raw, const EmbedBlockOptions& options);
 
 }  // namespace hiergat
 

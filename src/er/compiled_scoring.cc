@@ -10,7 +10,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 #include "tensor/threadpool.h"
 
 namespace hiergat {
@@ -95,16 +94,10 @@ std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildCompareGraph()
     right[static_cast<size_t>(i)] = Tensor::Zeros({1, f});
     capture.MarkInput(right[static_cast<size_t>(i)]);
   }
-  Tensor left_entity, right_entity;
-  if (config_.entity_inputs) {
-    left_entity = Tensor::Zeros({1, k * f});
-    capture.MarkInput(left_entity);
-    right_entity = Tensor::Zeros({1, k * f});
-    capture.MarkInput(right_entity);
-  } else {
-    left_entity = config_.aggregator->SummarizeEntity(left);
-    right_entity = config_.aggregator->SummarizeEntity(right);
-  }
+  Tensor left_entity = Tensor::Zeros({1, k * f});
+  capture.MarkInput(left_entity);
+  Tensor right_entity = Tensor::Zeros({1, k * f});
+  capture.MarkInput(right_entity);
   std::vector<Tensor> similarities;
   similarities.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
@@ -114,9 +107,7 @@ std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildCompareGraph()
   }
   Tensor similarity = config_.comparator->CombineViews(
       similarities, left_entity, right_entity);
-  Tensor out = config_.classifier->Forward(similarity);
-  if (config_.include_softmax) out = Softmax(out);
-  capture.MarkOutput(out);
+  capture.MarkOutput(config_.classifier->Forward(similarity));
   auto compiled = capture.Finish();
   if (!compiled.ok()) {
     CaptureFailures().Increment();
@@ -212,11 +203,11 @@ Tensor CompiledScoring::Compare(const std::vector<Tensor>& left,
   inputs.reserve(2 * k + 2);
   for (const Tensor& t : left) inputs.push_back(t.data().data());
   for (const Tensor& t : right) inputs.push_back(t.data().data());
-  if (config_.entity_inputs) {
-    HG_CHECK(left_entity.defined() && right_entity.defined());
-    inputs.push_back(left_entity.data().data());
-    inputs.push_back(right_entity.data().data());
-  }
+  const size_t entity_floats = k * static_cast<size_t>(config_.lm->dim());
+  HG_CHECK_EQ(left_entity.data().size(), entity_floats);
+  HG_CHECK_EQ(right_entity.data().size(), entity_floats);
+  inputs.push_back(left_entity.data().data());
+  inputs.push_back(right_entity.data().data());
   HG_CHECK_EQ(static_cast<int>(inputs.size()), compiled->num_inputs());
   Tensor out = Tensor::Zeros({1, 2});
   float* outputs[] = {out.data().data()};

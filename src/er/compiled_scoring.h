@@ -23,14 +23,6 @@ struct CompiledScoringConfig {
   const HierarchicalComparator* comparator = nullptr;
   const Mlp* classifier = nullptr;
   int num_attributes = 0;
-  /// HierGAT+: the entity embeddings fed to CombineViews come from the
-  /// alignment layer, so the compare graph takes them as two extra
-  /// [1, K*F] inputs. Pairwise HierGAT computes them inside the graph
-  /// (SummarizeEntity over the attribute inputs).
-  bool entity_inputs = false;
-  /// Pairwise scoring wants P(match): append Softmax so the graph
-  /// returns probabilities. HierGAT+ keeps raw [1, 2] logits rows.
-  bool include_softmax = true;
 };
 
 /// Compiled-graph execution of the NoGrad scoring path (DESIGN.md §11).
@@ -39,12 +31,16 @@ struct CompiledScoringConfig {
 ///  - per-length *summarize* graphs: [L, F] gathered WpC rows ->
 ///    [1, F] attribute summary (SummarizeEmbedded), one graph per
 ///    distinct attribute length L, compiled lazily on first sight;
-///  - one fixed *compare* graph: 2K attribute summaries (plus the two
-///    entity embeddings when `entity_inputs`) -> [1, 2] probabilities
-///    or logits (CompareAttribute x K, CombineViews, classifier).
+///  - one fixed *compare* graph: 2K attribute summaries and the two
+///    [1, K*F] entity embeddings -> [1, 2] logits (CompareAttribute x
+///    K, CombineViews, classifier).
 ///
 /// Everything upstream (HHG construction, the per-pair contextual WpC
-/// matrix) stays eager — its shapes vary per pair. Capture failures
+/// matrix) stays eager — its shapes vary per pair — and so do the
+/// entity embeddings between the two families (a concat of the
+/// summaries; HierGAT+ also aligns them) and the final Softmax. The
+/// models reach both families through HierGatStack, which owns the
+/// replay-or-eager choice. Capture failures
 /// (Status::Unimplemented from GraphCapture::Finish) are remembered and
 /// the affected entry point permanently returns an undefined Tensor, so
 /// callers keep their eager path; replay is never allowed to be wrong,
@@ -69,10 +65,9 @@ class CompiledScoring {
   Tensor Summarize(const Tensor& wpc, const std::vector<int>& token_seq) const;
 
   /// Compare-and-classify replay over K `left` / `right` attribute
-  /// summaries ([1, F] each). With config.entity_inputs the [1, K*F]
-  /// entity embeddings are required; otherwise pass undefined Tensors.
-  /// Returns [1, 2] probabilities (include_softmax) or logits, or an
-  /// undefined Tensor when compilation failed.
+  /// summaries ([1, F] each) and the two [1, K*F] entity embeddings.
+  /// Returns [1, 2] logits, or an undefined Tensor when compilation
+  /// failed.
   Tensor Compare(const std::vector<Tensor>& left,
                  const std::vector<Tensor>& right, const Tensor& left_entity,
                  const Tensor& right_entity) const;

@@ -1,14 +1,11 @@
 #include "er/hiergat.h"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 
 #include "core/logging.h"
 #include "graph/hhg.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "tensor/graph.h"
 #include "tensor/ops.h"
 
@@ -172,13 +169,6 @@ void HierGatStack::BuildModules(uint64_t seed) {
   compiled_config.comparator = comparator.get();
   compiled_config.classifier = classifier.get();
   compiled_config.num_attributes = num_attributes;
-  // HierGAT+'s aligned entity matrix comes from the (eager) alignment
-  // layer, so entity embeddings enter its compare graph as inputs and
-  // logits stay raw (PredictQuery softmaxes the [N, 2] rows itself).
-  // Pairwise HierGAT summarizes entities inside the graph and wants
-  // P(match) out of ScoreBatch.
-  compiled_config.entity_inputs = collective;
-  compiled_config.include_softmax = !collective;
   compiled = std::make_unique<CompiledScoring>(compiled_config);
 }
 
@@ -314,6 +304,55 @@ void HierGatStack::InvalidateInferenceCache() const {
   if (compiled != nullptr) compiled->Clear();
 }
 
+Status HierGatStack::CheckSchema(const Entity& entity) const {
+  if (entity.num_attributes() == num_attributes) return Status::Ok();
+  return Status::InvalidArgument(
+      "entity has " + std::to_string(entity.num_attributes()) +
+      " attribute(s); the " + tag() + " model was trained on " +
+      std::to_string(num_attributes));
+}
+
+bool HierGatStack::UseCompiled(bool training) const {
+  // Training (and any grad-enabled forward) must build autograd graphs,
+  // and a capture in flight must keep tracing eager ops.
+  return !training && !GradModeEnabled() && graph_compile_enabled &&
+         compiled != nullptr && !graph::GraphCapture::Active();
+}
+
+Tensor HierGatStack::SummarizeAttribute(const Tensor& wpc,
+                                        const std::vector<int>& token_seq,
+                                        bool training, Rng& rng) const {
+  if (UseCompiled(training)) {
+    Tensor summary = compiled->Summarize(wpc, token_seq);
+    if (summary.defined()) return summary;
+  }
+  return aggregator->SummarizeAttribute(wpc, token_seq, training, rng);
+}
+
+Tensor HierGatStack::CompareLogits(const std::vector<Tensor>& left,
+                                   const std::vector<Tensor>& right,
+                                   const Tensor& left_entity,
+                                   const Tensor& right_entity, bool training,
+                                   Rng& rng) const {
+  if (UseCompiled(training)) {
+    Tensor logits = compiled->Compare(left, right, left_entity, right_entity);
+    if (logits.defined()) {
+      CompiledPairs().Increment();
+      return logits;
+    }
+  }
+  if (!training) EagerPairs().Increment();
+  // Hierarchical comparison: one similarity view per aligned attribute.
+  std::vector<Tensor> similarities;
+  similarities.reserve(left.size());
+  for (size_t a = 0; a < left.size(); ++a) {
+    similarities.push_back(
+        comparator->CompareAttribute(left[a], right[a], training, rng));
+  }
+  return classifier->Forward(
+      comparator->CombineViews(similarities, left_entity, right_entity));
+}
+
 CompiledScoring::Stats HierGatStack::compiled_stats() const {
   return compiled != nullptr ? compiled->stats() : CompiledScoring::Stats{};
 }
@@ -352,18 +391,23 @@ void HierGatModel::Train(const PairDataset& data,
   NeuralPairwiseModel::Train(data, options);
 }
 
-Tensor HierGatModel::ForwardSimilarity(const EntityPair& pair, bool training,
-                                       Rng& rng) const {
-  HG_TRACE_SPAN("HierGatModel::ForwardSimilarity");
+Status HierGatModel::ValidatePair(const EntityPair& pair) const {
+  HG_RETURN_IF_ERROR(stack_.CheckSchema(pair.left));
+  return stack_.CheckSchema(pair.right);
+}
+
+Tensor HierGatModel::ForwardLogits(const EntityPair& pair, bool training,
+                                   Rng& rng) const {
+  HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
+  const Status schema = ValidatePair(pair);
+  HG_CHECK(schema.ok()) << schema.ToString();
   const Hhg hhg = Hhg::Build({pair.left, pair.right});
+  // Repeated attribute values hit the summary cache from their second
+  // occurrence on, across pairs and batches.
   SummaryCache* cache =
       (!training && cache_enabled_) ? &stack_.summary_cache : nullptr;
   const Tensor wpc = stack_.contextual->Compute(hhg, training, rng, cache);
-  return SimilarityFromWpc(hhg, wpc, training, rng);
-}
 
-Tensor HierGatModel::SimilarityFromWpc(const Hhg& hhg, const Tensor& wpc,
-                                       bool training, Rng& rng) const {
   // Hierarchical aggregation per entity. (The summaries read the WpC
   // rows, which couple both entities through shared token nodes and
   // key-group context — so unlike the per-attribute terms above they
@@ -373,105 +417,23 @@ Tensor HierGatModel::SimilarityFromWpc(const Hhg& hhg, const Tensor& wpc,
   for (int e = 0; e < 2; ++e) {
     for (int attr_id : hhg.entity(e).attributes) {
       attr_embeddings[static_cast<size_t>(e)].push_back(
-          stack_.aggregator->SummarizeAttribute(
-              wpc, hhg.attribute(attr_id).token_seq, training, rng));
+          stack_.SummarizeAttribute(wpc, hhg.attribute(attr_id).token_seq,
+                                    training, rng));
     }
     entity_embeddings[static_cast<size_t>(e)] =
         stack_.aggregator->SummarizeEntity(
             attr_embeddings[static_cast<size_t>(e)]);
   }
-
-  // Hierarchical comparison: one similarity view per aligned attribute.
-  const int k = std::min(static_cast<int>(attr_embeddings[0].size()),
-                         static_cast<int>(attr_embeddings[1].size()));
-  HG_CHECK_EQ(k, stack_.num_attributes)
-      << "pair schema differs from training schema";
-  std::vector<Tensor> similarities;
-  similarities.reserve(static_cast<size_t>(k));
-  for (int a = 0; a < k; ++a) {
-    similarities.push_back(stack_.comparator->CompareAttribute(
-        attr_embeddings[0][static_cast<size_t>(a)],
-        attr_embeddings[1][static_cast<size_t>(a)], training, rng));
-  }
-  return stack_.comparator->CombineViews(similarities, entity_embeddings[0],
-                                         entity_embeddings[1]);
-}
-
-Tensor HierGatModel::ForwardLogits(const EntityPair& pair, bool training,
-                                   Rng& rng) const {
-  HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
-  return stack_.classifier->Forward(ForwardSimilarity(pair, training, rng));
-}
-
-bool HierGatModel::TryScorePairCompiled(const Hhg& hhg, const Tensor& wpc,
-                                        float* probability) const {
-  if (!stack_.graph_compile_enabled || stack_.compiled == nullptr ||
-      graph::GraphCapture::Active()) {
-    return false;
-  }
-  std::vector<std::vector<Tensor>> attrs(2);
-  for (int e = 0; e < 2; ++e) {
-    const std::vector<int>& ids = hhg.entity(e).attributes;
-    if (static_cast<int>(ids.size()) != stack_.num_attributes) return false;
-    for (int attr_id : ids) {
-      Tensor summary =
-          stack_.compiled->Summarize(wpc, hhg.attribute(attr_id).token_seq);
-      if (!summary.defined()) return false;
-      attrs[static_cast<size_t>(e)].push_back(std::move(summary));
-    }
-  }
-  // Pairwise HierGAT summarizes entities inside the compare graph, so
-  // no entity inputs; the graph ends in Softmax and returns P(match).
-  Tensor probs =
-      stack_.compiled->Compare(attrs[0], attrs[1], Tensor(), Tensor());
-  if (!probs.defined()) return false;
-  *probability = probs.at(0, 1);
-  return true;
-}
-
-std::vector<float> HierGatModel::ScoreBatch(
-    std::span<const EntityPair> pairs) const {
-  // Direct callers get a per-call request context; engine chunks carry
-  // their job's context and inherit it here.
-  obs::ScopedTraceRoot trace_root;
-  HG_TRACE_SPAN("HierGatModel::ScoreBatch");
-  HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
-  NoGradGuard no_grad;
-  Rng unused(0);
-  std::vector<float> probabilities;
-  probabilities.reserve(pairs.size());
-  for (const EntityPair& pair : pairs) {
-    // Every pair in the batch shares the summary cache, so repeated
-    // attribute values hit the memo from the second occurrence on.
-    const Hhg hhg = Hhg::Build({pair.left, pair.right});
-    SummaryCache* cache = cache_enabled_ ? &stack_.summary_cache : nullptr;
-    const Tensor wpc =
-        stack_.contextual->Compute(hhg, /*training=*/false, unused, cache);
-    float probability = 0.0f;
-    if (TryScorePairCompiled(hhg, wpc, &probability)) {
-      CompiledPairs().Increment();
-    } else {
-      EagerPairs().Increment();
-      Tensor probs = Softmax(stack_.classifier->Forward(
-          SimilarityFromWpc(hhg, wpc, /*training=*/false, unused)));
-      probability = probs.at(0, 1);
-    }
-    probabilities.push_back(probability);
-  }
-  if (cache_enabled_) {
-    const SummaryCache::Stats stats = stack_.summary_cache.stats();
-    HG_LOG(INFO) << "summary cache after ScoreBatch(" << pairs.size()
-                 << "): hits=" << stats.hits << " misses=" << stats.misses
-                 << " evictions=" << stats.evictions
-                 << " size=" << stack_.summary_cache.size() << " hit_rate="
-                 << stats.HitRate();
-  }
-  return probabilities;
+  return stack_.CompareLogits(attr_embeddings[0], attr_embeddings[1],
+                              entity_embeddings[0], entity_embeddings[1],
+                              training, rng);
 }
 
 HierGatModel::AttentionReport HierGatModel::InspectAttention(
     const EntityPair& pair) const {
   HG_CHECK(stack_.built);
+  const Status schema = ValidatePair(pair);
+  HG_CHECK(schema.ok()) << schema.ToString();
   NoGradGuard no_grad;
   Rng unused(0);
   AttentionReport report;

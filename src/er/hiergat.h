@@ -2,7 +2,6 @@
 #define HIERGAT_ER_HIERGAT_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -79,6 +78,30 @@ struct HierGatStack {
   Status Load(const std::string& path);
   Status QuantizeWeights();
   void InvalidateInferenceCache() const;
+
+  /// OK when `entity` has the K attributes every module was sized for;
+  /// InvalidArgument otherwise (the forward pass would fail a shape
+  /// check on it).
+  Status CheckSchema(const Entity& entity) const;
+
+  /// The two steps of the forward pass both models run (DESIGN.md
+  /// §11). Each replays its compiled graph on the pure inference path
+  /// (not training, grad mode off, compilation on, no capture in
+  /// flight) and otherwise, or when capture failed, runs the eager
+  /// modules, which replay matches bit for bit.
+  ///
+  /// [1, F] summary of the WpC rows `token_seq` names.
+  Tensor SummarizeAttribute(const Tensor& wpc,
+                            const std::vector<int>& token_seq, bool training,
+                            Rng& rng) const;
+  /// Compare and classify: K `left` / `right` attribute summaries and
+  /// the two [1, K*F] entity embeddings -> [1, 2] logits. Inference
+  /// calls count in `hiergat.score.{compiled,eager}_pairs`.
+  Tensor CompareLogits(const std::vector<Tensor>& left,
+                       const std::vector<Tensor>& right,
+                       const Tensor& left_entity, const Tensor& right_entity,
+                       bool training, Rng& rng) const;
+
   CompiledScoring::Stats compiled_stats() const;
   std::vector<Tensor> TrainableParameters() const;
   std::vector<float> ParameterLrMultipliers() const;
@@ -102,6 +125,9 @@ struct HierGatStack {
  private:
   /// The checkpoint's model tag.
   const char* tag() const { return collective ? "HierGAT+" : "HierGAT"; }
+
+  /// True on the pure inference path, where the compiled graphs replay.
+  bool UseCompiled(bool training) const;
 
   /// Constructs the fine-tuning modules over the current backbone
   /// (shared by Build and Load; Load overwrites the weights after).
@@ -130,12 +156,9 @@ class HierGatModel : public NeuralPairwiseModel {
   /// whole stack end-to-end.
   void Train(const PairDataset& data, const TrainOptions& options) override;
 
-  /// Batch scoring that shares the entity-summary cache across pairs:
-  /// each distinct attribute value is encoded/pooled once per batch run
-  /// instead of once per pair it appears in. Bit-identical to scoring
-  /// the pairs one by one.
-  std::vector<float> ScoreBatch(
-      std::span<const EntityPair> pairs) const override;
+  /// InvalidArgument unless both entities have the K attributes the
+  /// model was trained on.
+  Status ValidatePair(const EntityPair& pair) const override;
 
   /// Drops the memoized attribute summaries and compiled graphs (stale
   /// once parameters move; the trainer calls this around validation
@@ -166,10 +189,10 @@ class HierGatModel : public NeuralPairwiseModel {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   const SummaryCache& summary_cache() const { return stack_.summary_cache; }
 
-  /// Compiled-graph scoring (DESIGN.md §11). ScoreBatch replays through
+  /// Compiled-graph scoring (DESIGN.md §11). Inference replays through
   /// compiled summarize/compare graphs, compiled lazily on first sight
-  /// of each attribute length. Odd shapes and capture failures fall
-  /// back to the eager path, which stays bit-identical.
+  /// of each attribute length. Capture failures fall back to the eager
+  /// path, which stays bit-identical.
   void set_graph_compile_enabled(bool enabled) {
     stack_.graph_compile_enabled = enabled;
   }
@@ -181,7 +204,8 @@ class HierGatModel : public NeuralPairwiseModel {
 
   /// Attention introspection for Figure 9: token weights within each
   /// attribute (from the attribute-summarization [CLS] attention) and
-  /// the attribute weights h_k (Eq. 4).
+  /// the attribute weights h_k (Eq. 4). Always eager: graph replay
+  /// records no attention snapshots.
   struct AttentionReport {
     struct AttributeAttention {
       std::string key;
@@ -208,22 +232,6 @@ class HierGatModel : public NeuralPairwiseModel {
   }
 
  private:
-  /// Shared forward: attribute embeddings, entity embeddings, similarity.
-  Tensor ForwardSimilarity(const EntityPair& pair, bool training,
-                           Rng& rng) const;
-
-  /// ForwardSimilarity once the HHG and WpC matrix exist (shared with
-  /// the compiled path's eager fallback).
-  Tensor SimilarityFromWpc(const Hhg& hhg, const Tensor& wpc, bool training,
-                           Rng& rng) const;
-
-  /// Scores one pair through the compiled summarize/compare graphs.
-  /// Returns false (leaving `probability` untouched) whenever replay is
-  /// unavailable — compilation disabled/failed, schema mismatch — and
-  /// the caller runs the eager path instead.
-  bool TryScorePairCompiled(const Hhg& hhg, const Tensor& wpc,
-                            float* probability) const;
-
   internal_hiergat::HierGatStack stack_;
   bool cache_enabled_ = true;
 };

@@ -46,9 +46,8 @@ class HierGatPlusModel : public NeuralCollectiveModel {
   /// aggregated into the `hiergat.cache.*` metrics).
   const SummaryCache& summary_cache() const { return stack_.summary_cache; }
 
-  /// The collective compare graph takes the aligned entity embeddings
-  /// as inputs and returns raw logits (PredictQuery softmaxes over the
-  /// candidate rows).
+  /// See HierGatModel::set_graph_compile_enabled; the compare graph
+  /// takes the aligned entity embeddings.
   void set_graph_compile_enabled(bool enabled) {
     stack_.graph_compile_enabled = enabled;
   }

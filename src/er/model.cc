@@ -1,11 +1,16 @@
 #include "er/model.h"
 
+#include "obs/trace.h"
 #include "tensor/tensor.h"
 
 namespace hiergat {
 
 std::vector<float> PairwiseModel::ScoreBatch(
     std::span<const EntityPair> pairs) const {
+  // Direct callers get a per-call request context; engine chunks carry
+  // their job's context and inherit it here.
+  obs::ScopedTraceRoot trace_root;
+  HG_TRACE_SPAN("PairwiseModel::ScoreBatch");
   NoGradGuard no_grad;  // Inference never needs the autograd graph.
   std::vector<float> probabilities;
   probabilities.reserve(pairs.size());

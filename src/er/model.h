@@ -55,10 +55,11 @@ class PairwiseModel {
   virtual void Train(const PairDataset& data, const TrainOptions& options) = 0;
 
   /// P(match) for each pair, in order. The default implementation loops
-  /// over `ScorePair` with autograd disabled; models override it to
-  /// share work across the batch. Must be deterministic and independent
-  /// of how a larger batch was split (the InferenceEngine relies on
-  /// this for thread-count-invariant results).
+  /// over `ScorePair` with autograd disabled under one request trace
+  /// context; models may override it to share work across the batch.
+  /// Must be deterministic and independent of how a larger batch was
+  /// split (the InferenceEngine relies on this for thread-count-
+  /// invariant results).
   virtual std::vector<float> ScoreBatch(
       std::span<const EntityPair> pairs) const;
 
@@ -68,6 +69,16 @@ class PairwiseModel {
 
   /// P/R/F1 over a pair list (routed through ScoreBatch).
   EvalResult Evaluate(std::span<const EntityPair> pairs) const;
+
+  /// OK when the model can score `pair`; InvalidArgument naming the
+  /// problem otherwise (HierGAT: an entity whose attribute count is not
+  /// the trained schema's, which scoring treats as a fatal check).
+  /// Serving checks every pair before admitting it. Models that score
+  /// any pair keep this default.
+  virtual Status ValidatePair(const EntityPair& pair) const {
+    (void)pair;
+    return Status::Ok();
+  }
 
   /// Drops memoized inference state (entity-summary caches). Called by
   /// the trainer whenever parameters are about to change under a

@@ -65,10 +65,19 @@ DynamicBatcher::DynamicBatcher(const BatcherOptions& options)
 
 StatusOr<std::vector<float>> DynamicBatcher::Score(
     std::shared_ptr<Session> session, std::vector<EntityPair> pairs) {
-  if (session == nullptr) {
-    return Status::InvalidArgument("batcher: null session");
+  if (session == nullptr || session->collective()) {
+    return Status::InvalidArgument("batcher: needs a pairwise session");
   }
   if (pairs.empty()) return std::vector<float>();
+  // A pair the model cannot score would fail a fatal check inside the
+  // batch it joined; refuse it before admission instead.
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const Status valid = session->model()->ValidatePair(pairs[i]);
+    if (!valid.ok()) {
+      return Status::InvalidArgument("pair " + std::to_string(i) + ": " +
+                                     valid.message());
+    }
+  }
 
   Pending pending;
   pending.session = session.get();

@@ -72,8 +72,10 @@ class DynamicBatcher {
   /// pair order, bit-identical to session->Score(pairs) (ScoreBatch is
   /// split-invariant). The caller holds the session shared_ptr until
   /// its batch completes, which is what lets the registry hot-swap
-  /// drain in-flight batches. Returns ResourceExhausted when the queue
-  /// is full (see max_pending_pairs) and Unavailable after Shutdown.
+  /// drain in-flight batches. Returns InvalidArgument for a pair the
+  /// model cannot score (PairwiseModel::ValidatePair), ResourceExhausted
+  /// when the queue is full (see max_pending_pairs) and Unavailable
+  /// after Shutdown.
   StatusOr<std::vector<float>> Score(std::shared_ptr<Session> session,
                                      std::vector<EntityPair> pairs);
 

@@ -164,9 +164,10 @@ inline void LayerNormBackwardRows(int rows, int cols, const float* xhat,
 // Row-partitioned forward kernels for the ops' forward bodies
 // (tensor/ops.cc), dispatched over a persistent ThreadPool
 // (tensor/threadpool.h). Each runs the serial kernel when `pool` is
-// null (eager execution), the pool has one lane, intra-op parallelism
-// is banned on the calling thread, or the problem is below the
-// parallel threshold; otherwise rows of the output are split into
+// null (eager execution), the pool has one lane, the calling thread is
+// already running a chunk of some pool (InParallelChunk()), or the
+// problem is below the parallel threshold; otherwise rows of the
+// output are split into
 // chunks that each dispatch through the active table.
 //
 // Bit-identity: every kernel accumulates each output element over k

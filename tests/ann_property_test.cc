@@ -349,47 +349,6 @@ TEST(EmbedBlockerTest, ProgressiveBandsDescendAndCoverEverything) {
   EXPECT_TRUE(stream.NextBatch().empty()) << "exhausted stream stays empty";
 }
 
-TEST(EmbedBlockerTest, BuildCollectiveEmbedMirrorsProtocol) {
-  SyntheticSpec spec;
-  spec.name = "colx";
-  spec.seed = 95;
-  TwoTableDataset raw = GenerateTwoTable(spec, 50, 150);
-  EmbedBlockOptions options;
-  options.top_n = 8;
-  CollectiveDataset data = BuildCollectiveEmbed(raw, options);
-  EXPECT_EQ(data.train.size() + data.valid.size() + data.test.size(), 50u);
-  EXPECT_EQ(data.train.size(), 30u);
-  int positives = 0;
-  for (const auto* split : {&data.train, &data.valid, &data.test}) {
-    for (const CollectiveQuery& q : *split) {
-      EXPECT_EQ(q.candidates.size(), 8u);
-      EXPECT_EQ(q.labels.size(), 8u);
-      for (int label : q.labels) positives += label;
-    }
-  }
-  // Embedding top-8 should recover most of the 50 gold matches.
-  EXPECT_GE(positives, 40);
-}
-
-TEST(EmbedBlockerTest, MultiSourceEmbedLabelsFollowClusters) {
-  MultiSourceDataset raw = GenerateMultiSource("monitor", 5, 40, 97);
-  EmbedBlockOptions options;
-  options.top_n = 10;
-  CollectiveDataset data = BuildCollectiveFromMultiSourceEmbed(raw, options);
-  int positives = 0, total = 0;
-  for (const auto* split : {&data.train, &data.valid, &data.test}) {
-    for (const CollectiveQuery& q : *split) {
-      EXPECT_LE(q.candidates.size(), 10u);
-      for (int label : q.labels) {
-        positives += label;
-        ++total;
-      }
-    }
-  }
-  EXPECT_GT(positives, 0);
-  EXPECT_LT(positives, total);
-}
-
 TEST(EmbedBlockerTest, EmbedderIsDeterministicAndNormalized) {
   HashedNgramEmbedder embedder(32);
   const Entity e = MakeEntity("acme widget mk100 deluxe");

@@ -172,6 +172,28 @@ TEST(GoldenTest, HierGatPlusCompiledPathMatchesEagerOnFixture) {
   EXPECT_EQ(compiled, eager);
 }
 
+TEST(GoldenTest, HierGatPlusCandidatesCountAsCompiledPairs) {
+  // HierGAT+ compares through the same HierGatStack step as HierGAT, so
+  // each candidate it scores counts in hiergat.score.compiled_pairs.
+  HierGatPlusModel model;
+  ASSERT_TRUE(
+      model.Load(FixturePath(golden::kHierGatPlusCheckpoint)).ok());
+  const CollectiveDataset data = golden::MakeCollectiveDataset();
+  const CollectiveQuery query = golden::ProbeQueries(data).front();
+  ASSERT_FALSE(query.candidates.empty());
+  obs::Counter& compiled = obs::MetricsRegistry::Global().GetCounter(
+      "hiergat.score.compiled_pairs");
+  obs::Counter& eager = obs::MetricsRegistry::Global().GetCounter(
+      "hiergat.score.eager_pairs");
+  const int64_t compiled_before = compiled.Value();
+  const int64_t eager_before = eager.Value();
+
+  EXPECT_EQ(model.PredictQuery(query).size(), query.candidates.size());
+  EXPECT_EQ(compiled.Value() - compiled_before,
+            static_cast<int64_t>(query.candidates.size()));
+  EXPECT_EQ(eager.Value(), eager_before);
+}
+
 TEST(GoldenTest, HierGatSaveLoadSaveIsByteStable) {
   HierGatModel first;
   ASSERT_TRUE(

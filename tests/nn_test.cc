@@ -1,4 +1,4 @@
-#include <cstdio>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
-#include "nn/serialize.h"
 #include "nn/transformer.h"
 #include "tensor/ops.h"
 
@@ -217,36 +216,6 @@ TEST(OptimizerTest, ClipGradNormScalesLargeGradients) {
   const float clipped =
       std::sqrt(w.grad()[0] * w.grad()[0] + w.grad()[1] * w.grad()[1]);
   EXPECT_NEAR(clipped, 5.0f, 1e-3f);
-}
-
-TEST(SerializeTest, SaveLoadRoundTrip) {
-  Rng rng(13);
-  Mlp a({4, 5, 2}, rng);
-  Mlp b({4, 5, 2}, rng);  // Different random init.
-  const std::string path = ::testing::TempDir() + "/params.bin";
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()).ok());
-  std::vector<Tensor> b_params = b.Parameters();
-  ASSERT_TRUE(LoadParameters(path, &b_params).ok());
-  Tensor x = Tensor::Randn({1, 4}, rng);
-  Tensor ya = a.Forward(x);
-  Tensor yb = b.Forward(x);
-  for (int c = 0; c < 2; ++c) EXPECT_FLOAT_EQ(ya.at(0, c), yb.at(0, c));
-}
-
-TEST(SerializeTest, ShapeMismatchRejected) {
-  Rng rng(14);
-  Mlp a({4, 5, 2}, rng);
-  Mlp c({4, 6, 2}, rng);
-  const std::string path = ::testing::TempDir() + "/params2.bin";
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()).ok());
-  std::vector<Tensor> c_params = c.Parameters();
-  EXPECT_FALSE(LoadParameters(path, &c_params).ok());
-}
-
-TEST(SerializeTest, MissingFileIsIOError) {
-  std::vector<Tensor> params;
-  Status status = LoadParameters("/nonexistent/nope.bin", &params);
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
 }
 
 }  // namespace

@@ -454,6 +454,41 @@ TEST(ServerTest, FramedScoringHttpShimReloadAndDrain) {
   EXPECT_GE(stats.http_requests, 4);
 }
 
+TEST(ServerTest, SchemaDriftedPairIsInvalidArgumentAndServerKeepsServing) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadModel("small", FixtureSessionOptions()).ok());
+  const std::vector<EntityPair> valid = MakePairs(2);
+  const std::vector<float> expected = registry.Get("small")->Score(valid);
+
+  ServerOptions options;
+  options.port = 0;
+  auto server_or = Server::Start(&registry, options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  std::unique_ptr<Server> server = std::move(server_or).value();
+  auto client_or = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  std::unique_ptr<Client> client = std::move(client_or).value();
+
+  // The fixture model was trained on three attributes (MakeEntity's).
+  EntityPair both_wider = valid[0];
+  both_wider.left.Add("brand", "acme");
+  both_wider.right.Add("brand", "acme");
+  EntityPair one_wider = valid[0];
+  one_wider.right.Add("brand", "acme");
+  EntityPair empty_side = valid[0];
+  empty_side.left = Entity();
+  for (const EntityPair& drifted : {both_wider, one_wider, empty_side}) {
+    // Next to a valid pair: the whole request is refused, unscored.
+    const auto scores = client->Score("small", {valid[1], drifted});
+    EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument)
+        << scores.status().ToString();
+  }
+
+  const auto after = client->Score("small", valid);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value(), expected);
+}
+
 TEST(ServerTest, ReadyzReports503WithNoModels) {
   ModelRegistry registry;  // Empty.
   ServerOptions options;
