@@ -10,11 +10,18 @@
 // back-to-back) and, when paced, latency is measured from the
 // *scheduled* send time, so a slow server cannot hide queueing delay by
 // slowing the clients down (no coordinated omission).
+//
+// The configs are measured in alternating rounds (b1, b8d500, b32d1000,
+// then the reverse order, ...) and each config's QPS comes from its
+// summed rounds, so load from other processes on a shared host falls
+// on every config alike and cancels out of the batching speedup.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,20 +37,24 @@
 namespace hiergat {
 namespace {
 
+/// One config's load, summed over its rounds.
 struct LoadResult {
-  double qps = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
+  double wall_seconds = 0.0;
   int64_t shed = 0;
-  int64_t batches = 0;
   std::vector<double> latencies;  // Every answered request, seconds.
+
+  double qps() const {
+    return static_cast<double>(latencies.size()) /
+           std::max(1e-9, wall_seconds);
+  }
 };
 
 /// Drives `threads` clients of single-pair score requests against the
-/// server and collects per-request latencies.
-LoadResult RunLoad(int port, const std::vector<EntityPair>& pairs,
-                   int threads, int requests_per_thread, double rate_per_sec) {
+/// server and adds the wall time, sheds and per-request latencies to
+/// `result`. Client t sends pairs `first + t * requests_per_thread + r`.
+void RunLoad(int port, const std::vector<EntityPair>& pairs, int threads,
+             int first, int requests_per_thread, double rate_per_sec,
+             LoadResult* result) {
   using Clock = std::chrono::steady_clock;
   std::vector<std::vector<double>> latencies(static_cast<size_t>(threads));
   std::vector<int64_t> sheds(static_cast<size_t>(threads), 0);
@@ -63,8 +74,9 @@ LoadResult RunLoad(int port, const std::vector<EntityPair>& pairs,
       std::unique_ptr<serve::Client> client = std::move(client_or).value();
       std::vector<EntityPair> one(1);
       for (int r = 0; r < requests_per_thread; ++r) {
-        one[0] = pairs[static_cast<size_t>((t * requests_per_thread + r) %
-                                           static_cast<int>(pairs.size()))];
+        one[0] = pairs[static_cast<size_t>(
+            (first + t * requests_per_thread + r) %
+            static_cast<int>(pairs.size()))];
         auto scheduled = start;
         if (interval_sec > 0) {
           scheduled += std::chrono::duration_cast<Clock::duration>(
@@ -91,23 +103,13 @@ LoadResult RunLoad(int port, const std::vector<EntityPair>& pairs,
     });
   }
   for (std::thread& c : clients) c.join();
-  const double wall =
+  result->wall_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
-
-  LoadResult result;
-  std::vector<double> all;
   for (size_t t = 0; t < latencies.size(); ++t) {
-    all.insert(all.end(), latencies[t].begin(), latencies[t].end());
-    result.shed += sheds[t];
+    result->latencies.insert(result->latencies.end(), latencies[t].begin(),
+                             latencies[t].end());
+    result->shed += sheds[t];
   }
-  result.qps = static_cast<double>(all.size()) / std::max(1e-9, wall);
-  if (!all.empty()) {
-    result.p50 = bench::PercentileOf(all, 0.5);
-    result.p95 = bench::PercentileOf(all, 0.95);
-    result.p99 = bench::PercentileOf(all, 0.99);
-  }
-  result.latencies = std::move(all);
-  return result;
 }
 
 int main_impl(int argc, char** argv) {
@@ -191,12 +193,8 @@ int main_impl(int argc, char** argv) {
   result.AddParam("rate_per_sec", rate);
   result.AddParam("scale", bench::Scale());
 
-  bench::Table table("Serving throughput (higher QPS is better)",
-                     {"config", "QPS", "p50 ms", "p95 ms", "p99 ms", "shed"});
-  double qps_b1 = 0.0, qps_best = 0.0;
-  // The top-level latency fields come from b32d1000's full per-request
-  // sample, so they match its p50_seconds/p95_seconds rows.
-  std::vector<double> rep_latencies;
+  constexpr size_t kConfigs = std::size(configs);
+  std::vector<std::unique_ptr<serve::Server>> servers;
   for (const Config& config : configs) {
     serve::ServerOptions server_options;
     server_options.port = 0;
@@ -208,39 +206,62 @@ int main_impl(int argc, char** argv) {
                    server_or.status().ToString().c_str());
       return 1;
     }
-    std::unique_ptr<serve::Server> server = std::move(server_or).value();
-
+    servers.push_back(std::move(server_or).value());
     // Warm the summary cache (and page in the model) outside the timed
-    // window, then measure.
-    (void)RunLoad(server->port(), data.test, client_threads, 2, 0.0);
-    const LoadResult load = RunLoad(server->port(), data.test, client_threads,
-                                    requests_per_thread, rate);
-    server->Shutdown();
+    // window.
+    LoadResult warm;
+    RunLoad(servers.back()->port(), data.test, client_threads, 0, 2, 0.0,
+            &warm);
+  }
 
-    table.AddRow({config.key, bench::Fmt(load.qps, 1),
-                  bench::Fmt(load.p50 * 1e3, 2), bench::Fmt(load.p95 * 1e3, 2),
-                  bench::Fmt(load.p99 * 1e3, 2),
-                  std::to_string(load.shed)});
-    const std::string key = config.key;
-    result.AddMetric("qps." + key, load.qps);
-    result.AddMetric("p50_seconds." + key, load.p50);
-    result.AddMetric("p95_seconds." + key, load.p95);
-    result.AddMetric("p99_seconds." + key, load.p99);
-    result.AddMetric("shed." + key, static_cast<double>(load.shed));
-    if (key == "b1") qps_b1 = load.qps;
-    qps_best = std::max(qps_best, load.qps);
-    if (key == "b32d1000") {
-      rep_latencies = load.latencies;
-      result.set_throughput(load.qps);
+  // Round r sends the next slice of each client's requests to every
+  // config; odd rounds visit the configs in reverse order.
+  constexpr int kRounds = 10;
+  LoadResult loads[kConfigs];
+  int sent = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const int next = requests_per_thread * (round + 1) / kRounds;
+    for (size_t i = 0; i < kConfigs; ++i) {
+      const size_t c = round % 2 == 0 ? i : kConfigs - 1 - i;
+      RunLoad(servers[c]->port(), data.test, client_threads,
+              sent * client_threads, next - sent, rate, &loads[c]);
     }
+    sent = next;
+  }
+  for (const auto& server : servers) server->Shutdown();
+
+  bench::Table table("Serving throughput (higher QPS is better)",
+                     {"config", "QPS", "p50 ms", "p95 ms", "p99 ms", "shed"});
+  for (size_t c = 0; c < kConfigs; ++c) {
+    const LoadResult& load = loads[c];
+    const double qps = load.qps();
+    double p50 = 0.0, p95 = 0.0, p99 = 0.0;
+    if (!load.latencies.empty()) {
+      p50 = bench::PercentileOf(load.latencies, 0.5);
+      p95 = bench::PercentileOf(load.latencies, 0.95);
+      p99 = bench::PercentileOf(load.latencies, 0.99);
+    }
+    table.AddRow({configs[c].key, bench::Fmt(qps, 1),
+                  bench::Fmt(p50 * 1e3, 2), bench::Fmt(p95 * 1e3, 2),
+                  bench::Fmt(p99 * 1e3, 2), std::to_string(load.shed)});
+    const std::string key = configs[c].key;
+    result.AddMetric("qps." + key, qps);
+    result.AddMetric("p50_seconds." + key, p50);
+    result.AddMetric("p95_seconds." + key, p95);
+    result.AddMetric("p99_seconds." + key, p99);
+    result.AddMetric("shed." + key, static_cast<double>(load.shed));
   }
   table.Print();
 
-  const double speedup = qps_b1 > 0 ? qps_best / qps_b1 : 0.0;
+  // The top-level latency fields come from b32d1000's full per-request
+  // sample, so they match its p50_seconds/p95_seconds rows.
+  const double qps_b1 = loads[0].qps();
+  const double speedup = qps_b1 > 0 ? loads[1].qps() / qps_b1 : 0.0;
   result.AddMetric("batching_speedup", speedup);
-  result.SetLatencies(rep_latencies);
+  result.set_throughput(loads[2].qps());
+  result.SetLatencies(loads[2].latencies);
   std::printf(
-      "\ndynamic batching: best config is %.2fx the QPS of batch-size-1 at "
+      "\ndynamic batching: b8d500 is %.2fx the QPS of batch-size-1 at "
       "%d engine threads\n",
       speedup, kEngineThreads);
   std::printf(

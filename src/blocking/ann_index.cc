@@ -6,7 +6,9 @@
 #include <mutex>
 #include <queue>
 #include <shared_mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -14,9 +16,7 @@
 
 #include "core/logging.h"
 #include "core/rng.h"
-#include "core/serialize.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace hiergat {
 
@@ -25,10 +25,6 @@ namespace {
 constexpr int kMaxLevel = 30;
 constexpr int kMaxDim = 4096;
 constexpr int kMaxShards = 4096;
-/// Slots (and ids after the hi/lo split) must stay exactly
-/// representable in the f32 checkpoint tensors.
-constexpr int64_t kMaxExactF32 = int64_t{1} << 24;
-constexpr int64_t kMaxId = int64_t{1} << 47;
 
 obs::Counter& InsertCounter() {
   static obs::Counter& counter =
@@ -254,9 +250,8 @@ struct AnnIndex::Shard {
                      std::max(2, options.max_neighbors)))),
         rng(options.seed ^ SplitMix64(static_cast<uint64_t>(index))) {}
 
-  /// By value, not reference: shards outlive moves of the owning
-  /// AnnIndex (Parse returns through StatusOr), so they must not point
-  /// back into it.
+  /// A copy, so the hot paths read `dim` and `max_neighbors` from the
+  /// shard itself, without a pointer back into the owning AnnIndex.
   const AnnIndexOptions opts;
   const int l0_cap;
   const double ml;
@@ -264,7 +259,7 @@ struct AnnIndex::Shard {
 
   std::vector<float> vectors;        ///< slot-major, L2-normalized.
   /// int8 navigation copy of `vectors` (see DotQ): the beam walks this,
-  /// the float vectors only back the final rerank and serialization.
+  /// the float vectors only back the final rerank.
   std::vector<int8_t> qvectors;
   std::vector<int64_t> ids;          ///< slot -> external id.
   std::vector<int32_t> levels;       ///< slot -> top layer of the slot.
@@ -284,19 +279,6 @@ struct AnnIndex::Shard {
 
   const int8_t* QVec(int32_t slot) const {
     return qvectors.data() + static_cast<size_t>(slot) * opts.dim;
-  }
-
-  /// Rebuilds the int8 navigation copy from `vectors` (Parse path). The
-  /// slot count comes from `vectors` itself, NOT count(): Parse calls
-  /// this before `ids` is populated, when count() is still zero.
-  void RequantizeAll() {
-    qvectors.resize(vectors.size());
-    const int32_t n =
-        static_cast<int32_t>(vectors.size() / static_cast<size_t>(opts.dim));
-    for (int32_t slot = 0; slot < n; ++slot) {
-      Quantize(Vec(slot), opts.dim,
-               qvectors.data() + static_cast<size_t>(slot) * opts.dim);
-    }
   }
 
   int LayerCap(int layer) const {
@@ -368,8 +350,8 @@ struct AnnIndex::Shard {
 
   int Degree(int32_t slot, int layer) const { return Links(slot, layer).second; }
 
-  /// One level draw per insert (exactly one rng call, so a reloaded
-  /// shard can replay the draw stream to stay insert-deterministic).
+  /// One level draw per insert (exactly one rng call, so a shard's graph
+  /// is a pure function of its seed and its insert order).
   int DrawLevel() {
     const float u = rng.NextFloat();
     const int level =
@@ -550,7 +532,6 @@ struct AnnIndex::Shard {
   void Insert(int64_t id, const std::vector<float>& vector) {
     std::unique_lock<std::shared_mutex> lock(mutex);
     const int32_t slot = count();
-    HG_CHECK_LT(slot, kMaxExactF32);
     vectors.insert(vectors.end(), vector.begin(), vector.end());
     float* stored = vectors.data() + static_cast<size_t>(slot) * opts.dim;
     float norm = 0.0f;
@@ -645,8 +626,6 @@ AnnIndex::AnnIndex(const AnnIndexOptions& options) : options_(options) {
 }
 
 AnnIndex::~AnnIndex() = default;
-AnnIndex::AnnIndex(AnnIndex&&) noexcept = default;
-AnnIndex& AnnIndex::operator=(AnnIndex&&) noexcept = default;
 
 Status AnnIndex::ValidateOptions(const AnnIndexOptions& options) {
   if (options.dim < 1 || options.dim > kMaxDim) {
@@ -671,7 +650,6 @@ AnnIndex::Shard& AnnIndex::ShardFor(int64_t id) {
 
 void AnnIndex::Insert(int64_t id, const std::vector<float>& vector) {
   HG_CHECK_GE(id, 0);
-  HG_CHECK_LT(id, kMaxId);
   HG_CHECK_EQ(static_cast<int>(vector.size()), options_.dim);
   ShardFor(id).Insert(id, vector);
   InsertCounter().Increment();
@@ -856,343 +834,6 @@ Status AnnIndex::CheckInvariants() const {
     }
   }
   return Status::Ok();
-}
-
-// -- Persistence --------------------------------------------------------
-//
-// HGCK image, model tag "HierGATAnnIndex" (DESIGN.md §16):
-//   meta: format=ann-hnsw-v1, dim, num_shards, max_neighbors,
-//         ef_construction, ef_search, seed, shard<k>.entry,
-//         shard<k>.max_level, shard<k>.count
-//   tensors (per non-empty shard k; all f32, integers stored exactly):
-//     shard<k>.vectors [n, dim]   normalized embeddings
-//     shard<k>.ids     [n, 2]     external id split hi = id >> 24,
-//                                 lo = id & 0xffffff (ids < 2^47)
-//     shard<k>.levels  [n]
-//     shard<k>.links0  [n, 2M]    layer-0 adjacency, -1 padded
-//     shard<k>.upper   [rows, 3]  (node, layer, neighbor) triples for
-//                                 layers >= 1 (absent when none)
-// The container's CRC covers every byte (like Q8_0 slots); Parse then
-// re-validates all structural fields before allocating the graph.
-
-namespace {
-
-constexpr const char* kAnnModelTag = "HierGATAnnIndex";
-constexpr const char* kAnnFormat = "ann-hnsw-v1";
-
-std::string ShardKey(size_t shard, const char* field) {
-  return "shard" + std::to_string(shard) + "." + field;
-}
-
-/// Reads a stored f32 that must hold an exact small integer.
-Status AsInt(float value, int64_t min, int64_t max, const char* what,
-             int64_t* out) {
-  if (!(value >= static_cast<float>(min)) ||
-      !(value <= static_cast<float>(max)) ||
-      value != std::floor(value)) {
-    return Status::InvalidArgument(std::string("ann image: ") + what +
-                                   " is not an integer in range");
-  }
-  *out = static_cast<int64_t>(value);
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<std::string> AnnIndex::SerializeToString() const {
-  HG_TRACE_SPAN("AnnIndex::Serialize");
-  TensorWriter writer(kAnnModelTag);
-  writer.SetMeta("format", kAnnFormat);
-  writer.SetMetaInt("dim", options_.dim);
-  writer.SetMetaInt("num_shards", options_.num_shards);
-  writer.SetMetaInt("max_neighbors", options_.max_neighbors);
-  writer.SetMetaInt("ef_construction", options_.ef_construction);
-  writer.SetMetaInt("ef_search", options_.ef_search);
-  writer.SetMeta("seed", std::to_string(options_.seed));
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    const int32_t n = shard.count();
-    if (n >= kMaxExactF32) {
-      return Status::FailedPrecondition(
-          "ann: shard too large for f32-exact serialization");
-    }
-    writer.SetMetaInt(ShardKey(s, "count"), n);
-    writer.SetMetaInt(ShardKey(s, "entry"), shard.entry);
-    writer.SetMetaInt(ShardKey(s, "max_level"), shard.max_level);
-    if (n == 0) continue;
-    Tensor vectors = Tensor::FromVector(
-        {n, options_.dim},
-        std::vector<float>(shard.vectors.begin(), shard.vectors.end()));
-    Status status = writer.Add(ShardKey(s, "vectors"), vectors);
-    if (!status.ok()) return status;
-    std::vector<float> id_parts(static_cast<size_t>(n) * 2);
-    for (int32_t i = 0; i < n; ++i) {
-      const int64_t id = shard.ids[static_cast<size_t>(i)];
-      id_parts[static_cast<size_t>(i) * 2] =
-          static_cast<float>(id >> 24);
-      id_parts[static_cast<size_t>(i) * 2 + 1] =
-          static_cast<float>(id & 0xffffff);
-    }
-    status = writer.Add(ShardKey(s, "ids"),
-                        Tensor::FromVector({n, 2}, std::move(id_parts)));
-    if (!status.ok()) return status;
-    status = writer.Add(
-        ShardKey(s, "levels"),
-        Tensor::FromVector({n}, std::vector<float>(shard.levels.begin(),
-                                                   shard.levels.end())));
-    if (!status.ok()) return status;
-    status = writer.Add(
-        ShardKey(s, "links0"),
-        Tensor::FromVector({n, shard.l0_cap},
-                           std::vector<float>(shard.links0.begin(),
-                                              shard.links0.end())));
-    if (!status.ok()) return status;
-    std::vector<float> upper_rows;
-    for (int32_t u = 0; u < n; ++u) {
-      const auto it = shard.upper.find(u);
-      if (it == shard.upper.end()) continue;
-      for (size_t layer = 0; layer < it->second.size(); ++layer) {
-        for (const int32_t v : it->second[layer]) {
-          upper_rows.push_back(static_cast<float>(u));
-          upper_rows.push_back(static_cast<float>(layer + 1));
-          upper_rows.push_back(static_cast<float>(v));
-        }
-      }
-    }
-    if (!upper_rows.empty()) {
-      const int rows = static_cast<int>(upper_rows.size() / 3);
-      status = writer.Add(ShardKey(s, "upper"),
-                          Tensor::FromVector({rows, 3}, std::move(upper_rows)));
-      if (!status.ok()) return status;
-    }
-  }
-  return writer.SerializeToString();
-}
-
-Status AnnIndex::Save(const std::string& path) const {
-  StatusOr<std::string> bytes = SerializeToString();
-  if (!bytes.ok()) return bytes.status();
-  return WriteFileAtomic(path, bytes.value());
-}
-
-StatusOr<AnnIndex> AnnIndex::Parse(const std::string& bytes) {
-  HG_TRACE_SPAN("AnnIndex::Parse");
-  StatusOr<TensorReader> reader_or = TensorReader::Parse(bytes);
-  if (!reader_or.ok()) return reader_or.status();
-  const TensorReader& reader = reader_or.value();
-  if (reader.model_tag() != kAnnModelTag) {
-    return Status::InvalidArgument("ann image: wrong model tag \"" +
-                                   reader.model_tag() + "\"");
-  }
-  const std::string* format = reader.FindMeta("format");
-  if (format == nullptr || *format != kAnnFormat) {
-    return Status::InvalidArgument("ann image: unknown format");
-  }
-  AnnIndexOptions options;
-  StatusOr<int64_t> meta_int = reader.GetMetaInt("dim");
-  if (!meta_int.ok()) return meta_int.status();
-  options.dim = static_cast<int>(meta_int.value());
-  meta_int = reader.GetMetaInt("num_shards");
-  if (!meta_int.ok()) return meta_int.status();
-  options.num_shards = static_cast<int>(meta_int.value());
-  meta_int = reader.GetMetaInt("max_neighbors");
-  if (!meta_int.ok()) return meta_int.status();
-  options.max_neighbors = static_cast<int>(meta_int.value());
-  meta_int = reader.GetMetaInt("ef_construction");
-  if (!meta_int.ok()) return meta_int.status();
-  options.ef_construction = static_cast<int>(meta_int.value());
-  meta_int = reader.GetMetaInt("ef_search");
-  if (!meta_int.ok()) return meta_int.status();
-  options.ef_search = static_cast<int>(meta_int.value());
-  const std::string* seed_text = reader.FindMeta("seed");
-  if (seed_text == nullptr) {
-    return Status::InvalidArgument("ann image: missing seed");
-  }
-  options.seed = std::strtoull(seed_text->c_str(), nullptr, 10);
-  Status valid = ValidateOptions(options);
-  if (!valid.ok()) return valid;
-
-  AnnIndex index(options);
-  for (size_t s = 0; s < index.shards_.size(); ++s) {
-    Shard& shard = *index.shards_[s];
-    meta_int = reader.GetMetaInt(ShardKey(s, "count"));
-    if (!meta_int.ok()) return meta_int.status();
-    const int64_t n64 = meta_int.value();
-    if (n64 < 0 || n64 >= kMaxExactF32) {
-      return Status::InvalidArgument("ann image: shard count out of range");
-    }
-    const int32_t n = static_cast<int32_t>(n64);
-    meta_int = reader.GetMetaInt(ShardKey(s, "entry"));
-    if (!meta_int.ok()) return meta_int.status();
-    const int64_t entry = meta_int.value();
-    meta_int = reader.GetMetaInt(ShardKey(s, "max_level"));
-    if (!meta_int.ok()) return meta_int.status();
-    const int64_t max_level = meta_int.value();
-    if (n == 0) {
-      if (entry != -1 || max_level != -1) {
-        return Status::InvalidArgument(
-            "ann image: empty shard with graph state");
-      }
-      continue;
-    }
-    if (entry < 0 || entry >= n || max_level < 0 || max_level > kMaxLevel) {
-      return Status::InvalidArgument(
-          "ann image: entry/max_level out of range");
-    }
-    // Shapes must match the meta before any ReadInto allocates.
-    const Shape* shape = reader.FindShape(ShardKey(s, "vectors"));
-    if (shape == nullptr || shape->size() != 2 || (*shape)[0] != n ||
-        (*shape)[1] != options.dim) {
-      return Status::InvalidArgument("ann image: bad vectors shape");
-    }
-    Tensor vectors = Tensor::Zeros({n, options.dim});
-    Status status = reader.ReadInto(ShardKey(s, "vectors"), &vectors);
-    if (!status.ok()) return status;
-    for (const float v : vectors.data()) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("ann image: non-finite vector value");
-      }
-    }
-    shard.vectors.assign(vectors.data().begin(), vectors.data().end());
-    shard.RequantizeAll();
-
-    shape = reader.FindShape(ShardKey(s, "ids"));
-    if (shape == nullptr || shape->size() != 2 || (*shape)[0] != n ||
-        (*shape)[1] != 2) {
-      return Status::InvalidArgument("ann image: bad ids shape");
-    }
-    Tensor ids = Tensor::Zeros({n, 2});
-    status = reader.ReadInto(ShardKey(s, "ids"), &ids);
-    if (!status.ok()) return status;
-    shard.ids.resize(static_cast<size_t>(n));
-    for (int32_t i = 0; i < n; ++i) {
-      int64_t hi = 0, lo = 0;
-      status = AsInt(ids.at(i, 0), 0, (kMaxId >> 24) - 1, "id", &hi);
-      if (!status.ok()) return status;
-      status = AsInt(ids.at(i, 1), 0, 0xffffff, "id", &lo);
-      if (!status.ok()) return status;
-      shard.ids[static_cast<size_t>(i)] = (hi << 24) | lo;
-    }
-
-    shape = reader.FindShape(ShardKey(s, "levels"));
-    if (shape == nullptr || shape->size() != 1 || (*shape)[0] != n) {
-      return Status::InvalidArgument("ann image: bad levels shape");
-    }
-    Tensor levels = Tensor::Zeros({n});
-    status = reader.ReadInto(ShardKey(s, "levels"), &levels);
-    if (!status.ok()) return status;
-    shard.levels.resize(static_cast<size_t>(n));
-    for (int32_t i = 0; i < n; ++i) {
-      int64_t level = 0;
-      status = AsInt(levels.data()[static_cast<size_t>(i)], 0, max_level,
-                     "level", &level);
-      if (!status.ok()) return status;
-      shard.levels[static_cast<size_t>(i)] = static_cast<int32_t>(level);
-      if (level >= 1) {
-        shard.upper.emplace(i, std::vector<std::vector<int32_t>>(
-                                   static_cast<size_t>(level)));
-      }
-    }
-    if (shard.levels[static_cast<size_t>(entry)] != max_level) {
-      return Status::InvalidArgument("ann image: entry not at max_level");
-    }
-
-    shape = reader.FindShape(ShardKey(s, "links0"));
-    if (shape == nullptr || shape->size() != 2 || (*shape)[0] != n ||
-        (*shape)[1] != shard.l0_cap) {
-      return Status::InvalidArgument("ann image: bad links0 shape");
-    }
-    Tensor links0 = Tensor::Zeros({n, shard.l0_cap});
-    status = reader.ReadInto(ShardKey(s, "links0"), &links0);
-    if (!status.ok()) return status;
-    shard.links0.assign(static_cast<size_t>(n) * shard.l0_cap, -1);
-    shard.links0_size.assign(static_cast<size_t>(n), 0);
-    for (int32_t u = 0; u < n; ++u) {
-      bool ended = false;
-      for (int i = 0; i < shard.l0_cap; ++i) {
-        const float raw = links0.at(u, i);
-        if (raw == -1.0f) {
-          ended = true;
-          continue;
-        }
-        if (ended) {
-          return Status::InvalidArgument(
-              "ann image: link after end-of-list padding");
-        }
-        int64_t v = 0;
-        status = AsInt(raw, 0, n - 1, "layer-0 link", &v);
-        if (!status.ok()) return status;
-        if (v == u) {
-          return Status::InvalidArgument("ann image: self link");
-        }
-        shard.links0[static_cast<size_t>(u) * shard.l0_cap + i] =
-            static_cast<int32_t>(v);
-        ++shard.links0_size[static_cast<size_t>(u)];
-      }
-    }
-
-    if (reader.Contains(ShardKey(s, "upper"))) {
-      shape = reader.FindShape(ShardKey(s, "upper"));
-      if (shape == nullptr || shape->size() != 2 || (*shape)[1] != 3 ||
-          (*shape)[0] < 1) {
-        return Status::InvalidArgument("ann image: bad upper shape");
-      }
-      const int rows = (*shape)[0];
-      Tensor upper = Tensor::Zeros({rows, 3});
-      status = reader.ReadInto(ShardKey(s, "upper"), &upper);
-      if (!status.ok()) return status;
-      for (int r = 0; r < rows; ++r) {
-        int64_t u = 0, layer = 0, v = 0;
-        status = AsInt(upper.at(r, 0), 0, n - 1, "upper node", &u);
-        if (!status.ok()) return status;
-        status = AsInt(upper.at(r, 1), 1, kMaxLevel, "upper layer", &layer);
-        if (!status.ok()) return status;
-        status = AsInt(upper.at(r, 2), 0, n - 1, "upper link", &v);
-        if (!status.ok()) return status;
-        if (layer > shard.levels[static_cast<size_t>(u)] || v == u) {
-          return Status::InvalidArgument("ann image: invalid upper link");
-        }
-        auto& lists = shard.upper[static_cast<int32_t>(u)];
-        std::vector<int32_t>& list = lists[static_cast<size_t>(layer - 1)];
-        if (static_cast<int>(list.size()) >= options.max_neighbors) {
-          return Status::InvalidArgument(
-              "ann image: upper link list over capacity");
-        }
-        list.push_back(static_cast<int32_t>(v));
-      }
-    }
-
-    shard.entry = static_cast<int32_t>(entry);
-    shard.max_level = static_cast<int32_t>(max_level);
-    // Replay the level-draw stream (one NextFloat per insert) so inserts
-    // after a load continue exactly where a never-saved index would be.
-    for (int32_t i = 0; i < n; ++i) shard.rng.NextFloat();
-  }
-  SizeGauge().Add(static_cast<double>(index.size()));
-  return index;
-}
-
-StatusOr<AnnIndex> AnnIndex::Load(const std::string& path) {
-  StatusOr<TensorReader> probe = TensorReader::Open(path);
-  if (!probe.ok()) return probe.status();
-  // Re-parse from the validated bytes via the shared path. Open already
-  // did the CRC work; this keeps one semantic validator for both entry
-  // points at the cost of re-reading a file that loads once per serve.
-  std::string bytes;
-  bytes.reserve(probe.value().file_bytes());
-  {
-    // TensorReader does not expose its bytes; read the file again.
-    FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return Status::IOError("ann: cannot reopen " + path);
-    char buffer[1 << 16];
-    size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      bytes.append(buffer, got);
-    }
-    std::fclose(f);
-  }
-  return Parse(bytes);
 }
 
 }  // namespace hiergat

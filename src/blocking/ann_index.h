@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -31,7 +29,7 @@ struct AnnIndexOptions {
   /// Beam width while searching. Larger = higher recall, slower queries.
   int ef_search = 32;
   /// Seeds the per-shard level draws; fixed seed + fixed insert order =>
-  /// bit-identical graphs, searches, and serialized images.
+  /// bit-identical graphs and searches.
   uint64_t seed = 17;
 };
 
@@ -39,9 +37,9 @@ struct AnnIndexOptions {
 /// L2-normalized float vectors; similarity is the cosine. This is the
 /// candidate generator that replaces exact all-pairs TF-IDF cosine for
 /// million-record blocking (ROADMAP item 4): Insert is incremental (no
-/// rebuild, ~log n link updates), Search is a per-shard beam descent
-/// plus a heap merge, and the whole structure round-trips through the
-/// HGCK checkpoint container with CRC + semantic validation.
+/// rebuild, ~log n link updates) and Search is a per-shard beam descent
+/// plus a heap merge. The index lives in memory only: callers embed and
+/// insert their records in the run that queries them.
 ///
 /// Thread safety: each shard carries a reader/writer lock — any number
 /// of concurrent Search calls may overlap one Insert stream (readers
@@ -57,8 +55,6 @@ class AnnIndex {
  public:
   explicit AnnIndex(const AnnIndexOptions& options);
   ~AnnIndex();
-  AnnIndex(AnnIndex&&) noexcept;
-  AnnIndex& operator=(AnnIndex&&) noexcept;
   AnnIndex(const AnnIndex&) = delete;
   AnnIndex& operator=(const AnnIndex&) = delete;
 
@@ -68,10 +64,10 @@ class AnnIndex {
     float similarity = 0.0f;
   };
 
-  /// Inserts a vector under `id` (non-negative, < 2^47 so ids survive
-  /// the checkpoint f32 split encoding; duplicate ids are allowed and
-  /// surface as distinct hits). The vector is copied and L2-normalized;
-  /// all-zero vectors are stored as-is and match nothing strongly.
+  /// Inserts a vector under `id` (any non-negative value, since -1 is
+  /// Search's `exclude` sentinel; duplicate ids are allowed and surface
+  /// as distinct hits). The vector is copied and L2-normalized; all-zero
+  /// vectors are stored as-is and match nothing strongly.
   /// Incremental: O(ef_construction * log n) link updates, no rebuild.
   void Insert(int64_t id, const std::vector<float>& vector);
 
@@ -94,19 +90,6 @@ class AnnIndex {
   /// Structural self-check of every shard graph (bidirectional links,
   /// per-layer list shape, layer-0 reachability from the entry point).
   Status CheckInvariants() const;
-
-  /// Serializes the index into an HGCK checkpoint image (CRC-covered,
-  /// like every other checkpoint; DESIGN.md §16 documents the tensor
-  /// layout). Fails if a shard outgrew the f32-exact slot range.
-  StatusOr<std::string> SerializeToString() const;
-  Status Save(const std::string& path) const;
-
-  /// Parses and semantically validates a serialized index: besides the
-  /// container's magic/version/CRC checks, every link target, level,
-  /// and entry point is bounds-checked, so hostile images fail with a
-  /// Status — never a crash or an unbounded allocation.
-  static StatusOr<AnnIndex> Parse(const std::string& bytes);
-  static StatusOr<AnnIndex> Load(const std::string& path);
 
  private:
   struct Shard;

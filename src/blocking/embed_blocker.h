@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "blocking/ann_index.h"
-#include "core/status.h"
 #include "data/entity.h"
 #include "text/hashed_embeddings.h"
 
@@ -60,8 +59,8 @@ struct CandidatePair {
 /// Embedding-index blocker: embeds records once, keeps them in a sharded
 /// HNSW `AnnIndex`, and answers top-N queries in sub-linear time. This
 /// is the million-record replacement for `TfIdfBlocker` (ROADMAP item
-/// 4): Add is incremental (no rebuild) and the index round-trips through
-/// the HGCK checkpoint container via Save / AnnIndex::Load.
+/// 4): Add is incremental (no rebuild), and the index lives in memory
+/// for the run that fills and queries it.
 class EmbedBlocker {
  public:
   /// `embed` defaults to a `HashedNgramEmbedder` of the index dim.
@@ -83,7 +82,6 @@ class EmbedBlocker {
   const EmbedBlockOptions& options() const { return options_; }
   const AnnIndex& index() const { return index_; }
   AnnIndex& index() { return index_; }
-  Status Save(const std::string& path) const { return index_.Save(path); }
 
  private:
   EmbedBlockOptions options_;

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <sstream>
 
 #include "core/logging.h"
 #include "obs/log.h"
@@ -55,15 +54,6 @@ void FatalCheckHook(const char* /*message*/) {
   // failure itself, then dump the tail of recent events once.
   RecordFlightEvent(FlightEventKind::kCheckFail, "HG_CHECK");
   DrainAndDump(/*fatal=*/true);
-}
-
-std::string JsonEscape(const char* in) {
-  std::string out;
-  for (const char* p = in; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
-  }
-  return out;
 }
 
 }  // namespace
@@ -176,29 +166,6 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
               return x.seq < y.seq;
             });
   return events;
-}
-
-std::string FlightRecorder::Json() const {
-  const std::vector<FlightEvent> events = Snapshot();
-  const uint64_t recorded = recorded_count();
-  const uint64_t dropped = recorded > events.size()
-                               ? recorded - events.size()
-                               : 0;
-  std::ostringstream out;
-  out << "{\"flightRecorder\":{\"recorded\":" << recorded
-      << ",\"dropped\":" << dropped << ",\"events\":[";
-  bool first = true;
-  for (const FlightEvent& event : events) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"seq\":" << event.seq << ",\"ts_ns\":" << event.ts_ns
-        << ",\"trace\":" << event.trace_id << ",\"kind\":\""
-        << FlightEventKindName(event.kind) << "\",\"detail\":\""
-        << (event.detail != nullptr ? JsonEscape(event.detail) : "")
-        << "\",\"a\":" << event.a << ",\"b\":" << event.b << "}";
-  }
-  out << "]}}";
-  return out.str();
 }
 
 void FlightRecorder::DumpToStderr() const {

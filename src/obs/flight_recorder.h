@@ -24,7 +24,7 @@ enum class FlightEventKind : int32_t {
   kLogError = 10,     ///< HG_LOG(ERROR) emitted.
   kSessionOpen = 11,  ///< er::Session opened a model.
   kServeReload = 12,  ///< Registry hot-swapped a model; a = old refcount.
-  kServeShed = 13,    ///< Admission control shed a request; a = pairs.
+  kServeShed = 13,    ///< DynamicBatcher queue cap hit; a = pairs, b = queued.
 };
 
 /// Name for dumps; never returns null.
@@ -88,9 +88,6 @@ class FlightRecorder {
   /// Copies out the buffered events, oldest first. Skips slots being
   /// written this instant; best-effort by design.
   std::vector<FlightEvent> Snapshot() const;
-
-  /// {"flightRecorder": {"recorded": N, "dropped": M, "events": [...]}}.
-  std::string Json() const;
 
   /// Writes the ring to stderr using only write(2) and stack buffers —
   /// safe from the fatal hook and from signal handlers.

@@ -36,36 +36,9 @@ std::mutex& EmitMutex() {
   return *mutex;
 }
 
-std::FILE*& JsonSinkStorage() {
-  static std::FILE* sink = nullptr;
-  return sink;
-}
-
 LogSink& SinkStorage() {
   static LogSink* sink = new LogSink();
   return *sink;
-}
-
-std::string JsonEscapeMessage(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -92,18 +65,6 @@ LogLevel GetLogLevel() {
 bool LogLevelEnabled(LogLevel level) {
   return static_cast<int>(level) >=
          ThresholdStorage().load(std::memory_order_relaxed);
-}
-
-bool SetLogJsonPath(const std::string& path) {
-  std::lock_guard<std::mutex> lock(EmitMutex());
-  std::FILE*& sink = JsonSinkStorage();
-  if (sink != nullptr) {
-    std::fclose(sink);
-    sink = nullptr;
-  }
-  if (path.empty()) return true;
-  sink = std::fopen(path.c_str(), "a");
-  return sink != nullptr;
 }
 
 void SetLogSink(LogSink sink) {
@@ -134,15 +95,6 @@ LogMessage::~LogMessage() {
   std::lock_guard<std::mutex> lock(EmitMutex());
   std::fprintf(stderr, "[%c %lld %s:%d] %s\n", LogLevelName(level_)[0],
                static_cast<long long>(ts_ms), base, line_, message.c_str());
-  std::FILE* json = JsonSinkStorage();
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\"ts_ms\":%lld,\"level\":\"%s\",\"file\":\"%s\","
-                 "\"line\":%d,\"msg\":\"%s\"}\n",
-                 static_cast<long long>(ts_ms), LogLevelName(level_), base,
-                 line_, JsonEscapeMessage(message).c_str());
-    std::fflush(json);
-  }
   const LogSink& sink = SinkStorage();
   if (sink) sink(level_, file_, line_, message);
 }

@@ -20,12 +20,6 @@ void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 bool LogLevelEnabled(LogLevel level);
 
-/// Optional JSON-lines sink: every emitted record is appended to `path`
-/// as one JSON object per line ({"ts_ms", "level", "file", "line",
-/// "msg"}) in addition to the stderr text line. An empty path closes
-/// the sink. Returns false if the file cannot be opened.
-bool SetLogJsonPath(const std::string& path);
-
 /// Test/embedding hook: receives every emitted record after level
 /// filtering. Pass nullptr to remove. Not thread-safe against concurrent
 /// logging — install sinks before the workload starts.

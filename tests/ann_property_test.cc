@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -127,7 +129,10 @@ TEST(AnnPropertyTest, GraphInvariantsHoldWhileGrowing) {
 TEST(AnnPropertyTest, DeterministicUnderFixedSeeds) {
   const int dim = 16;
   const auto points = ClusteredVectors(800, dim, 10, 404);
-  const auto queries = ClusteredVectors(20, dim, 10, 404);
+  auto queries = ClusteredVectors(20, dim, 10, 404);
+  // Every inserted vector is a query too, so the two graphs must agree
+  // wherever a search can start, not only around the cluster probes.
+  queries.insert(queries.end(), points.begin(), points.end());
   AnnIndex a(SmallOptions(dim, 3));
   AnnIndex b(SmallOptions(dim, 3));
   for (size_t i = 0; i < points.size(); ++i) {
@@ -143,12 +148,6 @@ TEST(AnnPropertyTest, DeterministicUnderFixedSeeds) {
       EXPECT_EQ(ha[i].similarity, hb[i].similarity);
     }
   }
-  // Determinism extends to the serialized image: bit-identical bytes.
-  const auto bytes_a = a.SerializeToString();
-  const auto bytes_b = b.SerializeToString();
-  ASSERT_TRUE(bytes_a.ok());
-  ASSERT_TRUE(bytes_b.ok());
-  EXPECT_EQ(bytes_a.value(), bytes_b.value());
 }
 
 TEST(AnnPropertyTest, IncrementalInsertMatchesBatchRecallBand) {
@@ -217,47 +216,6 @@ TEST(AnnPropertyTest, ConcurrentReadersDuringInsertStream) {
   EXPECT_TRUE(index.CheckInvariants().ok());
 }
 
-TEST(AnnPropertyTest, SaveLoadRoundTripPreservesEverything) {
-  const int dim = 16;
-  AnnIndex index(SmallOptions(dim, 3));
-  const auto points = ClusteredVectors(700, dim, 9, 808);
-  for (size_t i = 0; i < points.size(); ++i) {
-    // Spread ids beyond 2^24 to exercise the hi/lo split encoding.
-    index.Insert(static_cast<int64_t>(i) * 3000017, points[i]);
-  }
-  const auto bytes = index.SerializeToString();
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  auto loaded = AnnIndex::Parse(bytes.value());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().size(), index.size());
-  EXPECT_TRUE(loaded.value().CheckInvariants().ok())
-      << loaded.value().CheckInvariants().ToString();
-  const auto queries = ClusteredVectors(25, dim, 9, 808);
-  for (const auto& q : queries) {
-    const auto before = index.Search(q, 8);
-    const auto after = loaded.value().Search(q, 8);
-    ASSERT_EQ(before.size(), after.size());
-    for (size_t i = 0; i < before.size(); ++i) {
-      EXPECT_EQ(before[i].id, after[i].id);
-      EXPECT_EQ(before[i].similarity, after[i].similarity);
-    }
-  }
-  // Save -> load -> insert replays the level-draw stream, so continuing
-  // to grow a loaded index matches growing the original bit-for-bit.
-  AnnIndex& reloaded = loaded.value();
-  const auto extra = ClusteredVectors(50, dim, 9, 809);
-  for (size_t i = 0; i < extra.size(); ++i) {
-    const int64_t id = static_cast<int64_t>(1000000 + i);
-    index.Insert(id, extra[i]);
-    reloaded.Insert(id, extra[i]);
-  }
-  const auto grown_a = index.SerializeToString();
-  const auto grown_b = reloaded.SerializeToString();
-  ASSERT_TRUE(grown_a.ok());
-  ASSERT_TRUE(grown_b.ok());
-  EXPECT_EQ(grown_a.value(), grown_b.value());
-}
-
 TEST(AnnPropertyTest, EdgeCases) {
   AnnIndex index(SmallOptions(4, 2));
   // Empty index: no hits, invariants hold.
@@ -280,6 +238,18 @@ TEST(AnnPropertyTest, EdgeCases) {
   ASSERT_EQ(tied.size(), 2u);
   EXPECT_EQ(tied[0].id, 3);
   EXPECT_EQ(tied[1].id, 5);
+  // Any non-negative id is storable, up to the largest int64_t.
+  AnnIndex wide(SmallOptions(4, 2));
+  const int64_t big = int64_t{1} << 47;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  wide.Insert(big, {0.0f, 0.0f, 1.0f, 0.0f});
+  wide.Insert(max, {0.0f, 0.0f, 0.0f, 1.0f});
+  const auto big_hits = wide.Search({0.0f, 0.0f, 1.0f, 0.0f}, 1);
+  ASSERT_EQ(big_hits.size(), 1u);
+  EXPECT_EQ(big_hits[0].id, big);
+  const auto max_hits = wide.Search({0.0f, 0.0f, 0.0f, 1.0f}, 1);
+  ASSERT_EQ(max_hits.size(), 1u);
+  EXPECT_EQ(max_hits[0].id, max);
 }
 
 Entity MakeEntity(const std::string& title) {

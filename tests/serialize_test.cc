@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "blocking/ann_index.h"
 #include "core/quant.h"
 #include "core/rng.h"
 #include "tensor/tensor.h"
@@ -389,232 +388,6 @@ TEST(SerializeQ8Test, NullSlotCannotBeRegistered) {
   Tensor t = Tensor::Zeros({2});
   EXPECT_FALSE(params.AddQuantizable("w", t, nullptr).ok());
   EXPECT_FALSE(params.status().ok());
-}
-
-// -- ANN index images ----------------------------------------------------
-//
-// The sharded HNSW index persists through the same container; its Parse
-// layer promises a Status (never a crash or unbounded allocation) on any
-// hostile image. The corpus tests corrupt a real serialized index; the
-// forgery tests build CRC-valid images with targeted semantic damage.
-
-AnnIndex MakeSmallAnnIndex() {
-  AnnIndexOptions options;
-  options.dim = 8;
-  options.num_shards = 2;
-  options.max_neighbors = 4;
-  options.ef_construction = 8;
-  options.ef_search = 8;
-  AnnIndex index(options);
-  Rng rng(99);
-  for (int64_t id = 0; id < 60; ++id) {
-    std::vector<float> v(8);
-    for (float& x : v) x = rng.NextFloat() - 0.5f;
-    index.Insert(id, v);
-  }
-  return index;
-}
-
-TEST(AnnSerializeTest, ImageTruncationAtEveryOffsetFailsCleanly) {
-  const AnnIndex index = MakeSmallAnnIndex();
-  auto bytes_or = index.SerializeToString();
-  ASSERT_TRUE(bytes_or.ok());
-  const std::string& bytes = bytes_or.value();
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    auto index_or = AnnIndex::Parse(bytes.substr(0, len));
-    EXPECT_FALSE(index_or.ok())
-        << "ann image truncated to " << len << " bytes parsed";
-  }
-}
-
-TEST(AnnSerializeTest, ImageEveryFlippedByteFailsCleanly) {
-  const AnnIndex index = MakeSmallAnnIndex();
-  auto bytes_or = index.SerializeToString();
-  ASSERT_TRUE(bytes_or.ok());
-  const std::string& bytes = bytes_or.value();
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string corrupt = bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
-    auto index_or = AnnIndex::Parse(corrupt);
-    EXPECT_FALSE(index_or.ok()) << "ann image flip at byte " << i << " parsed";
-  }
-}
-
-// A hand-forged single-shard two-node image with every field overridable;
-// the unmutated baseline must parse, so each rejection below is caused by
-// exactly the mutated field (and reaches Parse's semantic layer because
-// Recrc keeps the container checksum valid).
-struct AnnForge {
-  int64_t dim = 4;
-  int64_t num_shards = 1;
-  int64_t max_neighbors = 2;  // l0_cap = 4
-  int64_t count = 2;
-  int64_t entry = 0;
-  int64_t max_level = 0;
-  std::vector<float> vectors = {1, 0, 0, 0, 0, 1, 0, 0};
-  std::vector<float> ids = {0, 7, 0, 9};
-  std::vector<float> levels = {0, 0};
-  std::vector<float> links0 = {1, -1, -1, -1, 0, -1, -1, -1};
-  std::vector<float> upper;  // (node, layer, neighbor) triples.
-
-  std::string Build() const {
-    TensorWriter writer("HierGATAnnIndex");
-    writer.SetMeta("format", "ann-hnsw-v1");
-    writer.SetMetaInt("dim", dim);
-    writer.SetMetaInt("num_shards", num_shards);
-    writer.SetMetaInt("max_neighbors", max_neighbors);
-    writer.SetMetaInt("ef_construction", 4);
-    writer.SetMetaInt("ef_search", 4);
-    writer.SetMeta("seed", "17");
-    writer.SetMetaInt("shard0.count", count);
-    writer.SetMetaInt("shard0.entry", entry);
-    writer.SetMetaInt("shard0.max_level", max_level);
-    for (int64_t s = 1; s < num_shards; ++s) {
-      const std::string key = "shard" + std::to_string(s);
-      writer.SetMetaInt(key + ".count", 0);
-      writer.SetMetaInt(key + ".entry", -1);
-      writer.SetMetaInt(key + ".max_level", -1);
-    }
-    const int n = static_cast<int>(levels.size());
-    EXPECT_TRUE(writer
-                    .Add("shard0.vectors",
-                         Tensor::FromVector(
-                             {n, static_cast<int>(vectors.size()) / n},
-                             std::vector<float>(vectors)))
-                    .ok());
-    EXPECT_TRUE(writer
-                    .Add("shard0.ids", Tensor::FromVector(
-                                           {n, 2}, std::vector<float>(ids)))
-                    .ok());
-    EXPECT_TRUE(writer
-                    .Add("shard0.levels",
-                         Tensor::FromVector({n}, std::vector<float>(levels)))
-                    .ok());
-    EXPECT_TRUE(writer
-                    .Add("shard0.links0",
-                         Tensor::FromVector(
-                             {n, static_cast<int>(2 * max_neighbors)},
-                             std::vector<float>(links0)))
-                    .ok());
-    if (!upper.empty()) {
-      EXPECT_TRUE(writer
-                      .Add("shard0.upper",
-                           Tensor::FromVector(
-                               {static_cast<int>(upper.size() / 3), 3},
-                               std::vector<float>(upper)))
-                      .ok());
-    }
-    return writer.SerializeToString();
-  }
-};
-
-TEST(AnnSerializeTest, ForgedBaselineParses) {
-  auto index_or = AnnIndex::Parse(AnnForge().Build());
-  ASSERT_TRUE(index_or.ok()) << index_or.status().ToString();
-  EXPECT_EQ(index_or.value().size(), 2);
-  EXPECT_TRUE(index_or.value().CheckInvariants().ok());
-}
-
-TEST(AnnSerializeTest, ForgedLinkTargetOutOfRangeIsRejected) {
-  AnnForge forge;
-  forge.links0 = {5, -1, -1, -1, 0, -1, -1, -1};
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedNonIntegerLinkIsRejected) {
-  AnnForge forge;
-  forge.links0 = {0.5f, -1, -1, -1, 0, -1, -1, -1};
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedSelfLinkIsRejected) {
-  AnnForge forge;
-  forge.links0 = {0, -1, -1, -1, 0, -1, -1, -1};
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedLinkAfterPaddingIsRejected) {
-  AnnForge forge;
-  forge.links0 = {-1, 1, -1, -1, 0, -1, -1, -1};
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedLevelOutOfRangeIsRejected) {
-  AnnForge negative;
-  negative.levels = {-3, 0};
-  EXPECT_FALSE(AnnIndex::Parse(negative.Build()).ok());
-  // A level above the shard's max_level is also structural damage.
-  AnnForge above;
-  above.levels = {0, 2};
-  EXPECT_FALSE(AnnIndex::Parse(above.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedEntryOutOfRangeIsRejected) {
-  AnnForge forge;
-  forge.entry = 5;
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-  forge.entry = -1;
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedEntryBelowMaxLevelIsRejected) {
-  AnnForge forge;
-  forge.max_level = 2;  // Entry still has level 0.
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedIdOutsideEncodableRangeIsRejected) {
-  AnnForge forge;
-  forge.ids = {static_cast<float>(int64_t{1} << 24), 7, 0, 9};  // id >= 2^47
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedHugeCountIsRejectedBeforeAllocating) {
-  // count says 16 million nodes, the tensors hold two: the shape check
-  // must fire before any graph-sized allocation happens.
-  AnnForge forge;
-  forge.count = 16000000;
-  EXPECT_FALSE(AnnIndex::Parse(forge.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedUpperListDamageIsRejected) {
-  AnnForge flat;  // Upper link on a level-0 node.
-  flat.upper = {0, 1, 1};
-  EXPECT_FALSE(AnnIndex::Parse(flat.Build()).ok());
-
-  // Over-capacity upper list: raise node 0 to level 1 (entry must sit at
-  // max_level) and hand it max_neighbors + 1 = 3 upper links.
-  AnnForge full;
-  full.vectors = {1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1};
-  full.ids = {0, 7, 0, 9, 0, 11, 0, 13};
-  full.levels = {1, 0, 0, 0};
-  full.count = 4;
-  full.max_level = 1;
-  full.links0 = {1, 2, 3, -1, 0, -1, -1, -1,
-                 0, -1, -1, -1, 0, -1, -1, -1};
-  full.upper = {0, 1, 1, 0, 1, 2, 0, 1, 3};
-  EXPECT_FALSE(AnnIndex::Parse(full.Build()).ok());
-}
-
-TEST(AnnSerializeTest, ForgedOptionDamageIsRejected) {
-  AnnForge dim;
-  dim.dim = 0;
-  EXPECT_FALSE(AnnIndex::Parse(dim.Build()).ok());
-  AnnForge shards;
-  shards.num_shards = 1 << 20;
-  EXPECT_FALSE(AnnIndex::Parse(shards.Build()).ok());
-}
-
-TEST(AnnSerializeTest, WrongModelTagIsRejected) {
-  TensorWriter writer("NotAnAnnIndex");
-  writer.SetMeta("format", "ann-hnsw-v1");
-  EXPECT_FALSE(AnnIndex::Parse(writer.SerializeToString()).ok());
-}
-
-TEST(AnnSerializeTest, LoadMissingFileIsAnIOError) {
-  auto index_or = AnnIndex::Load("/nonexistent/ann.hgck");
-  ASSERT_FALSE(index_or.ok());
-  EXPECT_EQ(index_or.status().code(), StatusCode::kIOError);
 }
 
 }  // namespace
