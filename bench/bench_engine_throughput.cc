@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,6 +114,32 @@ int main_impl(int argc, char** argv) {
   const double compiled_seconds = run_sequential();
   const auto graph_stats = model.compiled_stats();
 
+  // Packed replay (DESIGN.md §11), cache still off: the same pairs scored
+  // by ScoreBatch over the engine's 4-pair chunks, whose steps each pack
+  // every MiniLM sequence of the chunk into one replay, and one pair per
+  // call. Rounds alternate which way goes first, so host-speed drift
+  // falls on both sides of the ratio.
+  auto run_chunks = [&](size_t chunk) {
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t begin = 0; begin < workload.size(); begin += chunk) {
+      (void)model.ScoreBatch(std::span<const EntityPair>(
+          workload.data() + begin, std::min(chunk, workload.size() - begin)));
+    }
+    return Seconds(start);
+  };
+  constexpr int kPackedRounds = 8;
+  double packed_seconds = 0.0;
+  double single_seconds = 0.0;
+  for (int round = 0; round < kPackedRounds; ++round) {
+    if (round % 2 == 0) {
+      packed_seconds += run_chunks(4);
+      single_seconds += run_chunks(1);
+    } else {
+      single_seconds += run_chunks(1);
+      packed_seconds += run_chunks(4);
+    }
+  }
+
   model.set_cache_enabled(true);
   model.InvalidateInferenceCache();
   const double one_thread_seconds = run_engine(1);
@@ -160,6 +187,10 @@ int main_impl(int argc, char** argv) {
   table.AddRow({"sequential + compiled graphs, cache off",
                 bench::Fmt(n / compiled_seconds, 1),
                 bench::Fmt(eager_seconds / compiled_seconds, 2) + "x"});
+  table.AddRow({"4-pair ScoreBatch, packed replay, cache off",
+                bench::Fmt(n * kPackedRounds / packed_seconds, 1),
+                bench::Fmt(eager_seconds * kPackedRounds / packed_seconds, 2) +
+                    "x"});
   table.AddRow({"engine 1 thread, graphs + cache",
                 bench::Fmt(n / one_thread_seconds, 1),
                 bench::Fmt(eager_seconds / one_thread_seconds, 2) + "x"});
@@ -176,6 +207,10 @@ int main_impl(int argc, char** argv) {
                          static_cast<double>(std::max<size_t>(
                              1, graph_stats.eager_bytes))),
       eager_seconds / four_thread_seconds);
+  std::printf(
+      "packed replay: 4-pair ScoreBatch chunks are %.2fx one pair per call "
+      "(cache off, %d interleaved rounds)\n",
+      single_seconds / packed_seconds, kPackedRounds);
   std::printf(
       "\nsummary cache over one batch: %lld misses, %lld hits (%.0f%% of "
       "attribute encodes skipped)\n",
@@ -203,6 +238,7 @@ int main_impl(int argc, char** argv) {
   result.AddMetric("engine4_pairs_per_sec", n / four_thread_seconds);
   result.AddMetric("compiled_speedup_vs_eager",
                    eager_seconds / compiled_seconds);
+  result.AddMetric("packed_speedup_vs_single", single_seconds / packed_seconds);
   result.AddMetric("planned_threaded_speedup_vs_eager",
                    eager_seconds / four_thread_seconds);
   result.AddMetric("graph.num_graphs",

@@ -213,8 +213,6 @@ class TensorReader {
   StatusOr<float> GetMetaFloat(const std::string& key) const;
   StatusOr<bool> GetMetaBool(const std::string& key) const;
 
-  /// Tensor names in file order.
-  const std::vector<std::string>& TensorNames() const { return names_; }
   bool Contains(const std::string& name) const;
 
   /// Shape of a stored tensor, or nullptr if absent.

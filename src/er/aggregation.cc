@@ -23,7 +23,10 @@ Tensor HierarchicalAggregator::SummarizeAttribute(
   summaries.Increment();
   Tensor gathered =
       token_seq.empty() ? Tensor() : GatherRows(wpc, token_seq);
-  Tensor summary = SummarizeEmbedded(gathered, training, rng);
+  Tensor cls = lm_->Embed({Vocabulary::kCls});  // [1, F]
+  Tensor seq = gathered.defined() ? ConcatRows({cls, gathered}) : cls;
+  seq = Dropout(seq, dropout_, rng, training);
+  Tensor summary = SliceRows(lm_->EncodeEmbedded(seq, training, rng), 0, 1);
   if (AttentionRecordingEnabled()) {
     // [CLS] attention over the tokens, for visualization.
     const Tensor& attn = lm_->last_attention();  // [L, L]
@@ -33,16 +36,6 @@ Tensor HierarchicalAggregator::SummarizeAttribute(
     }
   }
   return summary;
-}
-
-Tensor HierarchicalAggregator::SummarizeEmbedded(const Tensor& gathered,
-                                                 bool training,
-                                                 Rng& rng) const {
-  Tensor cls = lm_->Embed({Vocabulary::kCls});  // [1, F]
-  Tensor seq = gathered.defined() ? ConcatRows({cls, gathered}) : cls;
-  seq = Dropout(seq, dropout_, rng, training);
-  Tensor encoded = lm_->EncodeEmbedded(seq, training, rng);
-  return SliceRows(encoded, 0, 1);
 }
 
 Tensor HierarchicalAggregator::SummarizeEntity(

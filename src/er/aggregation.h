@@ -24,14 +24,6 @@ class HierarchicalAggregator : public Module {
                             const std::vector<int>& token_seq, bool training,
                             Rng& rng) const;
 
-  /// Core of SummarizeAttribute once the WpC rows are gathered:
-  /// prepends [CLS] to the [L, F] block (undefined `gathered` means an
-  /// empty attribute), encodes, and returns the [CLS] output row. Split
-  /// out so the compiled scoring path can capture it as a graph whose
-  /// only replay-variable input is the gathered block.
-  Tensor SummarizeEmbedded(const Tensor& gathered, bool training,
-                           Rng& rng) const;
-
   /// Entity summarization (§5.1.2): concatenates the entity's attribute
   /// embeddings -> [1, K * F].
   Tensor SummarizeEntity(

@@ -45,7 +45,12 @@ Tensor HierarchicalComparator::CompareAttribute(const Tensor& left_attr,
   Tensor seq = ConcatRows({cls, left_attr, sep, right_attr, sep});
   seq = lm_->AddSegments(seq, {0, 0, 0, 1, 1});
   Tensor encoded = lm_->EncodeEmbedded(seq, training, rng);
-  Tensor cls_out = SliceRows(encoded, 0, 1);
+  return FuseComparison(SliceRows(encoded, 0, 1), left_attr, right_attr);
+}
+
+Tensor HierarchicalComparator::FuseComparison(const Tensor& cls_out,
+                                              const Tensor& left_attr,
+                                              const Tensor& right_attr) const {
   // Interaction-feature fusion (MiniLM-scale adaptation; see header).
   Tensor diff = Sub(left_attr, right_attr);
   Tensor abs_diff = Add(Relu(diff), Relu(Neg(diff)));

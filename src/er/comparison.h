@@ -41,6 +41,13 @@ class HierarchicalComparator : public Module {
   Tensor CompareAttribute(const Tensor& left_attr, const Tensor& right_attr,
                           bool training, Rng& rng) const;
 
+  /// The fusion step of CompareAttribute: the comparison's [CLS] output
+  /// row with |a1-a2| and a1*a2 through the learned projection -> [1, F].
+  /// Split out so the packed scoring path can encode every comparison of
+  /// a batch at once and replay the rest per pair.
+  Tensor FuseComparison(const Tensor& cls_out, const Tensor& left_attr,
+                        const Tensor& right_attr) const;
+
   /// Entity comparison layer (§5.2.2): combines the K attribute
   /// similarity embeddings into the entity similarity embedding [1, F].
   /// `left_entity`/`right_entity` are the [1, K*F] entity embeddings

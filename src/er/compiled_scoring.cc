@@ -1,26 +1,27 @@
 #include "er/compiled_scoring.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "core/logging.h"
 #include "nn/introspection.h"
+#include "nn/transformer.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/ops.h"
 #include "tensor/threadpool.h"
 
 namespace hiergat {
 
 namespace {
 
-obs::Counter& SummarizeReplays() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.compiled.summarize_replays");
-  return c;
-}
+/// Smallest bucket: below it a replay saves no arena bytes worth a graph.
+constexpr int kMinBucket = 16;
+/// Sequence length of the capture-time layout, which fixes a packed
+/// graph's static cost estimates (graph::NodeCost).
+constexpr int kCaptureSequenceRows = 4;
 
 obs::Counter& CompareReplays() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -34,40 +35,61 @@ obs::Counter& CaptureFailures() {
   return c;
 }
 
+/// The bucket that holds `rows` packed rows.
+int Bucket(int rows) {
+  int capacity = kMinBucket;
+  while (capacity < rows) capacity *= 2;
+  return capacity;
+}
+
 }  // namespace
+
+float* PackedSequences::Append(int len, size_t item) {
+  if (len > CompiledScoring::kMaxRows) return nullptr;
+  const size_t first = rows.size();
+  rows.resize(first + static_cast<size_t>(len) * static_cast<size_t>(dim));
+  offsets.push_back(offsets.back() + len);
+  items.push_back(item);
+  return rows.data() + first;
+}
 
 CompiledScoring::CompiledScoring(const CompiledScoringConfig& config)
     : config_(config) {
   HG_CHECK(config_.lm != nullptr);
-  HG_CHECK(config_.aggregator != nullptr);
   HG_CHECK(config_.comparator != nullptr);
   HG_CHECK(config_.classifier != nullptr);
   HG_CHECK_GT(config_.num_attributes, 0);
+  // The eager encoder adds Scale(SinusoidalPositions(len, F)) to each
+  // sequence; a row's position bits do not depend on `len`.
+  NoGradGuard no_grad;
+  positions_ = Scale(SinusoidalPositions(kMaxRows, config_.lm->dim()),
+                     config_.lm->encoder().config().position_scale)
+                   .data();
 }
 
 CompiledScoring::~CompiledScoring() = default;
 
-std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildSummarizeGraph(
-    int length) const {
-  HG_TRACE_SPAN("CompiledScoring::BuildSummarizeGraph");
+std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildEncoderGraph(
+    int capacity) const {
+  HG_TRACE_SPAN("CompiledScoring::BuildEncoderGraph");
   // Capture must see exactly the inference-time trace: no gradients, no
   // attention snapshots (those Detach, which poisons the capture).
   NoGradGuard no_grad;
   AttentionRecordingGuard no_attention(false);
   Rng unused(0);  // Inference-mode Dropout never draws from it.
-  graph::GraphCapture capture;
-  Tensor input;
-  if (length > 0) {
-    input = Tensor::Zeros({length, config_.lm->dim()});
-    capture.MarkInput(input);
+  std::vector<int> segments;
+  for (int row = 0; row <= capacity; row += kCaptureSequenceRows) {
+    segments.push_back(row);
   }
-  Tensor summary =
-      config_.aggregator->SummarizeEmbedded(input, /*training=*/false, unused);
-  capture.MarkOutput(summary);
+  graph::GraphCapture capture;
+  Tensor rows = Tensor::Zeros({capacity, config_.lm->dim()});
+  capture.MarkInput(rows);
+  capture.MarkOutput(config_.lm->encoder().Forward(
+      rows, /*training=*/false, unused, /*add_positions=*/false, segments));
   auto compiled = capture.Finish();
   if (!compiled.ok()) {
     CaptureFailures().Increment();
-    HG_LOG(WARN) << "summarize graph capture (length " << length
+    HG_LOG(WARN) << "packed encoder capture (capacity " << capacity
                     << ") failed, staying eager: "
                     << compiled.status().ToString();
     return nullptr;
@@ -75,134 +97,143 @@ std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildSummarizeGraph(
   return std::move(compiled).value();
 }
 
-std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildCompareGraph()
-    const {
-  HG_TRACE_SPAN("CompiledScoring::BuildCompareGraph");
+std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildHeadGraph() const {
+  HG_TRACE_SPAN("CompiledScoring::BuildHeadGraph");
   NoGradGuard no_grad;
   AttentionRecordingGuard no_attention(false);
-  Rng unused(0);
-  const int k = config_.num_attributes;
+  const size_t k = static_cast<size_t>(config_.num_attributes);
   const int f = config_.lm->dim();
   graph::GraphCapture capture;
-  std::vector<Tensor> left(static_cast<size_t>(k));
-  std::vector<Tensor> right(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    left[static_cast<size_t>(i)] = Tensor::Zeros({1, f});
-    capture.MarkInput(left[static_cast<size_t>(i)]);
-  }
-  for (int i = 0; i < k; ++i) {
-    right[static_cast<size_t>(i)] = Tensor::Zeros({1, f});
-    capture.MarkInput(right[static_cast<size_t>(i)]);
-  }
-  Tensor left_entity = Tensor::Zeros({1, k * f});
+  auto inputs = [&](int width) {
+    std::vector<Tensor> rows(k);
+    for (Tensor& row : rows) {
+      row = Tensor::Zeros({1, width});
+      capture.MarkInput(row);
+    }
+    return rows;
+  };
+  const std::vector<Tensor> cls = inputs(f);
+  const std::vector<Tensor> left = inputs(f);
+  const std::vector<Tensor> right = inputs(f);
+  Tensor left_entity = Tensor::Zeros({1, static_cast<int>(k) * f});
   capture.MarkInput(left_entity);
-  Tensor right_entity = Tensor::Zeros({1, k * f});
+  Tensor right_entity = Tensor::Zeros({1, static_cast<int>(k) * f});
   capture.MarkInput(right_entity);
   std::vector<Tensor> similarities;
-  similarities.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    similarities.push_back(config_.comparator->CompareAttribute(
-        left[static_cast<size_t>(i)], right[static_cast<size_t>(i)],
-        /*training=*/false, unused));
+  similarities.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    similarities.push_back(
+        config_.comparator->FuseComparison(cls[i], left[i], right[i]));
   }
-  Tensor similarity = config_.comparator->CombineViews(
-      similarities, left_entity, right_entity);
-  capture.MarkOutput(config_.classifier->Forward(similarity));
+  capture.MarkOutput(config_.classifier->Forward(
+      config_.comparator->CombineViews(similarities, left_entity,
+                                       right_entity)));
   auto compiled = capture.Finish();
   if (!compiled.ok()) {
     CaptureFailures().Increment();
-    HG_LOG(WARN) << "compare graph capture failed, staying eager: "
+    HG_LOG(WARN) << "compare head capture failed, staying eager: "
                     << compiled.status().ToString();
     return nullptr;
   }
   return std::move(compiled).value();
 }
 
-std::shared_ptr<graph::CompiledGraph> CompiledScoring::SummarizeGraph(
-    int length) const {
+std::shared_ptr<graph::CompiledGraph> CompiledScoring::EncoderGraph(
+    int capacity) const {
   std::unique_lock<std::mutex> lock(mutex_);
-  auto it = summarize_.find(length);
-  if (it != summarize_.end()) return it->second;
-  if (summarize_failed_.count(length)) return nullptr;
-  // Compile under the lock: concurrent scorers wanting this length wait
+  auto it = encoders_.find(capacity);
+  if (it != encoders_.end()) return it->second;
+  if (encoder_failed_) return nullptr;
+  // Compile under the lock: concurrent scorers wanting this bucket wait
   // rather than duplicating the (one-off) capture work.
-  auto built = BuildSummarizeGraph(length);
+  auto built = BuildEncoderGraph(capacity);
   if (built == nullptr) {
-    summarize_failed_.insert(length);
+    encoder_failed_ = true;
     ++num_failed_;
     obs::RecordFlightEvent(obs::FlightEventKind::kGraphCaptureFail,
-                           "summarize", length);
+                           "packed_encoder", capacity);
     return nullptr;
   }
-  obs::RecordFlightEvent(obs::FlightEventKind::kGraphCompile, "summarize",
-                         length,
+  obs::RecordFlightEvent(obs::FlightEventKind::kGraphCompile,
+                         "packed_encoder", capacity,
                          static_cast<int64_t>(built->stats().est_flops));
-  summarize_.emplace(length, built);
+  encoders_.emplace(capacity, built);
   return built;
 }
 
-std::shared_ptr<graph::CompiledGraph> CompiledScoring::CompareGraph() const {
+std::shared_ptr<graph::CompiledGraph> CompiledScoring::HeadGraph() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (compare_ != nullptr) return compare_;
-  if (compare_failed_) return nullptr;
-  auto built = BuildCompareGraph();
+  if (head_ != nullptr) return head_;
+  if (head_failed_) return nullptr;
+  auto built = BuildHeadGraph();
   if (built == nullptr) {
-    compare_failed_ = true;
+    head_failed_ = true;
     ++num_failed_;
     obs::RecordFlightEvent(obs::FlightEventKind::kGraphCaptureFail,
-                           "compare");
+                           "compare_head");
     return nullptr;
   }
-  obs::RecordFlightEvent(obs::FlightEventKind::kGraphCompile, "compare", 0,
-                         static_cast<int64_t>(built->stats().est_flops));
-  compare_ = built;
+  obs::RecordFlightEvent(obs::FlightEventKind::kGraphCompile, "compare_head",
+                         0, static_cast<int64_t>(built->stats().est_flops));
+  head_ = built;
   return built;
 }
 
-Tensor CompiledScoring::Summarize(const Tensor& wpc,
-                                  const std::vector<int>& token_seq) const {
-  const int length = static_cast<int>(token_seq.size());
-  std::shared_ptr<graph::CompiledGraph> compiled = SummarizeGraph(length);
-  if (compiled == nullptr) return Tensor();
-  const int f = config_.lm->dim();
-  Tensor out = Tensor::Zeros({1, f});
-  float* outputs[] = {out.data().data()};
-  if (length == 0) {
-    // Fully folded: replay is a memcpy of the constant [CLS] summary.
-    compiled->Run(nullptr, outputs, &ThreadPool::Global());
-  } else {
-    // Dense [L, F] gather of the WpC rows — the graph's only input.
-    std::vector<float> gathered(static_cast<size_t>(length) *
-                                static_cast<size_t>(f));
-    const float* src = wpc.data().data();
-    const int wpc_rows = wpc.dim(0);
-    for (int i = 0; i < length; ++i) {
-      const int row = token_seq[static_cast<size_t>(i)];
-      HG_CHECK(row >= 0 && row < wpc_rows);
-      std::memcpy(gathered.data() + static_cast<size_t>(i) * f,
-                  src + static_cast<size_t>(row) * f,
-                  static_cast<size_t>(f) * sizeof(float));
-    }
-    const float* inputs[] = {gathered.data()};
-    compiled->Run(inputs, outputs, &ThreadPool::Global());
+bool CompiledScoring::Encode(PackedSequences* seqs, bool cls_only,
+                             std::vector<Tensor>* out) const {
+  HG_CHECK_EQ(seqs->dim, config_.lm->dim());
+  const size_t f = static_cast<size_t>(seqs->dim);
+  const std::vector<int>& offsets = seqs->offsets;
+  const int count = seqs->count();
+  for (int s = 0; s < count; ++s) {
+    float* row = seqs->rows.data() + static_cast<size_t>(offsets[s]) * f;
+    const size_t floats = static_cast<size_t>(offsets[s + 1] - offsets[s]) * f;
+    for (size_t i = 0; i < floats; ++i) row[i] += positions_[i];
   }
-  SummarizeReplays().Increment();
-  return out;
+  std::vector<float> encoded(seqs->rows.size());
+  std::vector<int> table;
+  for (int s = 0; s < count;) {
+    // The longest run of whole sequences from `s` that fits kMaxRows.
+    const int first = offsets[s];
+    int end = s + 1;
+    while (end < count && offsets[end + 1] - first <= kMaxRows) ++end;
+    table.assign(offsets.begin() + s, offsets.begin() + end + 1);
+    for (int& row : table) row -= first;
+    std::shared_ptr<graph::CompiledGraph> compiled =
+        EncoderGraph(Bucket(table.back()));
+    if (compiled == nullptr) return false;
+    const size_t first_float = static_cast<size_t>(first) * f;
+    const float* inputs[] = {seqs->rows.data() + first_float};
+    float* outputs[] = {encoded.data() + first_float};
+    compiled->Run(inputs, outputs, &ThreadPool::Global(), table);
+    s = end;
+  }
+  // Pool-backed tensors, like the eager path's, so their buffers
+  // recycle when they die.
+  for (int s = 0; s < count; ++s) {
+    const int rows = cls_only ? 1 : offsets[s + 1] - offsets[s];
+    Tensor rows_out = Tensor::Zeros({rows, seqs->dim});
+    std::copy_n(encoded.data() + static_cast<size_t>(offsets[s]) * f,
+                rows_out.data().size(), rows_out.data().data());
+    (*out)[seqs->items[static_cast<size_t>(s)]] = std::move(rows_out);
+  }
+  return true;
 }
 
-Tensor CompiledScoring::Compare(const std::vector<Tensor>& left,
-                                const std::vector<Tensor>& right,
-                                const Tensor& left_entity,
-                                const Tensor& right_entity) const {
-  std::shared_ptr<graph::CompiledGraph> compiled = CompareGraph();
+Tensor CompiledScoring::CompareHead(std::span<const Tensor> cls,
+                                    std::span<const Tensor> left,
+                                    std::span<const Tensor> right,
+                                    const Tensor& left_entity,
+                                    const Tensor& right_entity) const {
+  std::shared_ptr<graph::CompiledGraph> compiled = HeadGraph();
   if (compiled == nullptr) return Tensor();
   const size_t k = static_cast<size_t>(config_.num_attributes);
-  HG_CHECK_EQ(left.size(), k);
-  HG_CHECK_EQ(right.size(), k);
+  HG_CHECK(cls.size() == k && left.size() == k && right.size() == k);
   std::vector<const float*> inputs;
-  inputs.reserve(2 * k + 2);
-  for (const Tensor& t : left) inputs.push_back(t.data().data());
-  for (const Tensor& t : right) inputs.push_back(t.data().data());
+  inputs.reserve(3 * k + 2);
+  for (std::span<const Tensor> rows : {cls, left, right}) {
+    for (const Tensor& t : rows) inputs.push_back(t.data().data());
+  }
   const size_t entity_floats = k * static_cast<size_t>(config_.lm->dim());
   HG_CHECK_EQ(left_entity.data().size(), entity_floats);
   HG_CHECK_EQ(right_entity.data().size(), entity_floats);
@@ -218,16 +249,16 @@ Tensor CompiledScoring::Compare(const std::vector<Tensor>& left,
 
 void CompiledScoring::Clear() {
   std::unique_lock<std::mutex> lock(mutex_);
-  const int64_t discarded = static_cast<int64_t>(summarize_.size()) +
-                            (compare_ != nullptr ? 1 : 0);
+  const int64_t discarded = static_cast<int64_t>(encoders_.size()) +
+                            (head_ != nullptr ? 1 : 0);
   if (discarded > 0) {
     obs::RecordFlightEvent(obs::FlightEventKind::kGraphInvalidate,
                            "compiled_scoring", discarded);
   }
-  summarize_.clear();
-  summarize_failed_.clear();
-  compare_.reset();
-  compare_failed_ = false;
+  encoders_.clear();
+  encoder_failed_ = false;
+  head_.reset();
+  head_failed_ = false;
   num_failed_ = 0;
 }
 
@@ -235,16 +266,13 @@ CompiledScoring::Stats CompiledScoring::stats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   Stats stats;
   stats.num_failed = num_failed_;
-  for (const auto& [length, compiled] : summarize_) {
+  auto add = [&stats](const graph::CompiledGraph& compiled) {
     ++stats.num_graphs;
-    stats.plan_bytes += compiled->stats().plan_bytes;
-    stats.eager_bytes += compiled->stats().eager_bytes;
-  }
-  if (compare_ != nullptr) {
-    ++stats.num_graphs;
-    stats.plan_bytes += compare_->stats().plan_bytes;
-    stats.eager_bytes += compare_->stats().eager_bytes;
-  }
+    stats.plan_bytes += compiled.stats().plan_bytes;
+    stats.eager_bytes += compiled.stats().eager_bytes;
+  };
+  for (const auto& [capacity, compiled] : encoders_) add(*compiled);
+  if (head_ != nullptr) add(*head_);
   return stats;
 }
 

@@ -1,13 +1,12 @@
 #ifndef HIERGAT_ER_COMPILED_SCORING_H_
 #define HIERGAT_ER_COMPILED_SCORING_H_
 
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
-#include "er/aggregation.h"
 #include "er/comparison.h"
 #include "nn/mlp.h"
 #include "tensor/graph.h"
@@ -19,32 +18,32 @@ namespace hiergat {
 /// CompiledScoring instance (the models own both).
 struct CompiledScoringConfig {
   const MiniLm* lm = nullptr;
-  const HierarchicalAggregator* aggregator = nullptr;
   const HierarchicalComparator* comparator = nullptr;
   const Mlp* classifier = nullptr;
   int num_attributes = 0;
 };
 
+struct PackedSequences;
+
 /// Compiled-graph execution of the NoGrad scoring path (DESIGN.md §11).
 ///
-/// Two graph families cover the shape-stable parts of scoring:
-///  - per-length *summarize* graphs: [L, F] gathered WpC rows ->
-///    [1, F] attribute summary (SummarizeEmbedded), one graph per
-///    distinct attribute length L, compiled lazily on first sight;
-///  - one fixed *compare* graph: 2K attribute summaries and the two
-///    [1, K*F] entity embeddings -> [1, 2] logits (CompareAttribute x
-///    K, CombineViews, classifier).
+/// Two graph families cover it:
+///  - *packed encoder* graphs, one per row-capacity bucket (powers of
+///    two up to kMaxRows): the MiniLM encoder over [capacity, F] rows
+///    that pack several sequences, replayed over the live rows with the
+///    sequence table as a replay argument (graph::Replay). Every MiniLM
+///    sequence of a scoring batch runs through them: the token-context
+///    encodes, the attribute summaries and the attribute comparisons;
+///  - one *compare head* graph: the K comparison [CLS] rows, the 2K
+///    attribute summaries and the two [1, K*F] entity embeddings ->
+///    [1, 2] logits (interaction fusion x K, CombineViews, classifier).
 ///
-/// Everything upstream (HHG construction, the per-pair contextual WpC
-/// matrix) stays eager — its shapes vary per pair — and so do the
-/// entity embeddings between the two families (a concat of the
-/// summaries; HierGAT+ also aligns them) and the final Softmax. The
-/// models reach both families through HierGatStack, which owns the
-/// replay-or-eager choice. Capture failures
-/// (Status::Unimplemented from GraphCapture::Finish) are remembered and
-/// the affected entry point permanently returns an undefined Tensor, so
-/// callers keep their eager path; replay is never allowed to be wrong,
-/// only absent.
+/// A packed row gets the bits it has when its sequence is encoded alone
+/// (row-wise nodes are M-independent, attention runs per sequence), so
+/// the caller's eager modules stay a bit-identical fallback. A capture
+/// failure (Status::Unimplemented from GraphCapture::Finish) is
+/// remembered and the affected entry point permanently reports failure;
+/// replay is never allowed to be wrong, only absent.
 ///
 /// Thread-safe: lazy compilation is serialized by an internal mutex and
 /// replay runs on shared_ptr-held graphs, so Clear() may race scoring.
@@ -53,24 +52,33 @@ struct CompiledScoringConfig {
 /// InvalidateInferenceCache here).
 class CompiledScoring {
  public:
+  /// Most rows one packed replay takes, and so the longest sequence it
+  /// encodes: callers run a longer one eagerly, and a batch with more
+  /// rows splits into several replays.
+  static constexpr int kMaxRows = 128;
+
   explicit CompiledScoring(const CompiledScoringConfig& config);
   ~CompiledScoring();
   CompiledScoring(const CompiledScoring&) = delete;
   CompiledScoring& operator=(const CompiledScoring&) = delete;
 
-  /// Attribute summarization through the length-L compiled graph:
-  /// gathers `token_seq`'s rows from `wpc` into a dense block and
-  /// replays. Returns an undefined Tensor when compilation failed for
-  /// this length (caller falls back to the eager aggregator).
-  Tensor Summarize(const Tensor& wpc, const std::vector<int>& token_seq) const;
+  /// Encodes every sequence of `seqs`: adds each row's position within
+  /// its sequence, then replays the smallest bucket that holds each run
+  /// of sequences. Stores each sequence's encoded rows — only its row 0,
+  /// the [CLS] output, when `cls_only` — in `(*out)[item]`, and returns
+  /// true; returns false, storing nothing, when the encoder graph failed
+  /// to capture (the caller runs its eager modules).
+  bool Encode(PackedSequences* seqs, bool cls_only,
+              std::vector<Tensor>* out) const;
 
-  /// Compare-and-classify replay over K `left` / `right` attribute
-  /// summaries ([1, F] each) and the two [1, K*F] entity embeddings.
-  /// Returns [1, 2] logits, or an undefined Tensor when compilation
-  /// failed.
-  Tensor Compare(const std::vector<Tensor>& left,
-                 const std::vector<Tensor>& right, const Tensor& left_entity,
-                 const Tensor& right_entity) const;
+  /// Compare-and-classify replay over one pair's K comparison [CLS] rows
+  /// (the encoder's row 0 of each `[CLS] l [SEP] r [SEP]`), its K `left`
+  /// / `right` attribute summaries ([1, F] each) and the two [1, K*F]
+  /// entity embeddings. Returns [1, 2] logits, or an undefined Tensor
+  /// when compilation failed.
+  Tensor CompareHead(std::span<const Tensor> cls, std::span<const Tensor> left,
+                     std::span<const Tensor> right, const Tensor& left_entity,
+                     const Tensor& right_entity) const;
 
   /// Drops every compiled graph (parameters changed; they recompile
   /// lazily). In-flight replays finish on the old graphs.
@@ -85,20 +93,42 @@ class CompiledScoring {
   Stats stats() const;
 
  private:
-  std::shared_ptr<graph::CompiledGraph> SummarizeGraph(int length) const;
-  std::shared_ptr<graph::CompiledGraph> CompareGraph() const;
-  std::shared_ptr<graph::CompiledGraph> BuildSummarizeGraph(int length) const;
-  std::shared_ptr<graph::CompiledGraph> BuildCompareGraph() const;
+  std::shared_ptr<graph::CompiledGraph> EncoderGraph(int capacity) const;
+  std::shared_ptr<graph::CompiledGraph> HeadGraph() const;
+  std::shared_ptr<graph::CompiledGraph> BuildEncoderGraph(int capacity) const;
+  std::shared_ptr<graph::CompiledGraph> BuildHeadGraph() const;
 
   CompiledScoringConfig config_;
+  /// Scaled sinusoidal positions [kMaxRows, F], as the eager encoder
+  /// adds them.
+  std::vector<float> positions_;
 
   mutable std::mutex mutex_;
-  mutable std::unordered_map<int, std::shared_ptr<graph::CompiledGraph>>
-      summarize_;
-  mutable std::unordered_set<int> summarize_failed_;
-  mutable std::shared_ptr<graph::CompiledGraph> compare_;
-  mutable bool compare_failed_ = false;
+  mutable std::map<int, std::shared_ptr<graph::CompiledGraph>> encoders_;
+  mutable bool encoder_failed_ = false;
+  mutable std::shared_ptr<graph::CompiledGraph> head_;
+  mutable bool head_failed_ = false;
   mutable int num_failed_ = 0;
+};
+
+/// The inputs of one packed encode: several MiniLM sequences as
+/// row-major [Σ len, F] rows (token rows, plus segment rows for a pair
+/// sequence; CompiledScoring::Encode adds the positions), the row where
+/// each sequence begins followed by the end, and the caller's item index
+/// of each sequence.
+struct PackedSequences {
+  explicit PackedSequences(int dim) : dim(dim) {}
+
+  /// Appends a `len`-row sequence for the caller's item `item` and
+  /// returns its rows to fill, or nullptr when `len` exceeds
+  /// CompiledScoring::kMaxRows (the caller runs that item eagerly).
+  float* Append(int len, size_t item);
+  int count() const { return static_cast<int>(items.size()); }
+
+  int dim;
+  std::vector<float> rows;
+  std::vector<int> offsets{0};
+  std::vector<size_t> items;
 };
 
 }  // namespace hiergat

@@ -1,5 +1,7 @@
 #include "er/contextual.h"
 
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/logging.h"
@@ -46,10 +48,66 @@ ContextualEmbedder::ContextualEmbedder(const MiniLm* lm,
       std::make_unique<GraphAttentionPool>(2 * f, rng, /*project=*/false);
 }
 
-Tensor ContextualEmbedder::TokenLevelContext(const Hhg& hhg,
-                                             const Tensor& base,
-                                             bool training, Rng& rng,
-                                             SummaryCache* cache) const {
+std::vector<std::vector<Tensor>> ContextualEmbedder::TokenEncodes(
+    std::span<const Hhg> hhgs, SummaryCache* cache,
+    const BatchEncoder& encode) const {
+  std::vector<std::vector<Tensor>> encodes(hhgs.size());
+  std::vector<std::vector<int>> ids;  // One per value to encode.
+  std::vector<std::string> keys;      // Parallel to `ids` with a cache.
+  std::unordered_map<std::string, size_t> pending;  // key -> index in ids
+  struct Use {
+    size_t hhg, attr, value;
+    bool repeat;  ///< A repeat of a value that missed in this batch.
+  };
+  std::vector<Use> uses;
+  for (size_t h = 0; h < hhgs.size(); ++h) {
+    const Hhg& hhg = hhgs[h];
+    encodes[h].resize(static_cast<size_t>(hhg.num_attributes()));
+    for (int a = 0; a < hhg.num_attributes(); ++a) {
+      const std::vector<int>& seq = hhg.attribute(a).token_seq;
+      if (seq.empty()) continue;
+      const size_t attr = static_cast<size_t>(a);
+      if (cache != nullptr) {
+        std::string key = TokenKey("ctx", hhg, seq);
+        Tensor hit = cache->Find(key);
+        if (hit.defined()) {
+          encodes[h][attr] = std::move(hit);
+          continue;
+        }
+        const auto [it, fresh] = pending.emplace(key, ids.size());
+        if (!fresh) {
+          uses.push_back({h, attr, it->second, true});
+          continue;
+        }
+        keys.push_back(std::move(key));
+      }
+      uses.push_back({h, attr, ids.size(), false});
+      std::vector<int>& value_ids = ids.emplace_back();
+      value_ids.reserve(seq.size());
+      for (int t : seq) value_ids.push_back(lm_->vocab().Id(hhg.token(t)));
+    }
+  }
+  if (ids.empty()) return encodes;
+  LmEncodesCounter().Increment(static_cast<int64_t>(ids.size()));
+  std::vector<Tensor> encoded = encode(ids);
+  HG_CHECK_EQ(encoded.size(), ids.size());
+  if (cache != nullptr) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      encoded[i] = cache->Insert(keys[i], encoded[i]);
+    }
+  }
+  for (const Use& use : uses) {
+    Tensor& slot = encodes[use.hhg][use.attr];
+    // Sequential scoring would find the inserted value: count the hit.
+    if (use.repeat) slot = cache->Find(keys[use.value]);
+    if (!slot.defined()) slot = encoded[use.value];
+  }
+  return encodes;
+}
+
+Tensor ContextualEmbedder::TokenLevelContext(
+    const Hhg& hhg, const Tensor& base, bool training, Rng& rng,
+    SummaryCache* cache, const std::vector<Tensor>* token_encodes) const {
   HG_TRACE_SPAN("ContextualEmbedder::TokenLevelContext");
   const int num_tokens = hhg.num_tokens();
   const int f = lm_->dim();
@@ -59,7 +117,8 @@ Tensor ContextualEmbedder::TokenLevelContext(const Hhg& hhg,
   std::vector<Tensor> encoded_parts;
   std::vector<std::pair<int, int>> row_token;  // (flat row, token id)
   int flat_rows = 0;
-  for (const Hhg::AttributeNode& attr : hhg.attributes()) {
+  for (int a = 0; a < hhg.num_attributes(); ++a) {
+    const Hhg::AttributeNode& attr = hhg.attribute(a);
     if (attr.token_seq.empty()) continue;
     // The encode reads only this attribute's own rows of `base` (the
     // static per-token-string embeddings), so it is cacheable by value.
@@ -68,9 +127,14 @@ Tensor ContextualEmbedder::TokenLevelContext(const Hhg& hhg,
       Tensor seq = GatherRows(base, attr.token_seq);
       return lm_->EncodeEmbedded(seq, training, rng);
     };
-    Tensor ctx = cache ? cache->GetOrCompute(TokenKey("ctx", hhg, attr.token_seq),
-                                             encode)
-                       : encode();
+    Tensor ctx;
+    if (token_encodes != nullptr) {
+      ctx = (*token_encodes)[static_cast<size_t>(a)];
+    } else if (cache != nullptr) {
+      ctx = cache->GetOrCompute(TokenKey("ctx", hhg, attr.token_seq), encode);
+    } else {
+      ctx = encode();
+    }
     encoded_parts.push_back(ctx);
     for (size_t p = 0; p < attr.token_seq.size(); ++p) {
       row_token.emplace_back(flat_rows + static_cast<int>(p),
@@ -91,8 +155,9 @@ Tensor ContextualEmbedder::TokenLevelContext(const Hhg& hhg,
   return MatMul(m, all_rows);  // [num_tokens, F]
 }
 
-Tensor ContextualEmbedder::Compute(const Hhg& hhg, bool training, Rng& rng,
-                                   SummaryCache* cache) const {
+Tensor ContextualEmbedder::Compute(
+    const Hhg& hhg, bool training, Rng& rng, SummaryCache* cache,
+    const std::vector<Tensor>* token_encodes) const {
   HG_TRACE_SPAN("ContextualEmbedder::Compute");
   if (training) cache = nullptr;  // Cached tensors are detached.
   const int num_tokens = hhg.num_tokens();
@@ -109,7 +174,8 @@ Tensor ContextualEmbedder::Compute(const Hhg& hhg, bool training, Rng& rng,
 
   Tensor context;  // Accumulates C.
   if (config_.use_token_context) {
-    context = TokenLevelContext(hhg, base, training, rng, cache);
+    context =
+        TokenLevelContext(hhg, base, training, rng, cache, token_encodes);
   }
 
   const auto& groups = hhg.key_groups();

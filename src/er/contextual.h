@@ -1,7 +1,9 @@
 #ifndef HIERGAT_ER_CONTEXTUAL_H_
 #define HIERGAT_ER_CONTEXTUAL_H_
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "er/graph_attention.h"
@@ -48,8 +50,29 @@ class ContextualEmbedder : public Module {
   /// The cross-entity terms (key-group sums, common-token context) are
   /// always recomputed, which keeps cached and uncached passes
   /// bit-identical. Ignored when training.
+  ///
+  /// `token_encodes`, if non-null, supplies the token-level encode of
+  /// every attribute (TokenEncodes), which Compute then neither runs nor
+  /// looks up.
   Tensor Compute(const Hhg& hhg, bool training, Rng& rng,
-                 SummaryCache* cache = nullptr) const;
+                 SummaryCache* cache = nullptr,
+                 const std::vector<Tensor>* token_encodes = nullptr) const;
+
+  /// Encodes vocabulary-id sequences to their [len, F] contextual rows,
+  /// in order, with the bits of the LM's EncodeEmbedded over each.
+  using BatchEncoder = std::function<std::vector<Tensor>(
+      const std::vector<std::vector<int>>& ids)>;
+
+  /// The token-level encodes Compute runs for each of `hhgs`, per
+  /// attribute id (undefined for an empty value), for inference over a
+  /// batch: every value `cache` does not hold goes to one `encode` call,
+  /// once per distinct value when there is a cache. Each value counts
+  /// in `hiergat.contextual.lm_encodes` and in the cache's hits and
+  /// misses as Compute would count it, one HHG after another: a repeat of
+  /// a value that missed earlier in the batch is a hit.
+  std::vector<std::vector<Tensor>> TokenEncodes(
+      std::span<const Hhg> hhgs, SummaryCache* cache,
+      const BatchEncoder& encode) const;
 
   std::vector<Tensor> Parameters() const override;
 
@@ -65,8 +88,8 @@ class ContextualEmbedder : public Module {
   /// C^t: encodes each attribute's token sequence with the LM encoder
   /// and averages per unique token.
   Tensor TokenLevelContext(const Hhg& hhg, const Tensor& base,
-                           bool training, Rng& rng,
-                           SummaryCache* cache) const;
+                           bool training, Rng& rng, SummaryCache* cache,
+                           const std::vector<Tensor>* token_encodes) const;
 
   const MiniLm* lm_;
   ContextualConfig config_;

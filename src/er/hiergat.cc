@@ -1,11 +1,13 @@
 #include "er/hiergat.h"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
 #include "core/logging.h"
 #include "graph/hhg.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/graph.h"
 #include "tensor/ops.h"
 
@@ -24,6 +26,19 @@ obs::Counter& EagerPairs() {
       "hiergat.score.eager_pairs");
   return c;
 }
+
+obs::Counter& SummarizeReplays() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "hiergat.compiled.summarize_replays");
+  return c;
+}
+
+/// Most pairs one ScoreBatch pass holds: a pass keeps every HHG, WpC
+/// matrix and packed row of its pairs alive at once, and a handful of
+/// pairs already fill a packed replay (four pairs pack ~180 summary
+/// rows), so a longer span (a validation split) goes in passes of this
+/// many pairs.
+constexpr size_t kPairsPerPass = 8;
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -165,7 +180,6 @@ void HierGatStack::BuildModules(uint64_t seed) {
 
   CompiledScoringConfig compiled_config;
   compiled_config.lm = backbone.lm.get();
-  compiled_config.aggregator = aggregator.get();
   compiled_config.comparator = comparator.get();
   compiled_config.classifier = classifier.get();
   compiled_config.num_attributes = num_attributes;
@@ -319,38 +333,135 @@ bool HierGatStack::UseCompiled(bool training) const {
          compiled != nullptr && !graph::GraphCapture::Active();
 }
 
-Tensor HierGatStack::SummarizeAttribute(const Tensor& wpc,
-                                        const std::vector<int>& token_seq,
-                                        bool training, Rng& rng) const {
-  if (UseCompiled(training)) {
-    Tensor summary = compiled->Summarize(wpc, token_seq);
-    if (summary.defined()) return summary;
-  }
-  return aggregator->SummarizeAttribute(wpc, token_seq, training, rng);
-}
-
-Tensor HierGatStack::CompareLogits(const std::vector<Tensor>& left,
-                                   const std::vector<Tensor>& right,
-                                   const Tensor& left_entity,
-                                   const Tensor& right_entity, bool training,
-                                   Rng& rng) const {
-  if (UseCompiled(training)) {
-    Tensor logits = compiled->Compare(left, right, left_entity, right_entity);
-    if (logits.defined()) {
-      CompiledPairs().Increment();
-      return logits;
+std::vector<Tensor> HierGatStack::EncodeTokens(
+    const std::vector<std::vector<int>>& ids, Rng& rng) const {
+  const MiniLm& lm = *backbone.lm;
+  const size_t f = static_cast<size_t>(lm.dim());
+  const float* table = lm.token_table().table().data().data();
+  PackedSequences seqs(lm.dim());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    float* row = seqs.Append(static_cast<int>(ids[i].size()), i);
+    for (size_t p = 0; row != nullptr && p < ids[i].size(); ++p) {
+      std::copy_n(table + static_cast<size_t>(ids[i][p]) * f, f, row + p * f);
     }
   }
-  if (!training) EagerPairs().Increment();
-  // Hierarchical comparison: one similarity view per aligned attribute.
-  std::vector<Tensor> similarities;
-  similarities.reserve(left.size());
-  for (size_t a = 0; a < left.size(); ++a) {
-    similarities.push_back(
-        comparator->CompareAttribute(left[a], right[a], training, rng));
+  std::vector<Tensor> out(ids.size());
+  compiled->Encode(&seqs, /*cls_only=*/false, &out);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!out[i].defined()) {
+      out[i] = lm.EncodeEmbedded(lm.Embed(ids[i]), /*training=*/false, rng);
+    }
   }
-  return classifier->Forward(
-      comparator->CombineViews(similarities, left_entity, right_entity));
+  return out;
+}
+
+std::vector<Tensor> HierGatStack::Contextualize(std::span<const Hhg> hhgs,
+                                                bool training, Rng& rng,
+                                                SummaryCache* cache) const {
+  std::vector<Tensor> wpc;
+  wpc.reserve(hhgs.size());
+  if (!UseCompiled(training) || !config.context.use_token_context) {
+    for (const Hhg& hhg : hhgs) {
+      wpc.push_back(contextual->Compute(hhg, training, rng, cache));
+    }
+    return wpc;
+  }
+  const std::vector<std::vector<Tensor>> encodes = contextual->TokenEncodes(
+      hhgs, cache, [&](const std::vector<std::vector<int>>& ids) {
+        return EncodeTokens(ids, rng);
+      });
+  for (size_t i = 0; i < hhgs.size(); ++i) {
+    wpc.push_back(contextual->Compute(hhgs[i], /*training=*/false, rng, cache,
+                                      &encodes[i]));
+  }
+  return wpc;
+}
+
+std::vector<Tensor> HierGatStack::SummarizeAttributes(
+    std::span<const SummaryJob> jobs, bool training, Rng& rng) const {
+  std::vector<Tensor> summaries(jobs.size());
+  if (UseCompiled(training)) {
+    // [CLS] followed by the gathered WpC rows; the summary is the
+    // encoder's row 0.
+    const size_t f = static_cast<size_t>(backbone.lm->dim());
+    const float* cls = backbone.lm->token_table().table().data().data() +
+                       static_cast<size_t>(Vocabulary::kCls) * f;
+    PackedSequences seqs(backbone.lm->dim());
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      const std::vector<int>& seq = *jobs[j].token_seq;
+      float* row = seqs.Append(static_cast<int>(seq.size()) + 1, j);
+      if (row == nullptr) continue;
+      std::copy_n(cls, f, row);
+      const Tensor& wpc = *jobs[j].wpc;
+      for (int t : seq) {
+        HG_CHECK(t >= 0 && t < wpc.dim(0));
+        row += f;
+        std::copy_n(wpc.data().data() + static_cast<size_t>(t) * f, f, row);
+      }
+    }
+    if (compiled->Encode(&seqs, /*cls_only=*/true, &summaries)) {
+      SummarizeReplays().Increment(seqs.count());
+    }
+  }
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    if (summaries[j].defined()) continue;
+    summaries[j] = aggregator->SummarizeAttribute(
+        *jobs[j].wpc, *jobs[j].token_seq, training, rng);
+  }
+  return summaries;
+}
+
+std::vector<Tensor> HierGatStack::CompareLogits(
+    std::span<const CompareJob> jobs, bool training, Rng& rng) const {
+  std::vector<Tensor> logits(jobs.size());
+  if (UseCompiled(training)) {
+    // `[CLS] l [SEP] r [SEP]` plus the segment rows 0 0 0 1 1, as
+    // HierarchicalComparator::CompareAttribute builds it.
+    const MiniLm& lm = *backbone.lm;
+    const size_t f = static_cast<size_t>(lm.dim());
+    const size_t k = static_cast<size_t>(num_attributes);
+    const float* tokens = lm.token_table().table().data().data();
+    const float* cls = tokens + static_cast<size_t>(Vocabulary::kCls) * f;
+    const float* sep = tokens + static_cast<size_t>(Vocabulary::kSep) * f;
+    const float* segments = lm.segment_table().table().data().data();
+    PackedSequences seqs(lm.dim());
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      HG_CHECK(jobs[j].left.size() == k && jobs[j].right.size() == k);
+      for (size_t a = 0; a < k; ++a) {
+        const float* parts[] = {cls, jobs[j].left[a].data().data(), sep,
+                                jobs[j].right[a].data().data(), sep};
+        float* row = seqs.Append(5, j * k + a);
+        for (int r = 0; r < 5; ++r, row += f) {
+          const float* segment = segments + (r < 3 ? 0 : f);
+          for (size_t c = 0; c < f; ++c) row[c] = parts[r][c] + segment[c];
+        }
+      }
+    }
+    std::vector<Tensor> cls_rows(jobs.size() * k);
+    if (compiled->Encode(&seqs, /*cls_only=*/true, &cls_rows)) {
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        logits[j] = compiled->CompareHead(
+            std::span<const Tensor>(cls_rows).subspan(j * k, k), jobs[j].left,
+            jobs[j].right, jobs[j].left_entity, jobs[j].right_entity);
+        if (logits[j].defined()) CompiledPairs().Increment();
+      }
+    }
+  }
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    if (logits[j].defined()) continue;
+    if (!training) EagerPairs().Increment();
+    // Hierarchical comparison: one similarity view per aligned attribute.
+    const CompareJob& job = jobs[j];
+    std::vector<Tensor> similarities;
+    similarities.reserve(job.left.size());
+    for (size_t a = 0; a < job.left.size(); ++a) {
+      similarities.push_back(comparator->CompareAttribute(
+          job.left[a], job.right[a], training, rng));
+    }
+    logits[j] = classifier->Forward(comparator->CombineViews(
+        similarities, job.left_entity, job.right_entity));
+  }
+  return logits;
 }
 
 CompiledScoring::Stats HierGatStack::compiled_stats() const {
@@ -396,37 +507,80 @@ Status HierGatModel::ValidatePair(const EntityPair& pair) const {
   return stack_.CheckSchema(pair.right);
 }
 
+std::vector<float> HierGatModel::ScoreBatch(
+    std::span<const EntityPair> pairs) const {
+  // Direct callers get a per-call request context; engine chunks carry
+  // their job's context and inherit it here.
+  obs::ScopedTraceRoot trace_root;
+  HG_TRACE_SPAN("HierGatModel::ScoreBatch");
+  NoGradGuard no_grad;
+  Rng unused(0);  // Inference draws nothing from it.
+  std::vector<float> probabilities;
+  probabilities.reserve(pairs.size());
+  for (size_t begin = 0; begin < pairs.size(); begin += kPairsPerPass) {
+    const std::span<const EntityPair> pass =
+        pairs.subspan(begin, std::min(kPairsPerPass, pairs.size() - begin));
+    for (const Tensor& logits :
+         ForwardBatch(pass, /*training=*/false, unused)) {
+      probabilities.push_back(Softmax(logits).at(0, 1));
+    }
+  }
+  return probabilities;
+}
+
 Tensor HierGatModel::ForwardLogits(const EntityPair& pair, bool training,
                                    Rng& rng) const {
+  return ForwardBatch(std::span<const EntityPair>(&pair, 1), training, rng)
+      .front();
+}
+
+std::vector<Tensor> HierGatModel::ForwardBatch(
+    std::span<const EntityPair> pairs, bool training, Rng& rng) const {
   HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
-  const Status schema = ValidatePair(pair);
-  HG_CHECK(schema.ok()) << schema.ToString();
-  const Hhg hhg = Hhg::Build({pair.left, pair.right});
+  std::vector<Hhg> hhgs;
+  hhgs.reserve(pairs.size());
+  for (const EntityPair& pair : pairs) {
+    const Status schema = ValidatePair(pair);
+    HG_CHECK(schema.ok()) << schema.ToString();
+    hhgs.push_back(Hhg::Build({pair.left, pair.right}));
+  }
   // Repeated attribute values hit the summary cache from their second
   // occurrence on, across pairs and batches.
   SummaryCache* cache =
       (!training && cache_enabled_) ? &stack_.summary_cache : nullptr;
-  const Tensor wpc = stack_.contextual->Compute(hhg, training, rng, cache);
+  const std::vector<Tensor> wpc =
+      stack_.Contextualize(hhgs, training, rng, cache);
 
   // Hierarchical aggregation per entity. (The summaries read the WpC
   // rows, which couple both entities through shared token nodes and
   // key-group context — so unlike the per-attribute terms above they
   // are pair-specific and never cached.)
-  std::vector<std::vector<Tensor>> attr_embeddings(2);
-  std::vector<Tensor> entity_embeddings(2);
-  for (int e = 0; e < 2; ++e) {
-    for (int attr_id : hhg.entity(e).attributes) {
-      attr_embeddings[static_cast<size_t>(e)].push_back(
-          stack_.SummarizeAttribute(wpc, hhg.attribute(attr_id).token_seq,
-                                    training, rng));
+  std::vector<internal_hiergat::HierGatStack::SummaryJob> summary_jobs;
+  for (size_t p = 0; p < hhgs.size(); ++p) {
+    for (int e = 0; e < 2; ++e) {
+      for (int attr_id : hhgs[p].entity(e).attributes) {
+        summary_jobs.push_back(
+            {&wpc[p], &hhgs[p].attribute(attr_id).token_seq});
+      }
     }
-    entity_embeddings[static_cast<size_t>(e)] =
-        stack_.aggregator->SummarizeEntity(
-            attr_embeddings[static_cast<size_t>(e)]);
   }
-  return stack_.CompareLogits(attr_embeddings[0], attr_embeddings[1],
-                              entity_embeddings[0], entity_embeddings[1],
-                              training, rng);
+  const size_t k = static_cast<size_t>(stack_.num_attributes);
+  HG_CHECK_EQ(summary_jobs.size(), 2 * k * hhgs.size());
+  const std::vector<Tensor> summaries =
+      stack_.SummarizeAttributes(summary_jobs, training, rng);
+
+  const std::span<const Tensor> all(summaries);
+  std::vector<internal_hiergat::HierGatStack::CompareJob> compare_jobs;
+  compare_jobs.reserve(hhgs.size());
+  for (size_t p = 0; p < hhgs.size(); ++p) {
+    const std::span<const Tensor> left = all.subspan(2 * k * p, k);
+    const std::span<const Tensor> right = all.subspan(2 * k * p + k, k);
+    compare_jobs.push_back(
+        {left, right,
+         stack_.aggregator->SummarizeEntity({left.begin(), left.end()}),
+         stack_.aggregator->SummarizeEntity({right.begin(), right.end()})});
+  }
+  return stack_.CompareLogits(compare_jobs, training, rng);
 }
 
 HierGatModel::AttentionReport HierGatModel::InspectAttention(

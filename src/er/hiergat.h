@@ -2,6 +2,7 @@
 #define HIERGAT_ER_HIERGAT_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,23 +85,40 @@ struct HierGatStack {
   /// check on it).
   Status CheckSchema(const Entity& entity) const;
 
-  /// The two steps of the forward pass both models run (DESIGN.md
-  /// §11). Each replays its compiled graph on the pure inference path
-  /// (not training, grad mode off, compilation on, no capture in
-  /// flight) and otherwise, or when capture failed, runs the eager
-  /// modules, which replay matches bit for bit.
+  /// The three steps of the forward pass both models run, each over a
+  /// whole batch (DESIGN.md §11): every pair of a ScoreBatch, or every
+  /// entity of a HierGAT+ query. On the pure inference path (not
+  /// training, grad mode off, compilation on, no capture in flight) a
+  /// step gathers all of its MiniLM sequences into packed-encoder
+  /// replays; otherwise, or when capture failed, it runs the eager
+  /// modules item by item in order, which the replays match bit for bit.
   ///
-  /// [1, F] summary of the WpC rows `token_seq` names.
-  Tensor SummarizeAttribute(const Tensor& wpc,
-                            const std::vector<int>& token_seq, bool training,
-                            Rng& rng) const;
-  /// Compare and classify: K `left` / `right` attribute summaries and
-  /// the two [1, K*F] entity embeddings -> [1, 2] logits. Inference
-  /// calls count in `hiergat.score.{compiled,eager}_pairs`.
-  Tensor CompareLogits(const std::vector<Tensor>& left,
-                       const std::vector<Tensor>& right,
-                       const Tensor& left_entity, const Tensor& right_entity,
-                       bool training, Rng& rng) const;
+  /// WpC matrix of each HHG (ContextualEmbedder::Compute).
+  std::vector<Tensor> Contextualize(std::span<const Hhg> hhgs, bool training,
+                                    Rng& rng, SummaryCache* cache) const;
+
+  /// One attribute summarization: the WpC rows `token_seq` names.
+  struct SummaryJob {
+    const Tensor* wpc = nullptr;
+    const std::vector<int>* token_seq = nullptr;
+  };
+  /// [1, F] summary per job. Packed summaries count in
+  /// `hiergat.compiled.summarize_replays`.
+  std::vector<Tensor> SummarizeAttributes(std::span<const SummaryJob> jobs,
+                                          bool training, Rng& rng) const;
+
+  /// One pair comparison: K `left` / `right` attribute summaries and the
+  /// two [1, K*F] entity embeddings.
+  struct CompareJob {
+    std::span<const Tensor> left;
+    std::span<const Tensor> right;
+    Tensor left_entity;
+    Tensor right_entity;
+  };
+  /// Compare and classify: [1, 2] logits per job. Inference calls count
+  /// in `hiergat.score.{compiled,eager}_pairs`.
+  std::vector<Tensor> CompareLogits(std::span<const CompareJob> jobs,
+                                    bool training, Rng& rng) const;
 
   CompiledScoring::Stats compiled_stats() const;
   std::vector<Tensor> TrainableParameters() const;
@@ -128,6 +146,11 @@ struct HierGatStack {
 
   /// True on the pure inference path, where the compiled graphs replay.
   bool UseCompiled(bool training) const;
+
+  /// Contextual token encodes of vocabulary-id sequences (the
+  /// ContextualEmbedder::BatchEncoder of the packed path).
+  std::vector<Tensor> EncodeTokens(const std::vector<std::vector<int>>& ids,
+                                   Rng& rng) const;
 
   /// Constructs the fine-tuning modules over the current backbone
   /// (shared by Build and Load; Load overwrites the weights after).
@@ -167,6 +190,11 @@ class HierGatModel : public NeuralPairwiseModel {
     stack_.InvalidateInferenceCache();
   }
 
+  /// Scores the whole batch through the stack's batched steps: one
+  /// packed replay per step instead of one replay per value.
+  std::vector<float> ScoreBatch(
+      std::span<const EntityPair> pairs) const override;
+
   /// Checkpoint round-trip (see internal_hiergat::HierGatStack). The
   /// dtype overload picks the stored precision (kF16 halves golden-
   /// fixture size; kF32 is lossless).
@@ -190,8 +218,8 @@ class HierGatModel : public NeuralPairwiseModel {
   const SummaryCache& summary_cache() const { return stack_.summary_cache; }
 
   /// Compiled-graph scoring (DESIGN.md §11). Inference replays through
-  /// compiled summarize/compare graphs, compiled lazily on first sight
-  /// of each attribute length. Capture failures fall back to the eager
+  /// the packed encoder graphs (compiled lazily per row-capacity bucket)
+  /// and the compare head graph. Capture failures fall back to the eager
   /// path, which stays bit-identical.
   void set_graph_compile_enabled(bool enabled) {
     stack_.graph_compile_enabled = enabled;
@@ -232,6 +260,10 @@ class HierGatModel : public NeuralPairwiseModel {
   }
 
  private:
+  /// [1, 2] logits per pair; ForwardLogits is a batch of one.
+  std::vector<Tensor> ForwardBatch(std::span<const EntityPair> pairs,
+                                   bool training, Rng& rng) const;
+
   internal_hiergat::HierGatStack stack_;
   bool cache_enabled_ = true;
 };

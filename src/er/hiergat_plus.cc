@@ -37,21 +37,31 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
   }
   const Hhg hhg = Hhg::Build(entities);
   SummaryCache* cache = training ? nullptr : &stack_.summary_cache;
-  const Tensor wpc = stack_.contextual->Compute(hhg, training, rng, cache);
+  const Tensor wpc = stack_.Contextualize(std::span<const Hhg>(&hhg, 1),
+                                          training, rng, cache)
+                         .front();
 
+  // Every entity's attribute summaries, in one batch.
   const int m = hhg.num_entities();
-  std::vector<std::vector<Tensor>> attr_embeddings(
-      static_cast<size_t>(m));
+  const size_t k = static_cast<size_t>(stack_.num_attributes);
+  std::vector<internal_hiergat::HierGatStack::SummaryJob> summary_jobs;
+  for (int e = 0; e < m; ++e) {
+    for (int attr_id : hhg.entity(e).attributes) {
+      summary_jobs.push_back({&wpc, &hhg.attribute(attr_id).token_seq});
+    }
+  }
+  HG_CHECK_EQ(summary_jobs.size(), k * static_cast<size_t>(m));
+  const std::vector<Tensor> summaries =
+      stack_.SummarizeAttributes(summary_jobs, training, rng);
+  const std::span<const Tensor> all(summaries);
+  auto attributes = [&](int e) {
+    return all.subspan(k * static_cast<size_t>(e), k);
+  };
   std::vector<Tensor> entity_rows;
   entity_rows.reserve(static_cast<size_t>(m));
   for (int e = 0; e < m; ++e) {
-    for (int attr_id : hhg.entity(e).attributes) {
-      attr_embeddings[static_cast<size_t>(e)].push_back(
-          stack_.SummarizeAttribute(wpc, hhg.attribute(attr_id).token_seq,
-                                    training, rng));
-    }
     entity_rows.push_back(stack_.aggregator->SummarizeEntity(
-        attr_embeddings[static_cast<size_t>(e)]));
+        {attributes(e).begin(), attributes(e).end()}));
   }
   Tensor entity_matrix = ConcatRows(entity_rows);  // [M, K*F]
 
@@ -63,15 +73,15 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
   }
 
   // Compare the query (entity 0) with every candidate.
-  Tensor query_entity = SliceRows(entity_matrix, 0, 1);
-  std::vector<Tensor> logits_rows;
-  logits_rows.reserve(query.candidates.size());
+  const Tensor query_entity = SliceRows(entity_matrix, 0, 1);
+  std::vector<internal_hiergat::HierGatStack::CompareJob> compare_jobs;
+  compare_jobs.reserve(query.candidates.size());
   for (int c = 1; c < m; ++c) {
-    logits_rows.push_back(stack_.CompareLogits(
-        attr_embeddings[0], attr_embeddings[static_cast<size_t>(c)],
-        query_entity, SliceRows(entity_matrix, c, c + 1), training, rng));
+    compare_jobs.push_back({attributes(0), attributes(c), query_entity,
+                            SliceRows(entity_matrix, c, c + 1)});
   }
-  return ConcatRows(logits_rows);  // [N, 2]
+  // [N, 2]
+  return ConcatRows(stack_.CompareLogits(compare_jobs, training, rng));
 }
 
 }  // namespace hiergat

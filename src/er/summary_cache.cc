@@ -34,17 +34,22 @@ obs::Gauge& SizeGauge() {
 
 Tensor SummaryCache::GetOrCompute(const std::string& key,
                                   const std::function<Tensor()>& compute) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      HitsCounter().Increment();
-      return it->second;
-    }
-  }
+  Tensor hit = Find(key);
+  return hit.defined() ? hit : Insert(key, compute());
+}
+
+Tensor SummaryCache::Find(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return Tensor();
+  ++stats_.hits;
+  HitsCounter().Increment();
+  return it->second;
+}
+
+Tensor SummaryCache::Insert(const std::string& key, const Tensor& computed) {
   // Detach so the cache holds plain values, not autograd graphs.
-  Tensor value = compute().Detach();
+  Tensor value = computed.Detach();
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;
   MissesCounter().Increment();

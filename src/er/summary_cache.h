@@ -69,6 +69,14 @@ class SummaryCache {
   Tensor GetOrCompute(const std::string& key,
                       const std::function<Tensor()>& compute);
 
+  /// The two halves of GetOrCompute, for callers that compute a whole
+  /// batch of misses at once: Find returns the entry for `key` and counts
+  /// a hit, or an undefined Tensor (counting nothing); Insert counts a
+  /// miss and stores a detached copy of `value` (the first insert of a
+  /// key wins) and returns the stored tensor.
+  Tensor Find(const std::string& key);
+  Tensor Insert(const std::string& key, const Tensor& value);
+
   /// Drops every entry (parameters changed or memory reclaim).
   void Clear();
 

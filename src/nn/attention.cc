@@ -48,7 +48,8 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
 }
 
 Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
-                                       const Tensor& kv_input) const {
+                                       const Tensor& kv_input,
+                                       std::span<const int> segments) const {
   HG_CHECK_EQ(q_input.dim(1), dim_);
   HG_CHECK_EQ(kv_input.dim(1), dim_);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
@@ -58,8 +59,10 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
   // saturate on self (always the best match) and cross-token matching
   // circuits never receive probability mass.
   const bool self_attention = q_input.impl() == kv_input.impl();
+  const bool packed = !segments.empty();
+  HG_CHECK(!packed || self_attention);
   Tensor diag_mask;
-  if (self_attention && q_input.dim(0) > 1) {
+  if (self_attention && !packed && q_input.dim(0) > 1) {
     diag_mask = Tensor::Zeros({q_input.dim(0), q_input.dim(0)});
     for (int i = 0; i < q_input.dim(0); ++i) diag_mask.set(i, i, -1e9f);
   }
@@ -71,7 +74,13 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
     Tensor k = k_proj_[h]->Forward(kv_input);   // [Lk, hd]
     Tensor v = v_proj_[h]->Forward(kv_input);   // [Lk, hd]
     // Fused scaled QK^T + mask + row-softmax: one graph node per head
-    // instead of MatMul/Transpose/Scale/Add/Softmax.
+    // instead of MatMul/Transpose/Scale/Add/Softmax. Packed, each
+    // sequence masks its own diagonal.
+    if (packed) {
+      head_outputs.push_back(
+          MatMul(AttentionScores(q, k, scale, segments), v, segments));
+      continue;
+    }
     Tensor attn = AttentionScores(q, k, scale, diag_mask);  // [Lq, Lk]
     if (AttentionRecordingEnabled()) {
       attn_sum = attn_sum.defined() ? Add(attn_sum, attn.Detach())

@@ -2,6 +2,7 @@
 #define HIERGAT_NN_ATTENTION_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,17 +16,26 @@ namespace hiergat {
 /// Input is [seq_len, dim]; each head h projects to dim/heads, attends,
 /// and the concatenated head outputs pass through an output projection.
 /// Padding masks are unnecessary: the library processes one variable-
-/// length sequence at a time.
+/// length sequence at a time, or, on the packed inference path, several
+/// sequences whose attention stays block-diagonal (`segments`).
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int dim, int num_heads, Rng& rng);
 
-  /// Self-attention: queries, keys, and values all come from `x`.
-  Tensor Forward(const Tensor& x) const { return Forward(x, x); }
+  /// Self-attention: queries, keys, and values all come from `x`. With
+  /// `segments`, `x` packs several sequences (sequence s is rows
+  /// [segments[s], segments[s + 1])) and each attends only within itself
+  /// through the packed AttentionScores/MatMul ops (tensor/ops.h);
+  /// inference only.
+  Tensor Forward(const Tensor& x, std::span<const int> segments = {}) const {
+    return Forward(x, x, segments);
+  }
 
   /// Cross-attention: queries from `q_input` [Lq, dim], keys/values from
-  /// `kv_input` [Lk, dim]. Returns [Lq, dim].
-  Tensor Forward(const Tensor& q_input, const Tensor& kv_input) const;
+  /// `kv_input` [Lk, dim]. Returns [Lq, dim]. `segments` needs
+  /// self-attention.
+  Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
+                 std::span<const int> segments = {}) const;
 
   /// Row-stochastic attention matrix [Lq, Lk] of the last Forward call,
   /// averaged over heads (detached; used for attention visualization).

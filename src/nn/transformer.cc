@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/logging.h"
 #include "tensor/ops.h"
 
 namespace hiergat {
@@ -18,14 +19,15 @@ TransformerEncoderLayer::TransformerEncoderLayer(
 }
 
 Tensor TransformerEncoderLayer::Forward(const Tensor& x, bool training,
-                                        Rng& rng) const {
+                                        Rng& rng,
+                                        std::span<const int> segments) const {
   // Pre-LN residual blocks: x + Attn(LN(x)), then h + FFN(LN(h)).
   // Pre-LN keeps gradients well-conditioned when training from scratch,
   // which our MiniLM-scale models do. Every projection below lowers to
   // the fused LinearOp / AttentionScores graph nodes (tensor/ops.h), so
   // a layer's forward builds ~2x fewer autograd nodes than the unfused
   // MatMul + Add chain it replaces.
-  Tensor attended = attn_->Forward(norm1_->Forward(x));
+  Tensor attended = attn_->Forward(norm1_->Forward(x), segments);
   attended = Dropout(attended, config_.dropout, rng, training);
   Tensor h = Add(x, attended);
   Tensor ffn = ffn2_->Forward(Gelu(ffn1_->Forward(norm2_->Forward(h))));
@@ -53,14 +55,17 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
 }
 
 Tensor TransformerEncoder::Forward(const Tensor& x, bool training, Rng& rng,
-                                   bool add_positions) const {
+                                   bool add_positions,
+                                   std::span<const int> segments) const {
+  HG_CHECK(segments.empty() || !add_positions)
+      << "packed sequences carry their own positions";
   Tensor h = x;
   if (add_positions) {
     h = Add(h, Scale(SinusoidalPositions(x.dim(0), x.dim(1)),
                      config_.position_scale));
   }
   for (const auto& layer : layers_) {
-    h = layer->Forward(h, training, rng);
+    h = layer->Forward(h, training, rng, segments);
   }
   return final_norm_->Forward(h);
 }

@@ -2,6 +2,7 @@
 #define HIERGAT_NN_TRANSFORMER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,9 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool training, Rng& rng) const;
+  /// `segments`: see TransformerEncoder::Forward.
+  Tensor Forward(const Tensor& x, bool training, Rng& rng,
+                 std::span<const int> segments = {}) const;
 
   /// Attention matrix of the most recent Forward (head-averaged).
   const Tensor& last_attention() const { return attn_->last_attention(); }
@@ -61,8 +64,15 @@ class TransformerEncoder : public Module {
 
   /// Encodes a [seq_len, dim] sequence. When `add_positions` is true a
   /// sinusoidal position signal is added before the first layer.
+  ///
+  /// Packed inference (DESIGN.md §11): with `segments`, `x` holds several
+  /// sequences (sequence s is rows [segments[s], segments[s + 1])) that
+  /// already carry their positions, and attention stays within each
+  /// sequence. Every row comes out with the bits it has when its
+  /// sequence is encoded alone.
   Tensor Forward(const Tensor& x, bool training, Rng& rng,
-                 bool add_positions = true) const;
+                 bool add_positions = true,
+                 std::span<const int> segments = {}) const;
 
   /// Head-averaged attention of the final layer's last Forward call.
   const Tensor& last_attention() const {

@@ -20,8 +20,8 @@ namespace {
 // Arena slots are rounded to 16 floats (64 bytes): values never share a
 // cache line, and first-fit fragmentation stays bounded.
 constexpr size_t kSlotAlignFloats = 16;
-// Arena blocks kept per graph for concurrent replays; excess frees.
-constexpr size_t kMaxFreeArenas = 4;
+// Replay states kept per graph for concurrent replays; excess frees.
+constexpr size_t kMaxFreeStates = 4;
 
 size_t RoundSlot(size_t floats) {
   return (floats + kSlotAlignFloats - 1) / kSlotAlignFloats *
@@ -129,8 +129,18 @@ struct CompiledGraph::Impl {
     NodeCounters* counters = nullptr;  ///< Resolved at plan time.
   };
 
+  /// One op name's static totals over the graph's nodes, added to its
+  /// counters once per replay.
+  struct OpTotals {
+    NodeCounters* counters = nullptr;
+    int64_t nodes = 0;
+    int64_t flops = 0;
+    int64_t bytes = 0;
+  };
+
   std::vector<Value> values;
   std::vector<Node> nodes;
+  std::vector<OpTotals> op_totals;
   std::vector<int> input_ids;
   std::vector<int> output_ids;
   size_t arena_floats = 0;
@@ -339,6 +349,16 @@ void PlanGraph(Impl* g) {
     for (int id : node.scratch) traffic_floats += size_of(id);
     node.bytes = traffic_floats * static_cast<int64_t>(sizeof(float));
     node.counters = CountersForName(node.name);
+    auto totals = std::find_if(
+        g->op_totals.begin(), g->op_totals.end(),
+        [&](const Impl::OpTotals& t) { return t.counters == node.counters; });
+    if (totals == g->op_totals.end()) {
+      totals = g->op_totals.insert(g->op_totals.end(),
+                                    Impl::OpTotals{node.counters});
+    }
+    totals->nodes += 1;
+    totals->flops += node.flops;
+    totals->bytes += node.bytes;
     g->node_costs.push_back({node.name, node.flops, node.bytes});
     g->stats.est_flops += node.flops;
     g->stats.est_bytes += node.bytes;
@@ -388,40 +408,54 @@ const std::vector<NodeCost>& CompiledGraph::node_costs() const {
   return impl_->node_costs;
 }
 
-std::unique_ptr<float[]> CompiledGraph::AcquireArena() const {
-  if (impl_->arena_floats == 0) return nullptr;
+struct CompiledGraph::State {
+  std::unique_ptr<float[]> arena;
+  std::vector<const float*> ptrs;  ///< Every value's replay buffer.
+  std::vector<const float*> in;    ///< The running node's inputs.
+  std::vector<float*> scratch;     ///< The running node's scratch.
+};
+
+std::unique_ptr<CompiledGraph::State> CompiledGraph::AcquireState() const {
   {
-    std::lock_guard<std::mutex> lock(arena_mutex_);
-    if (!free_arenas_.empty()) {
-      std::unique_ptr<float[]> arena = std::move(free_arenas_.back());
-      free_arenas_.pop_back();
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    if (!free_states_.empty()) {
+      std::unique_ptr<State> state = std::move(free_states_.back());
+      free_states_.pop_back();
       ArenaReuse().Increment(static_cast<int64_t>(impl_->stats.plan_bytes));
-      return arena;
+      return state;
     }
   }
+  auto state = std::make_unique<State>();
   // Uninitialized on purpose: nodes fully overwrite (or explicitly
   // zero, for accumulating kernels) every byte they read back.
-  return std::unique_ptr<float[]>(new float[impl_->arena_floats]);
+  if (impl_->arena_floats > 0) {
+    state->arena.reset(new float[impl_->arena_floats]);
+  }
+  state->ptrs.resize(impl_->values.size());
+  state->in.resize(impl_->max_node_inputs);
+  state->scratch.resize(impl_->max_node_scratch);
+  return state;
 }
 
-void CompiledGraph::ReleaseArena(std::unique_ptr<float[]> arena) const {
-  if (arena == nullptr) return;
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  if (free_arenas_.size() < kMaxFreeArenas) {
-    free_arenas_.push_back(std::move(arena));
+void CompiledGraph::ReleaseState(std::unique_ptr<State> state) const {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  if (free_states_.size() < kMaxFreeStates) {
+    free_states_.push_back(std::move(state));
   }
 }
 
 void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
-                        ThreadPool* pool) const {
+                        ThreadPool* pool,
+                        std::span<const int> segments) const {
   const Impl& g = *impl_;
-  std::unique_ptr<float[]> arena = AcquireArena();
-  float* base = arena.get();
+  std::unique_ptr<State> state = AcquireState();
+  float* base = state->arena.get();
+  const float** ptrs = state->ptrs.data();
+  const Replay replay{pool, segments};
 
   // Resolve every value to its replay buffer. Constants resolve through
   // their retained impl (live weight bytes), inputs through the caller,
   // arena values into the block, views as root + offset.
-  std::vector<const float*> ptrs(g.values.size());
   for (size_t i = 0; i < g.values.size(); ++i) {
     const Impl::Value& v = g.values[i];
     switch (v.kind) {
@@ -440,12 +474,12 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
     }
   }
 
-  std::vector<const float*> in(g.max_node_inputs);
-  std::vector<float*> scratch(g.max_node_scratch);
+  const float** in = state->in.data();
+  float** scratch = state->scratch.data();
 #if !defined(HIERGAT_NO_TRACING)
   // Per-node wall time is sampled only while a trace is being recorded;
-  // the untraced replay path costs one relaxed load plus three counter
-  // adds per node. HIERGAT_NO_TRACING compiles the sampling out.
+  // the untraced replay path costs one relaxed load per replay.
+  // HIERGAT_NO_TRACING compiles the sampling out.
   const bool tracing = obs::TraceRecorder::Global().enabled();
   const uint64_t trace_id =
       tracing ? obs::CurrentTraceContext().trace_id : 0;
@@ -463,30 +497,35 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
 #if !defined(HIERGAT_NO_TRACING)
     if (tracing) {
       const uint64_t start_ns = obs::MonotonicNowNs();
-      node.fn(in.data(), scratch.data(), out, pool);
+      node.fn(in, scratch, out, replay);
       const uint64_t dur_ns = obs::MonotonicNowNs() - start_ns;
       obs::TraceRecorder::Global().Record(node.name, start_ns, dur_ns,
                                           trace_id, node.flops, node.bytes);
       node.counters->ns->Increment(static_cast<int64_t>(dur_ns));
       NodeSeconds().Observe(static_cast<double>(dur_ns) * 1e-9);
-    } else {
-      node.fn(in.data(), scratch.data(), out, pool);
+      continue;
     }
-#else
-    node.fn(in.data(), scratch.data(), out, pool);
 #endif
-    node.counters->replays->Increment();
-    node.counters->est_flops->Increment(node.flops);
-    node.counters->est_bytes->Increment(node.bytes);
+    node.fn(in, scratch, out, replay);
+  }
+  for (const Impl::OpTotals& op : g.op_totals) {
+    op.counters->replays->Increment(op.nodes);
+    op.counters->est_flops->Increment(op.flops);
+    op.counters->est_bytes->Increment(op.bytes);
   }
 
+  // A packed replay copies out only its live rows.
   for (size_t i = 0; i < g.output_ids.size(); ++i) {
-    const Impl::Value& v =
-        g.values[static_cast<size_t>(g.output_ids[i])];
+    const Impl::Value& v = g.values[static_cast<size_t>(g.output_ids[i])];
+    const size_t floats =
+        segments.empty() || v.shape.empty()
+            ? v.size
+            : v.size / static_cast<size_t>(v.shape[0]) *
+                  static_cast<size_t>(segments.back());
     std::memcpy(outputs[i], ptrs[static_cast<size_t>(g.output_ids[i])],
-                v.size * sizeof(float));
+                floats * sizeof(float));
   }
-  ReleaseArena(std::move(arena));
+  ReleaseState(std::move(state));
   Replays().Increment();
 }
 

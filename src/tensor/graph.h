@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,15 +46,38 @@ namespace graph {
 ///    Unimplemented and the caller keeps its eager path. Eager execution
 ///    during a poisoned capture remains fully correct.
 
+/// What a node closure receives besides its buffers. Eager execution
+/// passes a null pool and, for the packed attention ops, the op's own
+/// sequence table; a replay passes Run's pool and sequence table.
+///
+/// A *packed* graph (DESIGN.md §11) is captured over [capacity, ·] row
+/// blocks and replayed over any `rows <= capacity` live rows holding
+/// several sequences: its row-wise nodes (Linear, LayerNorm, Add, the
+/// unary activations, ConcatCols) run only the live rows, and the packed
+/// attention ops run once per sequence. Padding rows cost arena bytes,
+/// not arithmetic. No other op reads `segments`, so a packed graph holds
+/// only these.
+struct Replay {
+  ThreadPool* pool = nullptr;  ///< May be null (run serial).
+  /// Sequence s is rows [segments[s], segments[s + 1]); empty outside
+  /// packed execution.
+  std::span<const int> segments;
+
+  /// Live rows of an operand captured with `captured` rows.
+  int Rows(int captured) const {
+    return segments.empty() ? captured : segments.back();
+  }
+};
+
 /// Node closure executed at replay. `in` holds the resolved input
 /// buffers in record order; `scratch` holds the writable per-node
 /// scratch buffers registered at record time (arena-planned, live only
 /// for this node); `out` is the node's output slot. Arena memory is
 /// *not* zero-filled — closures that accumulate (the GEMM family) must
-/// zero `out` themselves. `pool` may be null (run serial).
+/// zero `out` themselves.
 using NodeFn = std::function<void(const float* const* in,
                                   float* const* scratch, float* out,
-                                  ThreadPool* pool)>;
+                                  const Replay& replay)>;
 
 /// Planner + capture statistics for one compiled graph.
 struct PlanStats {
@@ -71,10 +95,12 @@ struct PlanStats {
 /// `flops` comes from the op's Record call (GEMM-family ops pass exact
 /// 2*m*n*k counts; ops that pass nothing default to one FLOP per output
 /// element); `bytes` is the f32 traffic through the node — every input
-/// read plus scratch plus the output write. Replay multiplies these by
-/// the replay count in the `hiergat.graph.node.<name>.*` counters, and
-/// stamps them on the node's trace span so tools/hg_trace_report.py can
-/// rank hot nodes by measured time with cost context.
+/// read plus scratch plus the output write. Each replay adds its graph's
+/// per-op-name sums of these to the `hiergat.graph.node.<name>.*`
+/// counters, and stamps them on the node's trace span so
+/// tools/hg_trace_report.py can rank hot nodes by measured time with
+/// cost context. A packed graph's costs are those of its capture: a full
+/// bucket of capture-layout sequences.
 struct NodeCost {
   const char* name = nullptr;  ///< Op name (static lifetime).
   int64_t flops = 0;
@@ -91,8 +117,8 @@ struct PlannedValue {
 
 /// An immutable captured graph plus its memory plan. Thread-safe for
 /// concurrent Run() calls: per-replay state (arena block, pointer
-/// table) is local, and arena blocks are recycled through a small
-/// internal freelist.
+/// tables) is recycled through a small internal freelist, so a steady
+/// replay allocates nothing.
 class CompiledGraph {
  public:
   ~CompiledGraph();
@@ -113,23 +139,26 @@ class CompiledGraph {
 
   /// Replays the graph. `inputs[i]` points at input_shape(i) elements;
   /// `outputs[i]` receives output_size(i) elements. `pool` may be null.
+  /// A packed graph takes its sequence table in `segments` (see Replay);
+  /// its inputs and outputs are then the first `segments.back()` rows.
   void Run(const float* const* inputs, float* const* outputs,
-           ThreadPool* pool) const;
+           ThreadPool* pool, std::span<const int> segments = {}) const;
 
-  struct Impl;  // Internal representation; graph.cc only.
+  struct Impl;   // Internal representation; graph.cc only.
+  struct State;  // One replay's arena block and pointer tables.
 
  private:
   friend class GraphCapture;
   CompiledGraph();
 
-  std::unique_ptr<float[]> AcquireArena() const;
-  void ReleaseArena(std::unique_ptr<float[]> arena) const;
+  std::unique_ptr<State> AcquireState() const;
+  void ReleaseState(std::unique_ptr<State> state) const;
 
   std::unique_ptr<Impl> impl_;
 
-  // Recycled arena blocks, all of the planned footprint.
-  mutable std::mutex arena_mutex_;
-  mutable std::vector<std::unique_ptr<float[]>> free_arenas_;
+  // Recycled replay states, each with an arena of the planned footprint.
+  mutable std::mutex state_mutex_;
+  mutable std::vector<std::unique_ptr<State>> free_states_;
 };
 
 /// RAII capture scope. At most one capture per thread; captures on

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/logging.h"
@@ -41,13 +42,30 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
       << ShapeToString(b.shape());
 }
 
+/// The packed encoder's elementwise ops (Add, the activations) treat `a`
+/// as dim(0) rows, so a packed replay (graph::Replay) runs only the live
+/// ones.
+struct RowSplit {
+  int rows;
+  size_t row_size;
+
+  explicit RowSplit(const Tensor& a)
+      : rows(a.rank() == 0 ? 1 : a.dim(0)),
+        row_size(rows > 0 ? a.data().size() / static_cast<size_t>(rows)
+                          : 0) {}
+  size_t Live(const graph::Replay& replay) const {
+    return static_cast<size_t>(replay.Rows(rows)) * row_size;
+  }
+};
+
 // Every recorded op writes its forward math once, as a graph::NodeFn-
 // shaped body, and runs it through Forward(). Eagerly the body runs
 // over the tensors' own buffers with a null pool, i.e. the serial
-// kernels. Only under an active GraphCapture does Forward() also hand
-// the same body to graph::Record as the op's replay node (see
+// kernels, and every row (the packed attention ops pass their own
+// sequence table). Only under an active GraphCapture does Forward()
+// also hand the same body to graph::Record as the op's replay node (see
 // tensor/graph.h), which runs it over arena slots with the replay's
-// pool. Replay matches eager bit for bit because there is no second
+// pool and sequence table. Replay matches eager bit for bit because there is no second
 // copy of the math, and the row-chunked kernels a body calls keep each
 // element's accumulation order at any thread count (backend.h). The
 // Capturing() gate keeps the std::function, the recorded input vector
@@ -65,10 +83,12 @@ constexpr size_t kMaxScratch = 2;
 /// indexes the defined inputs in order. `scratch_sizes` (in floats) are
 /// per-call buffers: borrowed from the pool eagerly, arena-planned at
 /// replay. `name` and `flops` label the replay node (graph::Record).
+/// `eager` is what the body sees when it runs now.
 template <typename Body>
 void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
              const char* name, Body body, int64_t flops = -1,
-             std::initializer_list<size_t> scratch_sizes = {}) {
+             std::initializer_list<size_t> scratch_sizes = {},
+             const graph::Replay& eager = {}) {
   HG_CHECK(inputs.size() <= kMaxInputs && scratch_sizes.size() <= kMaxScratch);
   const float* in[kMaxInputs] = {};
   size_t num_in = 0;
@@ -76,7 +96,7 @@ void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
     if (t->defined()) in[num_in++] = t->data().data();
   }
   if (scratch_sizes.size() == 0) {
-    body(in, nullptr, out.data().data(), nullptr);
+    body(in, nullptr, out.data().data(), eager);
   } else {
     auto& pool = internal_tensor::BufferPool::ThreadLocal();
     std::vector<float> bufs[kMaxScratch];
@@ -87,7 +107,7 @@ void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
       scratch[s] = bufs[s].data();
       ++s;
     }
-    body(in, scratch, out.data().data(), nullptr);
+    body(in, scratch, out.data().data(), eager);
     while (s > 0) pool.Release(std::move(bufs[--s]));
   }
   if (Capturing()) {
@@ -107,7 +127,7 @@ void ForwardParts(Tensor& out, const std::vector<Tensor>& inputs,
   std::vector<const float*> in;
   in.reserve(inputs.size());
   for (const Tensor& t : inputs) in.push_back(t.data().data());
-  body(in.data(), nullptr, out.data().data(), nullptr);
+  body(in.data(), nullptr, out.data().data(), graph::Replay{});
   if (Capturing()) graph::Record(out, inputs, name, std::move(body));
 }
 
@@ -117,11 +137,12 @@ template <typename Fwd, typename Bwd>
 Tensor UnaryOp(const Tensor& a, const char* name, Fwd fwd, Bwd bwd) {
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a});
-  const size_t n = a.data().size();
+  const RowSplit split(a);
   Forward(out, {&a}, name,
-          [n, fwd](const float* const* in, float* const*, float* op,
-                   ThreadPool*) {
+          [split, fwd](const float* const* in, float* const*, float* op,
+                       const graph::Replay& replay) {
             const float* xd = in[0];
+            const size_t n = split.Live(replay);
             for (size_t i = 0; i < n; ++i) op[i] = fwd(xd[i]);
           });
   if (rg) {
@@ -149,9 +170,10 @@ Tensor Add(const Tensor& a, const Tensor& b) {
     const int rows = a.dim(0), cols = a.dim(1);
     Forward(out, {&a, &b}, "Add(bias)",
             [rows, cols](const float* const* in, float* const*, float* op,
-                         ThreadPool*) {
-              std::copy(in[0], in[0] + static_cast<size_t>(rows) * cols, op);
-              backend::AddBiasRows(rows, cols, in[1], op);
+                         const graph::Replay& replay) {
+              const int live = replay.Rows(rows);
+              std::copy(in[0], in[0] + static_cast<size_t>(live) * cols, op);
+              backend::AddBiasRows(live, cols, in[1], op);
             });
     if (rg) {
       Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
@@ -172,10 +194,11 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   }
   CheckSameShape(a, b, "Add");
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
-  const size_t n = a.data().size();
+  const RowSplit split(a);
   Forward(out, {&a, &b}, "Add",
-          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
-            backend::AddInto(n, in[0], in[1], op);
+          [split](const float* const* in, float* const*, float* op,
+                  const graph::Replay& replay) {
+            backend::AddInto(split.Live(replay), in[0], in[1], op);
           });
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
@@ -204,7 +227,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
     const int rows = a.dim(0), cols = a.dim(1);
     Forward(out, {&a, &b}, "Sub(bias)",
             [rows, cols](const float* const* in, float* const*, float* op,
-                         ThreadPool*) {
+                         const graph::Replay&) {
               for (int r = 0; r < rows; ++r) {
                 backend::SubInto(static_cast<size_t>(cols),
                                  in[0] + static_cast<size_t>(r) * cols, in[1],
@@ -235,9 +258,8 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
   const size_t n = a.data().size();
   Forward(out, {&a, &b}, "Sub",
-          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
-            backend::SubInto(n, in[0], in[1], op);
-          });
+          [n](const float* const* in, float* const*, float* op,
+              const graph::Replay&) { backend::SubInto(n, in[0], in[1], op); });
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, bi, oi]() {
@@ -262,9 +284,8 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a, b});
   const size_t n = a.data().size();
   Forward(out, {&a, &b}, "Mul",
-          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
-            backend::MulInto(n, in[0], in[1], op);
-          });
+          [n](const float* const* in, float* const*, float* op,
+              const graph::Replay&) { backend::MulInto(n, in[0], in[1], op); });
   if (rg) {
     Impl ai = a.impl().get(), bi = b.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, bi, oi]() {
@@ -289,7 +310,9 @@ Tensor Scale(const Tensor& a, float s) {
   const size_t n = a.data().size();
   Forward(out, {&a}, "Scale",
           [n, s](const float* const* in, float* const*, float* op,
-                 ThreadPool*) { backend::ScaleInto(n, s, in[0], op); });
+                 const graph::Replay&) {
+            backend::ScaleInto(n, s, in[0], op);
+          });
   if (rg) {
     Impl ai = a.impl().get(), oi = out.impl().get();
     out.set_backward_fn([ai, oi, s]() {
@@ -320,10 +343,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Forward(
       out, {&a, &b}, "MatMul",
       [m, n, k](const float* const* in, float* const*, float* op,
-                ThreadPool* pool) {
+                const graph::Replay& replay) {
         // Arena slots are uninitialized; GEMM accumulates.
         std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
-        backend::ParallelGemmNN(pool, m, n, k, 1.0f, in[0], in[1], op);
+        backend::ParallelGemmNN(replay.pool, m, n, k, 1.0f, in[0], in[1], op);
       },
       2LL * m * n * k);
   if (rg) {
@@ -354,7 +377,7 @@ Tensor Transpose(const Tensor& a) {
   Tensor out = Tensor::MakeNode({c, r}, rg, {a});
   Forward(out, {&a}, "Transpose",
           [r, c](const float* const* in, float* const*, float* op,
-                 ThreadPool*) {
+                 const graph::Replay&) {
             const float* xd = in[0];
             for (int i = 0; i < r; ++i)
               for (int j = 0; j < c; ++j)
@@ -415,7 +438,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   ForwardParts(out, parts, "ConcatRows",
                [sizes = std::move(sizes)](const float* const* in,
                                           float* const*, float* op,
-                                          ThreadPool*) {
+                                          const graph::Replay&) {
                  size_t offset = 0;
                  for (size_t pi = 0; pi < sizes.size(); ++pi) {
                    std::copy(in[pi], in[pi] + sizes[pi], op + offset);
@@ -461,13 +484,14 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   // per-element at/set.
   ForwardParts(out, parts, "ConcatCols",
                [widths, rows, cols](const float* const* in, float* const*,
-                                    float* op, ThreadPool*) {
+                                    float* op, const graph::Replay& replay) {
+                 const int live = replay.Rows(rows);
                  int col_offset = 0;
                  for (size_t pi = 0; pi < widths.size(); ++pi) {
                    const int pc = widths[pi];
                    const float* pd = in[pi];
                    float* od = op + col_offset;
-                   for (int r = 0; r < rows; ++r) {
+                   for (int r = 0; r < live; ++r) {
                      std::copy(pd + static_cast<size_t>(r) * pc,
                                pd + static_cast<size_t>(r + 1) * pc,
                                od + static_cast<size_t>(r) * cols);
@@ -534,7 +558,7 @@ Tensor SliceCols(const Tensor& a, int begin, int end) {
   Tensor out = Tensor::MakeNode({rows, width}, rg, {a});
   Forward(out, {&a}, "SliceCols",
           [rows, cols, begin, width](const float* const* in, float* const*,
-                                     float* op, ThreadPool*) {
+                                     float* op, const graph::Replay&) {
             const float* xd = in[0] + begin;
             for (int r = 0; r < rows; ++r) {
               std::copy(xd + static_cast<size_t>(r) * cols,
@@ -568,7 +592,7 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
   for (const int src : indices) HG_CHECK(src >= 0 && src < a.dim(0));
   Forward(out, {&a}, "GatherRows",
           [indices, cols](const float* const* in, float* const*, float* op,
-                          ThreadPool*) {
+                          const graph::Replay&) {
             const float* xd = in[0];
             for (size_t i = 0; i < indices.size(); ++i) {
               std::copy(xd + static_cast<size_t>(indices[i]) * cols,
@@ -645,7 +669,8 @@ Tensor Sum(const Tensor& a) {
   Tensor out = Tensor::MakeNode({1}, rg, {a});
   const size_t n = a.data().size();
   Forward(out, {&a}, "Sum",
-          [n](const float* const* in, float* const*, float* op, ThreadPool*) {
+          [n](const float* const* in, float* const*, float* op,
+              const graph::Replay&) {
             float total = 0.0f;
             for (size_t i = 0; i < n; ++i) total += in[0][i];
             op[0] = total;
@@ -672,7 +697,7 @@ Tensor SumRows(const Tensor& a) {
   Tensor out = Tensor::MakeNode({1, cols}, rg, {a});
   Forward(out, {&a}, "SumRows",
           [rows, cols](const float* const* in, float* const*, float* op,
-                       ThreadPool*) {
+                       const graph::Replay&) {
             std::fill(op, op + cols, 0.0f);
             backend::ColSumAccumulate(rows, cols, in[0], op);
           });
@@ -702,8 +727,8 @@ Tensor Softmax(const Tensor& a) {
   Forward(
       out, {&a}, "Softmax",
       [rows, cols](const float* const* in, float* const*, float* op,
-                   ThreadPool* pool) {
-        backend::ParallelSoftmaxRows(pool, rows, cols, in[0], op);
+                   const graph::Replay& replay) {
+        backend::ParallelSoftmaxRows(replay.pool, rows, cols, in[0], op);
       },
       5LL * rows * cols);
   if (rg) {
@@ -732,9 +757,10 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   // stddev [rows].
   auto body = [rows, cols, eps](const float* const* in,
                                 float* const* scratch, float* op,
-                                ThreadPool* pool) {
-    backend::ParallelLayerNormRows(pool, rows, cols, eps, in[0], in[1], in[2],
-                                   op, scratch[0], scratch[1]);
+                                const graph::Replay& replay) {
+    backend::ParallelLayerNormRows(replay.pool, replay.Rows(rows), cols, eps,
+                                   in[0], in[1], in[2], op, scratch[0],
+                                   scratch[1]);
   };
   if (!rg) {
     // Inference path: xhat/inv_std are per-call scratch. ~8 FLOPs per
@@ -753,7 +779,7 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     const float* in[] = {x.data().data(), gamma.data().data(),
                          beta.data().data()};
     float* scratch[] = {xhat->data(), inv_std->data()};
-    body(in, scratch, out.data().data(), nullptr);
+    body(in, scratch, out.data().data(), graph::Replay{});
   }
   {
     Impl xi = x.impl().get(), gi = gamma.impl().get(),
@@ -804,10 +830,12 @@ Tensor LinearOp(const Tensor& x, const Tensor& w, const Tensor& bias) {
   Forward(
       out, {&x, &w, &bias}, "Linear",
       [m, n, k, has_bias](const float* const* in, float* const*, float* op,
-                          ThreadPool* pool) {
-        std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
-        backend::ParallelGemmNN(pool, m, n, k, 1.0f, in[0], in[1], op);
-        if (has_bias) backend::AddBiasRows(m, n, in[2], op);
+                          const graph::Replay& replay) {
+        const int live = replay.Rows(m);
+        std::fill(op, op + static_cast<size_t>(live) * n, 0.0f);
+        backend::ParallelGemmNN(replay.pool, live, n, k, 1.0f, in[0], in[1],
+                                op);
+        if (has_bias) backend::AddBiasRows(live, n, in[2], op);
       },
       2LL * m * n * k + (has_bias ? 1LL * m * n : 0));
   if (rg) {
@@ -864,12 +892,13 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
   Forward(
       out, {&q, &k, &mask}, "AttentionScores",
       [lq, lk, d, scale, has_mask](const float* const* in, float* const*,
-                                   float* op, ThreadPool* pool) {
+                                   float* op, const graph::Replay& replay) {
         const size_t n = static_cast<size_t>(lq) * lk;
         std::fill(op, op + n, 0.0f);
-        backend::ParallelGemmNT(pool, lq, lk, d, scale, in[0], in[1], op);
+        backend::ParallelGemmNT(replay.pool, lq, lk, d, scale, in[0], in[1],
+                                op);
         if (has_mask) backend::Accumulate(n, in[2], op);
-        backend::ParallelSoftmaxRows(pool, lq, lk, op, op);
+        backend::ParallelSoftmaxRows(replay.pool, lq, lk, op, op);
       },
       2LL * lq * lk * d + (has_mask ? 1LL * lq * lk : 0) + 5LL * lq * lk);
   if (rg) {
@@ -900,6 +929,94 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
       internal_tensor::BufferPool::ReleaseToCurrentThread(std::move(gs));
     });
   }
+  return out;
+}
+
+namespace {
+
+/// Checks a packed sequence table against an operand of `rows` rows and
+/// returns the floats its attention blocks take, Σ len².
+size_t CheckSegments(std::span<const int> segments, int rows) {
+  HG_CHECK(segments.size() >= 2 && segments.front() == 0 &&
+           segments.back() <= rows)
+      << "packed attention: bad sequence table for " << rows << " rows";
+  size_t block_floats = 0;
+  for (size_t s = 1; s < segments.size(); ++s) {
+    HG_CHECK_LT(segments[s - 1], segments[s]);
+    const size_t len = static_cast<size_t>(segments[s] - segments[s - 1]);
+    block_floats += len * len;
+  }
+  return block_floats;
+}
+
+}  // namespace
+
+Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
+                       std::span<const int> segments) {
+  HG_CHECK_EQ(q.rank(), 2);
+  HG_CHECK(q.shape() == k.shape())
+      << "packed AttentionScores " << ShapeToString(q.shape()) << " vs "
+      << ShapeToString(k.shape());
+  HG_CHECK(!AnyRequiresGrad(q, k)) << "packed attention is inference only";
+  const int n = q.dim(0), d = q.dim(1);
+  const int64_t block_floats = static_cast<int64_t>(CheckSegments(segments, n));
+  Tensor out = Tensor::MakeNode({n, n}, false, {q, k});
+  // Per sequence, with that sequence's own length: the GEMM-NT places
+  // its k-tail by n % 4 and by column, so one GEMM over the packed rows
+  // would change bits. The diagonal mask is added exactly as
+  // MultiHeadSelfAttention adds its [len, len] mask (+0 off the
+  // diagonal), and a one-row sequence gets none.
+  Forward(
+      out, {&q, &k}, "AttentionScores",
+      [d, scale](const float* const* in, float* const*, float* op,
+                 const graph::Replay& replay) {
+        const std::span<const int> seg = replay.segments;
+        float* block = op;
+        for (size_t s = 0; s + 1 < seg.size(); ++s) {
+          const int begin = seg[s], len = seg[s + 1] - seg[s];
+          const size_t floats = static_cast<size_t>(len) * len;
+          const size_t row0 = static_cast<size_t>(begin) * d;
+          std::fill(block, block + floats, 0.0f);
+          backend::ParallelGemmNT(replay.pool, len, len, d, scale,
+                                  in[0] + row0, in[1] + row0, block);
+          for (int i = 0; len > 1 && i < len; ++i) {
+            float* row = block + static_cast<size_t>(i) * len;
+            for (int j = 0; j < len; ++j) row[j] += j == i ? -1e9f : 0.0f;
+          }
+          backend::ParallelSoftmaxRows(replay.pool, len, len, block, block);
+          block += floats;
+        }
+      },
+      block_floats * (2LL * d + 6), {}, graph::Replay{nullptr, segments});
+  return out;
+}
+
+Tensor MatMul(const Tensor& attn, const Tensor& v,
+              std::span<const int> segments) {
+  HG_CHECK_EQ(v.rank(), 2);
+  const int n = v.dim(0), d = v.dim(1);
+  HG_CHECK(attn.rank() == 2 && attn.dim(0) == n && attn.dim(1) == n)
+      << "packed MatMul " << ShapeToString(attn.shape()) << " x "
+      << ShapeToString(v.shape());
+  HG_CHECK(!AnyRequiresGrad(attn, v)) << "packed attention is inference only";
+  const int64_t block_floats = static_cast<int64_t>(CheckSegments(segments, n));
+  Tensor out = Tensor::MakeNode({n, d}, false, {attn, v});
+  Forward(
+      out, {&attn, &v}, "MatMul",
+      [d](const float* const* in, float* const*, float* op,
+          const graph::Replay& replay) {
+        const std::span<const int> seg = replay.segments;
+        const float* block = in[0];
+        for (size_t s = 0; s + 1 < seg.size(); ++s) {
+          const int begin = seg[s], len = seg[s + 1] - seg[s];
+          const size_t row0 = static_cast<size_t>(begin) * d;
+          std::fill(op + row0, op + row0 + static_cast<size_t>(len) * d, 0.0f);
+          backend::ParallelGemmNN(replay.pool, len, d, len, 1.0f, block,
+                                  in[1] + row0, op + row0);
+          block += static_cast<size_t>(len) * len;
+        }
+      },
+      2LL * block_floats * d, {}, graph::Replay{nullptr, segments});
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef HIERGAT_TENSOR_OPS_H_
 #define HIERGAT_TENSOR_OPS_H_
 
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -110,6 +111,25 @@ Tensor LinearOp(const Tensor& x, const Tensor& w,
 /// for self-attention). Returns the [Lq, Lk] attention distribution.
 Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
                        const Tensor& mask = Tensor());
+
+/// Packed self-attention probabilities (DESIGN.md §11). `q` and `k` are
+/// [n, d] row blocks holding several sequences: sequence s is rows
+/// [segments[s], segments[s + 1]), and `segments` starts at 0. Each
+/// sequence attends only within itself, with its diagonal masked by
+/// -1e9 unless it is one row long, and is computed with its own length,
+/// so its probabilities carry the bits of AttentionScores over that
+/// sequence alone with MultiHeadSelfAttention's diagonal mask. Returns
+/// an [n, n] buffer whose first Σ len² floats hold the sequences'
+/// [len, len] blocks in order. Inference only. A replay takes the
+/// sequence table from graph::Replay, so one graph serves any layout.
+Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
+                       std::span<const int> segments);
+
+/// Packed counterpart of MatMul(attn, v): each sequence's [len, len]
+/// block of `attn` (the packed AttentionScores above) times its rows of
+/// `v` [n, d] -> [n, d]. Inference only.
+Tensor MatMul(const Tensor& attn, const Tensor& v,
+              std::span<const int> segments);
 
 /// Gathers embedding rows: weight [V, F], ids in [0, V) -> [n, F].
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids);

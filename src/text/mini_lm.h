@@ -112,6 +112,11 @@ class MiniLm : public Module {
     out->AddModule("encoder", *encoder_);
   }
 
+  /// The token and segment (token-type) tables, for callers that build
+  /// encoder inputs row by row (the packed scoring path).
+  const Embedding& token_table() const { return *token_table_; }
+  const Embedding& segment_table() const { return *segment_table_; }
+
   int dim() const { return config_.dim; }
   LmSize size() const { return size_; }
   const Vocabulary& vocab() const { return *vocab_; }

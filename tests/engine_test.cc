@@ -455,15 +455,21 @@ TEST_F(EngineParityTest, CompiledGraphScoringMatchesEagerBitwise) {
 }
 
 TEST_F(EngineParityTest, ScoringCompilesPlannedGraphs) {
-  // Graphs compile lazily on first sight of each attribute length, so
-  // one scoring pass over the test split builds the compare graph and
-  // at least one summarize graph.
+  // Graphs compile lazily per row-capacity bucket, so one scoring pass
+  // over the test split builds the compare head and at least one packed
+  // encoder graph, and never more than one graph per bucket (powers of
+  // two from 16 up to kMaxRows) plus the head.
   hiergat_->InvalidateInferenceCache();
   EXPECT_EQ(hiergat_->compiled_stats().num_graphs, 0);
   (void)hiergat_->ScoreBatch(data_->test);
   const CompiledScoring::Stats stats = hiergat_->compiled_stats();
   EXPECT_EQ(stats.num_failed, 0);
   EXPECT_GE(stats.num_graphs, 2);
+  int buckets = 0;
+  for (int rows = 16; rows <= CompiledScoring::kMaxRows; rows *= 2) {
+    ++buckets;
+  }
+  EXPECT_LE(stats.num_graphs, buckets + 1);
   // The planner must fold intermediates into shared arena slots well
   // below the eager sum (< 50%).
   EXPECT_GT(stats.plan_bytes, 0u);

@@ -56,7 +56,12 @@ TEST(SerializeTest, RoundTripPreservesMetaAndTensors) {
   EXPECT_TRUE(reader.GetMetaBool("flag").value());
   EXPECT_FALSE(reader.GetMeta("absent").ok());
 
-  ASSERT_EQ(reader.TensorNames().size(), 2u);
+  const Shape* weight_shape = reader.FindShape("encoder.weight");
+  ASSERT_NE(weight_shape, nullptr);
+  EXPECT_EQ(*weight_shape, (Shape{2, 3}));
+  const Shape* bias_shape = reader.FindShape("encoder.bias");
+  ASSERT_NE(bias_shape, nullptr);
+  EXPECT_EQ(*bias_shape, (Shape{3}));
   Tensor weight = Tensor::Zeros({2, 3});
   ASSERT_TRUE(reader.ReadInto("encoder.weight", &weight).ok());
   EXPECT_FLOAT_EQ(weight.data()[0], 1.0f);

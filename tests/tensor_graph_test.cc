@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/status.h"
+#include "nn/transformer.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -131,11 +135,22 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
   const Tensor extra_cols = Tensor::Randn({kRows, 16}, rng);
   std::vector<int> indices;
   for (int i = 0; i < 40; ++i) indices.push_back((i * 13) % kRows);
+  // Packed sequences of 1, 3, 36 and 24 rows: the one-row sequence takes
+  // no diagonal mask, and the 36-row one's GEMMs are large enough to fan
+  // out on the pool.
+  const std::vector<int> segments = {0, 1, 4, 40, kRows};
+  const Tensor probabilities =
+      AttentionScores(Tensor::Randn({kRows, 8}, rng),
+                      Tensor::Randn({kRows, 8}, rng), 0.5f, segments);
 
   struct Case {
     const char* name;
     bool row_chunked;
     std::function<Tensor(const Tensor&)> fwd;
+    std::span<const int> segments = {};
+    /// Leading output floats with defined values (0: all). The packed
+    /// attention buffer defines only its Σ len² block floats.
+    size_t defined_floats = 0;
   };
   const std::vector<Case> cases = {
       {"Add", false, [&](const Tensor& x) { return Add(x, same); }},
@@ -180,6 +195,14 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
        [&](const Tensor& x) {
          return AttentionScores(x, keys, 0.125f, Tensor());
        }},
+      {"AttentionScores(packed)", true,
+       [&](const Tensor& x) {
+         return AttentionScores(x, same, 0.125f, segments);
+       },
+       segments, 1 + 9 + 36 * 36 + 24 * 24},
+      {"MatMul(packed)", true,
+       [&](const Tensor& x) { return MatMul(probabilities, x, segments); },
+       segments},
   };
 
   ThreadPool pool(4);
@@ -200,15 +223,115 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
       std::vector<float> got(want.data().size(), -7.0f);
       float* out[] = {got.data()};
       const int64_t tasks_before = tasks.Value();
-      compiled->Run(in, out, run_pool);
+      compiled->Run(in, out, run_pool, c.segments);
       if (run_pool != nullptr && c.row_chunked) {
         EXPECT_GT(tasks.Value(), tasks_before) << "pool never dispatched";
       }
-      for (size_t i = 0; i < got.size(); ++i) {
+      const size_t floats =
+          c.defined_floats > 0 ? c.defined_floats : got.size();
+      for (size_t i = 0; i < floats; ++i) {
         ASSERT_EQ(got[i], want.data()[i])
             << (run_pool ? "pooled" : "serial") << " element " << i;
       }
     }
+  }
+}
+
+// A packed graph replays any sequence table over any live row count up
+// to its capacity, and every sequence's rows carry the bits of encoding
+// that sequence alone: the argument the packed scoring path rests on
+// (DESIGN.md §11).
+TEST(TensorGraphTest, PackedEncoderMatchesEachSequenceAlone) {
+  NoGradGuard no_grad;
+  Rng rng(5);
+  TransformerConfig config;
+  config.dim = 16;
+  config.ffn_dim = 24;
+  const TransformerEncoder encoder(config, rng);
+  constexpr int kCapacity = 32;
+  const std::vector<int> capture_segments = {0, 4, 8, 16, kCapacity};
+  auto compiled = CompileUnary(kCapacity, config.dim, [&](const Tensor& x) {
+    return encoder.Forward(x, /*training=*/false, rng,
+                           /*add_positions=*/false, capture_segments);
+  });
+  const Tensor positions =
+      Scale(SinusoidalPositions(kCapacity, config.dim), config.position_scale);
+
+  for (const std::vector<int>& segments :
+       {std::vector<int>{0, 1, 6, 13, 21}, std::vector<int>{0, 2},
+        std::vector<int>{0, kCapacity}}) {
+    SCOPED_TRACE(segments.back());
+    std::vector<Tensor> sequences;
+    std::vector<float> packed;
+    for (size_t s = 0; s + 1 < segments.size(); ++s) {
+      const int len = segments[s + 1] - segments[s];
+      sequences.push_back(Tensor::Randn({len, config.dim}, rng));
+      const Tensor with_positions =
+          Add(sequences.back(), SliceRows(positions, 0, len));
+      packed.insert(packed.end(), with_positions.data().begin(),
+                    with_positions.data().end());
+    }
+    std::vector<float> got(packed.size(), -7.0f);
+    const float* in[] = {packed.data()};
+    float* out[] = {got.data()};
+    compiled->Run(in, out, &ThreadPool::Global(), segments);
+    for (size_t s = 0; s < sequences.size(); ++s) {
+      const Tensor want =
+          encoder.Forward(sequences[s], /*training=*/false, rng);
+      const size_t row0 = static_cast<size_t>(segments[s]) * config.dim;
+      for (size_t i = 0; i < want.data().size(); ++i) {
+        ASSERT_EQ(got[row0 + i], want.data()[i])
+            << "sequence " << s << " element " << i;
+      }
+    }
+  }
+}
+
+// Each replay adds its graph's static per-op totals to the
+// `hiergat.graph.node.<op>.*` counters once, whatever the node count.
+TEST(TensorGraphTest, NodeCountersAddStaticPerOpTotalsPerReplay) {
+  NoGradGuard no_grad;
+  Rng rng(9);
+  const Tensor w1 = Tensor::Randn({8, 8}, rng);
+  const Tensor w2 = Tensor::Randn({8, 8}, rng);
+  auto compiled = CompileUnary(6, 8, [&](const Tensor& x) {
+    return Add(LinearOp(Gelu(LinearOp(x, w1)), w2), x);
+  });
+  struct Totals {
+    int64_t replays = 0, flops = 0, bytes = 0;
+  };
+  std::map<std::string, Totals> per_op;
+  for (const graph::NodeCost& cost : compiled->node_costs()) {
+    Totals& totals = per_op[cost.name];
+    totals.replays += 1;
+    totals.flops += cost.flops;
+    totals.bytes += cost.bytes;
+  }
+  ASSERT_EQ(per_op.at("Linear").replays, 2);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto counter = [&](const std::string& op, const char* field) {
+    return registry.GetCounter("hiergat.graph.node." + op + "." + field)
+        .Value();
+  };
+  std::map<std::string, Totals> before;
+  for (const auto& [op, totals] : per_op) {
+    before[op] = {counter(op, "replays"), counter(op, "est_flops"),
+                  counter(op, "est_bytes")};
+  }
+  constexpr int kReplays = 5;
+  const Tensor x = Tensor::Randn({6, 8}, rng);
+  std::vector<float> got(48);
+  const float* in[] = {x.data().data()};
+  float* out[] = {got.data()};
+  for (int r = 0; r < kReplays; ++r) compiled->Run(in, out, nullptr);
+  for (const auto& [op, totals] : per_op) {
+    SCOPED_TRACE(op);
+    EXPECT_EQ(counter(op, "replays") - before[op].replays,
+              kReplays * totals.replays);
+    EXPECT_EQ(counter(op, "est_flops") - before[op].flops,
+              kReplays * totals.flops);
+    EXPECT_EQ(counter(op, "est_bytes") - before[op].bytes,
+              kReplays * totals.bytes);
   }
 }
 
