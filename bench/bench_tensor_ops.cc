@@ -8,6 +8,7 @@
 // tools/check_bench_json.py).
 
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <cstdio>
 #include <memory>
@@ -166,6 +167,26 @@ int main_impl(int argc, char** argv) {
   // time NN at m in {2,4,6,8} and the attention-score NT (L x L x 16).
   // The two ratios compare a row count against the next multiple of 4,
   // which does the same or more work: a healthy kernel keeps them <= ~1.
+  // Per-call p50 us of each batch of `calls_per_batch` calls. The
+  // batches run interleaved rep by rep, so a slow phase of a shared host
+  // hits the variants a ratio compares alike.
+  auto per_call_us = [&](const std::vector<std::function<void()>>& calls,
+                         int calls_per_batch) {
+    std::vector<std::vector<double>> times(calls.size());
+    for (const auto& call : calls) call();  // Warmup.
+    for (int r = 0; r < reps; ++r) {
+      for (size_t c = 0; c < calls.size(); ++c) {
+        const auto start = std::chrono::steady_clock::now();
+        calls[c]();
+        times[c].push_back(Seconds(start));
+      }
+    }
+    std::vector<double> us;
+    for (const auto& t : times) {
+      us.push_back(bench::PercentileOf(t, 0.5) / calls_per_batch * 1e6);
+    }
+    return us;
+  };
   bench::Table small_table("Small-shape GEMM (single thread)",
                            {"op", "shape", "p50 us/call", "GFLOP/s"});
   {
@@ -173,25 +194,6 @@ int main_impl(int argc, char** argv) {
     std::vector<float> sa(96 * 96), sb(96 * 96), sc(96 * 96, 0.0f);
     for (float& v : sa) v = rng.NextGaussian();
     for (float& v : sb) v = rng.NextGaussian();
-    // Per-call p50 us of each batch of `small_inner` calls. The batches
-    // run interleaved rep by rep, so a slow phase of a shared host hits
-    // the shapes a ratio compares alike.
-    auto per_call_us = [&](const std::vector<std::function<void()>>& calls) {
-      std::vector<std::vector<double>> times(calls.size());
-      for (const auto& call : calls) call();  // Warmup.
-      for (int r = 0; r < reps; ++r) {
-        for (size_t c = 0; c < calls.size(); ++c) {
-          const auto start = std::chrono::steady_clock::now();
-          calls[c]();
-          times[c].push_back(Seconds(start));
-        }
-      }
-      std::vector<double> us;
-      for (const auto& t : times) {
-        us.push_back(bench::PercentileOf(t, 0.5) / small_inner * 1e6);
-      }
-      return us;
-    };
     double m2_over_m4 = 0.0, m6_over_m8 = 0.0;
     struct KN {
       int k, n;
@@ -207,7 +209,7 @@ int main_impl(int argc, char** argv) {
           }
         });
       }
-      const std::vector<double> us = per_call_us(calls);
+      const std::vector<double> us = per_call_us(calls, small_inner);
       for (size_t r = 0; r < us.size(); ++r) {
         const int m = kRowCounts[r];
         const std::string mkn = "m" + std::to_string(m) + "k" +
@@ -230,7 +232,7 @@ int main_impl(int argc, char** argv) {
         }
       });
     }
-    const std::vector<double> nt_us = per_call_us(nt_calls);
+    const std::vector<double> nt_us = per_call_us(nt_calls, small_inner);
     for (size_t r = 0; r < nt_us.size(); ++r) {
       const int len = kLens[r];
       const std::string key = "L" + std::to_string(len) + "k16";
@@ -244,6 +246,42 @@ int main_impl(int argc, char** argv) {
         "small-shape gemm: m=6 costs %.2fx m=8 at k=32 n=96, m=2 costs "
         "%.2fx m=4 at k=32 n=16\n\n",
         m6_over_m8, m2_over_m4);
+  }
+
+  // -- GELU: polynomial erf vs std::erf --------------------------------
+  // The encoder FFN activation over [24, 64] rows: the Gelu op (the
+  // active backend's vectorized polynomial erf, kernel_body.inc) against
+  // the scalar std::erf loop it replaced, written out here.
+  {
+    const int gelu_inner = inner * 50;
+    const Tensor x = Tensor::Randn({24, 64}, rng);
+    const std::vector<float>& xs = x.data();
+    std::vector<float> ys(xs.size());
+    NoGradGuard guard;
+    const std::vector<double> us = per_call_us(
+        {[&] {
+           for (int i = 0; i < gelu_inner; ++i) {
+             Tensor out = Gelu(x);
+             (void)out;
+           }
+         },
+         [&] {
+           for (int i = 0; i < gelu_inner; ++i) {
+             for (size_t j = 0; j < xs.size(); ++j) {
+               ys[j] = 0.5f * xs[j] *
+                       (1.0f + std::erf(xs[j] * 0.7071067811865475f));
+             }
+             // Keeps the stores of every batch call.
+             asm volatile("" : : "r"(ys.data()) : "memory");
+           }
+         }},
+        gelu_inner);
+    result.AddMetric("gelu.d64.us", us[0]);
+    result.AddMetric("gelu.d64.std_us", us[1]);
+    result.AddMetric("gelu.d64.speedup_vs_std", us[1] / us[0]);
+    std::printf("gelu [24,64]: %.2f us/call vs %.2f us/call with std::erf "
+                "(%.2fx)\n\n",
+                us[0], us[1], us[1] / us[0]);
   }
 
   // -- Graph-level ops at HierGAT-realistic shapes --------------------

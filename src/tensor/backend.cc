@@ -36,6 +36,8 @@ const Kernels* ScalarBackend() {
       &kernels::MulInto,
       &kernels::MulAccumulate,
       &kernels::ScaleInto,
+      &kernels::GeluInto,
+      &kernels::GeluBackwardAccumulate,
       &kernels::AddBiasRows,
       &kernels::ColSumAccumulate,
       &kernels::SoftmaxRows,

@@ -60,6 +60,9 @@ struct Kernels {
   void (*mul_into)(size_t n, const float* a, const float* b, float* out);
   void (*mul_accumulate)(size_t n, const float* x, const float* w, float* y);
   void (*scale_into)(size_t n, float s, const float* x, float* out);
+  void (*gelu_into)(size_t n, const float* x, float* y);
+  void (*gelu_backward_accumulate)(size_t n, const float* x,
+                                   const float* gy, float* gx);
 
   // Row-structured.
   void (*add_bias_rows)(int rows, int cols, const float* bias, float* inout);
@@ -129,6 +132,13 @@ inline void MulAccumulate(size_t n, const float* x, const float* w,
 }
 inline void ScaleInto(size_t n, float s, const float* x, float* out) {
   Active().scale_into(n, s, x, out);
+}
+inline void GeluInto(size_t n, const float* x, float* y) {
+  Active().gelu_into(n, x, y);
+}
+inline void GeluBackwardAccumulate(size_t n, const float* x, const float* gy,
+                                   float* gx) {
+  Active().gelu_backward_accumulate(n, x, gy, gx);
 }
 inline void AddBiasRows(int rows, int cols, const float* bias,
                         float* inout) {

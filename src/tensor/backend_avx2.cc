@@ -1,14 +1,15 @@
-// AVX2 backend: tensor/kernel_body.inc recompiled with -mavx2 and
-// -ffp-contract=off (src/tensor/CMakeLists.txt). The wider vectors
-// only split the j/column lanes of each kernel's inner loop, and with
-// contraction off GCC neither fuses mul+add nor reassociates
-// reductions, so every result is bit-identical to the scalar reference
-// — quant_test asserts exact equality. This TU is only compiled on
+// AVX2 backend: tensor/kernel_body.inc recompiled with -mavx2,
+// -ffp-contract=off and -fno-trapping-math (src/tensor/CMakeLists.txt).
+// The wider vectors only split the j/column lanes of each kernel's
+// inner loop, and with contraction off GCC neither fuses mul+add nor
+// reassociates reductions, so every result is bit-identical to the
+// scalar reference — quant_test asserts exact equality. This TU is only compiled on
 // x86 (the CMakeLists gates it and defines HIERGAT_HAVE_AVX2_TU);
 // whether it is *used* is decided at runtime from
 // __builtin_cpu_supports("avx2") in backend.cc.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +40,8 @@ const Kernels* Avx2Backend() {
       &avx2_impl::MulInto,
       &avx2_impl::MulAccumulate,
       &avx2_impl::ScaleInto,
+      &avx2_impl::GeluInto,
+      &avx2_impl::GeluBackwardAccumulate,
       &avx2_impl::AddBiasRows,
       &avx2_impl::ColSumAccumulate,
       &avx2_impl::SoftmaxRows,

@@ -1,6 +1,7 @@
 #include "tensor/graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -118,6 +119,24 @@ struct CompiledGraph::Impl {
     size_t arena_offset = 0;
   };
 
+  /// A cost as a linear function of a packed replay's live rows and
+  /// block floats (Σ len² of its sequence table); see NodeCost.
+  struct LiveCost {
+    double fixed = 0.0;
+    double per_row = 0.0;
+    double per_block = 0.0;
+
+    int64_t At(int64_t rows, int64_t blocks) const {
+      return std::llround(fixed + per_row * static_cast<double>(rows) +
+                          per_block * static_cast<double>(blocks));
+    }
+    void Add(const LiveCost& other) {
+      fixed += other.fixed;
+      per_row += other.per_row;
+      per_block += other.per_block;
+    }
+  };
+
   struct Node {
     const char* name = nullptr;  ///< Static-lifetime op name.
     NodeFn fn;
@@ -126,16 +145,22 @@ struct CompiledGraph::Impl {
     int output = -1;
     int64_t flops = -1;  ///< From Record; -1 = default to output size.
     int64_t bytes = 0;   ///< f32 traffic, filled in at plan time.
+    BlockCost blocks;    ///< From Record; packed attention nodes only.
+    LiveCost live_flops = {};  ///< Packed-replay cost, fixed at plan time.
+    LiveCost live_bytes = {};
     NodeCounters* counters = nullptr;  ///< Resolved at plan time.
   };
 
-  /// One op name's static totals over the graph's nodes, added to its
-  /// counters once per replay.
+  /// One op name's totals over the graph's nodes, added to its counters
+  /// once per replay: the static ones, or the live ones in a packed
+  /// replay.
   struct OpTotals {
     NodeCounters* counters = nullptr;
     int64_t nodes = 0;
     int64_t flops = 0;
     int64_t bytes = 0;
+    LiveCost live_flops = {};
+    LiveCost live_bytes = {};
   };
 
   std::vector<Value> values;
@@ -337,17 +362,54 @@ void PlanGraph(Impl* g) {
   //    traffic — every input read, scratch, and the output write. These
   //    are estimates, not measurements: their job is to rank nodes and
   //    give trace spans arithmetic-intensity context, so a cache-line
-  //    model would be false precision.
+  //    model would be false precision. The live cost of a packed replay
+  //    (NodeCost) is linear in its live rows and block floats.
   g->node_costs.reserve(g->nodes.size());
+  constexpr int64_t kFloatBytes = sizeof(float);
   for (Impl::Node& node : g->nodes) {
     const auto size_of = [&](int id) {
       return static_cast<int64_t>(g->values[static_cast<size_t>(id)].size);
     };
-    if (node.flops < 0) node.flops = size_of(node.output);
-    int64_t traffic_floats = size_of(node.output);
-    for (int id : node.inputs) traffic_floats += size_of(id);
-    for (int id : node.scratch) traffic_floats += size_of(id);
-    node.bytes = traffic_floats * static_cast<int64_t>(sizeof(float));
+    const Impl::Value& out = g->values[static_cast<size_t>(node.output)];
+    const int64_t rows = out.shape.empty() ? 0 : out.shape[0];
+    int64_t constant_floats = 0;
+    for (int id : node.inputs) {
+      if (g->values[static_cast<size_t>(RootOf(*g, id))].kind ==
+          Kind::kConstant) {
+        constant_floats += size_of(id);
+      }
+    }
+    node.live_bytes.fixed = static_cast<double>(constant_floats * kFloatBytes);
+    const BlockCost& blocks = node.blocks;
+    if (blocks.capture_blocks > 0) {
+      node.flops = blocks.flops_per_block * blocks.capture_blocks;
+      node.bytes = (constant_floats +
+                    blocks.floats_per_block * blocks.capture_blocks +
+                    blocks.floats_per_row * rows) *
+                   kFloatBytes;
+      node.live_flops.per_block = static_cast<double>(blocks.flops_per_block);
+      node.live_bytes.per_block =
+          static_cast<double>(blocks.floats_per_block * kFloatBytes);
+      node.live_bytes.per_row =
+          static_cast<double>(blocks.floats_per_row * kFloatBytes);
+    } else {
+      if (node.flops < 0) node.flops = size_of(node.output);
+      int64_t traffic_floats = size_of(node.output);
+      for (int id : node.inputs) traffic_floats += size_of(id);
+      for (int id : node.scratch) traffic_floats += size_of(id);
+      node.bytes = traffic_floats * kFloatBytes;
+      if (rows > 0) {
+        node.live_flops.per_row =
+            static_cast<double>(node.flops) / static_cast<double>(rows);
+        node.live_bytes.per_row =
+            static_cast<double>((traffic_floats - constant_floats) *
+                                kFloatBytes) /
+            static_cast<double>(rows);
+      } else {
+        node.live_flops.fixed = static_cast<double>(node.flops);
+        node.live_bytes.fixed = static_cast<double>(node.bytes);
+      }
+    }
     node.counters = CountersForName(node.name);
     auto totals = std::find_if(
         g->op_totals.begin(), g->op_totals.end(),
@@ -359,6 +421,8 @@ void PlanGraph(Impl* g) {
     totals->nodes += 1;
     totals->flops += node.flops;
     totals->bytes += node.bytes;
+    totals->live_flops.Add(node.live_flops);
+    totals->live_bytes.Add(node.live_bytes);
     g->node_costs.push_back({node.name, node.flops, node.bytes});
     g->stats.est_flops += node.flops;
     g->stats.est_bytes += node.bytes;
@@ -484,6 +548,14 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
   const uint64_t trace_id =
       tracing ? obs::CurrentTraceContext().trace_id : 0;
 #endif
+  // A packed replay's live work (NodeCost): its rows and block floats.
+  const bool packed = !segments.empty();
+  const int64_t live_rows = packed ? segments.back() : 0;
+  int64_t live_blocks = 0;
+  for (size_t s = 1; s < segments.size(); ++s) {
+    const int64_t len = segments[s] - segments[s - 1];
+    live_blocks += len * len;
+  }
   for (const Impl::Node& node : g.nodes) {
     for (size_t k = 0; k < node.inputs.size(); ++k) {
       in[k] = ptrs[static_cast<size_t>(node.inputs[k])];
@@ -499,8 +571,10 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
       const uint64_t start_ns = obs::MonotonicNowNs();
       node.fn(in, scratch, out, replay);
       const uint64_t dur_ns = obs::MonotonicNowNs() - start_ns;
-      obs::TraceRecorder::Global().Record(node.name, start_ns, dur_ns,
-                                          trace_id, node.flops, node.bytes);
+      obs::TraceRecorder::Global().Record(
+          node.name, start_ns, dur_ns, trace_id,
+          packed ? node.live_flops.At(live_rows, live_blocks) : node.flops,
+          packed ? node.live_bytes.At(live_rows, live_blocks) : node.bytes);
       node.counters->ns->Increment(static_cast<int64_t>(dur_ns));
       NodeSeconds().Observe(static_cast<double>(dur_ns) * 1e-9);
       continue;
@@ -510,8 +584,10 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
   }
   for (const Impl::OpTotals& op : g.op_totals) {
     op.counters->replays->Increment(op.nodes);
-    op.counters->est_flops->Increment(op.flops);
-    op.counters->est_bytes->Increment(op.bytes);
+    op.counters->est_flops->Increment(
+        packed ? op.live_flops.At(live_rows, live_blocks) : op.flops);
+    op.counters->est_bytes->Increment(
+        packed ? op.live_bytes.At(live_rows, live_blocks) : op.bytes);
   }
 
   // A packed replay copies out only its live rows.
@@ -617,7 +693,8 @@ void OnUnsupported(const char* what) {
 
 void Record(const Tensor& out, const std::vector<Tensor>& inputs,
             const char* name, NodeFn fn,
-            const std::vector<size_t>& scratch_sizes, int64_t flops) {
+            const std::vector<size_t>& scratch_sizes, int64_t flops,
+            const BlockCost& blocks) {
   Recorder* r = tls_recorder;
   if (r == nullptr || r->poisoned) return;
   r->unclaimed.erase(out.impl().get());
@@ -663,6 +740,7 @@ void Record(const Tensor& out, const std::vector<Tensor>& inputs,
   node.inputs = std::move(in_ids);
   node.output = out_id;
   node.flops = flops;
+  node.blocks = blocks;
   for (size_t floats : scratch_sizes) {
     Impl::Value s;
     s.kind = Kind::kArena;

@@ -99,12 +99,29 @@ struct PlanStats {
 /// per-op-name sums of these to the `hiergat.graph.node.<name>.*`
 /// counters, and stamps them on the node's trace span so
 /// tools/hg_trace_report.py can rank hot nodes by measured time with
-/// cost context. A packed graph's costs are those of its capture: a full
-/// bucket of capture-layout sequences.
+/// cost context. A packed graph's static costs are those of its capture,
+/// a full bucket of capture-layout sequences; a packed replay instead
+/// adds (and stamps) its live cost: a row-wise node's scales by live
+/// rows over captured rows, with its constant operands (weights)
+/// counted whole, and a packed attention node's follows the Σ len² of
+/// the replay's sequence table (BlockCost).
 struct NodeCost {
   const char* name = nullptr;  ///< Op name (static lifetime).
   int64_t flops = 0;
   int64_t bytes = 0;
+};
+
+/// Cost of a packed attention node, which runs one len x len block per
+/// sequence of its Replay: `flops_per_block` FLOPs and
+/// `floats_per_block` f32 traffic per block float (Σ len² over the
+/// sequences), plus `floats_per_row` f32 traffic per live row.
+/// `capture_blocks` is the Σ len² it was captured under; 0 marks every
+/// other node.
+struct BlockCost {
+  int64_t capture_blocks = 0;
+  int64_t flops_per_block = 0;
+  int64_t floats_per_block = 0;
+  int64_t floats_per_row = 0;
 };
 
 /// Introspection for planner tests: one arena value's placement.
@@ -219,11 +236,12 @@ void OnUnsupported(const char* what);
 /// attention) pass exact counts, and the default -1 estimates one FLOP
 /// per output element (right for elementwise/reduction ops). The
 /// planner estimates bytes moved as the node's f32 traffic over inputs
-/// + scratch + output.
+/// + scratch + output. A packed attention op passes `blocks` instead,
+/// and `flops` is then ignored (see NodeCost).
 void Record(const Tensor& out, const std::vector<Tensor>& inputs,
             const char* name, NodeFn fn,
             const std::vector<size_t>& scratch_sizes = {},
-            int64_t flops = -1);
+            int64_t flops = -1, const BlockCost& blocks = {});
 
 /// Records `out` as a pure view of `base` at `offset_floats`
 /// (SliceRows/Row/Reshape/Flatten): no node, no replay work.

@@ -1,7 +1,10 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 namespace hiergat {
 namespace kernels {

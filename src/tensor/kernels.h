@@ -69,6 +69,29 @@ void MulInto(size_t n, const float* a, const float* b, float* out);
 void MulAccumulate(size_t n, const float* x, const float* w, float* y);
 /// out[i] = s * x[i].
 void ScaleInto(size_t n, float s, const float* x, float* out);
+/// y[i] = GELU(x[i]) = 0.5 * x[i] * (1 + Erf(x[i] / sqrt(2))).
+void GeluInto(size_t n, const float* x, float* y);
+/// gx[i] += gy[i] * GELU'(x[i]), the derivative of GeluInto's formula:
+/// 0.5 * (1 + Erf(x / sqrt(2))) + x * Exp(-x^2 / 2) / sqrt(2 pi).
+void GeluBackwardAccumulate(size_t n, const float* x, const float* gy,
+                            float* gx);
+
+// -- Transcendentals -----------------------------------------------------
+//
+// The polynomial erf and exp that GeluInto, GeluBackwardAccumulate and
+// SoftmaxRows inline (DESIGN.md §9). Every backend compiles the same
+// bodies, so they are bit-identical across backends; against the exact
+// functions they are off by at most kTranscendentalMaxError.
+
+/// Bounds |Erf(x) - erf(x)| for every x, and |Exp(x) - exp(x)| / exp(x)
+/// for x in [ln(FLT_MIN), ln(FLT_MAX)].
+constexpr float kTranscendentalMaxError = 5e-7f;
+
+/// erf(x). Exactly +-1 for |x| >= 4 (and at +-inf); NaN stays NaN.
+float Erf(float x);
+/// exp(x). Exactly 0 below ln(FLT_MIN) ~ -87.34 (no subnormal results)
+/// and at -inf, +inf above ln(FLT_MAX); NaN stays NaN.
+float Exp(float x);
 
 // -- Row-structured ------------------------------------------------------
 
@@ -78,7 +101,8 @@ void AddBiasRows(int rows, int cols, const float* bias, float* inout);
 void ColSumAccumulate(int rows, int cols, const float* src, float* dst);
 
 /// Row-wise softmax of x[rows,cols] into y, max-subtracted for
-/// stability. In-place (y == x) is allowed.
+/// stability, with Exp; each row's denominator sums in ascending column
+/// order. In-place (y == x) is allowed.
 void SoftmaxRows(int rows, int cols, const float* x, float* y);
 
 /// Row-wise softmax backward: gx[r,c] += (gy[r,c] - <gy_r, y_r>) *

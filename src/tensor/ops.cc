@@ -82,13 +82,14 @@ constexpr size_t kMaxScratch = 2;
 /// An undefined input (absent bias or mask) is skipped, so `in[i]`
 /// indexes the defined inputs in order. `scratch_sizes` (in floats) are
 /// per-call buffers: borrowed from the pool eagerly, arena-planned at
-/// replay. `name` and `flops` label the replay node (graph::Record).
-/// `eager` is what the body sees when it runs now.
+/// replay. `name`, `flops` and `blocks` label the replay node
+/// (graph::Record). `eager` is what the body sees when it runs now.
 template <typename Body>
 void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
              const char* name, Body body, int64_t flops = -1,
              std::initializer_list<size_t> scratch_sizes = {},
-             const graph::Replay& eager = {}) {
+             const graph::Replay& eager = {},
+             const graph::BlockCost& blocks = {}) {
   HG_CHECK(inputs.size() <= kMaxInputs && scratch_sizes.size() <= kMaxScratch);
   const float* in[kMaxInputs] = {};
   size_t num_in = 0;
@@ -116,7 +117,7 @@ void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
       if (t->defined()) recorded.push_back(*t);
     }
     graph::Record(out, recorded, name, std::move(body),
-                  std::vector<size_t>(scratch_sizes), flops);
+                  std::vector<size_t>(scratch_sizes), flops, blocks);
   }
 }
 
@@ -131,34 +132,44 @@ void ForwardParts(Tensor& out, const std::vector<Tensor>& inputs,
   if (Capturing()) graph::Record(out, inputs, name, std::move(body));
 }
 
-/// Applies a scalar function and its derivative as a unary op. `name`
-/// labels the replay node (static lifetime, used for trace spans).
+/// A unary op over whole buffers: `fwd(n, x, y)` writes y = f(x), and
+/// `bwd(n, x, y, gy, gx)` accumulates gx += gy * f'(x) given the forward
+/// output y. `name` labels the replay node (static lifetime, used for
+/// trace spans).
 template <typename Fwd, typename Bwd>
-Tensor UnaryOp(const Tensor& a, const char* name, Fwd fwd, Bwd bwd) {
+Tensor UnaryBufferOp(const Tensor& a, const char* name, Fwd fwd, Bwd bwd) {
   const bool rg = AnyRequiresGrad(a);
   Tensor out = Tensor::MakeNode(a.shape(), rg, {a});
   const RowSplit split(a);
   Forward(out, {&a}, name,
           [split, fwd](const float* const* in, float* const*, float* op,
                        const graph::Replay& replay) {
-            const float* xd = in[0];
-            const size_t n = split.Live(replay);
-            for (size_t i = 0; i < n; ++i) op[i] = fwd(xd[i]);
+            fwd(split.Live(replay), in[0], op);
           });
   if (rg) {
     Impl ai = a.impl().get();
     Impl oi = out.impl().get();
     out.set_backward_fn([ai, oi, bwd]() {
       ai->EnsureGrad();
-      const size_t n = ai->data().size();
-      const float* ad = ai->data().data();
-      const float* od = oi->data().data();
-      const float* go = oi->grad.data();
-      float* ga = ai->grad.data();
-      for (size_t i = 0; i < n; ++i) ga[i] += go[i] * bwd(ad[i], od[i]);
+      bwd(ai->data().size(), ai->data().data(), oi->data().data(),
+          oi->grad.data(), ai->grad.data());
     });
   }
   return out;
+}
+
+/// Applies a scalar function and its derivative `bwd(x, y)` elementwise.
+template <typename Fwd, typename Bwd>
+Tensor UnaryOp(const Tensor& a, const char* name, Fwd fwd, Bwd bwd) {
+  return UnaryBufferOp(
+      a, name,
+      [fwd](size_t n, const float* x, float* y) {
+        for (size_t i = 0; i < n; ++i) y[i] = fwd(x[i]);
+      },
+      [bwd](size_t n, const float* x, const float* y, const float* gy,
+            float* gx) {
+        for (size_t i = 0; i < n; ++i) gx[i] += gy[i] * bwd(x[i], y[i]);
+      });
 }
 
 }  // namespace
@@ -640,15 +651,11 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  constexpr float kInvSqrt2 = 0.7071067811865475f;
-  constexpr float kInvSqrt2Pi = 0.3989422804014327f;
-  return UnaryOp(
+  return UnaryBufferOp(
       a, "Gelu",
-      [](float x) { return 0.5f * x * (1.0f + std::erf(x * kInvSqrt2)); },
-      [](float x, float) {
-        const float cdf = 0.5f * (1.0f + std::erf(x * kInvSqrt2));
-        const float pdf = kInvSqrt2Pi * std::exp(-0.5f * x * x);
-        return cdf + x * pdf;
+      [](size_t n, const float* x, float* y) { backend::GeluInto(n, x, y); },
+      [](size_t n, const float* x, const float*, const float* gy, float* gx) {
+        backend::GeluBackwardAccumulate(n, x, gy, gx);
       });
 }
 
@@ -987,7 +994,8 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
           block += floats;
         }
       },
-      block_floats * (2LL * d + 6), {}, graph::Replay{nullptr, segments});
+      -1, {}, graph::Replay{nullptr, segments},
+      graph::BlockCost{block_floats, 2LL * d + 6, 1, 2LL * d});
   return out;
 }
 
@@ -1016,7 +1024,8 @@ Tensor MatMul(const Tensor& attn, const Tensor& v,
           block += static_cast<size_t>(len) * len;
         }
       },
-      2LL * block_floats * d, {}, graph::Replay{nullptr, segments});
+      -1, {}, graph::Replay{nullptr, segments},
+      graph::BlockCost{block_floats, 2LL * d, 1, 2LL * d});
   return out;
 }
 

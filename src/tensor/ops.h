@@ -67,7 +67,8 @@ Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float alpha = 0.2f);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
-/// Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+/// GELU: 0.5 * x * (1 + erf(x / sqrt(2))), with erf the polynomial
+/// kernels::Erf (off by at most kernels::kTranscendentalMaxError).
 Tensor Gelu(const Tensor& a);
 Tensor Exp(const Tensor& a);
 /// Natural log; inputs are clamped below at 1e-12 for stability.

@@ -2,14 +2,18 @@
 // references, across the shapes that stress the blocking/unrolling
 // (1x1, single row/col, tall/skinny, non-multiple-of-block); exact-order
 // tests that pin every registered backend's GEMM family to the
-// accumulation order written out in frozen reference loops; plus
-// lifecycle tests for the pooled storage behind TensorImpl.
+// accumulation order written out in frozen reference loops; accuracy
+// and edge-case tests of the polynomial erf/exp against the
+// double-precision functions; plus lifecycle tests for the pooled
+// storage behind TensorImpl.
 
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -296,6 +300,112 @@ TEST(KernelsTest, SoftmaxRowsMatchesOp) {
   std::vector<float> inplace = x;
   kernels::SoftmaxRows(3, 7, inplace.data(), inplace.data());
   for (size_t i = 0; i < y.size(); ++i) EXPECT_EQ(inplace[i], y[i]);
+}
+
+// -- Polynomial erf/exp ----------------------------------------------------
+
+// Erf against the double-precision erf over a dense sweep of [-8, 8]
+// (every 2^-12), which covers the rational approximation's whole range
+// and its clamp.
+TEST(TranscendentalTest, ErfWithinBoundOfDoubleReference) {
+  double worst = 0.0;
+  for (int i = -8 * 4096; i <= 8 * 4096; ++i) {
+    const float x = static_cast<float>(i) / 4096.0f;
+    const double err = std::fabs(static_cast<double>(kernels::Erf(x)) -
+                                 std::erf(static_cast<double>(x)));
+    worst = std::max(worst, err);
+    ASSERT_LE(err, kernels::kTranscendentalMaxError) << "x = " << x;
+  }
+  EXPECT_GT(worst, 0.0);  // The sweep really compares an approximation.
+}
+
+// Exp's relative error against the double-precision exp over its whole
+// normal-result range, [ln(FLT_MIN), ln(FLT_MAX)], every 2^-10.
+TEST(TranscendentalTest, ExpWithinBoundOfDoubleReference) {
+  for (int i = -87 * 1024; i <= 88 * 1024; ++i) {
+    const float x = static_cast<float>(i) / 1024.0f;
+    const double want = std::exp(static_cast<double>(x));
+    const double err =
+        std::fabs(static_cast<double>(kernels::Exp(x)) - want) / want;
+    ASSERT_LE(err, kernels::kTranscendentalMaxError) << "x = " << x;
+  }
+}
+
+TEST(TranscendentalTest, ErfSaturatesToExactlyOne) {
+  for (float x = 4.0f; x < 1e30f; x *= 1.37f) {
+    ASSERT_EQ(kernels::Erf(x), 1.0f) << "x = " << x;
+    ASSERT_EQ(kernels::Erf(-x), -1.0f) << "x = " << -x;
+  }
+  // Never past +-1, also where the quotient alone would overshoot.
+  for (float x = 3.0f; x < 4.0f; x = std::nextafter(x, 5.0f)) {
+    ASSERT_LE(kernels::Erf(x), 1.0f) << "x = " << x;
+    ASSERT_GE(kernels::Erf(-x), -1.0f) << "x = " << -x;
+  }
+}
+
+// NaN, the infinities and signed zeros come out as std::erf/std::exp
+// give them.
+TEST(TranscendentalTest, SpecialValuesMatchStd) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(kernels::Erf(nan)));
+  EXPECT_TRUE(std::isnan(kernels::Exp(nan)));
+  for (float x : {inf, -inf, 0.0f, -0.0f}) {
+    SCOPED_TRACE(x);
+    EXPECT_EQ(std::bit_cast<uint32_t>(kernels::Erf(x)),
+              std::bit_cast<uint32_t>(std::erf(x)));
+    EXPECT_EQ(std::bit_cast<uint32_t>(kernels::Exp(x)),
+              std::bit_cast<uint32_t>(std::exp(x)));
+  }
+  // Below ln(FLT_MIN) the result is exactly zero, not a subnormal.
+  EXPECT_EQ(kernels::Exp(-87.4f), 0.0f);
+  EXPECT_EQ(kernels::Exp(-1e9f), 0.0f);
+  EXPECT_GT(kernels::Exp(-87.3f), 0.0f);
+}
+
+// The -1e9 diagonal mask of self-attention gets exactly zero
+// probability, and every row still sums to one.
+TEST(TranscendentalTest, SoftmaxGivesMaskedEntriesExactlyZero) {
+  constexpr int kN = 9;
+  auto x = RandomVec(kN * kN, 13);
+  for (int r = 0; r < kN; ++r) x[static_cast<size_t>(r) * kN + r] += -1e9f;
+  std::vector<float> y(x.size());
+  kernels::SoftmaxRows(kN, kN, x.data(), y.data());
+  for (int r = 0; r < kN; ++r) {
+    double sum = 0.0;
+    for (int c = 0; c < kN; ++c) {
+      const float p = y[static_cast<size_t>(r) * kN + c];
+      if (c == r) {
+        EXPECT_EQ(p, 0.0f) << "row " << r;
+      } else {
+        EXPECT_GT(p, 0.0f);
+      }
+      sum += p;
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-6) << "row " << r;
+  }
+}
+
+// GeluInto is the op's forward and within the erf bound of the exact
+// GELU: |0.5 x (erf' - erf)| <= 0.5 |x| kTranscendentalMaxError, plus a
+// few float roundings.
+TEST(TranscendentalTest, GeluIntoMatchesOpAndDoubleReference) {
+  std::vector<float> x;
+  for (int i = -10 * 256; i <= 10 * 256; ++i) {
+    x.push_back(static_cast<float>(i) / 256.0f);
+  }
+  std::vector<float> y(x.size());
+  kernels::GeluInto(x.size(), x.data(), y.data());
+  const Tensor op = Gelu(Tensor::FromVector({static_cast<int>(x.size())}, x));
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(y[i], op.data()[i]) << "x = " << x[i];
+    const double xd = x[i];
+    const double want = 0.5 * xd * (1.0 + std::erf(xd / std::sqrt(2.0)));
+    const double bound =
+        std::fabs(xd) * (0.5 * kernels::kTranscendentalMaxError +
+                         4.0 * std::numeric_limits<float>::epsilon());
+    ASSERT_NEAR(y[i], want, bound) << "x = " << x[i];
+  }
 }
 
 TEST(KernelsTest, LayerNormRowsMatchesOp) {

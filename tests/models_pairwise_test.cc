@@ -2,6 +2,9 @@
 // synthetic benchmark well above chance, and the HierGAT-specific
 // machinery (attention report, ablations) must behave.
 
+#include <cstdint>
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -93,17 +96,35 @@ TEST(DittoTest, SerializationFormat) {
   EXPECT_LE(static_cast<int>(ids.size()), config.max_sequence_length);
 }
 
+// Ditto's F1 at any one seed pair moves by more than the bar's margin
+// with the last bits of its float arithmetic (erf/exp rounding alone
+// takes seed pair (301, 7) from 0.50 to 0.32), so the bar holds the mean
+// over data seeds 301-304 and training seeds 7-8.
 TEST(DittoTest, LearnsSmallBenchmark) {
-  PairDataset data = SmallDataset();
   DittoConfig config;
   config.lm_size = LmSize::kSmall;
   // Transformer matchers rely on sentence-pair pre-training of the
   // backbone (DESIGN.md): give it enough steps to form match circuits.
   config.lm_pretrain_steps = 1500;
-  DittoModel model(config);
-  model.Train(data, FastOptions());
-  const EvalResult result = model.Evaluate(data.test);
-  EXPECT_GT(result.f1, 0.4f) << result.ToString();
+  double f1_sum = 0.0;
+  int runs = 0;
+  for (uint64_t data_seed = 301; data_seed <= 304; ++data_seed) {
+    const PairDataset data = SmallDataset(data_seed);
+    for (uint64_t train_seed = 7; train_seed <= 8; ++train_seed) {
+      DittoModel model(config);
+      TrainOptions options = FastOptions();
+      options.seed = train_seed;
+      model.Train(data, options);
+      const EvalResult result = model.Evaluate(data.test);
+      std::printf("data seed %llu, train seed %llu: %s\n",
+                  static_cast<unsigned long long>(data_seed),
+                  static_cast<unsigned long long>(train_seed),
+                  result.ToString().c_str());
+      f1_sum += result.f1;
+      ++runs;
+    }
+  }
+  EXPECT_GT(f1_sum / runs, 0.4) << "mean F1 over " << runs << " seed pairs";
 }
 
 TEST(HierGatTest, LearnsSmallBenchmark) {

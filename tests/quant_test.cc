@@ -9,6 +9,7 @@
 
 #include "core/quant.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -337,6 +338,47 @@ TEST_P(BackendParity, SoftmaxAndLayerNormBitIdentical) {
       ASSERT_EQ(ln[i], want_ln[i]) << kr->name << " layernorm element " << i;
     for (size_t i = 0; i < inv.size(); ++i)
       ASSERT_EQ(inv[i], want_inv[i]) << kr->name << " inv_std row " << i;
+  }
+}
+
+// The polynomial erf/exp kernels: GELU forward and backward over a wide
+// input range (|x| up to ~18, past erf's saturation and exp's zero), and
+// softmax rows carrying a -1e9 diagonal mask.
+TEST_P(BackendParity, GeluAndMaskedSoftmaxBitIdentical) {
+  const auto [m, n, k] = GetParam();
+  (void)k;
+  auto x = RandomVec(static_cast<size_t>(m) * n, 103);
+  for (float& v : x) v *= 6.0f;
+  const auto gy = RandomVec(x.size(), 107);
+  const size_t size = x.size();
+
+  std::vector<float> want_gelu(size), want_grad(size, 0.5f);
+  kernels::GeluInto(size, x.data(), want_gelu.data());
+  kernels::GeluBackwardAccumulate(size, x.data(), gy.data(),
+                                  want_grad.data());
+  std::vector<float> masked = x;
+  for (int r = 0; r < std::min(m, n); ++r) {
+    masked[static_cast<size_t>(r) * n + r] = -1e9f;
+  }
+  std::vector<float> want_sm(size);
+  kernels::SoftmaxRows(m, n, masked.data(), want_sm.data());
+
+  for (const backend::Kernels* kr : backend::Registered()) {
+    std::vector<float> got(size);
+    kr->gelu_into(size, x.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_gelu[i]) << kr->name << " gelu element " << i;
+
+    got.assign(size, 0.5f);
+    kr->gelu_backward_accumulate(size, x.data(), gy.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_grad[i])
+          << kr->name << " gelu backward element " << i;
+
+    kr->softmax_rows(m, n, masked.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_sm[i])
+          << kr->name << " masked softmax element " << i;
   }
 }
 

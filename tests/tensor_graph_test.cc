@@ -335,6 +335,85 @@ TEST(TensorGraphTest, NodeCountersAddStaticPerOpTotalsPerReplay) {
   }
 }
 
+// A packed replay adds its live cost, not its capture's: row-wise nodes
+// scale by live rows over captured rows (a Linear's weights counted
+// whole), packed attention nodes follow the sequence table's Σ len².
+TEST(TensorGraphTest, PackedReplayAddsItsLiveCost) {
+  NoGradGuard no_grad;
+  Rng rng(17);
+  constexpr int kCapacity = 16, kDim = 8;
+  const Tensor w = Tensor::Randn({kDim, kDim}, rng);
+  const Tensor b = Tensor::Randn({kDim}, rng);
+  const std::vector<int> capture_segments = {0, 4, 8, 12, kCapacity};
+  auto compiled = CompileUnary(kCapacity, kDim, [&](const Tensor& x) {
+    const Tensor h = Gelu(LinearOp(x, w, b));
+    return MatMul(AttentionScores(h, h, 0.5f, capture_segments), h,
+                  capture_segments);
+  });
+  std::map<std::string, graph::NodeCost> static_cost;
+  for (const graph::NodeCost& cost : compiled->node_costs()) {
+    ASSERT_EQ(static_cost.count(cost.name), 0u) << cost.name;
+    static_cost[cost.name] = cost;
+  }
+  ASSERT_EQ(static_cost.size(), 4u);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto counter = [&](const std::string& op, const char* field) {
+    return registry.GetCounter("hiergat.graph.node." + op + "." + field)
+        .Value();
+  };
+  // Cost added by one replay over `segments`, per op.
+  auto replay_cost = [&](const std::vector<int>& segments) {
+    std::map<std::string, graph::NodeCost> before;
+    for (const auto& [op, cost] : static_cost) {
+      before[op] = {nullptr, counter(op, "est_flops"),
+                    counter(op, "est_bytes")};
+    }
+    const Tensor x = Tensor::Randn({kCapacity, kDim}, rng);
+    std::vector<float> got(static_cast<size_t>(kCapacity) * kDim);
+    const float* in[] = {x.data().data()};
+    float* out[] = {got.data()};
+    compiled->Run(in, out, nullptr, segments);
+    std::map<std::string, graph::NodeCost> added;
+    for (const auto& [op, cost] : static_cost) {
+      added[op] = {nullptr, counter(op, "est_flops") - before[op].flops,
+                   counter(op, "est_bytes") - before[op].bytes};
+    }
+    return added;
+  };
+
+  // Replaying the capture's own table costs the static estimate.
+  for (const auto& [op, cost] : replay_cost(capture_segments)) {
+    SCOPED_TRACE(op);
+    EXPECT_EQ(cost.flops, static_cost.at(op).flops);
+    EXPECT_EQ(cost.bytes, static_cost.at(op).bytes);
+  }
+
+  // Two sequences, 1 + 5 = 6 live rows and 1 + 25 = 26 block floats, on
+  // a capture of 16 rows and 4 * 4^2 = 64 block floats.
+  const auto live = replay_cost({0, 1, 6});
+  const graph::NodeCost& gelu = static_cost.at("Gelu");
+  EXPECT_EQ(gelu.flops, kCapacity * kDim);
+  EXPECT_EQ(live.at("Gelu").flops, 6 * kDim);
+  EXPECT_EQ(live.at("Gelu").bytes, gelu.bytes * 6 / kCapacity);
+  const graph::NodeCost& linear = static_cost.at("Linear");
+  const int64_t weight_bytes = (kDim * kDim + kDim) * sizeof(float);
+  EXPECT_EQ(live.at("Linear").flops, linear.flops * 6 / kCapacity);
+  EXPECT_EQ(live.at("Linear").bytes,
+            weight_bytes + (linear.bytes - weight_bytes) * 6 / kCapacity);
+  // AttentionScores: (2d + 6) FLOPs per block float; reads q and k rows
+  // and writes the blocks.
+  EXPECT_EQ(static_cost.at("AttentionScores").flops, 64 * (2 * kDim + 6));
+  EXPECT_EQ(live.at("AttentionScores").flops, 26 * (2 * kDim + 6));
+  EXPECT_EQ(live.at("AttentionScores").bytes,
+            (26 + 6 * 2 * kDim) * static_cast<int64_t>(sizeof(float)));
+  // MatMul: 2d FLOPs per block float; reads the blocks and v's rows and
+  // writes its rows.
+  EXPECT_EQ(static_cost.at("MatMul").flops, 64 * 2 * kDim);
+  EXPECT_EQ(live.at("MatMul").flops, 26 * 2 * kDim);
+  EXPECT_EQ(live.at("MatMul").bytes,
+            (26 + 6 * 2 * kDim) * static_cast<int64_t>(sizeof(float)));
+}
+
 TEST(TensorGraphTest, LeafOnlySubgraphFoldsToConstant) {
   NoGradGuard no_grad;
   Rng rng(3);
