@@ -291,6 +291,18 @@ int main_impl(int argc, char** argv) {
       result.AddGraphNode(op, row.replays, row.seconds, row.est_flops,
                           row.est_bytes);
     }
+    // Live GEMM work per pair scored through the graphs: a function of
+    // the workload's sequence lengths, not of timing, so it moves only
+    // when an encode starts or stops doing work (e.g. a [CLS]-only
+    // encode falling back to every row).
+    const int64_t compiled_pairs =
+        obs::MetricsRegistry::Global()
+            .GetCounter("hiergat.score.compiled_pairs")
+            .Value();
+    result.AddMetric("graph.linear_gflop_per_compiled_pair",
+                     rows["Linear"].est_flops * 1e-9 /
+                         static_cast<double>(
+                             std::max<int64_t>(1, compiled_pairs)));
   }
   if (!bench::WriteBenchJson(bench::JsonOutPath(argc, argv), result)) {
     return 1;

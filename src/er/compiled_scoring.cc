@@ -1,6 +1,7 @@
 #include "er/compiled_scoring.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "core/logging.h"
@@ -190,8 +191,12 @@ bool CompiledScoring::Encode(PackedSequences* seqs, bool cls_only,
     const size_t floats = static_cast<size_t>(offsets[s + 1] - offsets[s]) * f;
     for (size_t i = 0; i < floats; ++i) row[i] += positions_[i];
   }
-  std::vector<float> encoded(seqs->rows.size());
+  // A [CLS]-only encode keeps one row per sequence: its replays run
+  // the last layer's query side on each sequence's row 0 alone.
+  std::vector<float> encoded(cls_only ? static_cast<size_t>(count) * f
+                                      : seqs->rows.size());
   std::vector<int> table;
+  std::vector<int> queries;
   for (int s = 0; s < count;) {
     // The longest run of whole sequences from `s` that fits kMaxRows.
     const int first = offsets[s];
@@ -199,13 +204,16 @@ bool CompiledScoring::Encode(PackedSequences* seqs, bool cls_only,
     while (end < count && offsets[end + 1] - first <= kMaxRows) ++end;
     table.assign(offsets.begin() + s, offsets.begin() + end + 1);
     for (int& row : table) row -= first;
+    queries.resize(cls_only ? table.size() : 0);
+    std::iota(queries.begin(), queries.end(), 0);
     std::shared_ptr<graph::CompiledGraph> compiled =
         EncoderGraph(Bucket(table.back()));
     if (compiled == nullptr) return false;
-    const size_t first_float = static_cast<size_t>(first) * f;
-    const float* inputs[] = {seqs->rows.data() + first_float};
-    float* outputs[] = {encoded.data() + first_float};
-    compiled->Run(inputs, outputs, &ThreadPool::Global(), table);
+    const float* inputs[] = {seqs->rows.data() +
+                             static_cast<size_t>(first) * f};
+    float* outputs[] = {encoded.data() +
+                        static_cast<size_t>(cls_only ? s : first) * f};
+    compiled->Run(inputs, outputs, &ThreadPool::Global(), table, queries);
     s = end;
   }
   // Pool-backed tensors, like the eager path's, so their buffers
@@ -213,7 +221,8 @@ bool CompiledScoring::Encode(PackedSequences* seqs, bool cls_only,
   for (int s = 0; s < count; ++s) {
     const int rows = cls_only ? 1 : offsets[s + 1] - offsets[s];
     Tensor rows_out = Tensor::Zeros({rows, seqs->dim});
-    std::copy_n(encoded.data() + static_cast<size_t>(offsets[s]) * f,
+    std::copy_n(encoded.data() +
+                    static_cast<size_t>(cls_only ? s : offsets[s]) * f,
                 rows_out.data().size(), rows_out.data().data());
     (*out)[seqs->items[static_cast<size_t>(s)]] = std::move(rows_out);
   }

@@ -31,9 +31,11 @@ struct PackedSequences;
 ///  - *packed encoder* graphs, one per row-capacity bucket (powers of
 ///    two up to kMaxRows): the MiniLM encoder over [capacity, F] rows
 ///    that pack several sequences, replayed over the live rows with the
-///    sequence table as a replay argument (graph::Replay). Every MiniLM
-///    sequence of a scoring batch runs through them: the token-context
-///    encodes, the attribute summaries and the attribute comparisons;
+///    sequence and query tables as replay arguments (graph::Replay).
+///    Every MiniLM sequence of a scoring batch runs through them: the
+///    token-context encodes (every row a query row), and the attribute
+///    summaries and comparisons, which read only [CLS] and so run the
+///    last layer's query side on each sequence's row 0 alone;
 ///  - one *compare head* graph: the K comparison [CLS] rows, the 2K
 ///    attribute summaries and the two [1, K*F] entity embeddings ->
 ///    [1, 2] logits (interaction fusion x K, CombineViews, classifier).
@@ -65,7 +67,8 @@ class CompiledScoring {
   /// Encodes every sequence of `seqs`: adds each row's position within
   /// its sequence, then replays the smallest bucket that holds each run
   /// of sequences. Stores each sequence's encoded rows — only its row 0,
-  /// the [CLS] output, when `cls_only` — in `(*out)[item]`, and returns
+  /// the [CLS] output, when `cls_only`, which the last layer then
+  /// computes alone — in `(*out)[item]`, and returns
   /// true; returns false, storing nothing, when the encoder graph failed
   /// to capture (the caller runs its eager modules).
   bool Encode(PackedSequences* seqs, bool cls_only,

@@ -49,7 +49,8 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
 
 Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
                                        const Tensor& kv_input,
-                                       std::span<const int> segments) const {
+                                       std::span<const int> segments,
+                                       std::span<const int> queries) const {
   HG_CHECK_EQ(q_input.dim(1), dim_);
   HG_CHECK_EQ(kv_input.dim(1), dim_);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
@@ -61,24 +62,29 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
   const bool self_attention = q_input.impl() == kv_input.impl();
   const bool packed = !segments.empty();
   HG_CHECK(!packed || self_attention);
+  HG_CHECK(packed || queries.empty());
   Tensor diag_mask;
   if (self_attention && !packed && q_input.dim(0) > 1) {
     diag_mask = Tensor::Zeros({q_input.dim(0), q_input.dim(0)});
     for (int i = 0; i < q_input.dim(0); ++i) diag_mask.set(i, i, -1e9f);
   }
+  // Packed with a query table, only the query rows project to queries.
+  const Tensor q_rows =
+      queries.empty() ? q_input : QueryRows(q_input, segments, queries);
   std::vector<Tensor> head_outputs;
   head_outputs.reserve(q_proj_.size());
   Tensor attn_sum;
   for (size_t h = 0; h < q_proj_.size(); ++h) {
-    Tensor q = q_proj_[h]->Forward(q_input);    // [Lq, hd]
+    Tensor q = q_proj_[h]->Forward(q_rows);     // [Lq, hd]
     Tensor k = k_proj_[h]->Forward(kv_input);   // [Lk, hd]
     Tensor v = v_proj_[h]->Forward(kv_input);   // [Lk, hd]
     // Fused scaled QK^T + mask + row-softmax: one graph node per head
     // instead of MatMul/Transpose/Scale/Add/Softmax. Packed, each
     // sequence masks its own diagonal.
     if (packed) {
-      head_outputs.push_back(
-          MatMul(AttentionScores(q, k, scale, segments), v, segments));
+      head_outputs.push_back(MatMul(
+          AttentionScores(q, k, scale, segments, queries), v, segments,
+          queries));
       continue;
     }
     Tensor attn = AttentionScores(q, k, scale, diag_mask);  // [Lq, Lk]

@@ -26,16 +26,20 @@ class MultiHeadSelfAttention : public Module {
   /// `segments`, `x` packs several sequences (sequence s is rows
   /// [segments[s], segments[s + 1])) and each attends only within itself
   /// through the packed AttentionScores/MatMul ops (tensor/ops.h);
-  /// inference only.
-  Tensor Forward(const Tensor& x, std::span<const int> segments = {}) const {
-    return Forward(x, x, segments);
+  /// inference only. With `queries` too, only the query rows attend
+  /// (QueryRows picks and packs them) and only they come out; keys and
+  /// values still come from every row.
+  Tensor Forward(const Tensor& x, std::span<const int> segments = {},
+                 std::span<const int> queries = {}) const {
+    return Forward(x, x, segments, queries);
   }
 
   /// Cross-attention: queries from `q_input` [Lq, dim], keys/values from
-  /// `kv_input` [Lk, dim]. Returns [Lq, dim]. `segments` needs
-  /// self-attention.
+  /// `kv_input` [Lk, dim]. Returns [Lq, dim]. `segments` and `queries`
+  /// need self-attention.
   Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
-                 std::span<const int> segments = {}) const;
+                 std::span<const int> segments = {},
+                 std::span<const int> queries = {}) const;
 
   /// Row-stochastic attention matrix [Lq, Lk] of the last Forward call,
   /// averaged over heads (detached; used for attention visualization).

@@ -20,16 +20,18 @@ TransformerEncoderLayer::TransformerEncoderLayer(
 
 Tensor TransformerEncoderLayer::Forward(const Tensor& x, bool training,
                                         Rng& rng,
-                                        std::span<const int> segments) const {
+                                        std::span<const int> segments,
+                                        std::span<const int> queries) const {
   // Pre-LN residual blocks: x + Attn(LN(x)), then h + FFN(LN(h)).
   // Pre-LN keeps gradients well-conditioned when training from scratch,
   // which our MiniLM-scale models do. Every projection below lowers to
   // the fused LinearOp / AttentionScores graph nodes (tensor/ops.h), so
   // a layer's forward builds ~2x fewer autograd nodes than the unfused
   // MatMul + Add chain it replaces.
-  Tensor attended = attn_->Forward(norm1_->Forward(x), segments);
+  Tensor attended = attn_->Forward(norm1_->Forward(x), segments, queries);
   attended = Dropout(attended, config_.dropout, rng, training);
-  Tensor h = Add(x, attended);
+  Tensor h = Add(queries.empty() ? x : QueryRows(x, segments, queries),
+                 attended);
   Tensor ffn = ffn2_->Forward(Gelu(ffn1_->Forward(norm2_->Forward(h))));
   ffn = Dropout(ffn, config_.dropout, rng, training);
   return Add(h, ffn);
@@ -56,16 +58,25 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
 
 Tensor TransformerEncoder::Forward(const Tensor& x, bool training, Rng& rng,
                                    bool add_positions,
-                                   std::span<const int> segments) const {
+                                   std::span<const int> segments,
+                                   std::span<const int> queries) const {
   HG_CHECK(segments.empty() || !add_positions)
       << "packed sequences carry their own positions";
+  HG_CHECK(!segments.empty() || queries.empty())
+      << "a query table needs packed sequences";
   Tensor h = x;
   if (add_positions) {
     h = Add(h, Scale(SinusoidalPositions(x.dim(0), x.dim(1)),
                      config_.position_scale));
   }
-  for (const auto& layer : layers_) {
-    h = layer->Forward(h, training, rng, segments);
+  // Packed, the last layer always gathers its query rows, so one graph
+  // serves every query table; earlier layers run every row, whose keys
+  // and values the next layer reads.
+  const std::span<const int> last_queries = queries.empty() ? segments : queries;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const bool last = i + 1 == layers_.size();
+    h = layers_[i]->Forward(h, training, rng, segments,
+                            last ? last_queries : std::span<const int>());
   }
   return final_norm_->Forward(h);
 }

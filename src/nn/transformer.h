@@ -31,9 +31,13 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, Rng& rng);
 
-  /// `segments`: see TransformerEncoder::Forward.
+  /// `segments`: see TransformerEncoder::Forward. With `queries` too,
+  /// the layer returns only the query rows, packed as QueryRows packs
+  /// them; everything after its first LayerNorm and the key/value
+  /// projections runs on those rows alone.
   Tensor Forward(const Tensor& x, bool training, Rng& rng,
-                 std::span<const int> segments = {}) const;
+                 std::span<const int> segments = {},
+                 std::span<const int> queries = {}) const;
 
   /// Attention matrix of the most recent Forward (head-averaged).
   const Tensor& last_attention() const { return attn_->last_attention(); }
@@ -68,11 +72,15 @@ class TransformerEncoder : public Module {
   /// Packed inference (DESIGN.md §11): with `segments`, `x` holds several
   /// sequences (sequence s is rows [segments[s], segments[s + 1])) that
   /// already carry their positions, and attention stays within each
-  /// sequence. Every row comes out with the bits it has when its
-  /// sequence is encoded alone.
+  /// sequence. The last layer runs its query side on the query rows
+  /// `queries` picks (every row when empty; see graph::Replay), and only
+  /// those come out, packed at rows [queries[s], queries[s + 1]). Every
+  /// row that comes out has the bits it has when its sequence is encoded
+  /// alone.
   Tensor Forward(const Tensor& x, bool training, Rng& rng,
                  bool add_positions = true,
-                 std::span<const int> segments = {}) const;
+                 std::span<const int> segments = {},
+                 std::span<const int> queries = {}) const;
 
   /// Head-averaged attention of the final layer's last Forward call.
   const Tensor& last_attention() const {

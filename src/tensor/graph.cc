@@ -117,23 +117,38 @@ struct CompiledGraph::Impl {
     int root = -1;          ///< kView: non-view base after resolution
     size_t view_offset = 0; ///< kView: floats from root start
     size_t arena_offset = 0;
+    bool query_side = false;  ///< Holds a packed replay's query rows.
   };
 
-  /// A cost as a linear function of a packed replay's live rows and
-  /// block floats (Σ len² of its sequence table); see NodeCost.
+  /// What a packed replay runs on each side ([0]: every row, [1]: the
+  /// query side): live rows, and the block floats its attention nodes
+  /// touch (Σ len² and Σ qlen·len).
+  struct LiveWork {
+    int64_t rows[2] = {};
+    int64_t blocks[2] = {};
+  };
+
+  /// A cost as a linear function of a packed replay's LiveWork; see
+  /// NodeCost.
   struct LiveCost {
     double fixed = 0.0;
-    double per_row = 0.0;
-    double per_block = 0.0;
+    double per_row[2] = {};
+    double per_block[2] = {};
 
-    int64_t At(int64_t rows, int64_t blocks) const {
-      return std::llround(fixed + per_row * static_cast<double>(rows) +
-                          per_block * static_cast<double>(blocks));
+    int64_t At(const LiveWork& work) const {
+      double cost = fixed;
+      for (int side = 0; side < 2; ++side) {
+        cost += per_row[side] * static_cast<double>(work.rows[side]) +
+                per_block[side] * static_cast<double>(work.blocks[side]);
+      }
+      return std::llround(cost);
     }
     void Add(const LiveCost& other) {
       fixed += other.fixed;
-      per_row += other.per_row;
-      per_block += other.per_block;
+      for (int side = 0; side < 2; ++side) {
+        per_row[side] += other.per_row[side];
+        per_block[side] += other.per_block[side];
+      }
     }
   };
 
@@ -146,6 +161,7 @@ struct CompiledGraph::Impl {
     int64_t flops = -1;  ///< From Record; -1 = default to output size.
     int64_t bytes = 0;   ///< f32 traffic, filled in at plan time.
     BlockCost blocks;    ///< From Record; packed attention nodes only.
+    bool query_side = false;   ///< Runs a packed replay's query rows.
     LiveCost live_flops = {};  ///< Packed-replay cost, fixed at plan time.
     LiveCost live_bytes = {};
     NodeCounters* counters = nullptr;  ///< Resolved at plan time.
@@ -380,18 +396,23 @@ void PlanGraph(Impl* g) {
       }
     }
     node.live_bytes.fixed = static_cast<double>(constant_floats * kFloatBytes);
+    const int side = node.query_side ? 1 : 0;
     const BlockCost& blocks = node.blocks;
     if (blocks.capture_blocks > 0) {
       node.flops = blocks.flops_per_block * blocks.capture_blocks;
       node.bytes = (constant_floats +
                     blocks.floats_per_block * blocks.capture_blocks +
-                    blocks.floats_per_row * rows) *
+                    (blocks.floats_per_row + blocks.floats_per_query_row) *
+                        rows) *
                    kFloatBytes;
-      node.live_flops.per_block = static_cast<double>(blocks.flops_per_block);
-      node.live_bytes.per_block =
+      node.live_flops.per_block[side] =
+          static_cast<double>(blocks.flops_per_block);
+      node.live_bytes.per_block[side] =
           static_cast<double>(blocks.floats_per_block * kFloatBytes);
-      node.live_bytes.per_row =
+      node.live_bytes.per_row[0] =
           static_cast<double>(blocks.floats_per_row * kFloatBytes);
+      node.live_bytes.per_row[side] +=
+          static_cast<double>(blocks.floats_per_query_row * kFloatBytes);
     } else {
       if (node.flops < 0) node.flops = size_of(node.output);
       int64_t traffic_floats = size_of(node.output);
@@ -399,9 +420,9 @@ void PlanGraph(Impl* g) {
       for (int id : node.scratch) traffic_floats += size_of(id);
       node.bytes = traffic_floats * kFloatBytes;
       if (rows > 0) {
-        node.live_flops.per_row =
+        node.live_flops.per_row[side] =
             static_cast<double>(node.flops) / static_cast<double>(rows);
-        node.live_bytes.per_row =
+        node.live_bytes.per_row[side] =
             static_cast<double>((traffic_floats - constant_floats) *
                                 kFloatBytes) /
             static_cast<double>(rows);
@@ -509,13 +530,17 @@ void CompiledGraph::ReleaseState(std::unique_ptr<State> state) const {
 }
 
 void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
-                        ThreadPool* pool,
-                        std::span<const int> segments) const {
+                        ThreadPool* pool, std::span<const int> segments,
+                        std::span<const int> queries) const {
   const Impl& g = *impl_;
   std::unique_ptr<State> state = AcquireState();
   float* base = state->arena.get();
   const float** ptrs = state->ptrs.data();
-  const Replay replay{pool, segments};
+  if (queries.empty()) queries = segments;
+  HG_CHECK_EQ(queries.size(), segments.size());
+  // What each node sees: only query-side nodes get the query table.
+  const Replay replays[] = {{pool, segments, segments},
+                            {pool, segments, queries}};
 
   // Resolve every value to its replay buffer. Constants resolve through
   // their retained impl (live weight bytes), inputs through the caller,
@@ -548,13 +573,17 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
   const uint64_t trace_id =
       tracing ? obs::CurrentTraceContext().trace_id : 0;
 #endif
-  // A packed replay's live work (NodeCost): its rows and block floats.
+  // A packed replay's live work (NodeCost).
   const bool packed = !segments.empty();
-  const int64_t live_rows = packed ? segments.back() : 0;
-  int64_t live_blocks = 0;
-  for (size_t s = 1; s < segments.size(); ++s) {
-    const int64_t len = segments[s] - segments[s - 1];
-    live_blocks += len * len;
+  Impl::LiveWork live;
+  if (packed) {
+    live.rows[0] = segments.back();
+    live.rows[1] = queries.back();
+    for (size_t s = 1; s < segments.size(); ++s) {
+      const int64_t len = segments[s] - segments[s - 1];
+      live.blocks[0] += len * len;
+      live.blocks[1] += len * (queries[s] - queries[s - 1]);
+    }
   }
   for (const Impl::Node& node : g.nodes) {
     for (size_t k = 0; k < node.inputs.size(); ++k) {
@@ -566,6 +595,7 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
     }
     float* out =
         base + g.values[static_cast<size_t>(node.output)].arena_offset;
+    const Replay& replay = replays[node.query_side ? 1 : 0];
 #if !defined(HIERGAT_NO_TRACING)
     if (tracing) {
       const uint64_t start_ns = obs::MonotonicNowNs();
@@ -573,8 +603,8 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
       const uint64_t dur_ns = obs::MonotonicNowNs() - start_ns;
       obs::TraceRecorder::Global().Record(
           node.name, start_ns, dur_ns, trace_id,
-          packed ? node.live_flops.At(live_rows, live_blocks) : node.flops,
-          packed ? node.live_bytes.At(live_rows, live_blocks) : node.bytes);
+          packed ? node.live_flops.At(live) : node.flops,
+          packed ? node.live_bytes.At(live) : node.bytes);
       node.counters->ns->Increment(static_cast<int64_t>(dur_ns));
       NodeSeconds().Observe(static_cast<double>(dur_ns) * 1e-9);
       continue;
@@ -584,20 +614,21 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
   }
   for (const Impl::OpTotals& op : g.op_totals) {
     op.counters->replays->Increment(op.nodes);
-    op.counters->est_flops->Increment(
-        packed ? op.live_flops.At(live_rows, live_blocks) : op.flops);
-    op.counters->est_bytes->Increment(
-        packed ? op.live_bytes.At(live_rows, live_blocks) : op.bytes);
+    op.counters->est_flops->Increment(packed ? op.live_flops.At(live)
+                                             : op.flops);
+    op.counters->est_bytes->Increment(packed ? op.live_bytes.At(live)
+                                             : op.bytes);
   }
 
-  // A packed replay copies out only its live rows.
+  // A packed replay copies out only its live rows (query rows on the
+  // query side).
   for (size_t i = 0; i < g.output_ids.size(); ++i) {
     const Impl::Value& v = g.values[static_cast<size_t>(g.output_ids[i])];
     const size_t floats =
         segments.empty() || v.shape.empty()
             ? v.size
             : v.size / static_cast<size_t>(v.shape[0]) *
-                  static_cast<size_t>(segments.back());
+                  static_cast<size_t>(live.rows[v.query_side ? 1 : 0]);
     std::memcpy(outputs[i], ptrs[static_cast<size_t>(g.output_ids[i])],
                 floats * sizeof(float));
   }
@@ -694,7 +725,7 @@ void OnUnsupported(const char* what) {
 void Record(const Tensor& out, const std::vector<Tensor>& inputs,
             const char* name, NodeFn fn,
             const std::vector<size_t>& scratch_sizes, int64_t flops,
-            const BlockCost& blocks) {
+            const BlockCost& blocks, bool gathers_queries) {
   Recorder* r = tls_recorder;
   if (r == nullptr || r->poisoned) return;
   r->unclaimed.erase(out.impl().get());
@@ -702,13 +733,21 @@ void Record(const Tensor& out, const std::vector<Tensor>& inputs,
   std::vector<int> in_ids;
   in_ids.reserve(inputs.size());
   bool all_constant = true;
+  bool reads_queries = false;
+  bool reads_rows = false;
   for (const Tensor& t : inputs) {
     const int id = r->Intern(t);
     if (id < 0) return;
-    all_constant =
-        all_constant && r->g.values[static_cast<size_t>(id)].kind ==
-                            Kind::kConstant;
+    const Impl::Value& in = r->g.values[static_cast<size_t>(id)];
+    if (in.kind != Kind::kConstant) {
+      all_constant = false;
+      (in.query_side ? reads_queries : reads_rows) = true;
+    }
     in_ids.push_back(id);
+  }
+  if (reads_queries && reads_rows && blocks.capture_blocks == 0) {
+    r->Poison("a row-wise op mixes query rows with every row");
+    return;
   }
 
   if (all_constant) {
@@ -732,6 +771,8 @@ void Record(const Tensor& out, const std::vector<Tensor>& inputs,
   v.size = out.data().size();
   v.keep = out.impl();  // Pin against address recycling; dropped at plan.
   v.def_node = static_cast<int>(r->g.nodes.size());
+  const bool query_side = gathers_queries || reads_queries;
+  v.query_side = query_side;
   const int out_id = r->AddValue(std::move(v), out.impl().get());
 
   Impl::Node node;
@@ -741,6 +782,7 @@ void Record(const Tensor& out, const std::vector<Tensor>& inputs,
   node.output = out_id;
   node.flops = flops;
   node.blocks = blocks;
+  node.query_side = query_side;
   for (size_t floats : scratch_sizes) {
     Impl::Value s;
     s.kind = Kind::kArena;
@@ -780,6 +822,7 @@ void RecordView(const Tensor& out, const Tensor& base, size_t offset_floats) {
   v.keep = out.impl();  // Pin against address recycling; dropped at plan.
   v.root = base_id;
   v.view_offset = offset_floats;
+  v.query_side = r->g.values[static_cast<size_t>(base_id)].query_side;
   r->AddValue(std::move(v), out.impl().get());
   r->g.stats.num_views++;
 }

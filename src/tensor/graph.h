@@ -47,24 +47,40 @@ namespace graph {
 ///    during a poisoned capture remains fully correct.
 
 /// What a node closure receives besides its buffers. Eager execution
-/// passes a null pool and, for the packed attention ops, the op's own
-/// sequence table; a replay passes Run's pool and sequence table.
+/// passes a null pool and, for the packed attention ops and QueryRows,
+/// the op's own tables; a replay passes Run's pool and tables.
 ///
 /// A *packed* graph (DESIGN.md §11) is captured over [capacity, ·] row
 /// blocks and replayed over any `rows <= capacity` live rows holding
 /// several sequences: its row-wise nodes (Linear, LayerNorm, Add, the
 /// unary activations, ConcatCols) run only the live rows, and the packed
 /// attention ops run once per sequence. Padding rows cost arena bytes,
-/// not arithmetic. No other op reads `segments`, so a packed graph holds
+/// not arithmetic. No other op reads the tables, so a packed graph holds
 /// only these.
+///
+/// A packed graph's values hold one of two row sets. Those computed from
+/// the inputs alone hold every live row; those downstream of a QueryRows
+/// gather hold only the *query rows*, sequence s's first
+/// queries[s + 1] - queries[s] rows, packed at rows
+/// [queries[s], queries[s + 1]). The planner marks each node's side at
+/// capture. A replay hands a query-side node its query table and every
+/// other node `segments` as `queries`, so a node's Rows() is its side's
+/// live row count and a packed attention op outside the query side
+/// attends from every row. An encoder that keeps only each sequence's
+/// row 0 replays with the table 0, 1, ..., count and runs its last
+/// layer's query side on one row per sequence.
 struct Replay {
   ThreadPool* pool = nullptr;  ///< May be null (run serial).
   /// Sequence s is rows [segments[s], segments[s + 1]); empty outside
   /// packed execution.
   std::span<const int> segments;
+  /// Query table, one entry per `segments` entry (see above); empty
+  /// means `segments`.
+  std::span<const int> queries;
 
   /// Live rows of an operand captured with `captured` rows.
   int Rows(int captured) const {
+    if (!queries.empty()) return queries.back();
     return segments.empty() ? captured : segments.back();
   }
 };
@@ -101,27 +117,29 @@ struct PlanStats {
 /// tools/hg_trace_report.py can rank hot nodes by measured time with
 /// cost context. A packed graph's static costs are those of its capture,
 /// a full bucket of capture-layout sequences; a packed replay instead
-/// adds (and stamps) its live cost: a row-wise node's scales by live
-/// rows over captured rows, with its constant operands (weights)
-/// counted whole, and a packed attention node's follows the Σ len² of
-/// the replay's sequence table (BlockCost).
+/// adds (and stamps) its live cost: a row-wise node's scales by its live
+/// rows (query rows on the query side) over captured rows, with its
+/// constant operands (weights) counted whole, and a packed attention
+/// node's follows the block floats it touches (BlockCost).
 struct NodeCost {
   const char* name = nullptr;  ///< Op name (static lifetime).
   int64_t flops = 0;
   int64_t bytes = 0;
 };
 
-/// Cost of a packed attention node, which runs one len x len block per
-/// sequence of its Replay: `flops_per_block` FLOPs and
-/// `floats_per_block` f32 traffic per block float (Σ len² over the
-/// sequences), plus `floats_per_row` f32 traffic per live row.
-/// `capture_blocks` is the Σ len² it was captured under; 0 marks every
-/// other node.
+/// Cost of a packed attention node, which runs one qlen x len block per
+/// sequence of its Replay (len x len outside the query side):
+/// `flops_per_block` FLOPs and `floats_per_block` f32 traffic per block
+/// float, plus `floats_per_row` f32 traffic per live row (its key or
+/// value rows) and `floats_per_query_row` per live query row (its query
+/// or output rows; every row outside the query side). `capture_blocks`
+/// is the block floats it was captured under; 0 marks every other node.
 struct BlockCost {
   int64_t capture_blocks = 0;
   int64_t flops_per_block = 0;
   int64_t floats_per_block = 0;
   int64_t floats_per_row = 0;
+  int64_t floats_per_query_row = 0;
 };
 
 /// Introspection for planner tests: one arena value's placement.
@@ -156,10 +174,13 @@ class CompiledGraph {
 
   /// Replays the graph. `inputs[i]` points at input_shape(i) elements;
   /// `outputs[i]` receives output_size(i) elements. `pool` may be null.
-  /// A packed graph takes its sequence table in `segments` (see Replay);
-  /// its inputs and outputs are then the first `segments.back()` rows.
+  /// A packed graph takes its sequence table in `segments` and its query
+  /// table in `queries` (see Replay; empty means every row); its inputs
+  /// are then the first `segments.back()` rows, and each output the first
+  /// `segments.back()` rows, or `queries.back()` on the query side.
   void Run(const float* const* inputs, float* const* outputs,
-           ThreadPool* pool, std::span<const int> segments = {}) const;
+           ThreadPool* pool, std::span<const int> segments = {},
+           std::span<const int> queries = {}) const;
 
   struct Impl;   // Internal representation; graph.cc only.
   struct State;  // One replay's arena block and pointer tables.
@@ -237,11 +258,15 @@ void OnUnsupported(const char* what);
 /// per output element (right for elementwise/reduction ops). The
 /// planner estimates bytes moved as the node's f32 traffic over inputs
 /// + scratch + output. A packed attention op passes `blocks` instead,
-/// and `flops` is then ignored (see NodeCost).
+/// and `flops` is then ignored (see NodeCost). A node is on the query
+/// side (Replay) when `gathers_queries` (QueryRows) or when an input is;
+/// a node without `blocks` that mixes an input on the query side with
+/// one holding every row poisons the capture.
 void Record(const Tensor& out, const std::vector<Tensor>& inputs,
             const char* name, NodeFn fn,
             const std::vector<size_t>& scratch_sizes = {},
-            int64_t flops = -1, const BlockCost& blocks = {});
+            int64_t flops = -1, const BlockCost& blocks = {},
+            bool gathers_queries = false);
 
 /// Records `out` as a pure view of `base` at `offset_floats`
 /// (SliceRows/Row/Reshape/Flatten): no node, no replay work.

@@ -82,14 +82,16 @@ constexpr size_t kMaxScratch = 2;
 /// An undefined input (absent bias or mask) is skipped, so `in[i]`
 /// indexes the defined inputs in order. `scratch_sizes` (in floats) are
 /// per-call buffers: borrowed from the pool eagerly, arena-planned at
-/// replay. `name`, `flops` and `blocks` label the replay node
-/// (graph::Record). `eager` is what the body sees when it runs now.
+/// replay. `name`, `flops`, `blocks` and `gathers_queries` label the
+/// replay node (graph::Record). `eager` is what the body sees when it
+/// runs now.
 template <typename Body>
 void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
              const char* name, Body body, int64_t flops = -1,
              std::initializer_list<size_t> scratch_sizes = {},
              const graph::Replay& eager = {},
-             const graph::BlockCost& blocks = {}) {
+             const graph::BlockCost& blocks = {},
+             bool gathers_queries = false) {
   HG_CHECK(inputs.size() <= kMaxInputs && scratch_sizes.size() <= kMaxScratch);
   const float* in[kMaxInputs] = {};
   size_t num_in = 0;
@@ -117,7 +119,8 @@ void Forward(Tensor& out, std::initializer_list<const Tensor*> inputs,
       if (t->defined()) recorded.push_back(*t);
     }
     graph::Record(out, recorded, name, std::move(body),
-                  std::vector<size_t>(scratch_sizes), flops, blocks);
+                  std::vector<size_t>(scratch_sizes), flops, blocks,
+                  gathers_queries);
   }
 }
 
@@ -942,90 +945,135 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
 namespace {
 
 /// Checks a packed sequence table against an operand of `rows` rows and
-/// returns the floats its attention blocks take, Σ len².
-size_t CheckSegments(std::span<const int> segments, int rows) {
+/// its query table against the sequences (each keeps 1..len of its
+/// first rows; an empty table becomes `segments`, every row), and
+/// returns the floats the attention blocks take, Σ qlen·len.
+size_t CheckTables(std::span<const int> segments,
+                   std::span<const int>& queries, int rows) {
+  if (queries.empty()) queries = segments;
   HG_CHECK(segments.size() >= 2 && segments.front() == 0 &&
            segments.back() <= rows)
       << "packed attention: bad sequence table for " << rows << " rows";
+  HG_CHECK(queries.size() == segments.size() && queries.front() == 0)
+      << "packed attention: bad query table";
   size_t block_floats = 0;
   for (size_t s = 1; s < segments.size(); ++s) {
-    HG_CHECK_LT(segments[s - 1], segments[s]);
-    const size_t len = static_cast<size_t>(segments[s] - segments[s - 1]);
-    block_floats += len * len;
+    const int len = segments[s] - segments[s - 1];
+    const int qlen = queries[s] - queries[s - 1];
+    HG_CHECK(len > 0 && qlen > 0 && qlen <= len)
+        << "packed attention: sequence " << s - 1 << " has " << len
+        << " rows and " << qlen << " query rows";
+    block_floats += static_cast<size_t>(qlen) * static_cast<size_t>(len);
   }
   return block_floats;
 }
 
 }  // namespace
 
+Tensor QueryRows(const Tensor& a, std::span<const int> segments,
+                 std::span<const int> queries) {
+  HG_CHECK_EQ(a.rank(), 2);
+  HG_CHECK(!AnyRequiresGrad(a)) << "packed attention is inference only";
+  const int n = a.dim(0), d = a.dim(1);
+  CheckTables(segments, queries, n);
+  Tensor out = Tensor::MakeNode({n, d}, false, {a});
+  Forward(
+      out, {&a}, "QueryRows",
+      [d](const float* const* in, float* const*, float* op,
+          const graph::Replay& replay) {
+        const std::span<const int> seg = replay.segments;
+        const std::span<const int> qry = replay.queries;
+        for (size_t s = 0; s + 1 < seg.size(); ++s) {
+          const size_t floats = static_cast<size_t>(qry[s + 1] - qry[s]) * d;
+          const float* src = in[0] + static_cast<size_t>(seg[s]) * d;
+          std::copy(src, src + floats, op + static_cast<size_t>(qry[s]) * d);
+        }
+      },
+      -1, {}, graph::Replay{nullptr, segments, queries}, {},
+      /*gathers_queries=*/true);
+  return out;
+}
+
 Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
-                       std::span<const int> segments) {
+                       std::span<const int> segments,
+                       std::span<const int> queries) {
   HG_CHECK_EQ(q.rank(), 2);
   HG_CHECK(q.shape() == k.shape())
       << "packed AttentionScores " << ShapeToString(q.shape()) << " vs "
       << ShapeToString(k.shape());
   HG_CHECK(!AnyRequiresGrad(q, k)) << "packed attention is inference only";
   const int n = q.dim(0), d = q.dim(1);
-  const int64_t block_floats = static_cast<int64_t>(CheckSegments(segments, n));
+  const int64_t block_floats =
+      static_cast<int64_t>(CheckTables(segments, queries, n));
   Tensor out = Tensor::MakeNode({n, n}, false, {q, k});
   // Per sequence, with that sequence's own length: the GEMM-NT places
   // its k-tail by n % 4 and by column, so one GEMM over the packed rows
-  // would change bits. The diagonal mask is added exactly as
-  // MultiHeadSelfAttention adds its [len, len] mask (+0 off the
-  // diagonal), and a one-row sequence gets none.
+  // would change bits. It places nothing by the row count, and every
+  // output row reads only its own q row, so a qlen-row block gives each
+  // query row the bits it has in the full [len, len] block. Query row i
+  // sits at position i of its sequence, so the diagonal mask goes to
+  // column i, added exactly as MultiHeadSelfAttention adds its [len, len]
+  // mask (+0 off the diagonal); a one-row sequence gets none.
   Forward(
       out, {&q, &k}, "AttentionScores",
       [d, scale](const float* const* in, float* const*, float* op,
                  const graph::Replay& replay) {
         const std::span<const int> seg = replay.segments;
+        const std::span<const int> qry = replay.queries;
         float* block = op;
         for (size_t s = 0; s + 1 < seg.size(); ++s) {
-          const int begin = seg[s], len = seg[s + 1] - seg[s];
-          const size_t floats = static_cast<size_t>(len) * len;
-          const size_t row0 = static_cast<size_t>(begin) * d;
+          const int len = seg[s + 1] - seg[s];
+          const int qlen = qry[s + 1] - qry[s];
+          const size_t floats = static_cast<size_t>(qlen) * len;
           std::fill(block, block + floats, 0.0f);
-          backend::ParallelGemmNT(replay.pool, len, len, d, scale,
-                                  in[0] + row0, in[1] + row0, block);
-          for (int i = 0; len > 1 && i < len; ++i) {
+          backend::ParallelGemmNT(replay.pool, qlen, len, d, scale,
+                                  in[0] + static_cast<size_t>(qry[s]) * d,
+                                  in[1] + static_cast<size_t>(seg[s]) * d,
+                                  block);
+          for (int i = 0; len > 1 && i < qlen; ++i) {
             float* row = block + static_cast<size_t>(i) * len;
             for (int j = 0; j < len; ++j) row[j] += j == i ? -1e9f : 0.0f;
           }
-          backend::ParallelSoftmaxRows(replay.pool, len, len, block, block);
+          backend::ParallelSoftmaxRows(replay.pool, qlen, len, block, block);
           block += floats;
         }
       },
-      -1, {}, graph::Replay{nullptr, segments},
-      graph::BlockCost{block_floats, 2LL * d + 6, 1, 2LL * d});
+      -1, {}, graph::Replay{nullptr, segments, queries},
+      graph::BlockCost{block_floats, 2LL * d + 6, 1, d, d});
   return out;
 }
 
 Tensor MatMul(const Tensor& attn, const Tensor& v,
-              std::span<const int> segments) {
+              std::span<const int> segments, std::span<const int> queries) {
   HG_CHECK_EQ(v.rank(), 2);
   const int n = v.dim(0), d = v.dim(1);
   HG_CHECK(attn.rank() == 2 && attn.dim(0) == n && attn.dim(1) == n)
       << "packed MatMul " << ShapeToString(attn.shape()) << " x "
       << ShapeToString(v.shape());
   HG_CHECK(!AnyRequiresGrad(attn, v)) << "packed attention is inference only";
-  const int64_t block_floats = static_cast<int64_t>(CheckSegments(segments, n));
+  const int64_t block_floats =
+      static_cast<int64_t>(CheckTables(segments, queries, n));
   Tensor out = Tensor::MakeNode({n, d}, false, {attn, v});
   Forward(
       out, {&attn, &v}, "MatMul",
       [d](const float* const* in, float* const*, float* op,
           const graph::Replay& replay) {
         const std::span<const int> seg = replay.segments;
+        const std::span<const int> qry = replay.queries;
         const float* block = in[0];
         for (size_t s = 0; s + 1 < seg.size(); ++s) {
-          const int begin = seg[s], len = seg[s + 1] - seg[s];
-          const size_t row0 = static_cast<size_t>(begin) * d;
-          std::fill(op + row0, op + row0 + static_cast<size_t>(len) * d, 0.0f);
-          backend::ParallelGemmNN(replay.pool, len, d, len, 1.0f, block,
-                                  in[1] + row0, op + row0);
-          block += static_cast<size_t>(len) * len;
+          const int len = seg[s + 1] - seg[s];
+          const int qlen = qry[s + 1] - qry[s];
+          float* rows = op + static_cast<size_t>(qry[s]) * d;
+          std::fill(rows, rows + static_cast<size_t>(qlen) * d, 0.0f);
+          backend::ParallelGemmNN(replay.pool, qlen, d, len, 1.0f, block,
+                                  in[1] + static_cast<size_t>(seg[s]) * d,
+                                  rows);
+          block += static_cast<size_t>(qlen) * len;
         }
       },
-      -1, {}, graph::Replay{nullptr, segments},
-      graph::BlockCost{block_floats, 2LL * d, 1, 2LL * d});
+      -1, {}, graph::Replay{nullptr, segments, queries},
+      graph::BlockCost{block_floats, 2LL * d, 1, d, d});
   return out;
 }
 

@@ -113,24 +113,41 @@ Tensor LinearOp(const Tensor& x, const Tensor& w,
 Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
                        const Tensor& mask = Tensor());
 
-/// Packed self-attention probabilities (DESIGN.md §11). `q` and `k` are
-/// [n, d] row blocks holding several sequences: sequence s is rows
-/// [segments[s], segments[s + 1]), and `segments` starts at 0. Each
-/// sequence attends only within itself, with its diagonal masked by
-/// -1e9 unless it is one row long, and is computed with its own length,
-/// so its probabilities carry the bits of AttentionScores over that
-/// sequence alone with MultiHeadSelfAttention's diagonal mask. Returns
-/// an [n, n] buffer whose first Σ len² floats hold the sequences'
-/// [len, len] blocks in order. Inference only. A replay takes the
-/// sequence table from graph::Replay, so one graph serves any layout.
+/// Packed self-attention probabilities (DESIGN.md §11). `k` is an
+/// [n, d] row block holding several sequences: sequence s is rows
+/// [segments[s], segments[s + 1]), and `segments` starts at 0. `q`
+/// [n, d] holds the sequences' query rows as QueryRows packs them (with
+/// an empty `queries`, every row: then `q` is laid out like `k`). Each
+/// query row attends only within its sequence, with its own position
+/// masked by -1e9 unless the sequence is one row long, and is computed
+/// with its sequence's length, so its probabilities carry the bits of
+/// AttentionScores over that sequence alone with MultiHeadSelfAttention's
+/// diagonal mask. Returns an [n, n] buffer whose first Σ qlen·len floats
+/// hold the sequences' [qlen, len] blocks in order. Inference only. A
+/// replay takes the tables from graph::Replay, so one graph serves any
+/// layout.
 Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
-                       std::span<const int> segments);
+                       std::span<const int> segments,
+                       std::span<const int> queries = {});
 
-/// Packed counterpart of MatMul(attn, v): each sequence's [len, len]
+/// Packed counterpart of MatMul(attn, v): each sequence's [qlen, len]
 /// block of `attn` (the packed AttentionScores above) times its rows of
-/// `v` [n, d] -> [n, d]. Inference only.
+/// `v` [n, d] -> [n, d] whose query rows are packed as QueryRows packs
+/// them. Inference only.
 Tensor MatMul(const Tensor& attn, const Tensor& v,
-              std::span<const int> segments);
+              std::span<const int> segments,
+              std::span<const int> queries = {});
+
+/// Packed query-row gather: sequence s's first
+/// queries[s + 1] - queries[s] rows of `a` [n, d] (sequence s is rows
+/// [segments[s], segments[s + 1])), packed at rows
+/// [queries[s], queries[s + 1]) of an [n, d] result whose remaining rows
+/// are zero when run eagerly. An empty `queries` takes every row. In a
+/// captured graph its result and everything computed from it are on the
+/// query side (graph::Replay): a replay runs them over the query rows of
+/// its own query table. Inference only.
+Tensor QueryRows(const Tensor& a, std::span<const int> segments,
+                 std::span<const int> queries = {});
 
 /// Gathers embedding rows: weight [V, F], ids in [0, V) -> [n, F].
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids);

@@ -389,6 +389,68 @@ TEST(TranscendentalTest, SoftmaxGivesMaskedEntriesExactlyZero) {
 // GeluInto is the op's forward and within the erf bound of the exact
 // GELU: |0.5 x (erf' - erf)| <= 0.5 |x| kTranscendentalMaxError, plus a
 // few float roundings.
+// SoftmaxRows takes its row max over lane partials. A max rounds
+// nothing, so every backend must give the bits of a serial-max softmax
+// (max in ascending order, then PolyExp, the ascending denominator and
+// the divide) on hostile rows too: NaN at the front, inside the lanes
+// and in the tail, infinities, +-0 ties for the max, and one column.
+TEST(TranscendentalTest, SoftmaxRowsLaneMaxMatchesSerialMax) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  auto serial = [](const std::vector<float>& in) {
+    float mx = in[0];
+    for (float v : in) mx = std::max(mx, v);
+    std::vector<float> out(in.size());
+    float denom = 0.0f;
+    for (size_t c = 0; c < in.size(); ++c) {
+      out[c] = kernels::Exp(in[c] - mx);
+      denom += out[c];
+    }
+    for (float& v : out) v /= denom;
+    return out;
+  };
+  Rng rng(61);
+  std::vector<std::vector<float>> rows = {{2.5f}, {nan}, {-inf}, {-0.0f},
+                                          {inf}};
+  for (int cols : {2, 3, 4, 7, 8, 9, 12, 15, 16, 17, 33}) {
+    std::vector<float> base(static_cast<size_t>(cols));
+    for (float& v : base) v = rng.NextGaussian() * 3.0f;
+    rows.push_back(base);
+    for (int at : {0, 1, cols / 2, cols - 1}) {
+      for (float special : {nan, -inf, inf}) {
+        std::vector<float> row = base;
+        row[static_cast<size_t>(at)] = special;
+        rows.push_back(row);
+      }
+    }
+    // Zeros of both signs tie for the max, in either order.
+    for (float first_zero : {0.0f, -0.0f}) {
+      std::vector<float> row(static_cast<size_t>(cols));
+      for (int c = 0; c < cols; ++c) {
+        row[static_cast<size_t>(c)] =
+            c % 3 == 0 ? (c % 2 == 0 ? first_zero : -first_zero)
+                       : -1.0f - static_cast<float>(c);
+      }
+      rows.push_back(row);
+    }
+    rows.push_back(std::vector<float>(static_cast<size_t>(cols), -inf));
+  }
+  for (const backend::Kernels* kr : backend::Registered()) {
+    SCOPED_TRACE(kr->name);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::vector<float>& in = rows[r];
+      const std::vector<float> want = serial(in);
+      std::vector<float> got(in.size(), 7.0f);
+      kr->softmax_rows(1, static_cast<int>(in.size()), in.data(), got.data());
+      for (size_t c = 0; c < in.size(); ++c) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[c]),
+                  std::bit_cast<uint32_t>(want[c]))
+            << "row " << r << " (" << in.size() << " columns), column " << c;
+      }
+    }
+  }
+}
+
 TEST(TranscendentalTest, GeluIntoMatchesOpAndDoubleReference) {
   std::vector<float> x;
   for (int i = -10 * 256; i <= 10 * 256; ++i) {

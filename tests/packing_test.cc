@@ -182,6 +182,37 @@ TEST_F(PackingContractTest, EveryRouteScoresHostilePairsBitIdentically) {
   EXPECT_EQ(model.compiled_stats().num_failed, 0);
 }
 
+// Summaries and comparisons read only each sequence's [CLS] output, so
+// their packed encodes must run the last layer's query side on row 0
+// alone, never silently on every row. A warm re-score replays only those
+// encodes (the token encodes hit the summary cache), and each replay's
+// two QueryRows gathers (the attention's normed rows and the residual
+// rows) add one FLOP per float they copy: exactly 2F per summary and per
+// comparison sequence, where an all-rows fallback would copy every row.
+TEST_F(PackingContractTest, SummariesAndComparisonsEncodeOnlyTheirClsRow) {
+  HierGatModel& model = *hiergat_;
+  const std::vector<EntityPair> pairs = HostilePairs(*data_, 19);
+  model.InvalidateInferenceCache();
+  model.ScoreBatch(pairs);
+  const int64_t gathered_before =
+      CounterValue("hiergat.graph.node.QueryRows.est_flops");
+  const int64_t summaries_before =
+      CounterValue("hiergat.compiled.summarize_replays");
+  const int64_t pairs_before = CounterValue("hiergat.score.compiled_pairs");
+  model.ScoreBatch(pairs);
+  const int64_t summaries =
+      CounterValue("hiergat.compiled.summarize_replays") - summaries_before;
+  const int64_t compiled_pairs =
+      CounterValue("hiergat.score.compiled_pairs") - pairs_before;
+  ASSERT_EQ(compiled_pairs, static_cast<int64_t>(pairs.size()));
+  ASSERT_GT(summaries, 0);
+  const int64_t f = LmConfigFor(LmSize::kSmall).dim;
+  const int64_t k = data_->train.front().left.num_attributes();
+  EXPECT_EQ(CounterValue("hiergat.graph.node.QueryRows.est_flops") -
+                gathered_before,
+            2 * f * (summaries + k * compiled_pairs));
+}
+
 TEST_F(PackingContractTest, SeededRandomSplitsScoreIdentically) {
   HierGatModel& model = *hiergat_;
   for (uint64_t seed : {31u, 32u, 33u}) {

@@ -15,6 +15,7 @@
 #include "core/status.h"
 #include "nn/transformer.h"
 #include "obs/metrics.h"
+#include "tensor/backend.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tensor/threadpool.h"
@@ -287,6 +288,122 @@ TEST(TensorGraphTest, PackedEncoderMatchesEachSequenceAlone) {
   }
 }
 
+// A packed encoder replayed with a query table keeps only each
+// sequence's query rows, and they carry the bits of the all-rows replay
+// (and so of each sequence encoded alone): every node of the last
+// layer's query side is row-independent. Hostile tables: one-row
+// sequences (no diagonal mask), a capacity-long one, mixed lengths 1-40
+// and a lone sequence; query tables of row 0 only and of leading rows.
+TEST(TensorGraphTest, PackedEncoderQueryRowsMatchTheAllRowsReplay) {
+  NoGradGuard no_grad;
+  Rng rng(23);
+  TransformerConfig config;
+  config.dim = 16;
+  config.ffn_dim = 24;
+  const TransformerEncoder encoder(config, rng);
+  constexpr int kCapacity = 128;
+  std::vector<int> capture_segments;
+  for (int row = 0; row <= kCapacity; row += 4) capture_segments.push_back(row);
+  auto compiled = CompileUnary(kCapacity, config.dim, [&](const Tensor& x) {
+    return encoder.Forward(x, /*training=*/false, rng,
+                           /*add_positions=*/false, capture_segments);
+  });
+  const std::vector<int> lengths[] = {
+      {1, 1, 1, 1, 1},
+      {kCapacity},
+      {1, 40, 7, 2, 33, 1, 16, 3, 25},
+      {9},
+  };
+  for (const std::vector<int>& lens : lengths) {
+    std::vector<int> segments = {0};
+    for (int len : lens) segments.push_back(segments.back() + len);
+    SCOPED_TRACE(segments.back());
+    // Row 0 of each sequence, then up to three leading rows.
+    std::vector<int> row0 = {0};
+    std::vector<int> leading = {0};
+    for (int len : lens) {
+      row0.push_back(row0.back() + 1);
+      leading.push_back(leading.back() + std::min(len, 3));
+    }
+    const Tensor x = Tensor::Randn({segments.back(), config.dim}, rng);
+    const size_t f = static_cast<size_t>(config.dim);
+    std::vector<float> all(x.data().size(), -7.0f);
+    const float* in[] = {x.data().data()};
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr),
+                             &ThreadPool::Global()}) {
+      float* all_out[] = {all.data()};
+      compiled->Run(in, all_out, pool, segments);
+      for (const std::vector<int>* queries : {&row0, &leading}) {
+        std::vector<float> got(static_cast<size_t>(queries->back()) * f,
+                               -7.0f);
+        float* out[] = {got.data()};
+        compiled->Run(in, out, pool, segments, *queries);
+        for (size_t s = 0; s < lens.size(); ++s) {
+          const int qlen = (*queries)[s + 1] - (*queries)[s];
+          for (size_t i = 0; i < static_cast<size_t>(qlen) * f; ++i) {
+            ASSERT_EQ(got[static_cast<size_t>((*queries)[s]) * f + i],
+                      all[static_cast<size_t>(segments[s]) * f + i])
+                << "sequence " << s << " element " << i << " of "
+                << qlen << " query rows";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The row independence the query side rests on, on every registered
+// backend (a replay runs only the active one): each output row of the
+// GEMMs, softmax and LayerNorm keeps its bits when its block holds fewer
+// rows, starting anywhere, as a qlen-row attention block or a query-row
+// Linear does.
+TEST(TensorGraphTest, KernelRowsKeepTheirBitsInShorterBlocks) {
+  constexpr int kRows = 13, kCols = 37, kInner = 21;
+  Rng rng(29);
+  const std::vector<float> a = Tensor::Randn({kRows, kInner}, rng).data();
+  const std::vector<float> b = Tensor::Randn({kInner, kCols}, rng).data();
+  const std::vector<float> bt = Tensor::Randn({kCols, kInner}, rng).data();
+  const std::vector<float> x = Tensor::Randn({kRows, kCols}, rng).data();
+  const std::vector<float> gamma = Tensor::Randn({kCols}, rng).data();
+  const std::vector<float> beta = Tensor::Randn({kCols}, rng).data();
+  const size_t out_floats = static_cast<size_t>(kRows) * kCols;
+  for (const backend::Kernels* kr : backend::Registered()) {
+    SCOPED_TRACE(kr->name);
+    // Each kernel over rows [first, first + m) into `out`'s same rows.
+    auto run = [&](int first, int m, std::vector<float>* out) {
+      out->assign(4 * out_floats, 0.0f);
+      std::vector<float> scratch(out_floats + kRows);
+      const size_t in0 = static_cast<size_t>(first) * kInner;
+      const size_t out0 = static_cast<size_t>(first) * kCols;
+      kr->gemm_nn(m, kCols, kInner, 0.7f, a.data() + in0, b.data(),
+                  out->data() + out0);
+      kr->gemm_nt(m, kCols, kInner, 0.7f, a.data() + in0, bt.data(),
+                  out->data() + out_floats + out0);
+      kr->softmax_rows(m, kCols, x.data() + out0,
+                       out->data() + 2 * out_floats + out0);
+      kr->layer_norm_rows(m, kCols, 1e-5f, x.data() + out0, gamma.data(),
+                          beta.data(), out->data() + 3 * out_floats + out0,
+                          scratch.data(), scratch.data() + out_floats);
+    };
+    std::vector<float> full, part;
+    run(0, kRows, &full);
+    for (int m : {1, 2, 3, 5}) {
+      for (int first = 0; first + m <= kRows; ++first) {
+        run(first, m, &part);
+        for (int k = 0; k < 4; ++k) {
+          const size_t begin = k * out_floats + static_cast<size_t>(first) *
+                                                    kCols;
+          for (size_t i = begin; i < begin + static_cast<size_t>(m) * kCols;
+               ++i) {
+            ASSERT_EQ(part[i], full[i]) << "kernel " << k << ", rows "
+                                        << first << "+" << m;
+          }
+        }
+      }
+    }
+  }
+}
+
 // Each replay adds its graph's static per-op totals to the
 // `hiergat.graph.node.<op>.*` counters once, whatever the node count.
 TEST(TensorGraphTest, NodeCountersAddStaticPerOpTotalsPerReplay) {
@@ -337,7 +454,8 @@ TEST(TensorGraphTest, NodeCountersAddStaticPerOpTotalsPerReplay) {
 
 // A packed replay adds its live cost, not its capture's: row-wise nodes
 // scale by live rows over captured rows (a Linear's weights counted
-// whole), packed attention nodes follow the sequence table's Σ len².
+// whole), or by live query rows on the query side, and packed attention
+// nodes follow the tables' Σ qlen·len.
 TEST(TensorGraphTest, PackedReplayAddsItsLiveCost) {
   NoGradGuard no_grad;
   Rng rng(17);
@@ -347,22 +465,24 @@ TEST(TensorGraphTest, PackedReplayAddsItsLiveCost) {
   const std::vector<int> capture_segments = {0, 4, 8, 12, kCapacity};
   auto compiled = CompileUnary(kCapacity, kDim, [&](const Tensor& x) {
     const Tensor h = Gelu(LinearOp(x, w, b));
-    return MatMul(AttentionScores(h, h, 0.5f, capture_segments), h,
-                  capture_segments);
+    const Tensor q = QueryRows(h, capture_segments);
+    return Tanh(MatMul(AttentionScores(q, h, 0.5f, capture_segments), h,
+                       capture_segments));
   });
   std::map<std::string, graph::NodeCost> static_cost;
   for (const graph::NodeCost& cost : compiled->node_costs()) {
     ASSERT_EQ(static_cost.count(cost.name), 0u) << cost.name;
     static_cost[cost.name] = cost;
   }
-  ASSERT_EQ(static_cost.size(), 4u);
+  ASSERT_EQ(static_cost.size(), 6u);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   auto counter = [&](const std::string& op, const char* field) {
     return registry.GetCounter("hiergat.graph.node." + op + "." + field)
         .Value();
   };
-  // Cost added by one replay over `segments`, per op.
-  auto replay_cost = [&](const std::vector<int>& segments) {
+  // Cost added by one replay over `segments` and `queries`, per op.
+  auto replay_cost = [&](const std::vector<int>& segments,
+                         const std::vector<int>& queries = {}) {
     std::map<std::string, graph::NodeCost> before;
     for (const auto& [op, cost] : static_cost) {
       before[op] = {nullptr, counter(op, "est_flops"),
@@ -372,7 +492,7 @@ TEST(TensorGraphTest, PackedReplayAddsItsLiveCost) {
     std::vector<float> got(static_cast<size_t>(kCapacity) * kDim);
     const float* in[] = {x.data().data()};
     float* out[] = {got.data()};
-    compiled->Run(in, out, nullptr, segments);
+    compiled->Run(in, out, nullptr, segments, queries);
     std::map<std::string, graph::NodeCost> added;
     for (const auto& [op, cost] : static_cost) {
       added[op] = {nullptr, counter(op, "est_flops") - before[op].flops,
@@ -412,6 +532,75 @@ TEST(TensorGraphTest, PackedReplayAddsItsLiveCost) {
   EXPECT_EQ(live.at("MatMul").flops, 26 * 2 * kDim);
   EXPECT_EQ(live.at("MatMul").bytes,
             (26 + 6 * 2 * kDim) * static_cast<int64_t>(sizeof(float)));
+
+  // The same sequences with row 0 as the only query row of each: 2 live
+  // query rows and 1 + 5 = 6 block floats. The rows side costs as
+  // before; the query side (the gather, the attention's q rows and
+  // output rows, Tanh) follows the 2 query rows.
+  const auto heads = replay_cost({0, 1, 6}, {0, 1, 2});
+  constexpr int64_t kFloat = sizeof(float);
+  EXPECT_EQ(heads.at("Gelu").flops, live.at("Gelu").flops);
+  EXPECT_EQ(heads.at("Linear").bytes, live.at("Linear").bytes);
+  EXPECT_EQ(heads.at("QueryRows").flops, 2 * kDim);
+  EXPECT_EQ(heads.at("QueryRows").bytes, 2 * 2 * kDim * kFloat);
+  EXPECT_EQ(heads.at("AttentionScores").flops, 6 * (2 * kDim + 6));
+  EXPECT_EQ(heads.at("AttentionScores").bytes,
+            (6 + 6 * kDim + 2 * kDim) * kFloat);
+  EXPECT_EQ(heads.at("MatMul").flops, 6 * 2 * kDim);
+  EXPECT_EQ(heads.at("MatMul").bytes, (6 + 6 * kDim + 2 * kDim) * kFloat);
+  EXPECT_EQ(heads.at("Tanh").flops, 2 * kDim);
+  EXPECT_EQ(heads.at("Tanh").bytes, static_cost.at("Tanh").bytes * 2 /
+                                        kCapacity);
+}
+
+// A graph without a QueryRows gather has no query side: a query table
+// changes neither its output nor its cost, and its packed attention
+// still attends from every row.
+TEST(TensorGraphTest, QueryTableLeavesEveryRowNodesAlone) {
+  NoGradGuard no_grad;
+  Rng rng(37);
+  constexpr int kCapacity = 16, kDim = 8;
+  const std::vector<int> capture_segments = {0, 4, 8, 12, kCapacity};
+  auto compiled = CompileUnary(kCapacity, kDim, [&](const Tensor& x) {
+    return MatMul(AttentionScores(x, x, 0.5f, capture_segments), x,
+                  capture_segments);
+  });
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  // Block FLOPs and per-row bytes of the two packed attention nodes.
+  auto cost = [&] {
+    return registry.GetCounter("hiergat.graph.node.AttentionScores.est_flops")
+               .Value() +
+           registry.GetCounter("hiergat.graph.node.MatMul.est_bytes").Value();
+  };
+  const std::vector<int> segments = {0, 1, 6, 13};
+  const Tensor x = Tensor::Randn({kCapacity, kDim}, rng);
+  const float* in[] = {x.data().data()};
+  std::vector<float> all(13 * kDim, -7.0f), heads(13 * kDim, -7.0f);
+  float* all_out[] = {all.data()};
+  float* heads_out[] = {heads.data()};
+  int64_t before = cost();
+  compiled->Run(in, all_out, nullptr, segments);
+  const int64_t all_cost = cost() - before;
+  before = cost();
+  compiled->Run(in, heads_out, nullptr, segments, std::vector<int>{0, 1, 2, 3});
+  EXPECT_EQ(cost() - before, all_cost);
+  EXPECT_EQ(heads, all);
+}
+
+// A row-wise node may not mix the query side with every row: its rows
+// would not line up at replay.
+TEST(TensorGraphTest, MixingQueryRowsWithEveryRowPoisonsCapture) {
+  NoGradGuard no_grad;
+  Tensor x = Tensor::FromVector({4, 2}, Iota(8));
+  const std::vector<int> segments = {0, 2, 4};
+  graph::GraphCapture capture;
+  capture.MarkInput(x);
+  Tensor y = Add(x, QueryRows(Relu(x), segments));
+  capture.MarkOutput(y);
+  EXPECT_FALSE(capture.ok());
+  auto compiled = capture.Finish();
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kUnimplemented);
 }
 
 TEST(TensorGraphTest, LeafOnlySubgraphFoldsToConstant) {
