@@ -17,6 +17,7 @@
 #include "core/logging.h"
 #include "core/rng.h"
 #include "obs/metrics.h"
+#include "tensor/backend.h"
 
 namespace hiergat {
 
@@ -120,10 +121,10 @@ inline float Dot(const float* a, const float* b, int dim) {
 
 /// int8 dot for the graph-walk hot path. Navigation vectors are
 /// symmetric-quantized to int8 (q = round(127 * v) on the normalized
-/// vector), shrinking a dim-128 vector from eight cache lines to two —
-/// the walk is DRAM-latency bound, so that is a direct speedup. Integer
-/// sums are exact, so the scalar and AVX2 paths agree bit-for-bit (the
-/// accumulator never leaves int32: |sum| <= 127*127*4096 < 2^31).
+/// vector), shrinking a dim-128 vector from eight cache lines to two.
+/// Integer sums are exact, so the scalar and AVX2 paths agree
+/// bit-for-bit (the accumulator never leaves int32:
+/// |sum| <= 127*127*4096 < 2^31).
 int32_t DotQScalar(const int8_t* a, const int8_t* b, int dim) {
   int32_t s = 0;
   for (int i = 0; i < dim; ++i) {
@@ -161,17 +162,17 @@ __attribute__((target("avx2"))) int32_t DotQAvx2(const int8_t* a,
 }
 #endif
 
+/// The int8 walk follows HIERGAT_BACKEND like the tensor kernels: the
+/// scalar backend walks with DotQScalar, so the scalar CI leg runs it.
 using DotQFn = int32_t (*)(const int8_t*, const int8_t*, int);
 DotQFn PickDotQ() {
 #if defined(HIERGAT_ANN_DOT_DISPATCH)
-  if (__builtin_cpu_supports("avx2")) return DotQAvx2;
+  if (std::strcmp(backend::ActiveName(), "scalar") != 0 &&
+      __builtin_cpu_supports("avx2")) {
+    return DotQAvx2;
+  }
 #endif
   return DotQScalar;
-}
-const DotQFn kDotQ = PickDotQ();
-
-inline int32_t DotQ(const int8_t* a, const int8_t* b, int dim) {
-  return kDotQ(a, b, dim);
 }
 
 /// q = round(127 * v); |v_i| <= 1 after L2 normalization, so the result
@@ -212,28 +213,51 @@ struct BetterCmp {
   }
 };
 
-/// Per-thread visited marks, epoch-reset so repeated searches don't pay
-/// a clear. Thread-local, so concurrent readers never share state.
-struct VisitBuffer {
+/// Replaces the top of a std heap ordered by `less` with `value` and
+/// restores the heap with one sift-down (a push and a pop in one).
+template <typename Less>
+void ReplaceTop(std::vector<Scored>& heap, const Scored& value, Less less) {
+  const size_t n = heap.size();
+  size_t i = 0;
+  for (size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && less(heap[child], heap[child + 1])) ++child;
+    if (!less(value, heap[child])) break;
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = value;
+}
+
+/// Per-thread scratch of the walk and the link updates, reused across
+/// calls instead of allocated per call. Thread-local, so concurrent
+/// readers never share it. Nesting rule: Insert reads `found` and
+/// `neighbors` while Connect fills `shrink`, `kept` and `skipped`, so no
+/// callee writes a buffer its caller is still reading.
+struct Scratch {
+  /// Visited marks, epoch-reset so repeated searches don't pay a clear.
   std::vector<uint32_t> marks;
   uint32_t epoch = 0;
+  std::vector<int32_t> fresh;     ///< Unvisited neighbours of one node.
+  std::vector<Scored> frontier;   ///< Beam candidates, heap, top = best.
+  std::vector<Scored> found;      ///< Beam results, heap, top = worst.
+  std::vector<Scored> neighbors;  ///< Insert's selected neighbours.
+  std::vector<Scored> shrink;     ///< Connect: a full list plus the new node.
+  std::vector<Scored> kept;       ///< Connect: the shrunk list.
+  std::vector<Scored> skipped;    ///< SelectNeighbors' diversity rejects.
+  std::vector<float> unit;        ///< Search: the normalized query.
+  std::vector<int8_t> query;      ///< Search: its int8 copy.
 
-  void Begin(size_t n) {
+  void BeginVisits(size_t n) {
     if (marks.size() < n) marks.resize(n, 0);
     if (++epoch == 0) {
       std::fill(marks.begin(), marks.end(), 0u);
       epoch = 1;
     }
   }
-  bool Visit(int32_t slot) {
-    if (marks[static_cast<size_t>(slot)] == epoch) return false;
-    marks[static_cast<size_t>(slot)] = epoch;
-    return true;
-  }
 };
-VisitBuffer& LocalVisits() {
-  thread_local VisitBuffer buffer;
-  return buffer;
+Scratch& LocalScratch() {
+  thread_local Scratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -248,7 +272,8 @@ struct AnnIndex::Shard {
         l0_cap(2 * options.max_neighbors),
         ml(1.0 / std::log(static_cast<double>(
                      std::max(2, options.max_neighbors)))),
-        rng(options.seed ^ SplitMix64(static_cast<uint64_t>(index))) {}
+        rng(options.seed ^ SplitMix64(static_cast<uint64_t>(index))),
+        dot_q(PickDotQ()) {}
 
   /// A copy, so the hot paths read `dim` and `max_neighbors` from the
   /// shard itself, without a pointer back into the owning AnnIndex.
@@ -256,6 +281,7 @@ struct AnnIndex::Shard {
   const int l0_cap;
   const double ml;
   Rng rng;
+  const DotQFn dot_q;
 
   std::vector<float> vectors;        ///< slot-major, L2-normalized.
   /// int8 navigation copy of `vectors` (see DotQ): the beam walks this,
@@ -279,6 +305,17 @@ struct AnnIndex::Shard {
 
   const int8_t* QVec(int32_t slot) const {
     return qvectors.data() + static_cast<size_t>(slot) * opts.dim;
+  }
+
+  /// Exact int8 dot of two navigation vectors, as the walk's float score.
+  float DotQ(const int8_t* a, const int8_t* b) const {
+    return static_cast<float>(dot_q(a, b, opts.dim));
+  }
+
+  /// Both 64-byte lines of a dim-128 int8 row.
+  void PrefetchQ(int32_t slot) const {
+    Prefetch(QVec(slot));
+    Prefetch(QVec(slot) + 64);
   }
 
   int LayerCap(int layer) const {
@@ -363,17 +400,17 @@ struct AnnIndex::Shard {
   int32_t GreedyStep(const int8_t* query, int32_t start, int layer,
                      int64_t* dist_evals) const {
     int32_t cur = start;
-    float cur_sim = static_cast<float>(DotQ(query, QVec(cur), opts.dim));
+    float cur_sim = DotQ(query, QVec(cur));
     ++*dist_evals;
     bool improved = true;
     while (improved) {
       improved = false;
       const auto [list, size] = Links(cur, layer);
-      for (int i = 0; i < size; ++i) Prefetch(QVec(list[i]));
+      for (int i = 0; i < size; ++i) PrefetchQ(list[i]);
+      *dist_evals += size;
       for (int i = 0; i < size; ++i) {
         const int32_t nb = list[i];
-        const float sim = static_cast<float>(DotQ(query, QVec(nb), opts.dim));
-        ++*dist_evals;
+        const float sim = DotQ(query, QVec(nb));
         if (sim > cur_sim || (sim == cur_sim && nb < cur)) {
           cur = nb;
           cur_sim = sim;
@@ -385,89 +422,98 @@ struct AnnIndex::Shard {
   }
 
   /// Beam search at one layer: best-first expansion keeping the ef best
-  /// visited nodes. Returns them sorted best-first.
-  std::vector<Scored> SearchLayer(const int8_t* query, int32_t start, int ef,
-                                  int layer, int64_t* dist_evals) const {
-    VisitBuffer& visits = LocalVisits();
-    visits.Begin(static_cast<size_t>(count()));
-    std::priority_queue<Scored, std::vector<Scored>, WorseCmp> candidates;
-    std::priority_queue<Scored, std::vector<Scored>, BetterCmp> results;
-    const Scored first{
-        static_cast<float>(DotQ(query, QVec(start), opts.dim)), start};
+  /// visited nodes, written to `out` sorted best-first. Each expansion
+  /// gathers the node's unvisited neighbours without a branch (mark
+  /// every one, advance the write index by "was new"), prefetches them,
+  /// then dots them in row order. Under the strict (sim, slot) order the
+  /// beam's final set does not depend on push order, so this visits and
+  /// keeps exactly what a one-neighbour-at-a-time walk would.
+  void SearchLayer(const int8_t* query, int32_t start, int ef, int layer,
+                   int64_t* dist_evals, Scratch& scratch,
+                   std::vector<Scored>* out) const {
+    scratch.BeginVisits(static_cast<size_t>(count()));
+    if (scratch.fresh.size() < static_cast<size_t>(l0_cap)) {
+      scratch.fresh.resize(static_cast<size_t>(l0_cap));
+    }
+    uint32_t* marks = scratch.marks.data();
+    const uint32_t epoch = scratch.epoch;
+    int32_t* fresh = scratch.fresh.data();
+    std::vector<Scored>& frontier = scratch.frontier;
+    std::vector<Scored>& results = *out;
+    const size_t width = static_cast<size_t>(ef);
+    const Scored first{DotQ(query, QVec(start)), start};
     ++*dist_evals;
-    visits.Visit(start);
-    candidates.push(first);
-    results.push(first);
-    while (!candidates.empty()) {
-      const Scored cur = candidates.top();
-      if (static_cast<int>(results.size()) >= ef &&
-          Better(results.top(), cur)) {
-        break;
-      }
-      candidates.pop();
+    marks[start] = epoch;
+    frontier.assign(1, first);
+    results.assign(1, first);
+    while (!frontier.empty()) {
+      const Scored cur = frontier.front();
+      if (results.size() >= width && Better(results.front(), cur)) break;
+      std::pop_heap(frontier.begin(), frontier.end(), WorseCmp{});
+      frontier.pop_back();
       const auto [list, size] = Links(cur.slot, layer);
-      for (int i = 0; i < size; ++i) {
-        if (visits.marks[static_cast<size_t>(list[i])] != visits.epoch) {
-          Prefetch(QVec(list[i]));
-        }
-      }
+      int num_fresh = 0;
       for (int i = 0; i < size; ++i) {
         const int32_t nb = list[i];
-        if (!visits.Visit(nb)) continue;
-        const float sim = static_cast<float>(DotQ(query, QVec(nb), opts.dim));
-        ++*dist_evals;
-        const Scored hit{sim, nb};
-        if (static_cast<int>(results.size()) < ef ||
-            Better(hit, results.top())) {
-          candidates.push(hit);
-          results.push(hit);
-          if (static_cast<int>(results.size()) > ef) results.pop();
+        fresh[num_fresh] = nb;
+        num_fresh += marks[nb] != epoch;
+        marks[nb] = epoch;
+      }
+      for (int i = 0; i < num_fresh; ++i) PrefetchQ(fresh[i]);
+      *dist_evals += num_fresh;
+      for (int i = 0; i < num_fresh; ++i) {
+        const Scored hit{DotQ(query, QVec(fresh[i])), fresh[i]};
+        if (results.size() < width) {
+          frontier.push_back(hit);
+          std::push_heap(frontier.begin(), frontier.end(), WorseCmp{});
+          results.push_back(hit);
+          std::push_heap(results.begin(), results.end(), BetterCmp{});
+        } else if (Better(hit, results.front())) {
+          frontier.push_back(hit);
+          std::push_heap(frontier.begin(), frontier.end(), WorseCmp{});
+          ReplaceTop(results, hit, BetterCmp{});
         }
       }
     }
-    std::vector<Scored> sorted(results.size());
-    for (size_t i = sorted.size(); i > 0; --i) {
-      sorted[i - 1] = results.top();
-      results.pop();
-    }
-    return sorted;
+    std::sort_heap(results.begin(), results.end(), BetterCmp{});
   }
 
   /// Malkov's diversity heuristic over best-first `candidates`: keep a
   /// candidate only if it is closer to the query than to every already
-  /// kept neighbor. With `backfill`, skipped candidates top the list
-  /// back up to `m` in order (both call sites backfill today — measured
-  /// gold recall at 10^5 records is a hair better with it, and
-  /// Connect's shrink path requires it so exactly one survivor drops).
-  std::vector<Scored> SelectNeighbors(const std::vector<Scored>& candidates,
-                                      int m, bool backfill,
-                                      int64_t* dist_evals) const {
-    std::vector<Scored> kept, skipped;
-    for (const Scored& c : candidates) {
-      if (static_cast<int>(kept.size()) >= m) break;
+  /// kept neighbor, then backfill skipped candidates in order up to `m`
+  /// (measured gold recall at 10^5 records is a hair better with it, and
+  /// Connect's shrink needs it so exactly one of cap + 1 drops). Writes
+  /// the kept list to `kept` and returns the candidate left out: the
+  /// last skipped one if the backfill left any, else the first one never
+  /// examined (slot -1 when every candidate was kept).
+  Scored SelectNeighbors(const std::vector<Scored>& candidates, int m,
+                         std::vector<Scored>* kept, int64_t* dist_evals,
+                         Scratch& scratch) const {
+    const size_t cap = static_cast<size_t>(m);
+    std::vector<Scored>& skipped = scratch.skipped;
+    kept->clear();
+    skipped.clear();
+    size_t next = 0;
+    for (; next < candidates.size() && kept->size() < cap; ++next) {
+      const Scored& c = candidates[next];
+      const int8_t* cq = QVec(c.slot);
       bool diverse = true;
-      for (const Scored& k : kept) {
-        const float to_kept =
-            static_cast<float>(DotQ(QVec(c.slot), QVec(k.slot), opts.dim));
+      for (const Scored& k : *kept) {
         ++*dist_evals;
-        if (to_kept > c.sim) {
+        if (DotQ(cq, QVec(k.slot)) > c.sim) {
           diverse = false;
           break;
         }
       }
-      if (diverse) {
-        kept.push_back(c);
-      } else {
-        skipped.push_back(c);
-      }
+      (diverse ? *kept : skipped).push_back(c);
     }
-    if (backfill) {
-      for (const Scored& c : skipped) {
-        if (static_cast<int>(kept.size()) >= m) break;
-        kept.push_back(c);
-      }
+    size_t backfilled = 0;
+    for (; backfilled < skipped.size() && kept->size() < cap; ++backfilled) {
+      kept->push_back(skipped[backfilled]);
     }
-    return kept;
+    if (backfilled < skipped.size()) return skipped.back();
+    if (next < candidates.size()) return candidates[next];
+    return Scored{0.0f, -1};
   }
 
   /// Makes `a` (the node being inserted) and `b` mutual neighbors at
@@ -477,7 +523,7 @@ struct AnnIndex::Shard {
   /// victim is chosen instead — possibly `a` itself, in which case no
   /// edge forms at all. Symmetry is preserved in every branch.
   void Connect(int32_t a, int32_t b, float sim_ab, int layer,
-               int64_t* dist_evals) {
+               int64_t* dist_evals, Scratch& scratch) {
     const int cap = LayerCap(layer);
     const auto [blist, bsize] = Links(b, layer);
     if (bsize < cap) {
@@ -485,31 +531,19 @@ struct AnnIndex::Shard {
       AppendLink(a, b, layer);
       return;
     }
-    std::vector<Scored> candidates;
-    candidates.reserve(static_cast<size_t>(bsize) + 1);
+    std::vector<Scored>& candidates = scratch.shrink;
+    candidates.clear();
+    const int8_t* bq = QVec(b);
     for (int i = 0; i < bsize; ++i) {
-      candidates.push_back(Scored{
-          static_cast<float>(DotQ(QVec(b), QVec(blist[i]), opts.dim)),
-          blist[i]});
-      ++*dist_evals;
+      candidates.push_back(Scored{DotQ(bq, QVec(blist[i])), blist[i]});
     }
+    *dist_evals += bsize;
     candidates.push_back(Scored{sim_ab, a});
     std::sort(candidates.begin(), candidates.end(), Better);
-    std::vector<Scored> kept =
-        SelectNeighbors(candidates, cap, /*backfill=*/true, dist_evals);
-    // Find the single dropped candidate.
-    std::vector<char> is_kept(candidates.size(), 0);
-    for (const Scored& k : kept) {
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].slot == k.slot) is_kept[i] = 1;
-      }
-    }
-    size_t dropped_at = candidates.size();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!is_kept[i]) dropped_at = i;
-    }
-    HG_CHECK_LT(dropped_at, candidates.size());
-    Scored dropped = candidates[dropped_at];
+    std::vector<Scored>& kept = scratch.kept;
+    Scored dropped =
+        SelectNeighbors(candidates, cap, &kept, dist_evals, scratch);
+    HG_CHECK_GE(dropped.slot, 0);
     if (dropped.slot != a && Degree(dropped.slot, layer) <= 1) {
       // Re-victimize: the worst kept node that keeps its connectivity
       // (`a` always qualifies — dropping it just skips the new edge).
@@ -559,20 +593,20 @@ struct AnnIndex::Shard {
       return;
     }
     int64_t dist_evals = 0;
+    Scratch& scratch = LocalScratch();
     const int8_t* query = QVec(slot);
     int32_t cur = entry;
     for (int layer = max_level; layer > level; --layer) {
       cur = GreedyStep(query, cur, layer, &dist_evals);
     }
     for (int layer = std::min(level, max_level); layer >= 0; --layer) {
-      std::vector<Scored> found =
-          SearchLayer(query, cur, opts.ef_construction, layer, &dist_evals);
-      cur = found.front().slot;
-      const std::vector<Scored> neighbors =
-          SelectNeighbors(found, opts.max_neighbors, /*backfill=*/true,
-                          &dist_evals);
-      for (const Scored& nb : neighbors) {
-        Connect(slot, nb.slot, nb.sim, layer, &dist_evals);
+      SearchLayer(query, cur, opts.ef_construction, layer, &dist_evals,
+                  scratch, &scratch.found);
+      cur = scratch.found.front().slot;
+      SelectNeighbors(scratch.found, opts.max_neighbors, &scratch.neighbors,
+                      &dist_evals, scratch);
+      for (const Scored& nb : scratch.neighbors) {
+        Connect(slot, nb.slot, nb.sim, layer, &dist_evals, scratch);
       }
     }
     if (level > max_level) {
@@ -582,28 +616,34 @@ struct AnnIndex::Shard {
     DistEvalCounter().Increment(dist_evals);
   }
 
-  /// Top-n (similarity, slot) hits for `query`, best first. The walk
-  /// runs on the int8 copies; the whole ef-wide result pool is then
-  /// reranked with exact float dots, so quantization error only costs
-  /// recall when the true neighbor fell outside the beam entirely.
-  std::vector<Scored> Search(const float* query, int n,
-                             int64_t* dist_evals) const {
-    if (count() == 0 || n <= 0) return {};
-    std::vector<float> unit(query, query + opts.dim);
+  /// Top-n (similarity, slot) hits for `query`, best first, in
+  /// `scratch.found`. The walk runs on the int8 copies; the whole ef-wide
+  /// result pool is then reranked with exact float dots, so quantization
+  /// error only costs recall when the true neighbor fell outside the
+  /// beam entirely.
+  const std::vector<Scored>& Search(const float* query, int n,
+                                    int64_t* dist_evals,
+                                    Scratch& scratch) const {
+    std::vector<Scored>& found = scratch.found;
+    found.clear();
+    if (count() == 0 || n <= 0) return found;
+    std::vector<float>& unit = scratch.unit;
+    unit.assign(query, query + opts.dim);
     float norm = 0.0f;
     for (const float v : unit) norm += v * v;
     if (norm > 0.0f) {
       const float inv = 1.0f / std::sqrt(norm);
       for (float& v : unit) v *= inv;
     }
-    std::vector<int8_t> q(static_cast<size_t>(opts.dim));
+    std::vector<int8_t>& q = scratch.query;
+    q.resize(static_cast<size_t>(opts.dim));
     Quantize(unit.data(), opts.dim, q.data());
     int32_t cur = entry;
     for (int layer = max_level; layer >= 1; --layer) {
       cur = GreedyStep(q.data(), cur, layer, dist_evals);
     }
-    std::vector<Scored> found = SearchLayer(
-        q.data(), cur, std::max(opts.ef_search, n), 0, dist_evals);
+    SearchLayer(q.data(), cur, std::max(opts.ef_search, n), 0, dist_evals,
+                scratch, &found);
     for (Scored& f : found) {
       f.sim = Dot(query, Vec(f.slot), opts.dim);
       ++*dist_evals;
@@ -671,14 +711,15 @@ std::vector<AnnIndex::Hit> AnnIndex::Search(const std::vector<float>& query,
   if (n <= 0) return {};
   SearchCounter().Increment();
   int64_t dist_evals = 0;
+  Scratch& scratch = LocalScratch();
   // Per-shard top lists, each sorted best-first.
   std::vector<std::vector<Hit>> per_shard(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     std::shared_lock<std::shared_mutex> lock(shard.mutex);
     // Ask for one extra hit so excluding the query itself still leaves n.
-    const std::vector<Scored> found =
-        shard.Search(query.data(), n + 1, &dist_evals);
+    const std::vector<Scored>& found =
+        shard.Search(query.data(), n + 1, &dist_evals, scratch);
     for (const Scored& f : found) {
       const int64_t hit_id = shard.ids[static_cast<size_t>(f.slot)];
       if (hit_id == exclude) continue;

@@ -50,7 +50,13 @@ struct AnnIndexOptions {
 /// tests/ann_property_test.cc):
 ///   - links are bidirectional at every layer: u lists v iff v lists u;
 ///   - a node has link lists exactly for layers 0..level(node);
-///   - every node is reachable from the shard entry point at layer 0.
+///   - shrinking a full list never takes a node's last link at that
+///     layer.
+/// Reachability from the entry point is checked but not guaranteed: a
+/// shrink can cut the last path between two parts of a layer, and a new
+/// node whose every neighbour drops it keeps no link. It holds in the
+/// tested shapes (M 8, dim 8-32) and the bench's (M 24, dim 128), and
+/// fails at M 2 or 3 and at dim 1 (reproducer in DESIGN.md §16).
 class AnnIndex {
  public:
   explicit AnnIndex(const AnnIndexOptions& options);

@@ -150,6 +150,81 @@ TEST(AnnPropertyTest, DeterministicUnderFixedSeeds) {
   }
 }
 
+/// FNV-1a over the result ids (and counts) of Search(q, 10) for every
+/// query. Ids only: the float rerank that orders them is the same on
+/// every backend of one host, but its AVX2 and scalar sums differ.
+uint64_t SearchIdHash(const AnnIndex& index,
+                      const std::vector<std::vector<float>>& queries) {
+  uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const auto& q : queries) {
+    const auto hits = index.Search(q, 10);
+    mix(hits.size());
+    for (const auto& hit : hits) mix(static_cast<uint64_t>(hit.id));
+  }
+  return hash;
+}
+
+TEST(AnnPropertyTest, PinnedSearchIdsAcrossDotTailsAndDegrees) {
+  // Graph construction and the int8 walk are pure functions of the seed
+  // and the insert order, and every int8 dot is an exact integer, so the
+  // result ids are pinned constants under every HIERGAT_BACKEND (the
+  // float rerank still dispatches on the CPU alone: a host without AVX2
+  // may order near-tied hits differently). dim 33 and 100 run
+  // the AVX2 loop with a scalar tail, 128 is the bench shape; M 2 and 3
+  // keep lists full so every insert shrinks some list (and re-victimizes
+  // when the dropped node has one link left), M 24 is the bench degree.
+  // Every 5th point duplicates an earlier one (exact similarity ties,
+  // broken by slot) and every 97th is all-zero.
+  struct Config {
+    int dim;
+    int m;
+    uint64_t expected;
+  };
+  const Config configs[] = {
+      {33, 2, 0x1bf6b810f265b39eULL},   {33, 3, 0xf546a74e5d801869ULL},
+      {33, 24, 0x0ae1fedaec646fa0ULL},  {100, 2, 0x425fded1f33cd713ULL},
+      {100, 3, 0x07928b16360937a6ULL},  {100, 24, 0xdae4ebc9bddbf1e8ULL},
+      {128, 2, 0x60385bb03bdab1b2ULL},  {128, 3, 0xb4b9bbce4cbca2dbULL},
+      {128, 24, 0x47cd80045be223d5ULL},
+  };
+  constexpr int kPoints = 1200;
+  constexpr int kQueries = 80;
+  for (const Config& config : configs) {
+    auto points = ClusteredVectors(kPoints + kQueries, config.dim, 12,
+                                   900 + static_cast<uint64_t>(config.dim));
+    for (int i = 0; i < kPoints; ++i) {
+      auto& p = points[static_cast<size_t>(i)];
+      if (i % 97 == 96) {
+        std::fill(p.begin(), p.end(), 0.0f);
+      } else if (i % 5 == 4) {
+        p = points[static_cast<size_t>(i / 2)];
+      }
+    }
+    std::vector<std::vector<float>> queries(points.begin() + kPoints,
+                                            points.end());
+    for (int i = 0; i < kPoints; i += 61) {
+      queries.push_back(points[static_cast<size_t>(i)]);
+    }
+    queries.push_back(std::vector<float>(static_cast<size_t>(config.dim)));
+    AnnIndexOptions options = SmallOptions(config.dim, 2);
+    options.max_neighbors = config.m;
+    options.ef_construction = 64;
+    AnnIndex index(options);
+    for (int i = 0; i < kPoints; ++i) {
+      index.Insert(i, points[static_cast<size_t>(i)]);
+    }
+    EXPECT_EQ(SearchIdHash(index, queries), config.expected)
+        << "dim=" << config.dim << " M=" << config.m << " got 0x" << std::hex
+        << SearchIdHash(index, queries);
+  }
+}
+
 TEST(AnnPropertyTest, IncrementalInsertMatchesBatchRecallBand) {
   // Satellite: interleaved Insert() + query must land in the same
   // recall band as a batch build over the same records — inserts after
