@@ -3,17 +3,24 @@
 // (token sequences of a few dozen rows, feature dims d in {64,128,256}),
 // a head-to-head of the blocked SGEMM kernel against the seed i-k-j
 // scalar loop it replaced, and per-call GEMM cost at the 2..8-row
-// shapes the small LM scores with (gemm_small.*). Emits
+// shapes the small LM scores with (gemm_small.*), and the blocking
+// kernels against the loops they replaced (ann.*, embed.*). Emits
 // hiergat-bench-v1 JSON via --json_out=PATH (validated by
 // tools/check_bench_json.py).
 
 #include <chrono>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
 
 #include "bench_common.h"
 #include "core/quant.h"
@@ -46,6 +53,86 @@ void SeedGemmIkj(int m, int n, int k, const float* ad, const float* bd,
       float* orow = od + static_cast<size_t>(i) * n;
       for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
+  }
+}
+
+/// int8 entries in [-127, 127], the ANN quantizer's range.
+std::vector<int8_t> RandomI8(size_t n, Rng& rng) {
+  std::vector<int8_t> v(n);
+  for (int8_t& x : v) {
+    x = static_cast<int8_t>(static_cast<int>(rng.NextUint64(255)) - 127);
+  }
+  return v;
+}
+
+/// The ANN index's int8 dot before the backend registry took it: one row
+/// per call through a pointer picked at load time, the scalar loop or
+/// AVX2 madd. Kept as the reference of ann.dot_i8_rows.*.
+using LoopDotQ = int32_t (*)(const int8_t*, const int8_t*, int);
+
+int32_t LoopDotQScalar(const int8_t* a, const int8_t* b, int dim) {
+  int32_t s = 0;
+  for (int i = 0; i < dim; ++i) {
+    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
+  }
+  return s;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target("avx2"))) int32_t LoopDotQAvx2(const int8_t* a,
+                                                     const int8_t* b,
+                                                     int dim) {
+  __m256i acc = _mm256_setzero_si256();
+  int i = 0;
+  for (; i + 32 <= dim; i += 32) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+    const __m256i alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
+    const __m256i ahi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
+    const __m256i blo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
+    const __m256i bhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
+    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(alo, blo));
+    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(ahi, bhi));
+  }
+  __m128i quad = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                               _mm256_extracti128_si256(acc, 1));
+  quad = _mm_add_epi32(quad, _mm_srli_si128(quad, 8));
+  quad = _mm_add_epi32(quad, _mm_srli_si128(quad, 4));
+  int32_t out = _mm_cvtsi128_si32(quad);
+  for (; i < dim; ++i) {
+    out += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
+  }
+  return out;
+}
+#endif
+
+LoopDotQ PickLoopDotQ() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (std::strcmp(backend::ActiveName(), "scalar") != 0 &&
+      __builtin_cpu_supports("avx2")) {
+    return LoopDotQAvx2;
+  }
+#endif
+  return LoopDotQScalar;
+}
+
+/// The word-vector generator before the counter form: one splitmix64
+/// step per component. Kept as the reference of embed.ngram.*.
+void SequentialNgram(uint64_t hash, int dim, float* acc) {
+  uint64_t state = hash;
+  for (int d = 0; d < dim; ++d) {
+    state += 0x9e3779b97f4a7c15ULL;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    float sum = 0.0f;
+    for (int i = 0; i < 4; ++i) {
+      sum += static_cast<float>((z >> (i * 16)) & 0xffff) / 65536.0f;
+    }
+    acc[d] += (sum - 2.0f) * 1.732f;
   }
 }
 
@@ -282,6 +369,83 @@ int main_impl(int argc, char** argv) {
     std::printf("gelu [24,64]: %.2f us/call vs %.2f us/call with std::erf "
                 "(%.2fx)\n\n",
                 us[0], us[1], us[1] / us[0]);
+  }
+
+  // -- Blocking kernels: batched int8 rows, counter-form n-grams -------
+  // The ANN index build dots one query against a gathered list of int8
+  // rows (a layer-0 list holds 48 at the bench's M 24, dim 128): the
+  // active backend's one call per list against the per-row loop through
+  // a dot pointer that the index ran before. The hashed word vectors add
+  // one n-gram's 128 components per call: the active backend's counter
+  // form against the sequential splitmix64 loop it replaced.
+  {
+    constexpr int kDim = 128;
+    constexpr int kTableRows = 4096;
+    constexpr int kListLen = 48;
+    constexpr int kLists = 64;
+    const std::vector<int8_t> table = RandomI8(
+        static_cast<size_t>(kTableRows) * kDim, rng);
+    const std::vector<int8_t> query = RandomI8(kDim, rng);
+    std::vector<int32_t> slots(static_cast<size_t>(kLists) * kListLen);
+    for (int32_t& slot : slots) {
+      slot = static_cast<int32_t>(rng.NextUint64(kTableRows));
+    }
+    std::vector<int32_t> dots(kListLen);
+    const LoopDotQ loop_dot = PickLoopDotQ();
+    const int dot_inner = inner * 20;
+    const std::vector<double> dot_us = per_call_us(
+        {[&] {
+           for (int i = 0; i < dot_inner; ++i) {
+             backend::DotI8Rows(kDim, query.data(), table.data(),
+                                slots.data() + (i % kLists) * kListLen,
+                                kListLen, dots.data());
+             asm volatile("" : : "r"(dots.data()) : "memory");
+           }
+         },
+         [&] {
+           for (int i = 0; i < dot_inner; ++i) {
+             const int32_t* list = slots.data() + (i % kLists) * kListLen;
+             for (int r = 0; r < kListLen; ++r) {
+               dots[static_cast<size_t>(r)] = loop_dot(
+                   query.data(),
+                   table.data() + static_cast<size_t>(list[r]) * kDim, kDim);
+             }
+             asm volatile("" : : "r"(dots.data()) : "memory");
+           }
+         }},
+        dot_inner * kListLen);
+    result.AddMetric("ann.dot_i8_rows.d128.ns_per_row", dot_us[0] * 1e3);
+    result.AddMetric("ann.dot_i8_rows.d128.loop_ns_per_row", dot_us[1] * 1e3);
+    result.AddMetric("ann.dot_i8_rows.d128.speedup_vs_loop",
+                     dot_us[1] / dot_us[0]);
+    std::printf("int8 dot, 48 gathered rows of 128: %.2f ns/row batched vs "
+                "%.2f ns/row per-row loop (%.2fx)\n",
+                dot_us[0] * 1e3, dot_us[1] * 1e3, dot_us[1] / dot_us[0]);
+
+    const int ngram_inner = inner * 100;
+    std::vector<float> acc(kDim, 0.0f);
+    const std::vector<double> ngram_us = per_call_us(
+        {[&] {
+           for (int i = 0; i < ngram_inner; ++i) {
+             backend::HashedNgramAccumulate(static_cast<uint64_t>(i), kDim,
+                                            acc.data());
+             asm volatile("" : : "r"(acc.data()) : "memory");
+           }
+         },
+         [&] {
+           for (int i = 0; i < ngram_inner; ++i) {
+             SequentialNgram(static_cast<uint64_t>(i), kDim, acc.data());
+             asm volatile("" : : "r"(acc.data()) : "memory");
+           }
+         }},
+        ngram_inner);
+    result.AddMetric("embed.ngram.d128.us", ngram_us[0]);
+    result.AddMetric("embed.ngram.d128.sequential_us", ngram_us[1]);
+    result.AddMetric("embed.ngram.d128.speedup_vs_sequential",
+                     ngram_us[1] / ngram_us[0]);
+    std::printf("hashed n-gram, dim 128: %.3f us/n-gram counter form vs "
+                "%.3f us sequential (%.2fx)\n\n",
+                ngram_us[0], ngram_us[1], ngram_us[1] / ngram_us[0]);
   }
 
   // -- Graph-level ops at HierGAT-realistic shapes --------------------

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <queue>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
 
 #include "core/logging.h"
 #include "core/rng.h"
@@ -53,134 +48,6 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Four-accumulator dot product: deterministic (fixed association) and
-/// wide enough for the compiler to vectorize. Vectors are normalized on
-/// insert, so this is the cosine.
-float DotScalar(const float* a, const float* b, int dim) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  int i = 0;
-  for (; i + 4 <= dim; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  for (; i < dim; ++i) s0 += a[i] * b[i];
-  return (s0 + s1) + (s2 + s3);
-}
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HIERGAT_ANN_DOT_DISPATCH 1
-/// AVX2+FMA dot, selected at load time like the tensor backend registry
-/// (backend.cc). Association differs from the scalar path, so results
-/// are deterministic per host, not across hosts — the property tests
-/// only ever compare runs from the same process, and no golden index
-/// image is committed.
-__attribute__((target("avx2,fma"))) float DotAvx2(const float* a,
-                                                  const float* b, int dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-  }
-  for (; i + 8 <= dim; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  acc0 = _mm256_add_ps(acc0, acc1);
-  __m128 quad = _mm_add_ps(_mm256_castps256_ps128(acc0),
-                           _mm256_extractf128_ps(acc0, 1));
-  quad = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
-  quad = _mm_add_ss(quad, _mm_shuffle_ps(quad, quad, 1));
-  float out = _mm_cvtss_f32(quad);
-  for (; i < dim; ++i) out += a[i] * b[i];
-  return out;
-}
-#endif
-
-using DotFn = float (*)(const float*, const float*, int);
-DotFn PickDot() {
-#if defined(HIERGAT_ANN_DOT_DISPATCH)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return DotAvx2;
-  }
-#endif
-  return DotScalar;
-}
-const DotFn kDot = PickDot();
-
-inline float Dot(const float* a, const float* b, int dim) {
-  return kDot(a, b, dim);
-}
-
-/// int8 dot for the graph-walk hot path. Navigation vectors are
-/// symmetric-quantized to int8 (q = round(127 * v) on the normalized
-/// vector), shrinking a dim-128 vector from eight cache lines to two.
-/// Integer sums are exact, so the scalar and AVX2 paths agree
-/// bit-for-bit (the accumulator never leaves int32:
-/// |sum| <= 127*127*4096 < 2^31).
-int32_t DotQScalar(const int8_t* a, const int8_t* b, int dim) {
-  int32_t s = 0;
-  for (int i = 0; i < dim; ++i) {
-    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return s;
-}
-
-#if defined(HIERGAT_ANN_DOT_DISPATCH)
-__attribute__((target("avx2"))) int32_t DotQAvx2(const int8_t* a,
-                                                 const int8_t* b, int dim) {
-  __m256i acc = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 32 <= dim; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-    const __m256i ahi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-    const __m256i blo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-    const __m256i bhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(alo, blo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(ahi, bhi));
-  }
-  __m128i quad = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                               _mm256_extracti128_si256(acc, 1));
-  quad = _mm_add_epi32(quad, _mm_srli_si128(quad, 8));
-  quad = _mm_add_epi32(quad, _mm_srli_si128(quad, 4));
-  int32_t out = _mm_cvtsi128_si32(quad);
-  for (; i < dim; ++i) {
-    out += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return out;
-}
-#endif
-
-/// The int8 walk follows HIERGAT_BACKEND like the tensor kernels: the
-/// scalar backend walks with DotQScalar, so the scalar CI leg runs it.
-using DotQFn = int32_t (*)(const int8_t*, const int8_t*, int);
-DotQFn PickDotQ() {
-#if defined(HIERGAT_ANN_DOT_DISPATCH)
-  if (std::strcmp(backend::ActiveName(), "scalar") != 0 &&
-      __builtin_cpu_supports("avx2")) {
-    return DotQAvx2;
-  }
-#endif
-  return DotQScalar;
-}
-
-/// q = round(127 * v); |v_i| <= 1 after L2 normalization, so the result
-/// fits int8 exactly. Deterministic (lround ties away from zero).
-void Quantize(const float* v, int dim, int8_t* out) {
-  for (int i = 0; i < dim; ++i) {
-    out[i] = static_cast<int8_t>(std::lround(v[i] * 127.0f));
-  }
 }
 
 void Prefetch(const void* p) {
@@ -244,8 +111,16 @@ struct Scratch {
   std::vector<Scored> shrink;     ///< Connect: a full list plus the new node.
   std::vector<Scored> kept;       ///< Connect: the shrunk list.
   std::vector<Scored> skipped;    ///< SelectNeighbors' diversity rejects.
+  std::vector<int32_t> kept_slots;  ///< SelectNeighbors: slots of `kept`.
+  std::vector<int32_t> dots;      ///< int8 dots of one batched call.
   std::vector<float> unit;        ///< Search: the normalized query.
   std::vector<int8_t> query;      ///< Search: its int8 copy.
+
+  /// `dots`, at least `n` long.
+  int32_t* Dots(size_t n) {
+    if (dots.size() < n) dots.resize(n);
+    return dots.data();
+  }
 
   void BeginVisits(size_t n) {
     if (marks.size() < n) marks.resize(n, 0);
@@ -273,7 +148,7 @@ struct AnnIndex::Shard {
         ml(1.0 / std::log(static_cast<double>(
                      std::max(2, options.max_neighbors)))),
         rng(options.seed ^ SplitMix64(static_cast<uint64_t>(index))),
-        dot_q(PickDotQ()) {}
+        kernels(backend::Active()) {}
 
   /// A copy, so the hot paths read `dim` and `max_neighbors` from the
   /// shard itself, without a pointer back into the owning AnnIndex.
@@ -281,11 +156,13 @@ struct AnnIndex::Shard {
   const int l0_cap;
   const double ml;
   Rng rng;
-  const DotQFn dot_q;
+  /// The active backend: its int8 row dot walks the graph, its f32 dot
+  /// reranks, so HIERGAT_BACKEND reaches both.
+  const backend::Kernels& kernels;
 
   std::vector<float> vectors;        ///< slot-major, L2-normalized.
-  /// int8 navigation copy of `vectors` (see DotQ): the beam walks this,
-  /// the float vectors only back the final rerank.
+  /// int8 navigation copy of `vectors` (AnnIndex::Quantize): the beam
+  /// walks this, the float vectors only back the final rerank.
   std::vector<int8_t> qvectors;
   std::vector<int64_t> ids;          ///< slot -> external id.
   std::vector<int32_t> levels;       ///< slot -> top layer of the slot.
@@ -307,9 +184,11 @@ struct AnnIndex::Shard {
     return qvectors.data() + static_cast<size_t>(slot) * opts.dim;
   }
 
-  /// Exact int8 dot of two navigation vectors, as the walk's float score.
-  float DotQ(const int8_t* a, const int8_t* b) const {
-    return static_cast<float>(dot_q(a, b, opts.dim));
+  /// Exact int8 dots of `query` with the navigation vectors of `n`
+  /// slots, in one backend call.
+  void DotQ(const int8_t* query, const int32_t* slots, int n,
+            int32_t* out) const {
+    kernels.dot_i8_rows(opts.dim, query, qvectors.data(), slots, n, out);
   }
 
   /// Both 64-byte lines of a dim-128 int8 row.
@@ -396,11 +275,14 @@ struct AnnIndex::Shard {
     return std::min(level, kMaxLevel);
   }
 
-  /// Greedy hill-climb toward `query` at `layer` (ef = 1 descent).
+  /// Greedy hill-climb toward `query` at `layer` (ef = 1 descent). Each
+  /// step dots the whole link list in one call, then scans it in order.
   int32_t GreedyStep(const int8_t* query, int32_t start, int layer,
-                     int64_t* dist_evals) const {
+                     int64_t* dist_evals, Scratch& scratch) const {
+    int32_t* dots = scratch.Dots(static_cast<size_t>(l0_cap));
     int32_t cur = start;
-    float cur_sim = DotQ(query, QVec(cur));
+    DotQ(query, &cur, 1, dots);
+    float cur_sim = static_cast<float>(dots[0]);
     ++*dist_evals;
     bool improved = true;
     while (improved) {
@@ -408,9 +290,10 @@ struct AnnIndex::Shard {
       const auto [list, size] = Links(cur, layer);
       for (int i = 0; i < size; ++i) PrefetchQ(list[i]);
       *dist_evals += size;
+      DotQ(query, list, size, dots);
       for (int i = 0; i < size; ++i) {
         const int32_t nb = list[i];
-        const float sim = DotQ(query, QVec(nb));
+        const float sim = static_cast<float>(dots[i]);
         if (sim > cur_sim || (sim == cur_sim && nb < cur)) {
           cur = nb;
           cur_sim = sim;
@@ -425,9 +308,10 @@ struct AnnIndex::Shard {
   /// visited nodes, written to `out` sorted best-first. Each expansion
   /// gathers the node's unvisited neighbours without a branch (mark
   /// every one, advance the write index by "was new"), prefetches them,
-  /// then dots them in row order. Under the strict (sim, slot) order the
-  /// beam's final set does not depend on push order, so this visits and
-  /// keeps exactly what a one-neighbour-at-a-time walk would.
+  /// dots them in one call, then pushes them in row order. Under the
+  /// strict (sim, slot) order the beam's final set does not depend on
+  /// push order, so this visits and keeps exactly what a
+  /// one-neighbour-at-a-time walk would.
   void SearchLayer(const int8_t* query, int32_t start, int ef, int layer,
                    int64_t* dist_evals, Scratch& scratch,
                    std::vector<Scored>* out) const {
@@ -438,10 +322,12 @@ struct AnnIndex::Shard {
     uint32_t* marks = scratch.marks.data();
     const uint32_t epoch = scratch.epoch;
     int32_t* fresh = scratch.fresh.data();
+    int32_t* dots = scratch.Dots(static_cast<size_t>(l0_cap));
     std::vector<Scored>& frontier = scratch.frontier;
     std::vector<Scored>& results = *out;
     const size_t width = static_cast<size_t>(ef);
-    const Scored first{DotQ(query, QVec(start)), start};
+    DotQ(query, &start, 1, dots);
+    const Scored first{static_cast<float>(dots[0]), start};
     ++*dist_evals;
     marks[start] = epoch;
     frontier.assign(1, first);
@@ -461,8 +347,9 @@ struct AnnIndex::Shard {
       }
       for (int i = 0; i < num_fresh; ++i) PrefetchQ(fresh[i]);
       *dist_evals += num_fresh;
+      DotQ(query, fresh, num_fresh, dots);
       for (int i = 0; i < num_fresh; ++i) {
-        const Scored hit{DotQ(query, QVec(fresh[i])), fresh[i]};
+        const Scored hit{static_cast<float>(dots[i]), fresh[i]};
         if (results.size() < width) {
           frontier.push_back(hit);
           std::push_heap(frontier.begin(), frontier.end(), WorseCmp{});
@@ -485,27 +372,44 @@ struct AnnIndex::Shard {
   /// Connect's shrink needs it so exactly one of cap + 1 drops). Writes
   /// the kept list to `kept` and returns the candidate left out: the
   /// last skipped one if the backfill left any, else the first one never
-  /// examined (slot -1 when every candidate was kept).
+  /// examined (slot -1 when every candidate was kept). A candidate meets
+  /// the kept list four neighbours per dot call; the scan stops at the
+  /// first kept neighbour more similar to the candidate than the query
+  /// is, and counts the dots up to it, as a one-at-a-time scan does.
   Scored SelectNeighbors(const std::vector<Scored>& candidates, int m,
                          std::vector<Scored>* kept, int64_t* dist_evals,
                          Scratch& scratch) const {
     const size_t cap = static_cast<size_t>(m);
+    constexpr int kGroup = 4;
     std::vector<Scored>& skipped = scratch.skipped;
+    std::vector<int32_t>& kept_slots = scratch.kept_slots;
     kept->clear();
     skipped.clear();
+    kept_slots.clear();
     size_t next = 0;
     for (; next < candidates.size() && kept->size() < cap; ++next) {
       const Scored& c = candidates[next];
       const int8_t* cq = QVec(c.slot);
+      const int num_kept = static_cast<int>(kept_slots.size());
       bool diverse = true;
-      for (const Scored& k : *kept) {
-        ++*dist_evals;
-        if (DotQ(cq, QVec(k.slot)) > c.sim) {
-          diverse = false;
-          break;
+      for (int g = 0; g < num_kept && diverse; g += kGroup) {
+        const int n = std::min(kGroup, num_kept - g);
+        int32_t dots[kGroup];
+        DotQ(cq, kept_slots.data() + g, n, dots);
+        for (int i = 0; i < n; ++i) {
+          ++*dist_evals;
+          if (static_cast<float>(dots[i]) > c.sim) {
+            diverse = false;
+            break;
+          }
         }
       }
-      (diverse ? *kept : skipped).push_back(c);
+      if (diverse) {
+        kept->push_back(c);
+        kept_slots.push_back(c.slot);
+      } else {
+        skipped.push_back(c);
+      }
     }
     size_t backfilled = 0;
     for (; backfilled < skipped.size() && kept->size() < cap; ++backfilled) {
@@ -533,9 +437,10 @@ struct AnnIndex::Shard {
     }
     std::vector<Scored>& candidates = scratch.shrink;
     candidates.clear();
-    const int8_t* bq = QVec(b);
+    int32_t* dots = scratch.Dots(static_cast<size_t>(bsize));
+    DotQ(QVec(b), blist, bsize, dots);
     for (int i = 0; i < bsize; ++i) {
-      candidates.push_back(Scored{DotQ(bq, QVec(blist[i])), blist[i]});
+      candidates.push_back(Scored{static_cast<float>(dots[i]), blist[i]});
     }
     *dist_evals += bsize;
     candidates.push_back(Scored{sim_ab, a});
@@ -597,7 +502,7 @@ struct AnnIndex::Shard {
     const int8_t* query = QVec(slot);
     int32_t cur = entry;
     for (int layer = max_level; layer > level; --layer) {
-      cur = GreedyStep(query, cur, layer, &dist_evals);
+      cur = GreedyStep(query, cur, layer, &dist_evals, scratch);
     }
     for (int layer = std::min(level, max_level); layer >= 0; --layer) {
       SearchLayer(query, cur, opts.ef_construction, layer, &dist_evals,
@@ -640,12 +545,12 @@ struct AnnIndex::Shard {
     Quantize(unit.data(), opts.dim, q.data());
     int32_t cur = entry;
     for (int layer = max_level; layer >= 1; --layer) {
-      cur = GreedyStep(q.data(), cur, layer, dist_evals);
+      cur = GreedyStep(q.data(), cur, layer, dist_evals, scratch);
     }
     SearchLayer(q.data(), cur, std::max(opts.ef_search, n), 0, dist_evals,
                 scratch, &found);
     for (Scored& f : found) {
-      f.sim = Dot(query, Vec(f.slot), opts.dim);
+      f.sim = kernels.dot(opts.dim, query, Vec(f.slot));
       ++*dist_evals;
     }
     std::sort(found.begin(), found.end(), Better);
@@ -655,6 +560,13 @@ struct AnnIndex::Shard {
     return found;
   }
 };
+
+void AnnIndex::Quantize(const float* v, int dim, int8_t* out) {
+  for (int i = 0; i < dim; ++i) {
+    out[i] = static_cast<int8_t>(
+        std::lround(std::clamp(v[i] * 127.0f, -127.0f, 127.0f)));
+  }
+}
 
 AnnIndex::AnnIndex(const AnnIndexOptions& options) : options_(options) {
   const Status valid = ValidateOptions(options_);
@@ -776,7 +688,8 @@ std::vector<AnnIndex::Hit> AnnIndex::SearchBruteForce(
     for (int32_t slot = 0; slot < shard->count(); ++slot) {
       const int64_t id = shard->ids[static_cast<size_t>(slot)];
       if (id == exclude) continue;
-      all.push_back(Hit{id, Dot(query.data(), shard->Vec(slot), options_.dim)});
+      all.push_back(Hit{id, backend::Dot(options_.dim, query.data(),
+                                         shard->Vec(slot))});
     }
   }
   const size_t keep = std::min<size_t>(static_cast<size_t>(n), all.size());

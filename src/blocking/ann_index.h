@@ -9,6 +9,11 @@
 
 namespace hiergat {
 
+/// The recall@10 against `AnnIndex::SearchBruteForce` that the index
+/// keeps on clustered data in every tested shape (ann_property_test,
+/// DESIGN.md §16).
+constexpr float kAnnMinRecall = 0.9f;
+
 /// Tuning knobs of the sharded HNSW index (DESIGN.md §16).
 struct AnnIndexOptions {
   /// Embedding dimensionality. Every inserted vector must have exactly
@@ -96,6 +101,12 @@ class AnnIndex {
   /// Structural self-check of every shard graph (bidirectional links,
   /// per-layer list shape, layer-0 reachability from the entry point).
   Status CheckInvariants() const;
+
+  /// The int8 navigation copy of a normalized vector: q = round(127 * v)
+  /// (ties away from zero) with 127 * v clamped to [-127, 127] first.
+  /// Never -128, which the AVX2 int8 dot cannot take (tensor/kernels.h
+  /// DotI8Rows); a unit vector's components round to at most 127 anyway.
+  static void Quantize(const float* v, int dim, int8_t* out);
 
  private:
   struct Shard;

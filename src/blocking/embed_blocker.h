@@ -33,7 +33,8 @@ struct EmbedBlockOptions {
 /// near-duplicate records land near each other. An entity's vector is
 /// the L2-normalized mean of its value-token word vectors; per-word
 /// vectors are memoized (generator vocabularies are small, so at 10^6
-/// records the cache turns embedding into a hash lookup). Thread-safe.
+/// records the cache turns embedding into a hash lookup). Thread-safe:
+/// one lock per entity covers its cache lookups and the words it adds.
 class HashedNgramEmbedder {
  public:
   explicit HashedNgramEmbedder(int dim, uint64_t seed = 0x5eedf00dULL);

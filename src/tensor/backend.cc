@@ -44,6 +44,9 @@ const Kernels* ScalarBackend() {
       &kernels::SoftmaxBackwardRows,
       &kernels::LayerNormRows,
       &kernels::LayerNormBackwardRows,
+      &kernels::Dot,
+      &kernels::DotI8Rows,
+      &kernels::HashedNgramAccumulate,
   };
   return &table;
 }

@@ -26,8 +26,9 @@ namespace backend {
 // Because the source is shared, every kernel accumulates in the same
 // per-element order and contraction is off, so all backends are
 // bit-identical — golden fixtures and the HIERGAT_BACKEND=scalar CI
-// leg depend on that, and the parity suite (quant_test) asserts it
-// with exact equality.
+// leg depend on that, and the parity suites (quant_test, kernels_test)
+// assert it with exact equality. The one per-ISA body, dot_i8_rows,
+// sums integers, which are exact in any order.
 //
 // Selection: the best native backend wins by default; the environment
 // variable HIERGAT_BACKEND overrides it ("scalar", "native", or an
@@ -78,6 +79,12 @@ struct Kernels {
                                    const float* inv_std, const float* gamma,
                                    const float* gy, float* gx, float* ggamma,
                                    float* gbeta);
+
+  // Blocking (blocking/ann_index.cc, text/hashed_embeddings.cc).
+  float (*dot)(int dim, const float* a, const float* b);
+  void (*dot_i8_rows)(int dim, const int8_t* q, const int8_t* rows,
+                      const int32_t* slots, int n, int32_t* out);
+  void (*hashed_ngram_accumulate)(uint64_t hash, int dim, float* acc);
 };
 
 /// The selected backend (env override or best native). Resolved on
@@ -167,6 +174,17 @@ inline void LayerNormBackwardRows(int rows, int cols, const float* xhat,
                                   float* gbeta) {
   Active().layer_norm_backward_rows(rows, cols, xhat, inv_std, gamma, gy, gx,
                                     ggamma, gbeta);
+}
+
+inline float Dot(int dim, const float* a, const float* b) {
+  return Active().dot(dim, a, b);
+}
+inline void DotI8Rows(int dim, const int8_t* q, const int8_t* rows,
+                      const int32_t* slots, int n, int32_t* out) {
+  Active().dot_i8_rows(dim, q, rows, slots, n, out);
+}
+inline void HashedNgramAccumulate(uint64_t hash, int dim, float* acc) {
+  Active().hashed_ngram_accumulate(hash, dim, acc);
 }
 
 // -- Intra-op parallel wrappers ------------------------------------------

@@ -2,6 +2,7 @@
 #define HIERGAT_TENSOR_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace hiergat {
 
@@ -124,6 +125,30 @@ void LayerNormBackwardRows(int rows, int cols, const float* xhat,
                            const float* inv_std, const float* gamma,
                            const float* gy, float* gx, float* ggamma,
                            float* gbeta);
+
+// -- Blocking ------------------------------------------------------------
+//
+// The ANN index's dots and the hashed n-gram word vectors
+// (DESIGN.md §16).
+
+/// sum_i a[i] * b[i] in one fixed association (16 lane partials folded
+/// in halves, kernel_body.inc): the f32 rerank cosine of the ANN index,
+/// bit-identical across backends.
+float Dot(int dim, const float* a, const float* b);
+
+/// out[r] = sum_i q[i] * rows[slots[r] * dim + i] for r < n: one query
+/// against n gathered rows of a row-major int8 table. Exact. Entries
+/// must lie in [-127, 127]; the AVX2 body relies on that, and the ANN
+/// index's quantizer guarantees it. This reference is a plain loop in
+/// kernels.cc; the AVX2 backend has its own body (backend_avx2.cc).
+void DotI8Rows(int dim, const int8_t* q, const int8_t* rows,
+               const int32_t* slots, int n, int32_t* out);
+
+/// acc[d] += the d-th component of the hashed ~N(0, 1) vector of one
+/// character n-gram (HashedEmbeddings): splitmix64 output d + 1 of the
+/// stream seeded at `hash`, mapped through an Irwin-Hall sum of its four
+/// 16-bit fields.
+void HashedNgramAccumulate(uint64_t hash, int dim, float* acc);
 
 }  // namespace kernels
 }  // namespace hiergat

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -82,7 +83,7 @@ TEST(AnnPropertyTest, RecallMatchesBruteForceAcrossConfigs) {
       const auto queries =
           ClusteredVectors(60, dim, 20, 101 + dim + shards);  // Same centers.
       const float recall = RecallAtK(index, queries, 10);
-      EXPECT_GE(recall, 0.9f) << "dim=" << dim << " shards=" << shards;
+      EXPECT_GE(recall, kAnnMinRecall) << "dim=" << dim << " shards=" << shards;
       EXPECT_TRUE(index.CheckInvariants().ok())
           << index.CheckInvariants().ToString();
     }
@@ -101,7 +102,7 @@ TEST(AnnPropertyTest, InsertOrderPermutationsKeepRecallBand) {
     for (const size_t i : order) {
       index.Insert(static_cast<int64_t>(i), points[i]);
     }
-    EXPECT_GE(RecallAtK(index, queries, 10), 0.9f)
+    EXPECT_GE(RecallAtK(index, queries, 10), kAnnMinRecall)
         << "permutation " << permutation;
     EXPECT_TRUE(index.CheckInvariants().ok());
     for (size_t i = order.size(); i > 1; --i) {
@@ -151,8 +152,7 @@ TEST(AnnPropertyTest, DeterministicUnderFixedSeeds) {
 }
 
 /// FNV-1a over the result ids (and counts) of Search(q, 10) for every
-/// query. Ids only: the float rerank that orders them is the same on
-/// every backend of one host, but its AVX2 and scalar sums differ.
+/// query.
 uint64_t SearchIdHash(const AnnIndex& index,
                       const std::vector<std::vector<float>>& queries) {
   uint64_t hash = 1469598103934665603ULL;
@@ -172,11 +172,12 @@ uint64_t SearchIdHash(const AnnIndex& index,
 
 TEST(AnnPropertyTest, PinnedSearchIdsAcrossDotTailsAndDegrees) {
   // Graph construction and the int8 walk are pure functions of the seed
-  // and the insert order, and every int8 dot is an exact integer, so the
-  // result ids are pinned constants under every HIERGAT_BACKEND (the
-  // float rerank still dispatches on the CPU alone: a host without AVX2
-  // may order near-tied hits differently). dim 33 and 100 run
-  // the AVX2 loop with a scalar tail, 128 is the bench shape; M 2 and 3
+  // and the insert order, every int8 dot is an exact integer, and the
+  // float rerank sums in one fixed order on every backend, so the result
+  // ids are pinned constants under every HIERGAT_BACKEND and host.
+  // dim 33 and 100 run the vector loops with scalar tails (the int8
+  // dot's 32-byte chunks, the rerank's 16 lanes and its half block), 128
+  // is the bench shape; M 2 and 3
   // keep lists full so every insert shrinks some list (and re-victimizes
   // when the dropped node has one link left), M 24 is the bench degree.
   // Every 5th point duplicates an earlier one (exact similarity ties,
@@ -250,8 +251,8 @@ TEST(AnnPropertyTest, IncrementalInsertMatchesBatchRecallBand) {
 
   const float batch_recall = RecallAtK(batch, queries, 10);
   const float interleaved_recall = RecallAtK(interleaved, queries, 10);
-  EXPECT_GE(batch_recall, 0.9f);
-  EXPECT_GE(interleaved_recall, 0.9f);
+  EXPECT_GE(batch_recall, kAnnMinRecall);
+  EXPECT_GE(interleaved_recall, kAnnMinRecall);
   EXPECT_NEAR(batch_recall, interleaved_recall, 0.05f);
   EXPECT_TRUE(interleaved.CheckInvariants().ok());
 }
@@ -325,6 +326,38 @@ TEST(AnnPropertyTest, EdgeCases) {
   const auto max_hits = wide.Search({0.0f, 0.0f, 0.0f, 1.0f}, 1);
   ASSERT_EQ(max_hits.size(), 1u);
   EXPECT_EQ(max_hits[0].id, max);
+}
+
+TEST(AnnPropertyTest, QuantizeNeverEmitsMinus128) {
+  // The AVX2 int8 dot negates and takes absolute values of bytes, which
+  // -128 does not survive; components a hair above 1 (a normalization
+  // that rounds up) and far above it must still land in [-127, 127].
+  const float above_one = std::nextafter(1.0f, 2.0f);
+  const std::vector<float> values = {
+      1.0f,   above_one, 1.0039f,  1.004f,  1.5f,   1e30f,
+      -1.0f, -above_one, -1.0039f, -1.004f, -1.5f, -1e30f,
+      0.5f / 127.0f, -0.5f / 127.0f, 0.0f};
+  const std::vector<int8_t> expected = {127,  127,  127,  127,  127,  127,
+                                        -127, -127, -127, -127, -127, -127,
+                                        1,    -1,   0};
+  std::vector<int8_t> q(values.size());
+  AnnIndex::Quantize(values.data(), static_cast<int>(values.size()),
+                     q.data());
+  EXPECT_EQ(q, expected);
+  // Every float from 1 up to the first 127 * v that rounds away from
+  // 127, and its negation.
+  std::vector<float> near_one;
+  for (float v = 1.0f; v * 127.0f < 127.5f; v = std::nextafter(v, 2.0f)) {
+    near_one.push_back(v);
+    near_one.push_back(-v);
+  }
+  ASSERT_GT(near_one.size(), 1000u);
+  std::vector<int8_t> near_q(near_one.size());
+  AnnIndex::Quantize(near_one.data(), static_cast<int>(near_one.size()),
+                     near_q.data());
+  for (size_t i = 0; i < near_one.size(); ++i) {
+    ASSERT_EQ(near_q[i], near_one[i] > 0 ? 127 : -127) << near_one[i];
+  }
 }
 
 Entity MakeEntity(const std::string& title) {

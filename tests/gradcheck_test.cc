@@ -1,7 +1,7 @@
 // Property-based verification of every differentiable op against
 // central finite differences (the library's correctness backbone).
 
-#include "tensor/gradcheck.h"
+#include "gradcheck.h"
 
 #include <gtest/gtest.h>
 

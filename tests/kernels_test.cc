@@ -484,6 +484,122 @@ TEST(KernelsTest, LayerNormRowsMatchesOp) {
     EXPECT_NEAR(y[i], ref.data()[i], 1e-5f);
 }
 
+// -- Blocking kernels -----------------------------------------------------
+//
+// The ANN index's dots and the hashed n-gram generator. Dims around the
+// AVX2 int8 body's 32-byte chunks and the f32 dot's 16 lanes; row counts
+// 0..9 run whole four-row groups, short groups and both together.
+
+constexpr int kBlockingDims[] = {1, 31, 32, 33, 100, 128, 257};
+
+/// int8 entries in [-127, 127] (the quantizer's range), uniform.
+std::vector<int8_t> RandomI8(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int8_t> v(n);
+  for (int8_t& x : v) {
+    x = static_cast<int8_t>(static_cast<int>(rng.NextUint64(255)) - 127);
+  }
+  return v;
+}
+
+TEST(BlockingKernelsTest, DotI8RowsMatchesScalarOnEveryBackend) {
+  constexpr int kTableRows = 12;
+  // Repeats and out-of-order slots, as a beam's gathered neighbours.
+  const int32_t slots[] = {5, 0, 11, 1, 3, 3, 7, 2, 10};
+  for (const int dim : kBlockingDims) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const size_t d = static_cast<size_t>(dim);
+    std::vector<int8_t> table = RandomI8(kTableRows * d, 100 + d);
+    // Rows 0 and 1 sit at the extremes, row 2 alternates them.
+    for (size_t i = 0; i < d; ++i) {
+      table[i] = 127;
+      table[d + i] = -127;
+      table[2 * d + i] = i % 2 ? 127 : -127;
+    }
+    std::vector<std::vector<int8_t>> queries = {
+        RandomI8(d, 200 + d), std::vector<int8_t>(d, 127),
+        std::vector<int8_t>(d, -127), std::vector<int8_t>(d, 0)};
+    for (const std::vector<int8_t>& q : queries) {
+      for (int n = 0; n <= 9; ++n) {
+        std::vector<int32_t> want(10, -7);
+        for (int r = 0; r < n; ++r) {
+          const int8_t* row = table.data() + slots[r] * d;
+          int64_t sum = 0;
+          for (size_t i = 0; i < d; ++i) sum += int64_t{q[i]} * row[i];
+          want[static_cast<size_t>(r)] = static_cast<int32_t>(sum);
+        }
+        std::vector<int32_t> scalar(10, -7);
+        kernels::DotI8Rows(dim, q.data(), table.data(), slots, n,
+                           scalar.data());
+        ASSERT_EQ(scalar, want) << "n " << n;
+        for (const backend::Kernels* kr : backend::Registered()) {
+          std::vector<int32_t> got(10, -7);
+          kr->dot_i8_rows(dim, q.data(), table.data(), slots, n, got.data());
+          ASSERT_EQ(got, scalar) << kr->name << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockingKernelsTest, DotBitIdenticalAcrossBackends) {
+  for (const int dim : {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 100, 128,
+                        257}) {
+    const auto a = RandomVec(static_cast<size_t>(dim), 300 + dim);
+    const auto b = RandomVec(static_cast<size_t>(dim), 400 + dim);
+    const float scalar = kernels::Dot(dim, a.data(), b.data());
+    double exact = 0.0;
+    for (int i = 0; i < dim; ++i) exact += double{a[i]} * b[i];
+    EXPECT_NEAR(scalar, exact, 1e-5 * dim) << "dim " << dim;
+    for (const backend::Kernels* kr : backend::Registered()) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(kr->dot(dim, a.data(), b.data())),
+                std::bit_cast<uint32_t>(scalar))
+          << kr->name << " dim " << dim;
+    }
+  }
+}
+
+/// The sequential generator the counter form replaced: one splitmix64
+/// step per component, each mapped through the Irwin-Hall sum.
+void SequentialNgram(uint64_t hash, int dim, float* acc) {
+  uint64_t state = hash;
+  for (int d = 0; d < dim; ++d) {
+    state += 0x9e3779b97f4a7c15ULL;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    float sum = 0.0f;
+    for (int i = 0; i < 4; ++i) {
+      sum += static_cast<float>((z >> (i * 16)) & 0xffff) / 65536.0f;
+    }
+    acc[d] += (sum - 2.0f) * 1.732f;
+  }
+}
+
+TEST(BlockingKernelsTest, HashedNgramAccumulateIsTheSequentialStream) {
+  const uint64_t hashes[] = {0, 1, 0x9e3779b97f4a7c15ULL,
+                             ~uint64_t{0}, 0x5eedf00dULL, 0xcbf29ce484222325ULL};
+  for (const int dim : kBlockingDims) {
+    for (const uint64_t hash : hashes) {
+      // A running sum, as the word vector accumulates its n-grams.
+      const auto start = RandomVec(static_cast<size_t>(dim), 500 + dim);
+      std::vector<float> want = start;
+      SequentialNgram(hash, dim, want.data());
+      for (const backend::Kernels* kr : backend::Registered()) {
+        std::vector<float> got = start;
+        kr->hashed_ngram_accumulate(hash, dim, got.data());
+        for (int i = 0; i < dim; ++i) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(got[static_cast<size_t>(i)]),
+                    std::bit_cast<uint32_t>(want[static_cast<size_t>(i)]))
+              << kr->name << " dim " << dim << " hash " << hash << " at "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 // -- BufferPool lifecycle -------------------------------------------------
 
 using internal_tensor::BufferPool;

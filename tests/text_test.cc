@@ -1,3 +1,7 @@
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "text/hashed_embeddings.h"
@@ -57,6 +61,43 @@ TEST(HashedEmbeddingsTest, DeterministicAndDistinct) {
   HashedEmbeddings emb(16);
   EXPECT_EQ(emb.WordVector("coolmax"), emb.WordVector("coolmax"));
   EXPECT_NE(emb.WordVector("coolmax"), emb.WordVector("tp-link"));
+}
+
+/// FNV-1a over the bits of a vector.
+uint64_t BitsHash(const std::vector<float>& v) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (const float f : v) {
+    const uint32_t bits = std::bit_cast<uint32_t>(f);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(HashedEmbeddingsTest, PinnedWordVectors) {
+  // Word vectors initialize every token table and key the blocking
+  // embedder, so their bits are pinned: the empty word, one character,
+  // non-Latin UTF-8 and a 200-character word, at the small LM's dim and
+  // the bench index's. The constants were computed with the sequential
+  // splitmix64 generator; every backend must reproduce them.
+  std::string long_word;
+  for (int i = 0; i < 200; ++i) {
+    long_word.push_back(static_cast<char>('a' + (i * 7) % 26));
+  }
+  const std::string words[] = {"", "x", "\xe6\x9d\xb1\xe4\xba\xac\xe9\x83\xbd",
+                               long_word};
+  const uint64_t dim32[] = {0xb6257b2513dfe6afULL, 0xf4523103ab348480ULL,
+                            0x0b5e0d21d755a4d7ULL, 0x9fd066efbcbdfc46ULL};
+  const uint64_t dim128[] = {0xbd901b38e5ffe278ULL, 0xa99d05e75ec81f8aULL,
+                             0x505bbf022934420bULL, 0x11da143af760ede2ULL};
+  const HashedEmbeddings small(32);
+  const HashedEmbeddings wide(128);
+  for (size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(BitsHash(small.WordVector(words[w])), dim32[w]) << "word " << w;
+    EXPECT_EQ(BitsHash(wide.WordVector(words[w])), dim128[w]) << "word " << w;
+  }
 }
 
 TEST(HashedEmbeddingsTest, SubwordSimilarityOrdering) {
