@@ -23,7 +23,6 @@
 #endif
 
 #include "bench_common.h"
-#include "core/quant.h"
 #include "core/rng.h"
 #include "tensor/backend.h"
 #include "tensor/graph.h"
@@ -225,26 +224,6 @@ int main_impl(int argc, char** argv) {
     result.AddMetric(std::string("gemm128.") + variant + "_us", p50 * 1e6);
   }
   table.AddSeparator();
-
-  // -- Q8_0 checkpoint storage at the same shape ----------------------
-  // The same [128,128] weight matrix stored as Q8_0 blocks
-  // (core/quant.h): 36 wire bytes per 32 weights instead of 128, the
-  // 3.56x checkpoint shrink. Storage only — scoring dequantizes at load
-  // and runs the f32 kernels above.
-  {
-    q8::QuantizedTensor wq;
-    wq.QuantizeFrom(b.data(), kHead, kHead);
-    const double f32_bytes =
-        static_cast<double>(kHead) * kHead * sizeof(float);
-    const double q8_bytes = static_cast<double>(wq.wire_bytes());
-    result.AddMetric("gemm128.weight_bytes_f32", f32_bytes);
-    result.AddMetric("gemm128.weight_bytes_q8", q8_bytes);
-    result.AddMetric("gemm128.weight_bytes_ratio_f32_over_q8",
-                     f32_bytes / q8_bytes);
-    std::printf("q8 storage at [128,128]: %.0f weight bytes vs %.0f f32 "
-                "(%.2fx smaller)\n\n",
-                q8_bytes, f32_bytes, f32_bytes / q8_bytes);
-  }
 
   // -- Small-shape GEMM at the scoring shapes -------------------------
   // The small LM (dim 32, two heads of 16, FFN 64) runs every GEMM over

@@ -39,8 +39,9 @@ struct AnnIndexOptions {
 };
 
 /// Sharded HNSW (hierarchical navigable small world) index over
-/// L2-normalized float vectors; similarity is the cosine. This is the
-/// candidate generator that replaces exact all-pairs TF-IDF cosine for
+/// L2-normalized float vectors, ranked by cosine (Hit says which score
+/// it reports). This is the candidate generator that replaces exact
+/// all-pairs TF-IDF cosine for
 /// million-record blocking (ROADMAP item 4): Insert is incremental (no
 /// rebuild, ~log n link updates) and Search is a per-shard beam descent
 /// plus a heap merge. The index lives in memory only: callers embed and
@@ -69,7 +70,10 @@ class AnnIndex {
   AnnIndex(const AnnIndex&) = delete;
   AnnIndex& operator=(const AnnIndex&) = delete;
 
-  /// One search hit: external record id + cosine similarity.
+  /// One search hit: external record id + `similarity`, the dot of the
+  /// query as passed with the stored unit vector (query · v̂). That is
+  /// the cosine only for a unit-length query, which EmbedBlocker's
+  /// queries are; other queries get the cosine scaled by |query|.
   struct Hit {
     int64_t id = -1;
     float similarity = 0.0f;
@@ -82,8 +86,9 @@ class AnnIndex {
   /// Incremental: O(ef_construction * log n) link updates, no rebuild.
   void Insert(int64_t id, const std::vector<float>& vector);
 
-  /// The `n` most cosine-similar inserted ids to `query`, best first,
-  /// ties broken by ascending id. Searches every shard's graph with an
+  /// The `n` most cosine-similar inserted ids to any nonzero `query`,
+  /// best first, ties broken by ascending id; each hit's similarity is
+  /// query · v̂ (see Hit). Searches every shard's graph with an
   /// ef_search-wide beam and heap-merges the per-shard top lists.
   /// `exclude` (-1 for none) drops one external id from the result (the
   /// query itself, when it lives in the index).

@@ -1,7 +1,6 @@
 #include "core/serialize.h"
 
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,37 +142,8 @@ std::string LocalShapeString(const Shape& shape) {
   return out;
 }
 
-/// Per-element size of the dense dtypes; kQ8_0 payloads are block-
-/// structured and never go through this.
+/// Per-element size of a stored dtype.
 size_t DTypeSize(DType dtype) { return dtype == DType::kF16 ? 2 : 4; }
-
-/// Rows/cols view of a shape for per-row Q8_0 block layout: rank-2 is
-/// [rows, cols], rank-1 is a single row. Other ranks cannot be stored
-/// quantized.
-Status Q8RowsCols(const std::string& name, const Shape& shape, int* rows,
-                  int* cols) {
-  if (shape.size() == 2) {
-    *rows = shape[0];
-    *cols = shape[1];
-    return Status::Ok();
-  }
-  if (shape.size() == 1) {
-    *rows = 1;
-    *cols = shape[0];
-    return Status::Ok();
-  }
-  return Status::InvalidArgument(
-      "tensor '" + name + "' has rank " + std::to_string(shape.size()) +
-      "; q8_0 storage requires rank 1 or 2");
-}
-
-/// Appends `count` blocks in wire order: 4-byte LE f32 scale + 32 int8.
-void PutQ8Blocks(std::string* out, const q8::Block* blocks, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    PutF32(out, blocks[i].scale);
-    out->append(reinterpret_cast<const char*>(blocks[i].q), q8::kBlockSize);
-  }
-}
 
 }  // namespace
 
@@ -313,48 +283,6 @@ Status NamedParameters::Add(const std::string& name, const Tensor& tensor) {
   return status;
 }
 
-Status NamedParameters::AddQuantizable(
-    const std::string& name, const Tensor& tensor,
-    std::shared_ptr<q8::QuantizedTensor> slot) {
-  const std::string full = prefix_ + name;  // Add mutates nothing on error.
-  HG_RETURN_IF_ERROR(Add(name, tensor));
-  if (slot == nullptr) {
-    Status status = Status::InvalidArgument(
-        "null quantized slot registered for '" + full + "'");
-    if (status_.ok()) status_ = status;
-    return status;
-  }
-  quant_slots_.emplace(full, std::move(slot));
-  return Status::Ok();
-}
-
-std::shared_ptr<q8::QuantizedTensor> NamedParameters::FindQuantSlot(
-    const std::string& name) const {
-  const auto it = quant_slots_.find(name);
-  if (it == quant_slots_.end()) return nullptr;
-  return it->second;
-}
-
-Status NamedParameters::QuantizeAll() {
-  HG_RETURN_IF_ERROR(status_);
-  if (quant_slots_.empty()) {
-    return Status::FailedPrecondition(
-        "no quantizable parameters registered (no AddQuantizable slots)");
-  }
-  for (auto& [name, tensor] : items_) {
-    const auto it = quant_slots_.find(name);
-    if (it == quant_slots_.end()) continue;
-    int rows = 0, cols = 0;
-    HG_RETURN_IF_ERROR(Q8RowsCols(name, tensor.shape(), &rows, &cols));
-    Tensor handle = tensor;  // Shared handle; mutates model storage.
-    it->second->QuantizeFrom(handle.data().data(), rows, cols);
-    // Write the dequantized values back: inference computes in f32 on
-    // exactly what a load of the saved kQ8_0 checkpoint would produce.
-    it->second->DequantizeTo(handle.data().data());
-  }
-  return Status::Ok();
-}
-
 const Tensor* NamedParameters::Find(const std::string& name) const {
   const auto it = index_.find(name);
   if (it == index_.end()) return nullptr;
@@ -388,20 +316,6 @@ void TensorWriter::SetMetaBool(const std::string& key, bool value) {
 
 Status TensorWriter::Add(const std::string& name, const Tensor& tensor,
                          DType dtype) {
-  return AddEntry(name, tensor, dtype, nullptr);
-}
-
-Status TensorWriter::AddAll(const NamedParameters& params, DType dtype) {
-  HG_RETURN_IF_ERROR(params.status());
-  for (const auto& [name, tensor] : params.items()) {
-    const auto slot = params.FindQuantSlot(name);
-    HG_RETURN_IF_ERROR(AddEntry(name, tensor, dtype, slot.get()));
-  }
-  return Status::Ok();
-}
-
-Status TensorWriter::AddEntry(const std::string& name, const Tensor& tensor,
-                              DType dtype, const q8::QuantizedTensor* slot) {
   if (!tensor.defined()) {
     return Status::InvalidArgument("cannot serialize undefined tensor '" +
                                    name + "'");
@@ -413,38 +327,16 @@ Status TensorWriter::AddEntry(const std::string& name, const Tensor& tensor,
     return Status::InvalidArgument("tensor '" + name + "' has rank " +
                                    std::to_string(tensor.rank()));
   }
-  Entry entry;
-  entry.name = name;
-  entry.shape = tensor.shape();
-  if (slot != nullptr && slot->active()) {
-    // The slot's blocks are the storage of record: serialize them
-    // verbatim — never requantize — so quantized save -> load -> save
-    // round-trips byte-identically.
-    int rows = 0, cols = 0;
-    HG_RETURN_IF_ERROR(Q8RowsCols(name, entry.shape, &rows, &cols));
-    if (rows != slot->rows() || cols != slot->cols()) {
-      return Status::InvalidArgument(
-          "quantized slot for '" + name + "' holds [" +
-          std::to_string(slot->rows()) + ", " + std::to_string(slot->cols()) +
-          "] but the tensor is " + LocalShapeString(entry.shape));
-    }
-    entry.dtype = DType::kQ8_0;
-    entry.raw.reserve(slot->wire_bytes());
-    PutQ8Blocks(&entry.raw, slot->blocks().data(), slot->blocks().size());
-  } else if (dtype == DType::kQ8_0) {
-    int rows = 0, cols = 0;
-    HG_RETURN_IF_ERROR(Q8RowsCols(name, entry.shape, &rows, &cols));
-    q8::QuantizedTensor fresh;
-    fresh.QuantizeFrom(tensor.data().data(), rows, cols);
-    entry.dtype = DType::kQ8_0;
-    entry.raw.reserve(fresh.wire_bytes());
-    PutQ8Blocks(&entry.raw, fresh.blocks().data(), fresh.blocks().size());
-  } else {
-    entry.values = tensor.data();
-    entry.dtype = dtype;
-  }
   entry_index_.emplace(name, entries_.size());
-  entries_.push_back(std::move(entry));
+  entries_.push_back({name, tensor.shape(), tensor.data(), dtype});
+  return Status::Ok();
+}
+
+Status TensorWriter::AddAll(const NamedParameters& params, DType dtype) {
+  HG_RETURN_IF_ERROR(params.status());
+  for (const auto& [name, tensor] : params.items()) {
+    HG_RETURN_IF_ERROR(Add(name, tensor, dtype));
+  }
   return Status::Ok();
 }
 
@@ -464,14 +356,10 @@ std::string TensorWriter::SerializeToString() const {
     PutU8(&out, static_cast<uint8_t>(entry.dtype));
     PutU8(&out, static_cast<uint8_t>(entry.shape.size()));
     for (int d : entry.shape) PutI32(&out, d);
-    if (entry.dtype == DType::kQ8_0) {
-      PutU64(&out, entry.raw.size());
-      out.append(entry.raw);
-    } else if (entry.dtype == DType::kF16) {
-      PutU64(&out, entry.values.size() * DTypeSize(entry.dtype));
+    PutU64(&out, entry.values.size() * DTypeSize(entry.dtype));
+    if (entry.dtype == DType::kF16) {
       for (float v : entry.values) PutU16(&out, FloatToHalf(v));
     } else {
-      PutU64(&out, entry.values.size() * DTypeSize(entry.dtype));
       for (float v : entry.values) PutF32(&out, v);
     }
   }
@@ -566,7 +454,7 @@ Status TensorReader::ParseImage() {
     uint8_t rank = 0;
     HG_RETURN_IF_ERROR(cursor.ReadU8(&dtype_byte));
     HG_RETURN_IF_ERROR(cursor.ReadU8(&rank));
-    if (dtype_byte > static_cast<uint8_t>(DType::kQ8_0)) {
+    if (dtype_byte > static_cast<uint8_t>(DType::kF16)) {
       return Status::InvalidArgument("tensor '" + name +
                                      "' has unknown dtype " +
                                      std::to_string(dtype_byte));
@@ -590,16 +478,8 @@ Status TensorReader::ParseImage() {
     }
     uint64_t byte_len = 0;
     HG_RETURN_IF_ERROR(cursor.ReadU64(&byte_len));
-    uint64_t expected = 0;
-    if (entry.dtype == DType::kQ8_0) {
-      int rows = 0, cols = 0;
-      HG_RETURN_IF_ERROR(Q8RowsCols(name, entry.shape, &rows, &cols));
-      expected = static_cast<uint64_t>(rows) *
-                 static_cast<uint64_t>(q8::BlocksPerRow(cols)) *
-                 q8::kWireBytes;
-    } else {
-      expected = static_cast<uint64_t>(entry.numel) * DTypeSize(entry.dtype);
-    }
+    const uint64_t expected =
+        static_cast<uint64_t>(entry.numel) * DTypeSize(entry.dtype);
     if (byte_len != expected || byte_len > kMaxPayloadBytes) {
       return Status::InvalidArgument(
           "tensor '" + name + "' payload length " + std::to_string(byte_len) +
@@ -706,12 +586,6 @@ Status TensorReader::ReadInto(const std::string& name, Tensor* out) const {
   }
   std::vector<float>& dst = out->data();
   HG_CHECK_EQ(static_cast<int64_t>(dst.size()), entry.numel);
-  if (entry.dtype == DType::kQ8_0) {
-    q8::QuantizedTensor q;
-    HG_RETURN_IF_ERROR(DecodeQ8(name, entry, &q));
-    q.DequantizeTo(dst.data());
-    return Status::Ok();
-  }
   const char* src = bytes_.data() + entry.payload_offset;
   if (entry.dtype == DType::kF16) {
     for (int64_t i = 0; i < entry.numel; ++i) {
@@ -757,42 +631,6 @@ Status TensorReader::ReadAll(const NamedParameters& params) const {
   for (const auto& [name, tensor] : params.items()) {
     Tensor handle = tensor;  // Shared handle; decodes into model storage.
     HG_RETURN_IF_ERROR(ReadInto(name, &handle));
-    const auto slot = params.FindQuantSlot(name);
-    if (slot == nullptr) continue;
-    const Entry& entry = entries_.at(name);
-    if (entry.dtype == DType::kQ8_0) {
-      // The file's blocks become the slot's storage of record (a later
-      // save re-emits them byte-identically); ReadInto above already
-      // dequantized the same blocks into the f32 tensor.
-      HG_RETURN_IF_ERROR(DecodeQ8(name, entry, slot.get()));
-    } else {
-      slot->Clear();  // A dense load supersedes any quantized state.
-    }
-  }
-  return Status::Ok();
-}
-
-Status TensorReader::DecodeQ8(const std::string& name, const Entry& entry,
-                              q8::QuantizedTensor* q) const {
-  int rows = 0, cols = 0;
-  HG_RETURN_IF_ERROR(Q8RowsCols(name, entry.shape, &rows, &cols));
-  q->Resize(rows, cols);
-  std::vector<q8::Block>& blocks = q->mutable_blocks();
-  const char* src = bytes_.data() + entry.payload_offset;
-  for (q8::Block& block : blocks) {
-    uint32_t bits = 0;
-    for (int b = 0; b < 4; ++b) {
-      bits |= static_cast<uint32_t>(static_cast<uint8_t>(src[b])) << (8 * b);
-    }
-    float scale;
-    std::memcpy(&scale, &bits, sizeof(scale));
-    if (!std::isfinite(scale)) {
-      return Status::InvalidArgument("tensor '" + name +
-                                     "' has a non-finite q8_0 block scale");
-    }
-    block.scale = scale;
-    std::memcpy(block.q, src + 4, q8::kBlockSize);
-    src += q8::kWireBytes;
   }
   return Status::Ok();
 }

@@ -3,13 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/quant.h"
 #include "core/status.h"
 #include "tensor/tensor.h"
 
@@ -26,17 +24,12 @@ namespace hiergat {
 ///   u32  tensor_count
 ///        per tensor:
 ///          str  name      stable dotted path, e.g. "lm.encoder.layer0.attn.q0.weight"
-///          u8   dtype     0 = f32, 1 = f16, 2 = q8_0 (stored precision;
+///          u8   dtype     0 = f32, 1 = f16 (stored precision;
 ///                         in-memory tensors are always f32)
 ///          u8   rank
 ///          i32  dims[rank]
-///          u64  byte_len  f32/f16: numel * sizeof(dtype);
-///                         q8_0: rows * ceil(cols / 32) * 36 (rank-1
-///                         stores as one row)
-///          payload        byte_len bytes, element-wise little-endian.
-///                         q8_0 rows are sequences of 36-byte blocks:
-///                         f32 LE scale + 32 int8 quants (core/quant.h),
-///                         trailing partial blocks zero-padded
+///          u64  byte_len  numel * sizeof(dtype)
+///          payload        byte_len bytes, element-wise little-endian
 ///   u32  crc32            over every preceding byte (poly 0xEDB88320)
 ///
 /// Validation order on read: magic -> format version -> CRC -> bounds-
@@ -48,13 +41,10 @@ inline constexpr uint32_t kCheckpointFormatVersion = 1;
 
 /// Stored element type of a checkpoint tensor. kF16 halves fixture size
 /// (used by the golden checkpoints); kF32 is lossless and the default.
-/// kQ8_0 stores per-32-element blocks of f32 scale + int8 quants
-/// (core/quant.h) — ~3.56x smaller than f32. It is a storage format
-/// only: the loader dequantizes it and inference runs on f32.
+/// Any other dtype byte is refused on read (2 was the retired q8_0).
 enum class DType : uint8_t {
   kF32 = 0,
   kF16 = 1,
-  kQ8_0 = 2,
 };
 
 /// CRC-32 (IEEE 802.3, poly 0xEDB88320, init/final 0xFFFFFFFF). Exposed
@@ -97,26 +87,6 @@ class NamedParameters {
     prefix_.resize(prefix_.size() - name.size() - 1);
   }
 
-  /// Registers `tensor` like Add and additionally attaches the module's
-  /// Q8_0 storage slot (nn::Linear / nn::Embedding own one per weight).
-  /// When the slot is active its Q8_0 blocks are the storage of record: TensorWriter::AddAll serializes them verbatim (so
-  /// quantized save→load→save is byte-stable) and TensorReader::ReadAll
-  /// fills them from kQ8_0 checkpoint entries.
-  Status AddQuantizable(const std::string& name, const Tensor& tensor,
-                        std::shared_ptr<q8::QuantizedTensor> slot);
-
-  /// The quantized slot registered for `name`, or nullptr.
-  std::shared_ptr<q8::QuantizedTensor> FindQuantSlot(
-      const std::string& name) const;
-
-  /// Quantizes every slotted parameter in place with the scalar
-  /// reference codec: fills each slot's blocks from the current f32
-  /// values, then writes the dequantized values *back into the f32
-  /// tensor*, which is what inference computes with — the same values a
-  /// later load of the saved kQ8_0 checkpoint produces. FailedPrecondition
-  /// when nothing is quantizable.
-  Status QuantizeAll();
-
   /// Registration order is the serialization order.
   const std::vector<std::pair<std::string, Tensor>>& items() const {
     return items_;
@@ -132,8 +102,6 @@ class NamedParameters {
   std::string prefix_;
   std::vector<std::pair<std::string, Tensor>> items_;
   std::unordered_map<std::string, size_t> index_;
-  std::unordered_map<std::string, std::shared_ptr<q8::QuantizedTensor>>
-      quant_slots_;
   Status status_;
 };
 
@@ -152,17 +120,11 @@ class TensorWriter {
   void SetMetaBool(const std::string& key, bool value);
 
   /// Adds one tensor (values are copied). Duplicate names, undefined
-  /// tensors, and rank > 2 are InvalidArgument. With kQ8_0 the f32
-  /// values are quantized fresh with the scalar reference codec (rank
-  /// must be 1 or 2; rank-2 quantizes per row).
+  /// tensors, and rank > 8 are InvalidArgument.
   Status Add(const std::string& name, const Tensor& tensor,
              DType dtype = DType::kF32);
 
   /// Adds every registered tensor, failing on any registration error.
-  /// Parameters with an *active* quantized slot (NamedParameters::
-  /// AddQuantizable + QuantizeAll or a prior quantized load) are always
-  /// written as kQ8_0 from the slot's stored blocks verbatim — never
-  /// requantized — so quantized save -> load -> save is byte-identical.
   Status AddAll(const NamedParameters& params, DType dtype = DType::kF32);
 
   /// The complete serialized checkpoint (header, tensors, CRC footer).
@@ -175,13 +137,9 @@ class TensorWriter {
   struct Entry {
     std::string name;
     Shape shape;
-    std::vector<float> values;  ///< f32/f16 payload source (empty for q8).
-    std::string raw;            ///< Pre-encoded kQ8_0 wire payload.
+    std::vector<float> values;
     DType dtype;
   };
-
-  Status AddEntry(const std::string& name, const Tensor& tensor, DType dtype,
-                  const q8::QuantizedTensor* slot);
 
   std::string model_tag_;
   std::vector<std::pair<std::string, std::string>> meta_;
@@ -241,11 +199,6 @@ class TensorReader {
 
   TensorReader() = default;
   Status ParseImage();
-
-  /// Decodes a kQ8_0 entry's wire blocks into `q` (Resize + copy +
-  /// scale validation). InvalidArgument on non-finite block scales.
-  Status DecodeQ8(const std::string& name, const Entry& entry,
-                  q8::QuantizedTensor* q) const;
 
   std::string bytes_;
   std::string model_tag_;

@@ -30,8 +30,7 @@ inline constexpr char kHierGatPlusScores[] = "hiergat_plus_small.scores";
 
 /// Largest per-score difference golden_test accepts between a score and
 /// its fixture, or between compiled replay and eager scoring (which are
-/// in fact bit-identical). One value for every f32 golden comparison;
-/// Q8_0 round trips use q8::kScoreTolerance (core/quant.h).
+/// in fact bit-identical). One value for every golden comparison.
 inline constexpr float kScoreTolerance = 1e-5f;
 
 /// The bundled mini dataset specs. Deliberately tiny: the vocabulary is

@@ -229,20 +229,6 @@ Status HierGatStack::Save(const std::string& path, DType dtype) const {
   return Status::Ok();
 }
 
-Status HierGatStack::QuantizeWeights() {
-  if (!built) {
-    return Status::FailedPrecondition(
-        std::string(tag()) + " QuantizeWeights: train or load a model first");
-  }
-  NamedParameters params;
-  RegisterCheckpointParameters(&params);
-  HG_RETURN_IF_ERROR(params.QuantizeAll());
-  // Every weight just moved to its dequantized value: memoized
-  // summaries and compiled-graph constants are stale.
-  InvalidateInferenceCache();
-  return Status::Ok();
-}
-
 Status HierGatStack::Load(const std::string& path) {
   const auto start = std::chrono::steady_clock::now();
   auto reader_or = TensorReader::Open(path);

@@ -58,8 +58,8 @@ namespace internal_hiergat {
 /// HierGAT plus entity-level context and the entity alignment layer of
 /// Eq. 5). It owns the modules, the family's checkpoint layout (tag,
 /// meta keys in order, parameter names) and Load's dimension checks,
-/// quantization, the inference caches and the trainer hooks; each model
-/// holds one and keeps only its forward passes.
+/// the inference caches and the trainer hooks; each model holds one and
+/// keeps only its forward passes.
 struct HierGatStack {
   /// `collective` selects HierGAT+: its checkpoint tag, init-seed salt,
   /// alignment layer and the two ablation flags in the checkpoint meta.
@@ -77,7 +77,6 @@ struct HierGatStack {
   /// tensor shapes before a module is allocated.
   Status Save(const std::string& path, DType dtype) const;
   Status Load(const std::string& path);
-  Status QuantizeWeights();
   void InvalidateInferenceCache() const;
 
   /// OK when `entity` has the K attributes every module was sized for;
@@ -157,7 +156,7 @@ struct HierGatStack {
   void BuildModules(uint64_t seed);
 
   /// Stable dotted-name registration of every checkpointed tensor; the
-  /// same registration drives Save, Load and QuantizeWeights.
+  /// same registration drives Save and Load.
   void RegisterCheckpointParameters(NamedParameters* out) const;
 };
 
@@ -205,12 +204,6 @@ class HierGatModel : public NeuralPairwiseModel {
     return stack_.Save(path, dtype);
   }
   Status Load(const std::string& path) override { return stack_.Load(path); }
-
-  /// Rounds every Linear weight and embedding table through Q8_0 blocks
-  /// in place (see PairwiseModel::QuantizeWeights). Inference keeps the
-  /// f32 kernels on the dequantized weights and Save emits a kQ8_0
-  /// checkpoint; caches and compiled graphs are invalidated.
-  Status QuantizeWeights() override { return stack_.QuantizeWeights(); }
 
   /// Toggles the inference-time summary cache (on by default; useful
   /// for benchmarking the uncached path).

@@ -40,8 +40,6 @@ class HierGatPlusModel : public NeuralCollectiveModel {
   }
   Status Load(const std::string& path) override { return stack_.Load(path); }
 
-  Status QuantizeWeights() override { return stack_.QuantizeWeights(); }
-
   /// Inference-time entity-summary cache (hit/miss/eviction stats; also
   /// aggregated into the `hiergat.cache.*` metrics).
   const SummaryCache& summary_cache() const { return stack_.summary_cache; }

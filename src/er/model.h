@@ -101,17 +101,6 @@ class PairwiseModel {
                                       " does not support checkpointing");
   }
 
-  /// Rounds the model's weights through Q8_0 blocks in place
-  /// (core/quant.h): the f32 weights take the dequantized values, which
-  /// inference keeps using, and a subsequent Save writes the ~3.56x
-  /// smaller kQ8_0 checkpoint. Lossy and one-way — reload an f32
-  /// checkpoint to restore full precision. Models without Q8_0
-  /// checkpoint support keep this default.
-  virtual Status QuantizeWeights() {
-    return Status::FailedPrecondition(name() +
-                                      " does not support weight quantization");
-  }
-
  protected:
   /// Single-pair hook used by the default ScoreBatch loop.
   virtual float ScorePair(const EntityPair& pair) const = 0;
@@ -151,12 +140,6 @@ class CollectiveModel {
     return Status::FailedPrecondition(name() +
                                       " does not support checkpointing");
   }
-
-  /// See PairwiseModel::QuantizeWeights.
-  virtual Status QuantizeWeights() {
-    return Status::FailedPrecondition(name() +
-                                      " does not support weight quantization");
-  }
 };
 
 /// Runs a pairwise matcher on collective data by scoring each
@@ -175,7 +158,6 @@ class PairwiseAsCollective : public CollectiveModel {
   void InvalidateInferenceCache() const override {
     pairwise_->InvalidateInferenceCache();
   }
-  Status QuantizeWeights() override { return pairwise_->QuantizeWeights(); }
 
  private:
   PairwiseModel* pairwise_;  // Not owned.

@@ -29,10 +29,7 @@ struct SessionOptions {
   /// Collective (query + candidate set) vs pairwise matching.
   bool collective = false;
   /// When non-empty, Open restores a trained model from this
-  /// checkpoint instead of constructing an untrained one. A Q8_0
-  /// checkpoint (PairwiseModel::QuantizeWeights + Save, ~3.56x smaller)
-  /// opens like any other: the loader dequantizes it and scoring runs
-  /// the same f32 kernels.
+  /// checkpoint instead of constructing an untrained one.
   std::string checkpoint_path;
   /// Backbone size for fresh LM-backed matchers (HierGAT, Ditto,
   /// HierGAT+); the config of a checkpoint travels with its weights.

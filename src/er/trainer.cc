@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "er/metrics.h"
 #include "nn/optimizer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -29,9 +30,12 @@ void RestoreParameters(const std::vector<std::vector<float>>& snapshot,
 
 namespace {
 
+/// `valid_labels` are the validation split's labels in order (empty: no
+/// validation split).
 template <typename Item, typename ForwardFn, typename EvaluateFn>
 double RunTrainingLoop(const std::vector<Item>& train_items,
-                       bool has_validation, const TrainOptions& options,
+                       const std::vector<int>& valid_labels,
+                       const TrainOptions& options,
                        std::vector<Tensor> params,
                        std::vector<float> lr_multipliers, Rng& rng,
                        ForwardFn forward_loss, EvaluateFn evaluate_valid,
@@ -60,6 +64,9 @@ double RunTrainingLoop(const std::vector<Item>& train_items,
       obs::MetricsRegistry::Global().GetGauge("hiergat.train.epoch_loss");
   static obs::Gauge& valid_f1_gauge =
       obs::MetricsRegistry::Global().GetGauge("hiergat.train.valid_f1");
+  static obs::Gauge& valid_f1_margin_gauge =
+      obs::MetricsRegistry::Global().GetGauge(
+          "hiergat.train.valid_f1_margin");
   static obs::Histogram& epoch_seconds =
       obs::MetricsRegistry::Global().GetHistogram(
           "hiergat.train.epoch_seconds");
@@ -90,7 +97,7 @@ double RunTrainingLoop(const std::vector<Item>& train_items,
       ++steps;
     }
     float valid_f1 = 0.0f;
-    if (has_validation && options.select_best_on_validation) {
+    if (!valid_labels.empty() && options.select_best_on_validation) {
       valid_f1 = evaluate_valid();
       if (valid_f1 > best_f1) {
         best_f1 = valid_f1;
@@ -117,6 +124,20 @@ double RunTrainingLoop(const std::vector<Item>& train_items,
   }
   if (!best_snapshot.empty()) {
     RestoreParameters(best_snapshot, &params);
+    // The selected epoch against predicting "match" for every pair of
+    // the same split (F1 2·pos / (pos + n)): a margin <= 0 means the
+    // model does no better than a constant.
+    const float always_match_f1 =
+        ComputeMetrics(std::vector<float>(valid_labels.size(), 1.0f),
+                       valid_labels)
+            .f1;
+    const float margin = best_f1 - always_match_f1;
+    valid_f1_margin_gauge.Set(margin);
+    if (margin <= 0.0f) {
+      HG_LOG(WARN) << "[" << model_name << "] selected valid_f1=" << best_f1
+                   << " does not beat always-match F1 " << always_match_f1
+                   << " on the validation split";
+    }
   }
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
@@ -127,8 +148,10 @@ double RunTrainingLoop(const std::vector<Item>& train_items,
 void NeuralPairwiseModel::Train(const PairDataset& data,
                                 const TrainOptions& options) {
   rng_.Seed(options.seed);
+  std::vector<int> valid_labels;
+  for (const EntityPair& pair : data.valid) valid_labels.push_back(pair.label);
   last_train_seconds_ = RunTrainingLoop(
-      data.train, !data.valid.empty(), options, TrainableParameters(),
+      data.train, valid_labels, options, TrainableParameters(),
       ParameterLrMultipliers(), rng_,
       [this](const EntityPair& pair) {
         Tensor logits = ForwardLogits(pair, /*training=*/true, rng_);
@@ -160,8 +183,13 @@ void NeuralCollectiveModel::Train(const CollectiveDataset& data,
   // §6.3: the batch is one query's full candidate set.
   TrainOptions per_query = options;
   per_query.batch_size = 1;
+  std::vector<int> valid_labels;
+  for (const CollectiveQuery& query : data.valid) {
+    valid_labels.insert(valid_labels.end(), query.labels.begin(),
+                        query.labels.end());
+  }
   last_train_seconds_ = RunTrainingLoop(
-      data.train, !data.valid.empty(), per_query, TrainableParameters(),
+      data.train, valid_labels, per_query, TrainableParameters(),
       ParameterLrMultipliers(), rng_,
       [this](const CollectiveQuery& query) {
         Tensor logits = ForwardQueryLogits(query, /*training=*/true, rng_);

@@ -1,20 +1,14 @@
 #ifndef HIERGAT_NN_EMBEDDING_H_
 #define HIERGAT_NN_EMBEDDING_H_
 
-#include <memory>
 #include <vector>
 
-#include "core/quant.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
 
 namespace hiergat {
 
 /// Trainable lookup table of `vocab_size` x `dim` embeddings.
-///
-/// Like nn::Linear the table owns a Q8_0 storage slot for checkpoints;
-/// lookups always gather from the f32 table, which QuantizeAll and a
-/// kQ8_0 load fill with the dequantized values.
 class Embedding : public Module {
  public:
   Embedding(int vocab_size, int dim, Rng& rng, float init_stddev = 0.1f);
@@ -30,7 +24,7 @@ class Embedding : public Module {
   std::vector<Tensor> Parameters() const override { return {table_}; }
 
   void RegisterParameters(NamedParameters* out) const override {
-    (void)out->AddQuantizable("table", table_, table_q8_);
+    (void)out->Add("table", table_);
   }
 
   int vocab_size() const { return vocab_size_; }
@@ -41,8 +35,6 @@ class Embedding : public Module {
   int vocab_size_;
   int dim_;
   Tensor table_;  // [vocab_size, dim]
-  std::shared_ptr<q8::QuantizedTensor> table_q8_ =
-      std::make_shared<q8::QuantizedTensor>();
 };
 
 }  // namespace hiergat

@@ -4,7 +4,7 @@
 
 namespace hiergat {
 
-float Optimizer::ClipGradNorm(float max_norm) {
+float Adam::ClipGradNorm(float max_norm) {
   double total = 0.0;
   for (Tensor& p : params_) {
     for (float g : p.grad()) total += static_cast<double>(g) * g;
@@ -19,36 +19,9 @@ float Optimizer::ClipGradNorm(float max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      velocity_[i].assign(params_[i].data().size(), 0.0f);
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (p.grad().empty()) continue;
-    if (momentum_ > 0.0f) {
-      for (size_t j = 0; j < p.data().size(); ++j) {
-        velocity_[i][j] = momentum_ * velocity_[i][j] + p.grad()[j];
-        p.data()[j] -= lr_ * velocity_[i][j];
-      }
-    } else {
-      for (size_t j = 0; j < p.data().size(); ++j) {
-        p.data()[j] -= lr_ * p.grad()[j];
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

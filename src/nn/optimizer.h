@@ -7,18 +7,18 @@
 
 namespace hiergat {
 
-/// Base class for first-order optimizers over a fixed parameter list.
-class Optimizer {
+/// Adam (Kingma & Ba 2015) over a fixed parameter list — the optimizer
+/// the paper uses (§6.1).
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params)
-      : params_(std::move(params)) {}
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr = 1e-3f, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f);
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using the gradients currently stored in the
   /// parameters.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all parameter gradients.
   void ZeroGrad() {
@@ -28,29 +28,6 @@ class Optimizer {
   /// Scales gradients so their global L2 norm is at most `max_norm`.
   /// Returns the pre-clipping norm.
   float ClipGradNorm(float max_norm);
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// Stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba 2015) — the optimizer the paper uses (§6.1).
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr = 1e-3f, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void Step() override;
 
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
@@ -62,6 +39,7 @@ class Adam : public Optimizer {
   void SetLrMultipliers(std::vector<float> multipliers);
 
  private:
+  std::vector<Tensor> params_;
   float lr_, beta1_, beta2_, eps_;
   int64_t step_count_ = 0;
   std::vector<float> lr_multipliers_;

@@ -26,8 +26,8 @@ namespace backend {
 // Because the source is shared, every kernel accumulates in the same
 // per-element order and contraction is off, so all backends are
 // bit-identical — golden fixtures and the HIERGAT_BACKEND=scalar CI
-// leg depend on that, and the parity suites (quant_test, kernels_test)
-// assert it with exact equality. The one per-ISA body, dot_i8_rows,
+// leg depend on that, and kernels_test's parity suites assert it with
+// exact equality. The one per-ISA body, dot_i8_rows,
 // sums integers, which are exact in any order.
 //
 // Selection: the best native backend wins by default; the environment

@@ -3,7 +3,7 @@
 // The wider vectors only split the j/column lanes of each kernel's
 // inner loop, and with contraction off GCC neither fuses mul+add nor
 // reassociates reductions, so every result is bit-identical to the
-// scalar reference — quant_test and kernels_test assert exact equality.
+// scalar reference — kernels_test asserts exact equality.
 // The int8 row dot is the one hand-written body: integer sums are exact
 // in any order, so it needs no shared source to match. This TU is only
 // compiled on x86 (the CMakeLists gates it and defines

@@ -337,12 +337,6 @@ Tensor Scale(const Tensor& a, float s) {
   return out;
 }
 
-Tensor AddScalar(const Tensor& a, float s) {
-  return UnaryOp(
-      a, "AddScalar", [s](float x) { return x + s; },
-      [](float, float) { return 1.0f; });
-}
-
 Tensor Neg(const Tensor& a) { return Scale(a, -1.0f); }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -564,37 +558,6 @@ Tensor SliceRows(const Tensor& a, int begin, int end) {
   return out;
 }
 
-Tensor SliceCols(const Tensor& a, int begin, int end) {
-  HG_CHECK_EQ(a.rank(), 2);
-  HG_CHECK(begin >= 0 && begin <= end && end <= a.dim(1));
-  const int rows = a.dim(0), cols = a.dim(1), width = end - begin;
-  const bool rg = AnyRequiresGrad(a);
-  Tensor out = Tensor::MakeNode({rows, width}, rg, {a});
-  Forward(out, {&a}, "SliceCols",
-          [rows, cols, begin, width](const float* const* in, float* const*,
-                                     float* op, const graph::Replay&) {
-            const float* xd = in[0] + begin;
-            for (int r = 0; r < rows; ++r) {
-              std::copy(xd + static_cast<size_t>(r) * cols,
-                        xd + static_cast<size_t>(r) * cols + width,
-                        op + static_cast<size_t>(r) * width);
-            }
-          });
-  if (rg) {
-    Impl ai = a.impl().get(), oi = out.impl().get();
-    out.set_backward_fn([ai, oi, rows, cols, begin, width]() {
-      ai->EnsureGrad();
-      float* ga = ai->grad.data() + begin;
-      for (int r = 0; r < rows; ++r) {
-        backend::Accumulate(static_cast<size_t>(width),
-                            oi->grad.data() + static_cast<size_t>(r) * width,
-                            ga + static_cast<size_t>(r) * cols);
-      }
-    });
-  }
-  return out;
-}
-
 Tensor Row(const Tensor& a, int r) { return SliceRows(a, r, r + 1); }
 
 Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
@@ -666,12 +629,6 @@ Tensor Exp(const Tensor& a) {
   return UnaryOp(
       a, "Exp", [](float x) { return std::exp(x); },
       [](float, float y) { return y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      a, "Log", [](float x) { return std::log(std::max(x, 1e-12f)); },
-      [](float x, float) { return 1.0f / std::max(x, 1e-12f); });
 }
 
 Tensor Sum(const Tensor& a) {

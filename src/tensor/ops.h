@@ -24,8 +24,6 @@ Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 /// Multiplies every element by scalar `s`.
 Tensor Scale(const Tensor& a, float s);
-/// Adds scalar `s` to every element.
-Tensor AddScalar(const Tensor& a, float s);
 /// Elementwise negation.
 Tensor Neg(const Tensor& a);
 
@@ -54,8 +52,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts);
 Tensor ConcatCols(const std::vector<Tensor>& parts);
 /// Rows [begin, end) of a rank-2 tensor as a new [end-begin, c] tensor.
 Tensor SliceRows(const Tensor& a, int begin, int end);
-/// Columns [begin, end) of a rank-2 tensor.
-Tensor SliceCols(const Tensor& a, int begin, int end);
 /// Single row `r` as a [1, c] tensor.
 Tensor Row(const Tensor& a, int r);
 /// Gathers rows by index (duplicates allowed); backward scatter-adds.
@@ -71,8 +67,6 @@ Tensor Sigmoid(const Tensor& a);
 /// kernels::Erf (off by at most kernels::kTranscendentalMaxError).
 Tensor Gelu(const Tensor& a);
 Tensor Exp(const Tensor& a);
-/// Natural log; inputs are clamped below at 1e-12 for stability.
-Tensor Log(const Tensor& a);
 
 // -- Reductions --------------------------------------------------------
 

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/quant.h"
 #include "core/serialize.h"
 #include "er/er.h"
 #include "er/golden.h"
@@ -80,11 +79,28 @@ std::string ForgeMeta(const std::string& image, const std::string& key,
   return image;
 }
 
+/// Offset of the first tensor's dtype byte in checkpoint image `image`
+/// (layout: src/core/serialize.h); that tensor's name goes to `name`.
+size_t FirstTensorDtypeOffset(const std::string& image, std::string* name) {
+  size_t offset = 8;                     // magic + format version.
+  offset += 4 + ReadU32(image, offset);  // Model tag.
+  const uint32_t meta_count = ReadU32(image, offset);
+  offset += 4;
+  for (uint32_t i = 0; i < 2 * meta_count; ++i) {  // Keys and values.
+    offset += 4 + ReadU32(image, offset);
+  }
+  offset += 4;  // Tensor count.
+  const uint32_t name_len = ReadU32(image, offset);
+  *name = image.substr(offset + 4, name_len);
+  return offset + 4 + name_len;
+}
+
 void ExpectScoresNear(const std::vector<float>& actual,
-                      const std::vector<float>& golden, float tolerance) {
+                      const std::vector<float>& golden) {
   ASSERT_EQ(actual.size(), golden.size());
   for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_NEAR(actual[i], golden[i], tolerance) << "score " << i;
+    EXPECT_NEAR(actual[i], golden[i], golden::kScoreTolerance)
+        << "score " << i;
   }
 }
 
@@ -111,7 +127,7 @@ TEST(GoldenTest, HierGatFixtureReproducesScores) {
   auto golden_or =
       golden::ReadScores(FixturePath(golden::kHierGatScores));
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), golden::kScoreTolerance);
+  ExpectScoresNear(scores, golden_or.value());
 }
 
 TEST(GoldenTest, HierGatPlusFixtureReproducesScores) {
@@ -128,7 +144,7 @@ TEST(GoldenTest, HierGatPlusFixtureReproducesScores) {
   auto golden_or =
       golden::ReadScores(FixturePath(golden::kHierGatPlusScores));
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), golden::kScoreTolerance);
+  ExpectScoresNear(scores, golden_or.value());
 }
 
 TEST(GoldenTest, HierGatCompiledPathMatchesEagerOnFixture) {
@@ -149,7 +165,7 @@ TEST(GoldenTest, HierGatCompiledPathMatchesEagerOnFixture) {
   model.InvalidateInferenceCache();
   const std::vector<float> eager = model.ScoreBatch(probes);
 
-  ExpectScoresNear(compiled, eager, golden::kScoreTolerance);
+  ExpectScoresNear(compiled, eager);
   EXPECT_EQ(compiled, eager) << "replay should be bit-exact, not just close";
 }
 
@@ -168,7 +184,7 @@ TEST(GoldenTest, HierGatPlusCompiledPathMatchesEagerOnFixture) {
   const std::vector<float> eager = golden::ScoreQueries(model, probes);
 
   ASSERT_EQ(compiled.size(), eager.size());
-  ExpectScoresNear(compiled, eager, golden::kScoreTolerance);
+  ExpectScoresNear(compiled, eager);
   EXPECT_EQ(compiled, eager);
 }
 
@@ -238,117 +254,6 @@ TEST(GoldenTest, F16ResaveReproducesTheFixtureBitwise) {
             ReadFileBytes(FixturePath(golden::kHierGatCheckpoint)));
 }
 
-TEST(GoldenTest, QuantizedHierGatReproducesScoresWithinTolerance) {
-  // Q8_0 weights are lossy, but the loss is bounded: quantizing the
-  // fixture model must keep every probe score within the stated
-  // tolerance (q8::kScoreTolerance, core/quant.h) of the committed f32
-  // golden scores.
-  HierGatModel model;
-  ASSERT_TRUE(model.Load(FixturePath(golden::kHierGatCheckpoint)).ok());
-  ASSERT_TRUE(model.QuantizeWeights().ok());
-
-  const PairDataset data = golden::MakePairDataset();
-  const std::vector<EntityPair> probes = golden::ProbePairs(data);
-  const std::vector<float> scores = model.ScoreBatch(probes);
-
-  auto golden_or = golden::ReadScores(FixturePath(golden::kHierGatScores));
-  ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), q8::kScoreTolerance);
-
-  // The quantized compiled path must agree with quantized eager
-  // scoring exactly (same kernels, same accumulation order).
-  model.set_graph_compile_enabled(false);
-  model.InvalidateInferenceCache();
-  EXPECT_EQ(model.ScoreBatch(probes), scores);
-}
-
-TEST(GoldenTest, QuantizedHierGatPlusReproducesScoresWithinTolerance) {
-  HierGatPlusModel model;
-  ASSERT_TRUE(
-      model.Load(FixturePath(golden::kHierGatPlusCheckpoint)).ok());
-  ASSERT_TRUE(model.QuantizeWeights().ok());
-
-  const CollectiveDataset data = golden::MakeCollectiveDataset();
-  const std::vector<CollectiveQuery> probes = golden::ProbeQueries(data);
-  const std::vector<float> scores = golden::ScoreQueries(model, probes);
-
-  auto golden_or =
-      golden::ReadScores(FixturePath(golden::kHierGatPlusScores));
-  ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), q8::kScoreTolerance);
-}
-
-TEST(GoldenTest, QuantizedSaveLoadSaveIsByteStable) {
-  // A quantized checkpoint re-emits its stored blocks verbatim, so
-  // save -> load -> save must be byte-identical (no requantization
-  // drift), and the reloaded quantized model scores identically.
-  HierGatModel first;
-  ASSERT_TRUE(first.Load(FixturePath(golden::kHierGatCheckpoint)).ok());
-  ASSERT_TRUE(first.QuantizeWeights().ok());
-  const std::string path_a = TempPath("hiergat_q8_roundtrip_a.ckpt");
-  const std::string path_b = TempPath("hiergat_q8_roundtrip_b.ckpt");
-  ASSERT_TRUE(first.Save(path_a).ok());
-
-  HierGatModel second;
-  ASSERT_TRUE(second.Load(path_a).ok());
-  ASSERT_TRUE(second.Save(path_b).ok());
-  EXPECT_EQ(ReadFileBytes(path_a), ReadFileBytes(path_b));
-
-  // The quantized payload is what shrinks: the q8 checkpoint must be
-  // well under half the f32 size (asymptotically 3.56x smaller).
-  const std::string f32_path = TempPath("hiergat_q8_vs_f32.ckpt");
-  HierGatModel dense;
-  ASSERT_TRUE(dense.Load(FixturePath(golden::kHierGatCheckpoint)).ok());
-  ASSERT_TRUE(dense.Save(f32_path, DType::kF32).ok());
-  EXPECT_LT(2 * ReadFileBytes(path_a).size(),
-            ReadFileBytes(f32_path).size());
-
-  const PairDataset data = golden::MakePairDataset();
-  const std::vector<EntityPair> probes = golden::ProbePairs(data);
-  EXPECT_EQ(first.ScoreBatch(probes), second.ScoreBatch(probes));
-}
-
-TEST(GoldenTest, QuantizedHierGatPlusSaveLoadSaveIsByteStable) {
-  HierGatPlusModel first;
-  ASSERT_TRUE(
-      first.Load(FixturePath(golden::kHierGatPlusCheckpoint)).ok());
-  ASSERT_TRUE(first.QuantizeWeights().ok());
-  const std::string path_a = TempPath("hiergat_plus_q8_roundtrip_a.ckpt");
-  const std::string path_b = TempPath("hiergat_plus_q8_roundtrip_b.ckpt");
-  ASSERT_TRUE(first.Save(path_a).ok());
-
-  HierGatPlusModel second;
-  ASSERT_TRUE(second.Load(path_a).ok());
-  ASSERT_TRUE(second.Save(path_b).ok());
-  EXPECT_EQ(ReadFileBytes(path_a), ReadFileBytes(path_b));
-}
-
-TEST(GoldenTest, QuantizedCheckpointServesThroughSessionOpen) {
-  // The way to serve Q8_0 weights: quantize, save, and open the saved
-  // checkpoint like any other. The loader dequantizes it into the same
-  // f32 weights the in-memory quantized model holds, so the session
-  // scores them exactly like that model does.
-  HierGatModel model;
-  ASSERT_TRUE(model.Load(FixturePath(golden::kHierGatCheckpoint)).ok());
-  ASSERT_TRUE(model.QuantizeWeights().ok());
-  const std::string path = TempPath("hiergat_q8_session.ckpt");
-  ASSERT_TRUE(model.Save(path).ok());
-
-  SessionOptions options;
-  options.checkpoint_path = path;
-  auto session_or = Session::Open(options);
-  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
-
-  const PairDataset data = golden::MakePairDataset();
-  const std::vector<EntityPair> probes = golden::ProbePairs(data);
-  const std::vector<float> scores = session_or.value()->Score(probes);
-  EXPECT_EQ(scores, model.ScoreBatch(probes));
-
-  auto golden_or = golden::ReadScores(FixturePath(golden::kHierGatScores));
-  ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
-  ExpectScoresNear(scores, golden_or.value(), q8::kScoreTolerance);
-}
-
 TEST(GoldenTest, CheckpointTagDispatchRejectsWrongFamily) {
   // Session::Open peeks the checkpoint's embedded tag: a checkpoint of
   // the other family is InvalidArgument naming the tag it found.
@@ -406,6 +311,36 @@ TEST(GoldenTest, ForgedMetaDimensionsFailLoadWithAStatus) {
           << session_or.status().ToString();
     }
   }
+}
+
+TEST(GoldenTest, RetiredDtypeIsRefusedWithAStatus) {
+  // Dtype byte 2 was q8_0 block storage, which is no longer read. A
+  // checkpoint carrying it (CRC recomputed) must be refused with
+  // InvalidArgument naming the tensor and the dtype, by the parser and
+  // by Session::Open, rather than decoded or aborted on.
+  std::string image = ReadFileBytes(FixturePath(golden::kHierGatCheckpoint));
+  std::string name;
+  const size_t dtype_offset = FirstTensorDtypeOffset(image, &name);
+  ASSERT_LT(static_cast<uint8_t>(image[dtype_offset]), 2);
+  image[dtype_offset] = 2;
+  image.resize(image.size() - 4);
+  image += U32Bytes(Crc32(image));
+
+  const auto expect_refused = [&](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("'" + name + "'"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("dtype 2"), std::string::npos)
+        << status.ToString();
+  };
+  expect_refused(TensorReader::Parse(image).status());
+
+  const std::string path = TempPath("retired_dtype.ckpt");
+  ASSERT_TRUE(WriteFileAtomic(path, image).ok());
+  SessionOptions options;
+  options.checkpoint_path = path;
+  expect_refused(Session::Open(options).status());
 }
 
 TEST(GoldenTest, CheckpointMetricsAreEmitted) {

@@ -55,15 +55,6 @@ TEST(GradCheck, SubBiasBroadcast) {
       {RandomInput({3, 4}, 103), RandomInput({4}, 104)});
 }
 
-TEST(GradCheck, AddScalar) {
-  ExpectGradOk(
-      [](const std::vector<Tensor>& in) {
-        Tensor shifted = AddScalar(in[0], 1.5f);
-        return Sum(Mul(shifted, shifted));
-      },
-      {RandomInput({2, 5}, 105)});
-}
-
 TEST(GradCheck, MulAndScale) {
   ExpectGradOk(
       [](const std::vector<Tensor>& in) {
@@ -120,12 +111,11 @@ TEST(GradCheck, RowSelection) {
       {RandomInput({3, 4}, 107)});
 }
 
-TEST(GradCheck, SliceRowsAndCols) {
+TEST(GradCheck, SliceRows) {
   ExpectGradOk(
       [](const std::vector<Tensor>& in) {
         Tensor a = SliceRows(in[0], 1, 3);
-        Tensor b = SliceCols(a, 0, 2);
-        return Sum(Mul(b, b));
+        return Sum(Mul(a, a));
       },
       {RandomInput({4, 3}, 14)});
 }
@@ -198,14 +188,11 @@ TEST(GradCheck, Activations) {
   }
 }
 
-TEST(GradCheck, ExpLog) {
-  // Keep inputs positive for Log.
+TEST(GradCheck, Exp) {
   Rng rng(19);
   Tensor x = Tensor::Uniform({2, 3}, rng, 0.5f, 2.0f, true);
   ExpectGradOk(
-      [](const std::vector<Tensor>& in) {
-        return Sum(Add(Log(in[0]), Exp(Scale(in[0], 0.3f))));
-      },
+      [](const std::vector<Tensor>& in) { return Sum(Exp(Scale(in[0], 0.3f))); },
       {x});
 }
 

@@ -1,11 +1,12 @@
 // Parity tests for the raw-pointer kernel layer against naive
 // references, across the shapes that stress the blocking/unrolling
-// (1x1, single row/col, tall/skinny, non-multiple-of-block); exact-order
-// tests that pin every registered backend's GEMM family to the
-// accumulation order written out in frozen reference loops; accuracy
-// and edge-case tests of the polynomial erf/exp against the
-// double-precision functions; plus lifecycle tests for the pooled
-// storage behind TensorImpl.
+// (1x1, single row/col, tall/skinny, non-multiple-of-block), and of
+// every registered backend against the scalar reference at the same
+// shapes, bit for bit; exact-order tests that pin every registered
+// backend's GEMM family to the accumulation order written out in frozen
+// reference loops; accuracy and edge-case tests of the polynomial
+// erf/exp against the double-precision functions; plus lifecycle tests
+// for the pooled storage behind TensorImpl.
 
 #include "tensor/kernels.h"
 
@@ -13,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -123,8 +125,182 @@ TEST_P(GemmParity, TNMatchesNaive) {
     EXPECT_NEAR(got[i], want[i], 1e-4f) << "element " << i;
 }
 
+// Every registered backend vs the scalar reference, exact equality:
+// the backends compile one kernel body, and golden-fixture bit identity
+// depends on it.
+TEST_P(GemmParity, BackendsGemmFamilyBitIdentical) {
+  const auto [m, n, k] = GetParam();
+  const auto a = RandomVec(static_cast<size_t>(m) * k, 61);
+  const auto b = RandomVec(static_cast<size_t>(k) * n, 67);
+  const auto bt = RandomVec(static_cast<size_t>(n) * k, 71);
+  const auto at = RandomVec(static_cast<size_t>(k) * m, 73);
+  const size_t out_size = static_cast<size_t>(m) * n;
+
+  std::vector<float> want_nn(out_size, 0.5f), want_nt(out_size, 0.5f);
+  std::vector<float> want_tn(out_size, 0.5f);
+  kernels::GemmNN(m, n, k, 1.3f, a.data(), b.data(), want_nn.data());
+  kernels::GemmNT(m, n, k, 0.7f, a.data(), bt.data(), want_nt.data());
+  kernels::GemmTN(m, n, k, -1.1f, at.data(), b.data(), want_tn.data());
+
+  for (const backend::Kernels* kr : backend::Registered()) {
+    std::vector<float> got(out_size, 0.5f);
+    kr->gemm_nn(m, n, k, 1.3f, a.data(), b.data(), got.data());
+    for (size_t i = 0; i < out_size; ++i)
+      ASSERT_EQ(got[i], want_nn[i]) << kr->name << " gemm_nn element " << i;
+
+    got.assign(out_size, 0.5f);
+    kr->gemm_nt(m, n, k, 0.7f, a.data(), bt.data(), got.data());
+    for (size_t i = 0; i < out_size; ++i)
+      ASSERT_EQ(got[i], want_nt[i]) << kr->name << " gemm_nt element " << i;
+
+    got.assign(out_size, 0.5f);
+    kr->gemm_tn(m, n, k, -1.1f, at.data(), b.data(), got.data());
+    for (size_t i = 0; i < out_size; ++i)
+      ASSERT_EQ(got[i], want_tn[i]) << kr->name << " gemm_tn element " << i;
+  }
+}
+
+TEST_P(GemmParity, BackendsGemvBitIdentical) {
+  const auto [m, n, k] = GetParam();
+  (void)m;
+  const auto x = RandomVec(static_cast<size_t>(k), 79);
+  const auto b = RandomVec(static_cast<size_t>(k) * n, 83);
+  std::vector<float> want(static_cast<size_t>(n), 0.25f);
+  kernels::Gemv(n, k, 2.0f, x.data(), b.data(), want.data());
+  for (const backend::Kernels* kr : backend::Registered()) {
+    std::vector<float> got(static_cast<size_t>(n), 0.25f);
+    kr->gemv(n, k, 2.0f, x.data(), b.data(), got.data());
+    for (size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << kr->name << " gemv element " << i;
+  }
+}
+
+TEST_P(GemmParity, BackendsSoftmaxAndLayerNormBitIdentical) {
+  const auto [m, n, k] = GetParam();
+  (void)k;
+  const auto x = RandomVec(static_cast<size_t>(m) * n, 89);
+  const auto gamma = RandomVec(static_cast<size_t>(n), 97);
+  const auto beta = RandomVec(static_cast<size_t>(n), 101);
+  const size_t size = x.size();
+
+  std::vector<float> want_sm(size);
+  kernels::SoftmaxRows(m, n, x.data(), want_sm.data());
+  std::vector<float> want_ln(size), want_xhat(size);
+  std::vector<float> want_inv(static_cast<size_t>(m));
+  kernels::LayerNormRows(m, n, 1e-5f, x.data(), gamma.data(), beta.data(),
+                         want_ln.data(), want_xhat.data(), want_inv.data());
+
+  for (const backend::Kernels* kr : backend::Registered()) {
+    std::vector<float> got(size);
+    kr->softmax_rows(m, n, x.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_sm[i]) << kr->name << " softmax element " << i;
+
+    std::vector<float> ln(size), xhat(size), inv(static_cast<size_t>(m));
+    kr->layer_norm_rows(m, n, 1e-5f, x.data(), gamma.data(), beta.data(),
+                        ln.data(), xhat.data(), inv.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(ln[i], want_ln[i]) << kr->name << " layernorm element " << i;
+    for (size_t i = 0; i < inv.size(); ++i)
+      ASSERT_EQ(inv[i], want_inv[i]) << kr->name << " inv_std row " << i;
+  }
+}
+
+// The polynomial erf/exp kernels: GELU forward and backward over a wide
+// input range (|x| up to ~18, past erf's saturation and exp's zero), and
+// softmax rows carrying a -1e9 diagonal mask.
+TEST_P(GemmParity, BackendsGeluAndMaskedSoftmaxBitIdentical) {
+  const auto [m, n, k] = GetParam();
+  (void)k;
+  auto x = RandomVec(static_cast<size_t>(m) * n, 103);
+  for (float& v : x) v *= 6.0f;
+  const auto gy = RandomVec(x.size(), 107);
+  const size_t size = x.size();
+
+  std::vector<float> want_gelu(size), want_grad(size, 0.5f);
+  kernels::GeluInto(size, x.data(), want_gelu.data());
+  kernels::GeluBackwardAccumulate(size, x.data(), gy.data(),
+                                  want_grad.data());
+  std::vector<float> masked = x;
+  for (int r = 0; r < std::min(m, n); ++r) {
+    masked[static_cast<size_t>(r) * n + r] = -1e9f;
+  }
+  std::vector<float> want_sm(size);
+  kernels::SoftmaxRows(m, n, masked.data(), want_sm.data());
+
+  for (const backend::Kernels* kr : backend::Registered()) {
+    std::vector<float> got(size);
+    kr->gelu_into(size, x.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_gelu[i]) << kr->name << " gelu element " << i;
+
+    got.assign(size, 0.5f);
+    kr->gelu_backward_accumulate(size, x.data(), gy.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_grad[i])
+          << kr->name << " gelu backward element " << i;
+
+    kr->softmax_rows(m, n, masked.data(), got.data());
+    for (size_t i = 0; i < size; ++i)
+      ASSERT_EQ(got[i], want_sm[i])
+          << kr->name << " masked softmax element " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(OddShapes, GemmParity,
                          ::testing::ValuesIn(kShapes));
+
+// -- Backend registry ---------------------------------------------------
+
+TEST(BackendRegistryTest, ScalarIsAlwaysRegisteredFirst) {
+  const auto& backends = backend::Registered();
+  ASSERT_FALSE(backends.empty());
+  EXPECT_STREQ(backends.front()->name, "scalar");
+  // The name plus 22 kernels: a new table entry fails this until it is
+  // listed below, so no entry goes unchecked.
+  static_assert(sizeof(backend::Kernels) == 23 * sizeof(void*));
+  for (const backend::Kernels* kr : backends) {
+    ASSERT_NE(kr, nullptr);
+    // A null entry would crash on its first call.
+    const void* entries[] = {
+        reinterpret_cast<const void*>(kr->gemm_nn),
+        reinterpret_cast<const void*>(kr->gemm_nt),
+        reinterpret_cast<const void*>(kr->gemm_tn),
+        reinterpret_cast<const void*>(kr->gemv),
+        reinterpret_cast<const void*>(kr->axpy),
+        reinterpret_cast<const void*>(kr->accumulate),
+        reinterpret_cast<const void*>(kr->add_into),
+        reinterpret_cast<const void*>(kr->sub_into),
+        reinterpret_cast<const void*>(kr->mul_into),
+        reinterpret_cast<const void*>(kr->mul_accumulate),
+        reinterpret_cast<const void*>(kr->scale_into),
+        reinterpret_cast<const void*>(kr->gelu_into),
+        reinterpret_cast<const void*>(kr->gelu_backward_accumulate),
+        reinterpret_cast<const void*>(kr->add_bias_rows),
+        reinterpret_cast<const void*>(kr->col_sum_accumulate),
+        reinterpret_cast<const void*>(kr->softmax_rows),
+        reinterpret_cast<const void*>(kr->softmax_backward_rows),
+        reinterpret_cast<const void*>(kr->layer_norm_rows),
+        reinterpret_cast<const void*>(kr->layer_norm_backward_rows),
+        reinterpret_cast<const void*>(kr->dot),
+        reinterpret_cast<const void*>(kr->dot_i8_rows),
+        reinterpret_cast<const void*>(kr->hashed_ngram_accumulate),
+    };
+    for (size_t i = 0; i < std::size(entries); ++i) {
+      EXPECT_NE(entries[i], nullptr) << kr->name << " kernel entry " << i;
+    }
+  }
+}
+
+TEST(BackendRegistryTest, ActiveBackendIsRegistered) {
+  const backend::Kernels& active = backend::Active();
+  bool found = false;
+  for (const backend::Kernels* kr : backend::Registered()) {
+    if (kr == &active) found = true;
+  }
+  EXPECT_TRUE(found);
+  EXPECT_STREQ(backend::ActiveName(), active.name);
+}
 
 // -- Exact accumulation order -------------------------------------------
 //

@@ -2,14 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/quant.h"
-#include "core/rng.h"
 #include "tensor/tensor.h"
 
 namespace hiergat {
@@ -205,194 +201,6 @@ TEST(SerializeTest, UndefinedTensorCannotBeRegistered) {
   NamedParameters params;
   Tensor undefined;
   EXPECT_FALSE(params.Add("w", undefined).ok());
-}
-
-// -- Q8_0 quantized payloads --------------------------------------------
-
-Tensor RandomTensor(const Shape& shape, uint64_t seed) {
-  Rng rng(seed);
-  return Tensor::Randn(shape, rng);
-}
-
-// Mixed-precision image: one q8 matrix (odd cols: partial trailing
-// block), one q8 vector, one dense f32 tensor.
-std::string MakeQ8Image() {
-  TensorWriter writer("TestModel");
-  writer.SetMeta("note", "quantized");
-  EXPECT_TRUE(
-      writer.Add("w", RandomTensor({3, 33}, 5), DType::kQ8_0).ok());
-  EXPECT_TRUE(writer.Add("v", RandomTensor({32}, 6), DType::kQ8_0).ok());
-  EXPECT_TRUE(writer.Add("b", RandomTensor({4}, 7)).ok());
-  return writer.SerializeToString();
-}
-
-TEST(SerializeQ8Test, RoundTripWithinHalfScale) {
-  Tensor w = RandomTensor({3, 33}, 5);
-  TensorWriter writer("TestModel");
-  ASSERT_TRUE(writer.Add("w", w, DType::kQ8_0).ok());
-  auto reader_or = TensorReader::Parse(writer.SerializeToString());
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
-
-  Tensor back = Tensor::Zeros({3, 33});
-  ASSERT_TRUE(reader_or.value().ReadInto("w", &back).ok());
-  // Bound the error by the worst per-row half-step of the codec.
-  for (int r = 0; r < 3; ++r) {
-    std::vector<q8::Block> blocks(q8::BlocksPerRow(33));
-    q8::QuantizeRow(w.data().data() + r * 33, 33, blocks.data());
-    for (int c = 0; c < 33; ++c) {
-      const float scale = blocks[static_cast<size_t>(c) / 32].scale;
-      EXPECT_LE(std::abs(back.at(r, c) - w.at(r, c)), scale * 0.5f + 1e-7f)
-          << "(" << r << ", " << c << ")";
-    }
-  }
-}
-
-TEST(SerializeQ8Test, WireSizeBeats3p5xOverF32) {
-  // 128 f32 bytes per 32 elements become 36: the checkpoint itself must
-  // show the >= 3.5x weight-bytes reduction Q8_0 storage exists for.
-  Tensor w = RandomTensor({64, 64}, 8);
-  TensorWriter f32_writer("TestModel");
-  ASSERT_TRUE(f32_writer.Add("w", w).ok());
-  TensorWriter q8_writer("TestModel");
-  ASSERT_TRUE(q8_writer.Add("w", w, DType::kQ8_0).ok());
-  const size_t f32_payload = 64 * 64 * 4;
-  const size_t q8_payload = 64 * q8::BlocksPerRow(64) * q8::kWireBytes;
-  EXPECT_EQ(q8_writer.SerializeToString().size() - q8_payload,
-            f32_writer.SerializeToString().size() - f32_payload);
-  EXPECT_GE(static_cast<double>(f32_payload) /
-                static_cast<double>(q8_payload),
-            3.5);
-}
-
-TEST(SerializeQ8Test, TruncationAtEveryOffsetFailsCleanly) {
-  const std::string bytes = MakeQ8Image();
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    auto reader_or = TensorReader::Parse(bytes.substr(0, len));
-    EXPECT_FALSE(reader_or.ok()) << "truncation to " << len
-                                 << " bytes parsed successfully";
-  }
-}
-
-TEST(SerializeQ8Test, EveryFlippedByteFailsTheChecksum) {
-  const std::string bytes = MakeQ8Image();
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string corrupt = bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
-    auto reader_or = TensorReader::Parse(corrupt);
-    EXPECT_FALSE(reader_or.ok()) << "flip at byte " << i << " parsed";
-  }
-}
-
-TEST(SerializeQ8Test, NonFiniteBlockScaleIsRejected) {
-  // The last tensor's payload sits right before the CRC footer, so the
-  // final block's scale starts 4 + kWireBytes bytes from the end. Forge
-  // a NaN there, fix the CRC, and the decode (not the parse) must
-  // reject it.
-  TensorWriter writer("TestModel");
-  Tensor w = RandomTensor({2, 32}, 9);
-  ASSERT_TRUE(writer.Add("w", w, DType::kQ8_0).ok());
-  std::string bytes = writer.SerializeToString();
-  const size_t scale_offset = bytes.size() - 4 - q8::kWireBytes;
-  bytes[scale_offset + 0] = 0;
-  bytes[scale_offset + 1] = 0;
-  bytes[scale_offset + 2] = static_cast<char>(0xC0);
-  bytes[scale_offset + 3] = static_cast<char>(0x7F);  // f32 NaN, LE.
-  auto reader_or = TensorReader::Parse(Recrc(bytes));
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
-  Tensor back = Tensor::Zeros({2, 32});
-  const Status status = reader_or.value().ReadInto("w", &back);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("non-finite"), std::string::npos);
-}
-
-TEST(SerializeQ8Test, BlockTableLengthMismatchIsRejected) {
-  // Grow the stored cols from 32 to 33 (adds a block to the expected
-  // table) without touching the payload: byte_len no longer matches.
-  TensorWriter writer("TestModel");
-  ASSERT_TRUE(writer.Add("w", RandomTensor({32}, 10), DType::kQ8_0).ok());
-  std::string bytes = writer.SerializeToString();
-  const size_t payload = q8::kWireBytes;  // One row, one block.
-  const size_t dim_offset = bytes.size() - 4 - payload - 8 - 4;
-  ASSERT_EQ(static_cast<uint8_t>(bytes[dim_offset]), 32);
-  bytes[dim_offset] = 33;
-  auto reader_or = TensorReader::Parse(Recrc(bytes));
-  ASSERT_FALSE(reader_or.ok());
-  EXPECT_NE(reader_or.status().message().find("payload length"),
-            std::string::npos);
-}
-
-TEST(SerializeQ8Test, QuantizedSlotSaveLoadSaveIsByteStable) {
-  // Quantize -> save -> load into a fresh model -> save again: the two
-  // images must be byte-identical, because the loaded blocks — not a
-  // requantization of the dequantized floats — are what gets written.
-  Tensor w = RandomTensor({4, 40}, 11);
-  Tensor b = RandomTensor({5}, 12);
-  auto slot = std::make_shared<q8::QuantizedTensor>();
-  NamedParameters params;
-  ASSERT_TRUE(params.AddQuantizable("w", w, slot).ok());
-  ASSERT_TRUE(params.Add("b", b).ok());
-  ASSERT_TRUE(params.QuantizeAll().ok());
-  ASSERT_TRUE(slot->active());
-
-  TensorWriter writer1("TestModel");
-  ASSERT_TRUE(writer1.AddAll(params).ok());
-  const std::string bytes1 = writer1.SerializeToString();
-
-  Tensor w2 = Tensor::Zeros({4, 40});
-  Tensor b2 = Tensor::Zeros({5});
-  auto slot2 = std::make_shared<q8::QuantizedTensor>();
-  NamedParameters params2;
-  ASSERT_TRUE(params2.AddQuantizable("w", w2, slot2).ok());
-  ASSERT_TRUE(params2.Add("b", b2).ok());
-  auto reader_or = TensorReader::Parse(bytes1);
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
-  ASSERT_TRUE(reader_or.value().ReadAll(params2).ok());
-  ASSERT_TRUE(slot2->active());
-
-  // The dequantized f32 weights match exactly (same blocks, same
-  // scalar codec) — QuantizeAll wrote them back into `w` already.
-  for (size_t i = 0; i < w.data().size(); ++i) {
-    EXPECT_EQ(w2.data()[i], w.data()[i]) << "element " << i;
-  }
-
-  TensorWriter writer2("TestModel");
-  ASSERT_TRUE(writer2.AddAll(params2).ok());
-  EXPECT_EQ(writer2.SerializeToString(), bytes1);
-}
-
-TEST(SerializeQ8Test, DenseLoadDeactivatesQuantSlot) {
-  Tensor w = RandomTensor({2, 32}, 13);
-  // Plain f32 image of the same parameter set.
-  TensorWriter writer("TestModel");
-  ASSERT_TRUE(writer.Add("w", w).ok());
-  auto reader_or = TensorReader::Parse(writer.SerializeToString());
-  ASSERT_TRUE(reader_or.ok());
-
-  Tensor w2 = Tensor::Zeros({2, 32});
-  auto slot = std::make_shared<q8::QuantizedTensor>();
-  slot->QuantizeFrom(w2.data().data(), 2, 32);  // Stale quantized state.
-  ASSERT_TRUE(slot->active());
-  NamedParameters params;
-  ASSERT_TRUE(params.AddQuantizable("w", w2, slot).ok());
-  ASSERT_TRUE(reader_or.value().ReadAll(params).ok());
-  EXPECT_FALSE(slot->active()) << "f32 load must supersede q8 state";
-}
-
-TEST(SerializeQ8Test, QuantizeAllWithoutSlotsIsFailedPrecondition) {
-  NamedParameters params;
-  Tensor t = Tensor::Zeros({2});
-  ASSERT_TRUE(params.Add("w", t).ok());
-  const Status status = params.QuantizeAll();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(SerializeQ8Test, NullSlotCannotBeRegistered) {
-  NamedParameters params;
-  Tensor t = Tensor::Zeros({2});
-  EXPECT_FALSE(params.AddQuantizable("w", t, nullptr).ok());
-  EXPECT_FALSE(params.status().ok());
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "er/er.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 
 namespace hiergat {
@@ -172,6 +174,62 @@ TEST(SessionTest, EvaluateMatchesScoreDerivedMetrics) {
   EXPECT_EQ(expected.f1, actual.f1);
   EXPECT_EQ(expected.precision, actual.precision);
   EXPECT_EQ(expected.recall, actual.recall);
+}
+
+TEST(SessionTest, TrainingExportsValidF1MarginOverAlwaysMatch) {
+  // The selected epoch's valid F1 minus the F1 of predicting "match" for
+  // every validation pair: a constant model reads <= 0 and logs a WARN.
+  const PairDataset data = SmallDataset(91);
+  ASSERT_FALSE(data.valid.empty());
+  auto session_or = Session::Open(TinySessionOptions());
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(session_or).value();
+  int margin_warnings = 0;
+  const auto count_margin_warnings = [&](obs::LogLevel level, const char*,
+                                         int, const std::string& message) {
+    if (level == obs::LogLevel::kWarn &&
+        message.find("always-match") != std::string::npos) {
+      ++margin_warnings;
+    }
+  };
+  obs::SetLogSink(count_margin_warnings);
+  TrainOptions options = TinyOptions();
+  options.epochs = 2;
+  const Status trained = session->Train(data, options);
+  obs::SetLogSink(nullptr);
+  ASSERT_TRUE(trained.ok()) << trained.ToString();
+
+  // Best-epoch selection restored the selected epoch's weights, so
+  // evaluating the split again reproduces that epoch's F1.
+  std::vector<int> labels;
+  for (const EntityPair& pair : data.valid) labels.push_back(pair.label);
+  const float always_match_f1 =
+      ComputeMetrics(std::vector<float>(labels.size(), 1.0f), labels).f1;
+  const float want = session->Evaluate(data.valid).f1 - always_match_f1;
+  const double margin = obs::MetricsRegistry::Global()
+                            .GetGauge("hiergat.train.valid_f1_margin")
+                            .Value();
+  EXPECT_FLOAT_EQ(static_cast<float>(margin), want);
+  EXPECT_EQ(margin_warnings, margin <= 0.0 ? 1 : 0);
+
+  // On an all-positive split always-match scores F1 1, which no model
+  // beats: the margin is <= 0 and exactly one WARN names it.
+  PairDataset positives = data;
+  std::erase_if(positives.valid,
+                [](const EntityPair& pair) { return pair.label != 1; });
+  ASSERT_FALSE(positives.valid.empty());
+  auto fresh_or = Session::Open(TinySessionOptions());
+  ASSERT_TRUE(fresh_or.ok());
+  margin_warnings = 0;
+  obs::SetLogSink(count_margin_warnings);
+  const Status retrained = fresh_or.value()->Train(positives, options);
+  obs::SetLogSink(nullptr);
+  ASSERT_TRUE(retrained.ok()) << retrained.ToString();
+  EXPECT_LE(obs::MetricsRegistry::Global()
+                .GetGauge("hiergat.train.valid_f1_margin")
+                .Value(),
+            0.0);
+  EXPECT_EQ(margin_warnings, 1);
 }
 
 }  // namespace

@@ -160,8 +160,6 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
       {"Sub(bias)", false, [&](const Tensor& x) { return Sub(x, bias); }},
       {"Mul", false, [&](const Tensor& x) { return Mul(x, same); }},
       {"Scale", false, [&](const Tensor& x) { return Scale(x, -0.37f); }},
-      {"AddScalar", false,
-       [&](const Tensor& x) { return AddScalar(x, 0.25f); }},
       {"Relu", false, [&](const Tensor& x) { return Relu(x); }},
       {"LeakyRelu", false,
        [&](const Tensor& x) { return LeakyRelu(x, 0.1f); }},
@@ -169,15 +167,12 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
       {"Sigmoid", false, [&](const Tensor& x) { return Sigmoid(x); }},
       {"Gelu", false, [&](const Tensor& x) { return Gelu(x); }},
       {"Exp", false, [&](const Tensor& x) { return Exp(x); }},
-      {"Log", false, [&](const Tensor& x) { return Log(x); }},
       {"MatMul", true, [&](const Tensor& x) { return MatMul(x, w); }},
       {"Transpose", false, [&](const Tensor& x) { return Transpose(x); }},
       {"ConcatRows", false,
        [&](const Tensor& x) { return ConcatRows({extra_rows, x}); }},
       {"ConcatCols", false,
        [&](const Tensor& x) { return ConcatCols({x, extra_cols, x}); }},
-      {"SliceCols", false,
-       [&](const Tensor& x) { return SliceCols(x, 17, 93); }},
       {"GatherRows", false,
        [&](const Tensor& x) { return GatherRows(x, indices); }},
       {"Sum", false, [&](const Tensor& x) { return Sum(x); }},
@@ -742,8 +737,8 @@ TEST(TensorGraphTest, NoTwoLiveValuesShareArenaBytes) {
     Tensor h = Relu(LinearOp(x, w));
     Tensor a = Softmax(h);
     Tensor b = Sigmoid(h);
-    Tensor c = ConcatCols({a, b});
-    return Add(Mul(a, b), SliceCols(c, 3, 15));
+    Tensor c = ConcatRows({a, b});
+    return Add(Mul(a, b), SliceRows(c, 3, 12));
   });
   const auto& plan = compiled->plan();
   ASSERT_FALSE(plan.empty());

@@ -108,9 +108,9 @@ TEST(OpsTest, ConcatAndSlice) {
   EXPECT_EQ(sliced.dim(0), 2);
   EXPECT_EQ(sliced.at(0, 0), 3.0f);
 
-  Tensor col_slice = SliceCols(cols, 1, 3);
-  EXPECT_EQ(col_slice.dim(1), 2);
-  EXPECT_EQ(col_slice.at(0, 1), 7.0f);
+  Tensor cols_row = SliceRows(cols, 1, 2);
+  EXPECT_EQ(cols_row.dim(1), 3);
+  EXPECT_EQ(cols_row.at(0, 2), 8.0f);
 
   Tensor row = Row(rows, 0);
   EXPECT_EQ(row.dim(0), 1);
