@@ -87,7 +87,7 @@ int main_impl(int argc, char** argv) {
   auto run_sequential = [&](size_t begin, size_t end) {
     const auto start = std::chrono::steady_clock::now();
     for (size_t i = begin; i < end; ++i) {
-      (void)model.PredictProbability(workload[i]);
+      (void)model.ScoreBatch({&workload[i], 1});
     }
     return Seconds(start);
   };

@@ -135,6 +135,11 @@ Scratch& LocalScratch() {
   return scratch;
 }
 
+bool AllFinite(const std::vector<float>& vector) {
+  return std::all_of(vector.begin(), vector.end(),
+                     [](float v) { return std::isfinite(v); });
+}
+
 }  // namespace
 
 /// One independent HNSW graph. Layer-0 links live in a flat fixed-stride
@@ -600,12 +605,18 @@ AnnIndex::Shard& AnnIndex::ShardFor(int64_t id) {
   return *shards_[hash % static_cast<uint64_t>(shards_.size())];
 }
 
-void AnnIndex::Insert(int64_t id, const std::vector<float>& vector) {
+Status AnnIndex::Insert(int64_t id, const std::vector<float>& vector) {
   HG_CHECK_GE(id, 0);
   HG_CHECK_EQ(static_cast<int>(vector.size()), options_.dim);
+  if (!AllFinite(vector)) {
+    return Status::InvalidArgument("ann: vector for id " +
+                                   std::to_string(id) +
+                                   " has a non-finite component");
+  }
   ShardFor(id).Insert(id, vector);
   InsertCounter().Increment();
   SizeGauge().Add(1.0);
+  return Status::Ok();
 }
 
 int64_t AnnIndex::size() const {
@@ -620,7 +631,7 @@ int64_t AnnIndex::size() const {
 std::vector<AnnIndex::Hit> AnnIndex::Search(const std::vector<float>& query,
                                             int n, int64_t exclude) const {
   HG_CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  if (n <= 0) return {};
+  if (n <= 0 || !AllFinite(query)) return {};
   SearchCounter().Increment();
   int64_t dist_evals = 0;
   Scratch& scratch = LocalScratch();
@@ -681,7 +692,7 @@ std::vector<AnnIndex::Hit> AnnIndex::Search(const std::vector<float>& query,
 std::vector<AnnIndex::Hit> AnnIndex::SearchBruteForce(
     const std::vector<float>& query, int n, int64_t exclude) const {
   HG_CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  if (n <= 0) return {};
+  if (n <= 0 || !AllFinite(query)) return {};
   std::vector<Hit> all;
   for (const auto& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mutex);

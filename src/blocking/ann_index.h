@@ -82,21 +82,24 @@ class AnnIndex {
   /// Inserts a vector under `id` (any non-negative value, since -1 is
   /// Search's `exclude` sentinel; duplicate ids are allowed and surface
   /// as distinct hits). The vector is copied and L2-normalized; all-zero
-  /// vectors are stored as-is and match nothing strongly.
+  /// vectors are stored as-is and match nothing strongly. A vector with
+  /// a NaN or infinite component is InvalidArgument and stores nothing.
   /// Incremental: O(ef_construction * log n) link updates, no rebuild.
-  void Insert(int64_t id, const std::vector<float>& vector);
+  Status Insert(int64_t id, const std::vector<float>& vector);
 
   /// The `n` most cosine-similar inserted ids to any nonzero `query`,
   /// best first, ties broken by ascending id; each hit's similarity is
   /// query · v̂ (see Hit). Searches every shard's graph with an
   /// ef_search-wide beam and heap-merges the per-shard top lists.
   /// `exclude` (-1 for none) drops one external id from the result (the
-  /// query itself, when it lives in the index).
+  /// query itself, when it lives in the index). A query with a NaN or
+  /// infinite component has no hits.
   std::vector<Hit> Search(const std::vector<float>& query, int n,
                           int64_t exclude = -1) const;
 
   /// Exact top-N by scanning every stored vector — the recall baseline
-  /// the property tests hold Search against. Same tie-breaking.
+  /// the property tests hold Search against. Same tie-breaking, and the
+  /// same empty result for a non-finite query.
   std::vector<Hit> SearchBruteForce(const std::vector<float>& query, int n,
                                     int64_t exclude = -1) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "core/logging.h"
@@ -59,19 +58,17 @@ std::vector<float> HashedNgramEmbedder::operator()(
   return sum;
 }
 
-EmbedBlocker::EmbedBlocker(const EmbedBlockOptions& options, EmbeddingFn embed)
-    : options_(options), embed_(std::move(embed)), index_(options.index) {
-  if (embed_ == nullptr) {
-    // std::function needs a copyable callable; the embedder carries a
-    // mutex, so the default goes behind a shared_ptr.
-    auto embedder = std::make_shared<HashedNgramEmbedder>(options.index.dim);
-    embed_ = [embedder](const Entity& entity) { return (*embedder)(entity); };
-  }
-}
+EmbedBlocker::EmbedBlocker(const EmbedBlockOptions& options)
+    : options_(options),
+      embedder_(options.index.dim),
+      index_(options.index) {}
 
 void EmbedBlocker::Add(int64_t id, const Entity& entity) {
   obs::ScopedLatency latency(EmbedAddSeconds());
-  index_.Insert(id, embed_(entity));
+  // The embedder's output is finite by construction (a normalized mean
+  // of bounded word vectors), so a refusal is a programming error.
+  const Status status = index_.Insert(id, embedder_(entity));
+  HG_CHECK(status.ok()) << status.ToString();
 }
 
 void EmbedBlocker::AddAll(const std::vector<Entity>& corpus) {
@@ -85,7 +82,7 @@ std::vector<AnnIndex::Hit> EmbedBlocker::TopN(const Entity& query, int n,
                                               int64_t exclude) const {
   HG_TRACE_SPAN("EmbedBlocker::TopN");
   EmbedQueriesCounter().Increment();
-  return index_.Search(embed_(query), n, exclude);
+  return index_.Search(embedder_(query), n, exclude);
 }
 
 ProgressiveCandidates::ProgressiveCandidates(

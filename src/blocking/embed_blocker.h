@@ -2,7 +2,6 @@
 #define HIERGAT_BLOCKING_EMBED_BLOCKER_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -13,12 +12,6 @@
 #include "text/hashed_embeddings.h"
 
 namespace hiergat {
-
-/// Maps an entity to a fixed-dimension embedding. The blocker treats the
-/// function as a black box: plug in `HashedNgramEmbedder` (default, no
-/// model needed), or an encoder-backed closure over the MiniLM summary
-/// vectors the `SummaryCache` computes.
-using EmbeddingFn = std::function<std::vector<float>(const Entity&)>;
 
 /// Options for embedding-index blocking, the scale-out sibling of
 /// `CollectiveBuildOptions` (DESIGN.md §16).
@@ -64,9 +57,8 @@ struct CandidatePair {
 /// for the run that fills and queries it.
 class EmbedBlocker {
  public:
-  /// `embed` defaults to a `HashedNgramEmbedder` of the index dim.
-  explicit EmbedBlocker(const EmbedBlockOptions& options,
-                        EmbeddingFn embed = nullptr);
+  /// Embeds with a `HashedNgramEmbedder` of the index dim.
+  explicit EmbedBlocker(const EmbedBlockOptions& options);
 
   /// Embeds and inserts one record under `id` — incremental, O(log n).
   void Add(int64_t id, const Entity& entity);
@@ -78,7 +70,9 @@ class EmbedBlocker {
   std::vector<AnnIndex::Hit> TopN(const Entity& query, int n,
                                   int64_t exclude = -1) const;
 
-  std::vector<float> Embed(const Entity& entity) const { return embed_(entity); }
+  std::vector<float> Embed(const Entity& entity) const {
+    return embedder_(entity);
+  }
 
   const EmbedBlockOptions& options() const { return options_; }
   const AnnIndex& index() const { return index_; }
@@ -86,7 +80,7 @@ class EmbedBlocker {
 
  private:
   EmbedBlockOptions options_;
-  EmbeddingFn embed_;
+  HashedNgramEmbedder embedder_;
   AnnIndex index_;
 };
 

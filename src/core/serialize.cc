@@ -283,6 +283,13 @@ Status NamedParameters::Add(const std::string& name, const Tensor& tensor) {
   return status;
 }
 
+std::vector<Tensor> NamedParameters::tensors() const {
+  std::vector<Tensor> out;
+  out.reserve(items_.size());
+  for (const auto& item : items_) out.push_back(item.second);
+  return out;
+}
+
 const Tensor* NamedParameters::Find(const std::string& name) const {
   const auto it = index_.find(name);
   if (it == index_.end()) return nullptr;

@@ -92,6 +92,10 @@ class NamedParameters {
     return items_;
   }
 
+  /// The registered tensors alone, in registration order (shared
+  /// handles: the optimizer's parameter list).
+  std::vector<Tensor> tensors() const;
+
   /// The registered tensor, or nullptr if absent.
   const Tensor* Find(const std::string& name) const;
 

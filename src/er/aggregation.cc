@@ -44,10 +44,4 @@ Tensor HierarchicalAggregator::SummarizeEntity(
   return ConcatCols(attribute_embeddings);
 }
 
-std::vector<Tensor> HierarchicalAggregator::Parameters() const {
-  // The summarization transformer *is* the LM encoder; its parameters
-  // are owned (and reported) by the backbone to avoid duplication.
-  return {};
-}
-
 }  // namespace hiergat

@@ -11,8 +11,9 @@ namespace hiergat {
 
 /// Hierarchical aggregation (§5.1, Algorithm 1): attribute summarization
 /// with the LM's self-attention and entity summarization by
-/// concatenation.
-class HierarchicalAggregator : public Module {
+/// concatenation. It owns no parameters: the summarization transformer
+/// is the LM encoder, which the backbone trains and checkpoints.
+class HierarchicalAggregator {
  public:
   HierarchicalAggregator(const MiniLm* lm, float dropout, Rng& rng);
 
@@ -34,8 +35,6 @@ class HierarchicalAggregator : public Module {
   const std::vector<float>& last_token_attention() const {
     return last_token_attention_;
   }
-
-  std::vector<Tensor> Parameters() const override;
 
  private:
   const MiniLm* lm_;

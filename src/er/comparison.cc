@@ -80,14 +80,6 @@ Tensor HierarchicalComparator::CombineViews(
   return MeanRows(views);
 }
 
-std::vector<Tensor> HierarchicalComparator::Parameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, fuse_->Parameters());
-  AppendParameters(&params, shared_space_->Parameters());
-  AppendParameters(&params, view_attention_->Parameters());
-  return params;
-}
-
 EntityAligner::EntityAligner(int entity_dim, Rng& rng)
     : entity_dim_(entity_dim) {
   pair_proj_ = std::make_unique<Linear>(2 * entity_dim, entity_dim, rng,
@@ -122,14 +114,6 @@ Tensor EntityAligner::Align(
     rows.push_back(Sub(vi, redundant));  // Residual removal.
   }
   return ConcatRows(rows);
-}
-
-std::vector<Tensor> EntityAligner::Parameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, pair_proj_->Parameters());
-  AppendParameters(&params, scorer_->Parameters());
-  AppendParameters(&params, value_proj_->Parameters());
-  return params;
 }
 
 }  // namespace hiergat

@@ -62,8 +62,6 @@ class HierarchicalComparator : public Module {
     return view_attention_->last_weights();
   }
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("fuse", *fuse_);
     out->AddModule("shared_space", *shared_space_);
@@ -93,8 +91,6 @@ class EntityAligner : public Module {
   /// Eq. 5). Returns the aligned [M, D] embeddings.
   Tensor Align(const Tensor& entity_embeddings,
                const std::vector<std::vector<int>>& related) const;
-
-  std::vector<Tensor> Parameters() const override;
 
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("pair_proj", *pair_proj_);

@@ -279,12 +279,4 @@ Tensor ContextualEmbedder::Compute(
   return Add(base, context);  // Residual: WpC = V^t + C.
 }
 
-std::vector<Tensor> ContextualEmbedder::Parameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, attr_attention_->Parameters());
-  AppendParameters(&params, common_attention_->Parameters());
-  AppendParameters(&params, redundant_attention_->Parameters());
-  return params;
-}
-
 }  // namespace hiergat

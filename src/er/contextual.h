@@ -74,8 +74,6 @@ class ContextualEmbedder : public Module {
       std::span<const Hhg> hhgs, SummaryCache* cache,
       const BatchEncoder& encode) const;
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("attr_attention", *attr_attention_);
     out->AddModule("common_attention", *common_attention_);

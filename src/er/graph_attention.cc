@@ -29,13 +29,6 @@ Tensor GraphAttentionPool::Pool(const Tensor& score_inputs,
   return MatMul(weights, values);                      // [1, Dv]
 }
 
-std::vector<Tensor> GraphAttentionPool::Parameters() const {
-  std::vector<Tensor> params;
-  if (w_) AppendParameters(&params, w_->Parameters());
-  AppendParameters(&params, scorer_->Parameters());
-  return params;
-}
-
 Tensor TileRows(const Tensor& row, int n) {
   HG_CHECK_EQ(row.dim(0), 1);
   return GatherRows(row, std::vector<int>(static_cast<size_t>(n), 0));

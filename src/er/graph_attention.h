@@ -35,8 +35,6 @@ class GraphAttentionPool : public Module {
   /// Row-stochastic weights [1, n] of the last Pool call (detached).
   const Tensor& last_weights() const { return last_weights_; }
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     if (w_ != nullptr) out->AddModule("w", *w_);
     out->AddModule("scorer", *scorer_);

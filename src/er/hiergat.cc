@@ -189,7 +189,6 @@ void HierGatStack::BuildModules(uint64_t seed) {
 void HierGatStack::RegisterCheckpointParameters(NamedParameters* out) const {
   out->AddModule("lm", *backbone.lm);
   out->AddModule("contextual", *contextual);
-  out->AddModule("aggregator", *aggregator);  // No own parameters today.
   out->AddModule("comparator", *comparator);
   if (aligner != nullptr) out->AddModule("aligner", *aligner);
   out->AddModule("classifier", *classifier);
@@ -455,14 +454,10 @@ CompiledScoring::Stats HierGatStack::compiled_stats() const {
 }
 
 std::vector<Tensor> HierGatStack::TrainableParameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, backbone.lm->Parameters());
-  AppendParameters(&params, contextual->Parameters());
-  AppendParameters(&params, aggregator->Parameters());
-  AppendParameters(&params, comparator->Parameters());
-  if (aligner != nullptr) AppendParameters(&params, aligner->Parameters());
-  AppendParameters(&params, classifier->Parameters());
-  return params;
+  NamedParameters params;
+  RegisterCheckpointParameters(&params);
+  HG_CHECK(params.status().ok()) << params.status().ToString();
+  return params.tensors();
 }
 
 std::vector<float> HierGatStack::ParameterLrMultipliers() const {

@@ -156,7 +156,7 @@ struct HierGatStack {
   void BuildModules(uint64_t seed);
 
   /// Stable dotted-name registration of every checkpointed tensor; the
-  /// same registration drives Save and Load.
+  /// same registration drives Save, Load and TrainableParameters.
   void RegisterCheckpointParameters(NamedParameters* out) const;
 };
 

@@ -20,10 +20,6 @@ std::vector<float> PairwiseModel::ScoreBatch(
   return probabilities;
 }
 
-float PairwiseModel::PredictProbability(const EntityPair& pair) const {
-  return ScoreBatch(std::span<const EntityPair>(&pair, 1)).front();
-}
-
 EvalResult PairwiseModel::Evaluate(std::span<const EntityPair> pairs) const {
   const std::vector<float> probabilities = ScoreBatch(pairs);
   std::vector<int> labels;

@@ -41,9 +41,8 @@ struct TrainOptions {
 /// amortize per-entity work (see HierGatModel's summary cache) and the
 /// InferenceEngine spread ranges across its thread pool's lanes. Scoring is
 /// const: inference never mutates the model, so concurrent ScoreBatch
-/// calls on one trained model are safe. `PredictProbability` remains as
-/// a thin convenience wrapper for one-off pairs; hand-rolled per-pair
-/// loops over it are deprecated in favor of ScoreBatch / the engine.
+/// calls on one trained model are safe. A one-off pair is a batch of
+/// one: `ScoreBatch({&pair, 1})`.
 class PairwiseModel {
  public:
   virtual ~PairwiseModel() = default;
@@ -62,10 +61,6 @@ class PairwiseModel {
   /// invariant results).
   virtual std::vector<float> ScoreBatch(
       std::span<const EntityPair> pairs) const;
-
-  /// P(match) for one candidate pair — a convenience wrapper over
-  /// ScoreBatch.
-  float PredictProbability(const EntityPair& pair) const;
 
   /// P/R/F1 over a pair list (routed through ScoreBatch).
   EvalResult Evaluate(std::span<const EntityPair> pairs) const;

@@ -103,15 +103,4 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
   return out_proj_->Forward(ConcatCols(head_outputs));
 }
 
-std::vector<Tensor> MultiHeadSelfAttention::Parameters() const {
-  std::vector<Tensor> params;
-  for (size_t h = 0; h < q_proj_.size(); ++h) {
-    AppendParameters(&params, q_proj_[h]->Parameters());
-    AppendParameters(&params, k_proj_[h]->Parameters());
-    AppendParameters(&params, v_proj_[h]->Parameters());
-  }
-  AppendParameters(&params, out_proj_->Parameters());
-  return params;
-}
-
 }  // namespace hiergat

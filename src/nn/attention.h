@@ -45,8 +45,6 @@ class MultiHeadSelfAttention : public Module {
   /// averaged over heads (detached; used for attention visualization).
   const Tensor& last_attention() const { return last_attention_; }
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     for (size_t h = 0; h < q_proj_.size(); ++h) {
       const std::string i = std::to_string(h);

@@ -21,8 +21,6 @@ class Embedding : public Module {
   /// vectors; `values.size()` must equal dim).
   void SetRow(int id, const std::vector<float>& values);
 
-  std::vector<Tensor> Parameters() const override { return {table_}; }
-
   void RegisterParameters(NamedParameters* out) const override {
     (void)out->Add("table", table_);
   }

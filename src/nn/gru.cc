@@ -38,24 +38,9 @@ Tensor Gru::Forward(const Tensor& x, bool reverse) const {
   return ConcatRows(states);
 }
 
-std::vector<Tensor> Gru::Parameters() const {
-  std::vector<Tensor> params;
-  for (const Linear* l : {wz_.get(), uz_.get(), wr_.get(), ur_.get(),
-                          wn_.get(), un_.get()}) {
-    AppendParameters(&params, l->Parameters());
-  }
-  return params;
-}
-
 Tensor BiGru::Forward(const Tensor& x) const {
   return ConcatCols({fwd_->Forward(x, /*reverse=*/false),
                      bwd_->Forward(x, /*reverse=*/true)});
-}
-
-std::vector<Tensor> BiGru::Parameters() const {
-  std::vector<Tensor> params = fwd_->Parameters();
-  AppendParameters(&params, bwd_->Parameters());
-  return params;
 }
 
 }  // namespace hiergat

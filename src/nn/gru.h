@@ -27,8 +27,6 @@ class Gru : public Module {
   /// with the input order).
   Tensor Forward(const Tensor& x, bool reverse = false) const;
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("wz", *wz_);
     out->AddModule("uz", *uz_);
@@ -57,8 +55,6 @@ class BiGru : public Module {
         bwd_(std::make_unique<Gru>(input_dim, hidden_dim, rng)) {}
 
   Tensor Forward(const Tensor& x) const;
-
-  std::vector<Tensor> Parameters() const override;
 
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("fwd", *fwd_);

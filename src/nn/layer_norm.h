@@ -21,8 +21,6 @@ class LayerNormLayer : public Module {
     return LayerNorm(x, gamma_, beta_);
   }
 
-  std::vector<Tensor> Parameters() const override { return {gamma_, beta_}; }
-
   void RegisterParameters(NamedParameters* out) const override {
     (void)out->Add("gamma", gamma_);
     (void)out->Add("beta", beta_);

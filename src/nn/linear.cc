@@ -19,10 +19,4 @@ Tensor Linear::Forward(const Tensor& x) const {
   return LinearOp(x, weight_, bias_);
 }
 
-std::vector<Tensor> Linear::Parameters() const {
-  std::vector<Tensor> params = {weight_};
-  if (bias_.defined()) params.push_back(bias_);
-  return params;
-}
-
 }  // namespace hiergat

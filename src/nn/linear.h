@@ -16,8 +16,6 @@ class Linear : public Module {
   /// Applies the affine map to a [n, in_features] input.
   Tensor Forward(const Tensor& x) const;
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     (void)out->Add("weight", weight_);
     if (bias_.defined()) (void)out->Add("bias", bias_);

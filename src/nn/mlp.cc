@@ -21,14 +21,6 @@ Tensor Mlp::Forward(const Tensor& x) const {
   return h;
 }
 
-std::vector<Tensor> Mlp::Parameters() const {
-  std::vector<Tensor> params;
-  for (const auto& layer : layers_) {
-    AppendParameters(&params, layer->Parameters());
-  }
-  return params;
-}
-
 Highway::Highway(int dim, Rng& rng) {
   transform_ = std::make_unique<Linear>(dim, dim, rng);
   gate_ = std::make_unique<Linear>(dim, dim, rng);
@@ -39,12 +31,6 @@ Tensor Highway::Forward(const Tensor& x) const {
   Tensor h = Relu(transform_->Forward(x));
   Tensor ones = Tensor::Full(t.shape(), 1.0f);
   return Add(Mul(t, h), Mul(Sub(ones, t), x));
-}
-
-std::vector<Tensor> Highway::Parameters() const {
-  std::vector<Tensor> params = transform_->Parameters();
-  AppendParameters(&params, gate_->Parameters());
-  return params;
 }
 
 }  // namespace hiergat

@@ -19,8 +19,6 @@ class Mlp : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     for (size_t i = 0; i < layers_.size(); ++i) {
       out->AddModule("fc" + std::to_string(i), *layers_[i]);
@@ -43,8 +41,6 @@ class Highway : public Module {
   Highway(int dim, Rng& rng);
 
   Tensor Forward(const Tensor& x) const;
-
-  std::vector<Tensor> Parameters() const override;
 
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("transform", *transform_);

@@ -1,9 +1,9 @@
 #ifndef HIERGAT_NN_MODULE_H_
 #define HIERGAT_NN_MODULE_H_
 
-#include <string>
 #include <vector>
 
+#include "core/logging.h"
 #include "core/serialize.h"
 #include "tensor/tensor.h"
 
@@ -11,10 +11,12 @@ namespace hiergat {
 
 /// Base class for neural-network building blocks.
 ///
-/// A Module owns trainable Tensors (parameters). Parameters() returns
-/// shared handles so optimizers can update them in place. Modules are
-/// neither copyable nor movable once constructed (parameters are shared
-/// state referenced by optimizers).
+/// A Module owns trainable Tensors (parameters) and names each of them
+/// once, in RegisterParameters. That one registration drives saving,
+/// loading and the optimizer's list (Parameters), so a tensor cannot be
+/// trained without being checkpointed, or the other way round. Modules
+/// are neither copyable nor movable once constructed (parameters are
+/// shared state referenced by optimizers).
 class Module {
  public:
   Module() = default;
@@ -22,28 +24,19 @@ class Module {
   Module& operator=(const Module&) = delete;
   virtual ~Module() = default;
 
-  /// All trainable parameters of this module (recursively).
-  virtual std::vector<Tensor> Parameters() const = 0;
-
   /// Registers this module's parameters in `out` under stable dotted
-  /// names ("encoder.layer0.attn.q0.weight", ...) for checkpointing.
-  /// Composite modules override this with AddModule per submodule; the
-  /// default falls back to positional names p0, p1, ... over
-  /// Parameters(). The registered set must stay consistent with
-  /// Parameters() — every trainable tensor needs a name, or it will be
-  /// silently left at its initialization value after a checkpoint load.
-  virtual void RegisterParameters(NamedParameters* out) const {
-    const std::vector<Tensor> params = Parameters();
-    for (size_t i = 0; i < params.size(); ++i) {
-      (void)out->Add("p" + std::to_string(i), params[i]);
-    }
-  }
+  /// names ("encoder.layer0.attn.q0.weight", ...). Composite modules
+  /// call AddModule per submodule. Registration order is the order of
+  /// Parameters() and of the checkpoint.
+  virtual void RegisterParameters(NamedParameters* out) const = 0;
 
-  /// Total number of trainable scalars.
-  int64_t ParameterCount() const {
-    int64_t n = 0;
-    for (const Tensor& t : Parameters()) n += t.numel();
-    return n;
+  /// All trainable parameters of this module (recursively), as shared
+  /// handles in registration order, so optimizers update them in place.
+  std::vector<Tensor> Parameters() const {
+    NamedParameters named;
+    RegisterParameters(&named);
+    HG_CHECK(named.status().ok()) << named.status().ToString();
+    return named.tensors();
   }
 };
 

@@ -37,16 +37,6 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x, bool training,
   return Add(h, ffn);
 }
 
-std::vector<Tensor> TransformerEncoderLayer::Parameters() const {
-  std::vector<Tensor> params;
-  AppendParameters(&params, attn_->Parameters());
-  AppendParameters(&params, ffn1_->Parameters());
-  AppendParameters(&params, ffn2_->Parameters());
-  AppendParameters(&params, norm1_->Parameters());
-  AppendParameters(&params, norm2_->Parameters());
-  return params;
-}
-
 TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
                                        Rng& rng)
     : config_(config) {
@@ -79,15 +69,6 @@ Tensor TransformerEncoder::Forward(const Tensor& x, bool training, Rng& rng,
                             last ? last_queries : std::span<const int>());
   }
   return final_norm_->Forward(h);
-}
-
-std::vector<Tensor> TransformerEncoder::Parameters() const {
-  std::vector<Tensor> params;
-  for (const auto& layer : layers_) {
-    AppendParameters(&params, layer->Parameters());
-  }
-  AppendParameters(&params, final_norm_->Parameters());
-  return params;
 }
 
 Tensor SinusoidalPositions(int len, int dim) {

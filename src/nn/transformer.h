@@ -42,8 +42,6 @@ class TransformerEncoderLayer : public Module {
   /// Attention matrix of the most recent Forward (head-averaged).
   const Tensor& last_attention() const { return attn_->last_attention(); }
 
-  std::vector<Tensor> Parameters() const override;
-
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("attn", *attn_);
     out->AddModule("ffn1", *ffn1_);
@@ -86,8 +84,6 @@ class TransformerEncoder : public Module {
   const Tensor& last_attention() const {
     return layers_.back()->last_attention();
   }
-
-  std::vector<Tensor> Parameters() const override;
 
   void RegisterParameters(NamedParameters* out) const override {
     for (size_t i = 0; i < layers_.size(); ++i) {

@@ -236,19 +236,4 @@ float MiniLm::PretrainPaired(const std::vector<std::vector<int>>& corpus,
   return counted > 0 ? running_loss / static_cast<float>(counted) : 0.0f;
 }
 
-std::vector<Tensor> MiniLm::FineTuneParameters(
-    bool include_token_table) const {
-  std::vector<Tensor> params;
-  if (include_token_table) {
-    AppendParameters(&params, token_table_->Parameters());
-  }
-  AppendParameters(&params, segment_table_->Parameters());
-  AppendParameters(&params, encoder_->Parameters());
-  return params;
-}
-
-std::vector<Tensor> MiniLm::Parameters() const {
-  return FineTuneParameters(/*include_token_table=*/true);
-}
-
 }  // namespace hiergat

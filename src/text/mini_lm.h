@@ -95,17 +95,13 @@ class MiniLm : public Module {
   /// Head-averaged attention of the last encoder layer (visualization).
   const Tensor& last_attention() const { return encoder_->last_attention(); }
 
-  /// Encoder + segment parameters, optionally with the token table.
-  /// The ER models include the table but fine-tune it at a 0.1x rate
-  /// (ParameterLrMultipliers) — the analog of the paper's 1e-5 BERT
-  /// rate, curbing per-word memorization of training pairs.
-  std::vector<Tensor> FineTuneParameters(bool include_token_table) const;
-
-  std::vector<Tensor> Parameters() const override;
-
-  /// Mirrors Parameters(): the pre-training heads (mlm_head, pair_head)
-  /// are deliberately NOT checkpointed — inference never touches them,
-  /// and leaving them out keeps golden fixtures small.
+  /// The fine-tuned parameters: token table, segment table, encoder.
+  /// The token table comes first, so it is Parameters()[0]: the ER
+  /// models fine-tune it at a 0.1x rate (ParameterLrMultipliers), the
+  /// analog of the paper's 1e-5 BERT rate, curbing per-word memorization
+  /// of training pairs. The pre-training heads (mlm_head, pair_head) are
+  /// deliberately left out: inference never touches them, and leaving
+  /// them out keeps golden fixtures small.
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("token_table", *token_table_);
     out->AddModule("segment_table", *segment_table_);

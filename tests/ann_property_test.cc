@@ -328,6 +328,31 @@ TEST(AnnPropertyTest, EdgeCases) {
   EXPECT_EQ(max_hits[0].id, max);
 }
 
+TEST(AnnPropertyTest, NonFiniteInputIsRefused) {
+  // A hostile vector gets a Status, never a stored NaN; a hostile query
+  // gets no hits, never a NaN similarity.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  AnnIndex index(SmallOptions(4, 2));
+  for (int i = 0; i < 20; ++i) {
+    const float x = static_cast<float>(i);
+    ASSERT_TRUE(index.Insert(i, {1.0f, x, 0.5f, -x}).ok());
+  }
+  for (const std::vector<float>& bad :
+       std::vector<std::vector<float>>{{nan, 0.0f, 0.0f, 0.0f},
+                                       {0.0f, inf, 0.0f, 0.0f},
+                                       {0.0f, 0.0f, -inf, 0.0f}}) {
+    const Status status = index.Insert(100, bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ(index.size(), 20);
+    EXPECT_TRUE(index.CheckInvariants().ok());
+    EXPECT_TRUE(index.Search(bad, 3).empty());
+    EXPECT_TRUE(index.SearchBruteForce(bad, 3).empty());
+  }
+  EXPECT_EQ(index.Search({1.0f, 0.0f, 0.0f, 0.0f}, 3).size(), 3u);
+}
+
 TEST(AnnPropertyTest, QuantizeNeverEmitsMinus128) {
   // The AVX2 int8 dot negates and takes absolute values of bytes, which
   // -128 does not survive; components a hair above 1 (a normalization

@@ -53,7 +53,7 @@ std::vector<float> SequentialScores(const PairwiseModel& model,
   std::vector<float> probs;
   probs.reserve(pairs.size());
   for (const EntityPair& pair : pairs) {
-    probs.push_back(model.PredictProbability(pair));
+    probs.push_back(model.ScoreBatch({&pair, 1}).front());
   }
   return probs;
 }
@@ -400,8 +400,8 @@ TEST_F(EngineParityTest, HandlesEmptyAndTinyBatches) {
   const std::span<const EntityPair> two(data_->test.data(), 2);
   const std::vector<float> batched = engine.Score(*magellan_, two);
   ASSERT_EQ(batched.size(), 2u);
-  EXPECT_EQ(batched[0], magellan_->PredictProbability(data_->test[0]));
-  EXPECT_EQ(batched[1], magellan_->PredictProbability(data_->test[1]));
+  EXPECT_EQ(batched[0], magellan_->ScoreBatch({&data_->test[0], 1}).front());
+  EXPECT_EQ(batched[1], magellan_->ScoreBatch({&data_->test[1], 1}).front());
 }
 
 TEST_F(EngineParityTest, EngineIsReusableAcrossCallsAndModels) {
@@ -422,8 +422,8 @@ TEST_F(EngineParityTest, RepeatedTinyJobsTolerateStragglerWorkers) {
   // jobs make that interleaving likely.
   InferenceEngine engine(EngineOptions{.num_threads = 8});
   const std::span<const EntityPair> two(data_->test.data(), 2);
-  const float p0 = magellan_->PredictProbability(data_->test[0]);
-  const float p1 = magellan_->PredictProbability(data_->test[1]);
+  const float p0 = magellan_->ScoreBatch({&data_->test[0], 1}).front();
+  const float p1 = magellan_->ScoreBatch({&data_->test[1], 1}).front();
   for (int iter = 0; iter < 300; ++iter) {
     const std::vector<float> batched = engine.Score(*magellan_, two);
     ASSERT_EQ(batched.size(), 2u);
@@ -559,7 +559,7 @@ TEST_F(EngineParityTest, PairwiseAsCollectiveRoutesThroughBatchPath) {
     EntityPair pair;
     pair.left = query.query;
     pair.right = query.candidates[i];
-    EXPECT_EQ(probs[i], hiergat_->PredictProbability(pair)) << i;
+    EXPECT_EQ(probs[i], hiergat_->ScoreBatch({&pair, 1}).front()) << i;
   }
 }
 

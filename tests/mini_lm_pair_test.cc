@@ -1,15 +1,76 @@
 // Tests for the MiniLM pair machinery that the transformer matchers
 // rely on: segment embeddings, sentence-pair pre-training, zero-shot
-// pair logits, and fine-tune parameter selection.
+// pair logits, and the order of the fine-tuned parameters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "data/synthetic.h"
+#include "er/hiergat.h"
 #include "nn/optimizer.h"
 #include "text/mini_lm.h"
 #include "tensor/ops.h"
 
 namespace hiergat {
 namespace {
+
+/// HierGatModel with its optimizer list in reach.
+class ExposedHierGat : public HierGatModel {
+ public:
+  using HierGatModel::HierGatModel;
+  using HierGatModel::TrainableParameters;
+};
+
+/// Little-endian unsigned field; throws (a test failure) past the end.
+uint64_t ReadLe(const std::string& bytes, size_t offset, int width) {
+  uint64_t value = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    value = (value << 8) | static_cast<uint8_t>(bytes.at(offset + i));
+  }
+  return value;
+}
+
+struct StoredTensor {
+  std::string name;
+  std::vector<float> values;
+};
+
+/// Every tensor of an f32 checkpoint image, in file order (layout:
+/// src/core/serialize.h).
+std::vector<StoredTensor> ReadF32Tensors(const std::string& image) {
+  size_t offset = 8;                        // magic + format version.
+  offset += 4 + ReadLe(image, offset, 4);   // Model tag.
+  const uint64_t meta_count = ReadLe(image, offset, 4);
+  offset += 4;
+  for (uint64_t i = 0; i < 2 * meta_count; ++i) {  // Keys and values.
+    offset += 4 + ReadLe(image, offset, 4);
+  }
+  const uint64_t count = ReadLe(image, offset, 4);
+  offset += 4;
+  std::vector<StoredTensor> tensors(count);
+  for (StoredTensor& tensor : tensors) {
+    const size_t name_len = ReadLe(image, offset, 4);
+    tensor.name = image.substr(offset + 4, name_len);
+    offset += 4 + name_len + 1;  // Name, dtype.
+    const int rank = static_cast<uint8_t>(image.at(offset));
+    offset += 1 + 4 * static_cast<size_t>(rank);
+    const uint64_t byte_len = ReadLe(image, offset, 8);
+    offset += 8;
+    for (uint64_t b = 0; b < byte_len; b += 4) {
+      tensor.values.push_back(std::bit_cast<float>(
+          static_cast<uint32_t>(ReadLe(image, offset + b, 4))));
+    }
+    offset += byte_len;
+  }
+  return tensors;
+}
 
 class MiniLmPairFixture : public ::testing::Test {
  protected:
@@ -79,21 +140,53 @@ TEST_F(MiniLmPairFixture, PairedPretrainingLearnsSameVsDifferent) {
   EXPECT_LT(late, 0.66f) << "must beat the 0.693 chance level";
 }
 
-TEST_F(MiniLmPairFixture, FineTuneParametersExcludeTableWhenAsked) {
-  const auto with_table = lm_->FineTuneParameters(true);
-  const auto without_table = lm_->FineTuneParameters(false);
-  EXPECT_EQ(with_table.size(), without_table.size() + 1);
-  // The token table is the largest tensor; it must be the one excluded.
-  int64_t with_count = 0, without_count = 0;
-  for (const Tensor& t : with_table) with_count += t.numel();
-  for (const Tensor& t : without_table) without_count += t.numel();
-  EXPECT_EQ(with_count - without_count,
-            static_cast<int64_t>(vocab_.size()) * lm_->dim());
+TEST_F(MiniLmPairFixture, OptimizerOrderFollowsCheckpointRegistration) {
+  // ParameterLrMultipliers slows index 0 to 0.1x for HierGAT, HierGAT+
+  // and Ditto, so it must be the token table.
+  EXPECT_EQ(&lm_->Parameters()[0].data(),
+            &lm_->token_table().table().data());
+
+  // A built HierGAT trains exactly the tensors its checkpoint holds, in
+  // checkpoint order: each trainable tensor is filled with its index + 1
+  // and must come out of Save at the same position.
+  SyntheticSpec spec;
+  spec.name = "order";
+  spec.num_pairs = 20;
+  spec.num_attributes = 2;
+  spec.seed = 5;
+  HierGatConfig config;
+  config.lm_size = LmSize::kSmall;
+  config.lm_pretrain_steps = 0;
+  ExposedHierGat model(config);
+  TrainOptions options;
+  options.epochs = 1;
+  options.max_train_items = 2;
+  model.Train(GeneratePairDataset(spec), options);
+  std::vector<Tensor> params = model.TrainableParameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::fill(params[i].data().begin(), params[i].data().end(),
+              static_cast<float>(i + 1));
+  }
+  const std::string path = ::testing::TempDir() + "optimizer_order.ckpt";
+  ASSERT_TRUE(model.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream image;
+  image << in.rdbuf();
+
+  const std::vector<StoredTensor> stored = ReadF32Tensors(image.str());
+  ASSERT_EQ(stored.size(), params.size());
+  EXPECT_EQ(stored[0].name, "lm.token_table.table");
+  for (size_t i = 0; i < stored.size(); ++i) {
+    ASSERT_EQ(stored[i].values.size(), params[i].data().size())
+        << stored[i].name;
+    for (const float v : stored[i].values) {
+      ASSERT_EQ(v, static_cast<float>(i + 1)) << stored[i].name;
+    }
+  }
 }
 
 TEST_F(MiniLmPairFixture, ParametersIncludeSegmentTable) {
-  // Parameters() == FineTuneParameters(true); sanity: optimizing them
-  // changes the segment encoding.
+  // Sanity: optimizing Parameters() changes the segment encoding.
   std::vector<Tensor> params = lm_->Parameters();
   Adam adam(params, 1e-2f);
   const std::vector<int> ids = {Vocabulary::kCls, 6, Vocabulary::kSep, 7,

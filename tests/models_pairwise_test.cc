@@ -51,8 +51,7 @@ TEST(MagellanTest, PredictionsAreProbabilities) {
   PairDataset data = SmallDataset(33);
   MagellanModel model;
   model.Train(data, FastOptions());
-  for (const EntityPair& pair : data.test) {
-    const float p = model.PredictProbability(pair);
+  for (const float p : model.ScoreBatch(data.test)) {
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
@@ -195,7 +194,7 @@ TEST(HierGatTest, TrainingIsDeterministicPerSeed) {
     config.lm_pretrain_steps = 10;
     HierGatModel model(config);
     model.Train(data, options);
-    return model.PredictProbability(data.test.front());
+    return model.ScoreBatch({&data.test.front(), 1}).front();
   };
   EXPECT_FLOAT_EQ(run(), run());
 }
@@ -212,7 +211,7 @@ TEST(NeuralModelsTest, BaselinesAreDeterministicPerSeed) {
   auto run_deepmatcher = [&]() {
     DeepMatcherModel model;
     model.Train(data, options);
-    return model.PredictProbability(data.test.front());
+    return model.ScoreBatch({&data.test.front(), 1}).front();
   };
   EXPECT_FLOAT_EQ(run_deepmatcher(), run_deepmatcher());
 
@@ -222,7 +221,7 @@ TEST(NeuralModelsTest, BaselinesAreDeterministicPerSeed) {
     config.lm_pretrain_steps = 10;
     DittoModel model(config);
     model.Train(data, options);
-    return model.PredictProbability(data.test.front());
+    return model.ScoreBatch({&data.test.front(), 1}).front();
   };
   EXPECT_FLOAT_EQ(run_ditto(), run_ditto());
 
@@ -243,7 +242,7 @@ TEST(NeuralModelsTest, SeedChangesBaselineInitialization) {
     options.seed = seed;
     DeepMatcherModel model;
     model.Train(data, options);
-    return model.PredictProbability(data.test.front());
+    return model.ScoreBatch({&data.test.front(), 1}).front();
   };
   // Different seeds must actually reach the weights (not just the
   // shuffling), so distinct seeds give distinct scores.
