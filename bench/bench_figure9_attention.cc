@@ -75,8 +75,14 @@ void Run() {
        {std::pair<const char*, const EntityPair*>{"MATCHING PAIR", positive},
         {"NON-MATCHING PAIR", negative}}) {
     if (pair == nullptr) continue;
-    const HierGatModel::AttentionReport report =
+    const StatusOr<HierGatModel::AttentionReport> report_or =
         model.InspectAttention(*pair);
+    if (!report_or.ok()) {
+      std::fprintf(stderr, "InspectAttention: %s\n",
+                   report_or.status().ToString().c_str());
+      continue;
+    }
+    const HierGatModel::AttentionReport& report = report_or.value();
     std::printf("\n================ %s (P(match)=%.2f, gold=%d)\n", label,
                 report.match_probability, pair->label);
     PrintSide("entity 1:", report.left, report.attribute_weights);

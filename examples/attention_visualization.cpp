@@ -67,8 +67,14 @@ int main() {
       continue;
     }
     ++shown;
-    const HierGatModel::AttentionReport report =
+    const StatusOr<HierGatModel::AttentionReport> report_or =
         model.InspectAttention(pair);
+    if (!report_or.ok()) {
+      std::fprintf(stderr, "InspectAttention: %s\n",
+                   report_or.status().ToString().c_str());
+      return 1;
+    }
+    const HierGatModel::AttentionReport& report = report_or.value();
     std::printf("=== %s pair (P(match)=%.2f)\n",
                 pair.label ? "matching" : "non-matching",
                 report.match_probability);

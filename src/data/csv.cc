@@ -1,7 +1,6 @@
 #include "data/csv.h"
 
 #include <fstream>
-#include <sstream>
 
 namespace hiergat {
 
@@ -46,54 +45,6 @@ std::string EscapeCsvField(const std::string& field) {
   }
   out.push_back('"');
   return out;
-}
-
-StatusOr<std::vector<Entity>> ReadEntitiesCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty CSV: " + path);
-  }
-  const std::vector<std::string> header = ParseCsvLine(line);
-  std::vector<Entity> entities;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = ParseCsvLine(line);
-    if (cells.size() != header.size()) {
-      return Status::InvalidArgument("ragged row in " + path);
-    }
-    Entity e;
-    for (size_t i = 0; i < header.size(); ++i) {
-      e.Add(header[i], cells[i].empty() ? kMissingValue : cells[i]);
-    }
-    entities.push_back(std::move(e));
-  }
-  return entities;
-}
-
-Status WriteEntitiesCsv(const std::string& path,
-                        const std::vector<Entity>& entities) {
-  if (entities.empty()) {
-    return Status::InvalidArgument("no entities to write");
-  }
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  const Entity& first = entities.front();
-  for (int i = 0; i < first.num_attributes(); ++i) {
-    if (i) out << ",";
-    out << EscapeCsvField(first.attribute(i).first);
-  }
-  out << "\n";
-  for (const Entity& e : entities) {
-    for (int i = 0; i < first.num_attributes(); ++i) {
-      if (i) out << ",";
-      out << EscapeCsvField(e.Get(first.attribute(i).first));
-    }
-    out << "\n";
-  }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::Ok();
 }
 
 Status WritePairsCsv(const std::string& path,

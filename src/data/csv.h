@@ -16,15 +16,6 @@ std::vector<std::string> ParseCsvLine(const std::string& line);
 /// Escapes a field for CSV output.
 std::string EscapeCsvField(const std::string& field);
 
-/// Reads a CSV file whose header row names the attributes; each data row
-/// becomes an Entity with <header, cell> attributes.
-StatusOr<std::vector<Entity>> ReadEntitiesCsv(const std::string& path);
-
-/// Writes entities to CSV. All entities must share the first entity's
-/// attribute schema (missing values are written as "NAN").
-Status WriteEntitiesCsv(const std::string& path,
-                        const std::vector<Entity>& entities);
-
 /// Writes a labeled pair dataset split to CSV with columns
 /// left_<attr>..., right_<attr>..., label.
 Status WritePairsCsv(const std::string& path,

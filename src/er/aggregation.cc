@@ -1,7 +1,6 @@
 #include "er/aggregation.h"
 
 #include "core/logging.h"
-#include "nn/introspection.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -16,7 +15,7 @@ HierarchicalAggregator::HierarchicalAggregator(const MiniLm* lm,
 
 Tensor HierarchicalAggregator::SummarizeAttribute(
     const Tensor& wpc, const std::vector<int>& token_seq, bool training,
-    Rng& rng) const {
+    Rng& rng, std::vector<float>* token_attention) const {
   HG_TRACE_SPAN("HierarchicalAggregator::SummarizeAttribute");
   static obs::Counter& summaries = obs::MetricsRegistry::Global().GetCounter(
       "hiergat.aggregation.attribute_summaries");
@@ -26,13 +25,15 @@ Tensor HierarchicalAggregator::SummarizeAttribute(
   Tensor cls = lm_->Embed({Vocabulary::kCls});  // [1, F]
   Tensor seq = gathered.defined() ? ConcatRows({cls, gathered}) : cls;
   seq = Dropout(seq, dropout_, rng, training);
-  Tensor summary = SliceRows(lm_->EncodeEmbedded(seq, training, rng), 0, 1);
-  if (AttentionRecordingEnabled()) {
-    // [CLS] attention over the tokens, for visualization.
-    const Tensor& attn = lm_->last_attention();  // [L, L]
-    last_token_attention_.clear();
+  Tensor attn;  // [L, L], filled only when asked for.
+  Tensor summary = SliceRows(
+      lm_->EncodeEmbedded(seq, training, rng, /*add_positions=*/true,
+                          token_attention != nullptr ? &attn : nullptr),
+      0, 1);
+  if (token_attention != nullptr) {
+    token_attention->clear();
     for (int j = 1; j < attn.dim(1); ++j) {
-      last_token_attention_.push_back(attn.at(0, j));
+      token_attention->push_back(attn.at(0, j));
     }
   }
   return summary;

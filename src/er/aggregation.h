@@ -19,27 +19,21 @@ class HierarchicalAggregator {
 
   /// Attribute summarization (§5.1.1): encodes [CLS] token_1 ... token_n
   /// (rows taken from the WpC matrix) and returns the [CLS] output row
-  /// as the attribute embedding [1, F]. Also records how much [CLS]
-  /// attends to each token (Figure 9 visualization).
-  Tensor SummarizeAttribute(const Tensor& wpc,
-                            const std::vector<int>& token_seq, bool training,
-                            Rng& rng) const;
+  /// as the attribute embedding [1, F]. `token_attention`, when given,
+  /// receives how much [CLS] attends to each token in the last encoder
+  /// layer (length = token_seq size; Figure 9 visualization).
+  Tensor SummarizeAttribute(
+      const Tensor& wpc, const std::vector<int>& token_seq, bool training,
+      Rng& rng, std::vector<float>* token_attention = nullptr) const;
 
   /// Entity summarization (§5.1.2): concatenates the entity's attribute
   /// embeddings -> [1, K * F].
   Tensor SummarizeEntity(
       const std::vector<Tensor>& attribute_embeddings) const;
 
-  /// [CLS]-to-token attention weights of the last SummarizeAttribute
-  /// call (length = token_seq size).
-  const std::vector<float>& last_token_attention() const {
-    return last_token_attention_;
-  }
-
  private:
   const MiniLm* lm_;
   float dropout_;
-  mutable std::vector<float> last_token_attention_;
 };
 
 }  // namespace hiergat

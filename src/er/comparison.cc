@@ -60,7 +60,8 @@ Tensor HierarchicalComparator::FuseComparison(const Tensor& cls_out,
 
 Tensor HierarchicalComparator::CombineViews(
     const std::vector<Tensor>& attribute_similarities,
-    const Tensor& left_entity, const Tensor& right_entity) const {
+    const Tensor& left_entity, const Tensor& right_entity,
+    Tensor* view_weights) const {
   HG_TRACE_SPAN("HierarchicalComparator::CombineViews");
   HG_CHECK(!attribute_similarities.empty());
   Tensor views = ConcatRows(attribute_similarities);  // [K, F]
@@ -74,7 +75,7 @@ Tensor HierarchicalComparator::CombineViews(
       Tensor context = ConcatCols({left_entity, right_entity});  // [1, 2KF]
       Tensor score_inputs =
           ConcatCols({TileRows(context, views.dim(0)), views});
-      return view_attention_->Pool(score_inputs, views);
+      return view_attention_->Pool(score_inputs, views, view_weights);
     }
   }
   return MeanRows(views);

@@ -51,16 +51,12 @@ class HierarchicalComparator : public Module {
   /// Entity comparison layer (§5.2.2): combines the K attribute
   /// similarity embeddings into the entity similarity embedding [1, F].
   /// `left_entity`/`right_entity` are the [1, K*F] entity embeddings
-  /// (used only by weight averaging, Eq. 4).
+  /// (used only by weight averaging, Eq. 4). Under weight averaging,
+  /// `view_weights`, when given, receives the attention h_k [1, K] over
+  /// attributes (Figure 9's attribute-importance shading).
   Tensor CombineViews(const std::vector<Tensor>& attribute_similarities,
-                      const Tensor& left_entity,
-                      const Tensor& right_entity) const;
-
-  /// Attention h_k over attributes from the last weight-averaging
-  /// CombineViews (Figure 9's attribute-importance shading).
-  const Tensor& last_view_weights() const {
-    return view_attention_->last_weights();
-  }
+                      const Tensor& left_entity, const Tensor& right_entity,
+                      Tensor* view_weights = nullptr) const;
 
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("fuse", *fuse_);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/logging.h"
-#include "nn/introspection.h"
 #include "nn/transformer.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -73,10 +72,8 @@ CompiledScoring::~CompiledScoring() = default;
 std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildEncoderGraph(
     int capacity) const {
   HG_TRACE_SPAN("CompiledScoring::BuildEncoderGraph");
-  // Capture must see exactly the inference-time trace: no gradients, no
-  // attention snapshots (those Detach, which poisons the capture).
+  // Capture must see exactly the inference-time trace: no gradients.
   NoGradGuard no_grad;
-  AttentionRecordingGuard no_attention(false);
   Rng unused(0);  // Inference-mode Dropout never draws from it.
   std::vector<int> segments;
   for (int row = 0; row <= capacity; row += kCaptureSequenceRows) {
@@ -101,7 +98,6 @@ std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildEncoderGraph(
 std::shared_ptr<graph::CompiledGraph> CompiledScoring::BuildHeadGraph() const {
   HG_TRACE_SPAN("CompiledScoring::BuildHeadGraph");
   NoGradGuard no_grad;
-  AttentionRecordingGuard no_attention(false);
   const size_t k = static_cast<size_t>(config_.num_attributes);
   const int f = config_.lm->dim();
   graph::GraphCapture capture;

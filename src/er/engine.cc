@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/introspection.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -97,10 +96,6 @@ void InferenceEngine::RunJob(int total,
   const int lanes = pool_.num_threads();
   const int grain = std::clamp((total + lanes - 1) / lanes, 1, kGrain);
   pool_.ParallelFor(0, total, grain, [&](int64_t begin, int64_t end) {
-    // Introspection caches (last_attention() and friends) are mutable
-    // per-module state; recording from concurrent lanes would race, and
-    // batch scoring has no use for the values.
-    AttentionRecordingGuard no_recording(false);
     HG_TRACE_SPAN("engine.ScoreRange");
     process(static_cast<int>(begin), static_cast<int>(end));
   });

@@ -27,9 +27,8 @@ struct EngineOptions {
 /// every lane), so the model's ScoreBatch amortizes per-batch setup.
 /// Scored through PairwiseModel::ScoreBatch, whose contract (constness,
 /// determinism, split-invariance) makes the result bit-identical for
-/// any thread count. Chunks score with attention recording off, so the
-/// models' introspection caches are never raced; call
-/// HierGatModel::InspectAttention from the owning thread instead.
+/// any thread count. Scoring records no attention; to explain a score,
+/// call HierGatModel::InspectAttention, which is safe from any thread.
 ///
 /// Thread budget: kernels inside a chunk that the pool fanned out run
 /// serially (a nested ParallelFor on any pool runs inline), so a

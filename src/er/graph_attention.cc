@@ -1,7 +1,6 @@
 #include "er/graph_attention.h"
 
 #include "core/logging.h"
-#include "nn/introspection.h"
 #include "tensor/ops.h"
 
 namespace hiergat {
@@ -19,14 +18,14 @@ GraphAttentionPool::GraphAttentionPool(int score_dim, Rng& rng, bool project,
 }
 
 Tensor GraphAttentionPool::Pool(const Tensor& score_inputs,
-                                const Tensor& values) const {
+                                const Tensor& values, Tensor* weights) const {
   HG_CHECK_EQ(score_inputs.dim(0), values.dim(0));
   Tensor h = score_inputs;
   if (w_) h = w_->Forward(h);
   Tensor scores = scorer_->Forward(LeakyRelu(h));      // [n, 1]
-  Tensor weights = Softmax(Transpose(scores));         // [1, n]
-  if (AttentionRecordingEnabled()) last_weights_ = weights.Detach();
-  return MatMul(weights, values);                      // [1, Dv]
+  Tensor attention = Softmax(Transpose(scores));       // [1, n]
+  if (weights != nullptr) *weights = attention.Detach();
+  return MatMul(attention, values);                    // [1, Dv]
 }
 
 Tensor TileRows(const Tensor& row, int n) {

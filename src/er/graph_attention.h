@@ -29,11 +29,10 @@ class GraphAttentionPool : public Module {
                      int proj_dim = 0);
 
   /// Pools `values` [n, Dv] with scores from `score_inputs` [n, Ds].
-  /// Returns [1, Dv]; the weights are kept for introspection.
-  Tensor Pool(const Tensor& score_inputs, const Tensor& values) const;
-
-  /// Row-stochastic weights [1, n] of the last Pool call (detached).
-  const Tensor& last_weights() const { return last_weights_; }
+  /// Returns [1, Dv]. `weights`, when given, receives the row-stochastic
+  /// weights [1, n] (detached; for introspection).
+  Tensor Pool(const Tensor& score_inputs, const Tensor& values,
+              Tensor* weights = nullptr) const;
 
   void RegisterParameters(NamedParameters* out) const override {
     if (w_ != nullptr) out->AddModule("w", *w_);
@@ -43,7 +42,6 @@ class GraphAttentionPool : public Module {
  private:
   std::unique_ptr<Linear> w_;       // Optional projection.
   std::unique_ptr<Linear> scorer_;  // The context vector c as a 1-dim map.
-  mutable Tensor last_weights_;
 };
 
 /// Repeats a [1, d] row `n` times -> [n, d] (differentiable broadcast).

@@ -363,9 +363,11 @@ std::vector<Tensor> HierGatStack::Contextualize(std::span<const Hhg> hhgs,
 }
 
 std::vector<Tensor> HierGatStack::SummarizeAttributes(
-    std::span<const SummaryJob> jobs, bool training, Rng& rng) const {
+    std::span<const SummaryJob> jobs, bool training, Rng& rng,
+    Explanation* sink) const {
   std::vector<Tensor> summaries(jobs.size());
-  if (UseCompiled(training)) {
+  if (sink != nullptr) sink->token_attention.resize(jobs.size());
+  if (UseCompiled(training) && sink == nullptr) {
     // [CLS] followed by the gathered WpC rows; the summary is the
     // encoder's row 0.
     const size_t f = static_cast<size_t>(backbone.lm->dim());
@@ -391,15 +393,18 @@ std::vector<Tensor> HierGatStack::SummarizeAttributes(
   for (size_t j = 0; j < jobs.size(); ++j) {
     if (summaries[j].defined()) continue;
     summaries[j] = aggregator->SummarizeAttribute(
-        *jobs[j].wpc, *jobs[j].token_seq, training, rng);
+        *jobs[j].wpc, *jobs[j].token_seq, training, rng,
+        sink != nullptr ? &sink->token_attention[j] : nullptr);
   }
   return summaries;
 }
 
 std::vector<Tensor> HierGatStack::CompareLogits(
-    std::span<const CompareJob> jobs, bool training, Rng& rng) const {
+    std::span<const CompareJob> jobs, bool training, Rng& rng,
+    Explanation* sink) const {
   std::vector<Tensor> logits(jobs.size());
-  if (UseCompiled(training)) {
+  if (sink != nullptr) sink->attribute_weights.resize(jobs.size());
+  if (UseCompiled(training) && sink == nullptr) {
     // `[CLS] l [SEP] r [SEP]` plus the segment rows 0 0 0 1 1, as
     // HierarchicalComparator::CompareAttribute builds it.
     const MiniLm& lm = *backbone.lm;
@@ -443,8 +448,14 @@ std::vector<Tensor> HierGatStack::CompareLogits(
       similarities.push_back(comparator->CompareAttribute(
           job.left[a], job.right[a], training, rng));
     }
-    logits[j] = classifier->Forward(comparator->CombineViews(
-        similarities, job.left_entity, job.right_entity));
+    Tensor view_weights;  // [1, K] under weight averaging, when explained.
+    logits[j] = classifier->Forward(
+        comparator->CombineViews(similarities, job.left_entity,
+                                 job.right_entity,
+                                 sink != nullptr ? &view_weights : nullptr));
+    if (view_weights.defined()) {
+      sink->attribute_weights[j] = view_weights.data();
+    }
   }
   return logits;
 }
@@ -516,8 +527,10 @@ Tensor HierGatModel::ForwardLogits(const EntityPair& pair, bool training,
 }
 
 std::vector<Tensor> HierGatModel::ForwardBatch(
-    std::span<const EntityPair> pairs, bool training, Rng& rng) const {
+    std::span<const EntityPair> pairs, bool training, Rng& rng,
+    AttentionReport* report) const {
   HG_CHECK(stack_.built) << "HierGatModel::Train must run before inference";
+  HG_CHECK(report == nullptr || pairs.size() == 1);
   std::vector<Hhg> hhgs;
   hhgs.reserve(pairs.size());
   for (const EntityPair& pair : pairs) {
@@ -547,8 +560,11 @@ std::vector<Tensor> HierGatModel::ForwardBatch(
   }
   const size_t k = static_cast<size_t>(stack_.num_attributes);
   HG_CHECK_EQ(summary_jobs.size(), 2 * k * hhgs.size());
+  internal_hiergat::HierGatStack::Explanation explanation;
+  internal_hiergat::HierGatStack::Explanation* sink =
+      report != nullptr ? &explanation : nullptr;
   const std::vector<Tensor> summaries =
-      stack_.SummarizeAttributes(summary_jobs, training, rng);
+      stack_.SummarizeAttributes(summary_jobs, training, rng, sink);
 
   const std::span<const Tensor> all(summaries);
   std::vector<internal_hiergat::HierGatStack::CompareJob> compare_jobs;
@@ -561,59 +577,37 @@ std::vector<Tensor> HierGatModel::ForwardBatch(
          stack_.aggregator->SummarizeEntity({left.begin(), left.end()}),
          stack_.aggregator->SummarizeEntity({right.begin(), right.end()})});
   }
-  return stack_.CompareLogits(compare_jobs, training, rng);
+  std::vector<Tensor> logits =
+      stack_.CompareLogits(compare_jobs, training, rng, sink);
+  if (report != nullptr) {
+    // The summary jobs ran left then right, attribute by attribute.
+    size_t job = 0;
+    for (int e = 0; e < 2; ++e) {
+      auto& side = e == 0 ? report->left : report->right;
+      for (int attr_id : hhgs[0].entity(e).attributes) {
+        const Hhg::AttributeNode& attr = hhgs[0].attribute(attr_id);
+        AttentionReport::AttributeAttention viz;
+        viz.key = attr.key;
+        for (int t : attr.token_seq) viz.tokens.push_back(hhgs[0].token(t));
+        viz.weights = std::move(explanation.token_attention[job++]);
+        side.push_back(std::move(viz));
+      }
+    }
+    report->attribute_weights = std::move(explanation.attribute_weights[0]);
+  }
+  return logits;
 }
 
-HierGatModel::AttentionReport HierGatModel::InspectAttention(
+StatusOr<HierGatModel::AttentionReport> HierGatModel::InspectAttention(
     const EntityPair& pair) const {
   HG_CHECK(stack_.built);
-  const Status schema = ValidatePair(pair);
-  HG_CHECK(schema.ok()) << schema.ToString();
+  HG_RETURN_IF_ERROR(ValidatePair(pair));
   NoGradGuard no_grad;
-  Rng unused(0);
+  Rng unused(0);  // Inference draws nothing from it.
   AttentionReport report;
-  const Hhg hhg = Hhg::Build({pair.left, pair.right});
-  const Tensor wpc =
-      stack_.contextual->Compute(hhg, /*training=*/false, unused);
-  const HierarchicalAggregator& aggregator = *stack_.aggregator;
-  const HierarchicalComparator& comparator = *stack_.comparator;
-
-  std::vector<std::vector<Tensor>> attr_embeddings(2);
-  std::vector<Tensor> entity_embeddings(2);
-  for (int e = 0; e < 2; ++e) {
-    auto& side = e == 0 ? report.left : report.right;
-    for (int attr_id : hhg.entity(e).attributes) {
-      const Hhg::AttributeNode& attr = hhg.attribute(attr_id);
-      attr_embeddings[static_cast<size_t>(e)].push_back(
-          aggregator.SummarizeAttribute(wpc, attr.token_seq,
-                                        /*training=*/false, unused));
-      AttentionReport::AttributeAttention viz;
-      viz.key = attr.key;
-      for (int t : attr.token_seq) viz.tokens.push_back(hhg.token(t));
-      viz.weights = aggregator.last_token_attention();
-      viz.weights.resize(viz.tokens.size(), 0.0f);
-      side.push_back(std::move(viz));
-    }
-    entity_embeddings[static_cast<size_t>(e)] =
-        aggregator.SummarizeEntity(attr_embeddings[static_cast<size_t>(e)]);
-  }
-  std::vector<Tensor> similarities;
-  for (int a = 0; a < stack_.num_attributes; ++a) {
-    similarities.push_back(comparator.CompareAttribute(
-        attr_embeddings[0][static_cast<size_t>(a)],
-        attr_embeddings[1][static_cast<size_t>(a)], /*training=*/false,
-        unused));
-  }
-  Tensor similarity = comparator.CombineViews(
-      similarities, entity_embeddings[0], entity_embeddings[1]);
-  if (comparator.combination() == ViewCombination::kWeightAverage) {
-    const Tensor& weights = comparator.last_view_weights();
-    for (int i = 0; i < weights.dim(1); ++i) {
-      report.attribute_weights.push_back(weights.at(0, i));
-    }
-  }
-  Tensor probs = Softmax(stack_.classifier->Forward(similarity));
-  report.match_probability = probs.at(0, 1);
+  const Tensor logits =
+      ForwardBatch({&pair, 1}, /*training=*/false, unused, &report).front();
+  report.match_probability = Softmax(logits).at(0, 1);
   return report;
 }
 

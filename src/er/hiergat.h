@@ -96,6 +96,19 @@ struct HierGatStack {
   std::vector<Tensor> Contextualize(std::span<const Hhg> hhgs, bool training,
                                     Rng& rng, SummaryCache* cache) const;
 
+  /// Explanation sink of one forward (HierGatModel::InspectAttention).
+  /// A step given one takes its eager branch, which the replays match bit
+  /// for bit, so an explained score is the served score. Contextualize
+  /// fills nothing in it and takes no sink.
+  struct Explanation {
+    /// Per SummaryJob: the [CLS] attention over the job's tokens in the
+    /// summarizer's last encoder layer (paper Figure 9).
+    std::vector<std::vector<float>> token_attention;
+    /// Per CompareJob: the Eq. 4 attribute weights h_k; empty unless the
+    /// comparator combines views by weight averaging.
+    std::vector<std::vector<float>> attribute_weights;
+  };
+
   /// One attribute summarization: the WpC rows `token_seq` names.
   struct SummaryJob {
     const Tensor* wpc = nullptr;
@@ -104,7 +117,8 @@ struct HierGatStack {
   /// [1, F] summary per job. Packed summaries count in
   /// `hiergat.compiled.summarize_replays`.
   std::vector<Tensor> SummarizeAttributes(std::span<const SummaryJob> jobs,
-                                          bool training, Rng& rng) const;
+                                          bool training, Rng& rng,
+                                          Explanation* sink = nullptr) const;
 
   /// One pair comparison: K `left` / `right` attribute summaries and the
   /// two [1, K*F] entity embeddings.
@@ -117,7 +131,8 @@ struct HierGatStack {
   /// Compare and classify: [1, 2] logits per job. Inference calls count
   /// in `hiergat.score.{compiled,eager}_pairs`.
   std::vector<Tensor> CompareLogits(std::span<const CompareJob> jobs,
-                                    bool training, Rng& rng) const;
+                                    bool training, Rng& rng,
+                                    Explanation* sink = nullptr) const;
 
   CompiledScoring::Stats compiled_stats() const;
   std::vector<Tensor> TrainableParameters() const;
@@ -225,8 +240,9 @@ class HierGatModel : public NeuralPairwiseModel {
 
   /// Attention introspection for Figure 9: token weights within each
   /// attribute (from the attribute-summarization [CLS] attention) and
-  /// the attribute weights h_k (Eq. 4). Always eager: graph replay
-  /// records no attention snapshots.
+  /// the attribute weights h_k (Eq. 4). The report comes out of the
+  /// scoring forward itself, so `match_probability` is bit-equal to
+  /// ScoreBatch's score for the pair; safe to call from any thread.
   struct AttentionReport {
     struct AttributeAttention {
       std::string key;
@@ -238,7 +254,9 @@ class HierGatModel : public NeuralPairwiseModel {
     std::vector<float> attribute_weights;  // h_k per attribute pair.
     float match_probability = 0.0f;
   };
-  AttentionReport InspectAttention(const EntityPair& pair) const;
+  /// InvalidArgument (ValidatePair) unless both entities have the K
+  /// attributes the model was trained on.
+  StatusOr<AttentionReport> InspectAttention(const EntityPair& pair) const;
 
   const HierGatConfig& config() const { return stack_.config; }
 
@@ -253,9 +271,12 @@ class HierGatModel : public NeuralPairwiseModel {
   }
 
  private:
-  /// [1, 2] logits per pair; ForwardLogits is a batch of one.
+  /// [1, 2] logits per pair; ForwardLogits is a batch of one. With
+  /// `report` (a batch of one pair), the forward also fills everything
+  /// in it but `match_probability`.
   std::vector<Tensor> ForwardBatch(std::span<const EntityPair> pairs,
-                                   bool training, Rng& rng) const;
+                                   bool training, Rng& rng,
+                                   AttentionReport* report = nullptr) const;
 
   internal_hiergat::HierGatStack stack_;
   bool cache_enabled_ = true;

@@ -86,8 +86,9 @@ class Session {
   /// SessionOptions::checkpoint_path.
   Status SaveCheckpoint(const std::string& path) const;
 
-  /// Escape hatches for model-specific APIs (InspectAttention, compiled
-  /// stats, ...). Null for the other session kind.
+  /// Escape hatches for model-specific APIs (compiled stats,
+  /// HierGatModel::InspectAttention, which may run on any thread while
+  /// the session scores, ...). Null for the other session kind.
   PairwiseModel* model() { return pairwise_model_.get(); }
   const PairwiseModel* model() const { return pairwise_model_.get(); }
   CollectiveModel* collective_model() { return collective_model_.get(); }

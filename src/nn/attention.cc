@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/logging.h"
-#include "nn/introspection.h"
 #include "tensor/ops.h"
 
 namespace hiergat {
@@ -50,7 +49,8 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int dim, int num_heads,
 Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
                                        const Tensor& kv_input,
                                        std::span<const int> segments,
-                                       std::span<const int> queries) const {
+                                       std::span<const int> queries,
+                                       Tensor* attention) const {
   HG_CHECK_EQ(q_input.dim(1), dim_);
   HG_CHECK_EQ(kv_input.dim(1), dim_);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
@@ -88,17 +88,15 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& q_input,
       continue;
     }
     Tensor attn = AttentionScores(q, k, scale, diag_mask);  // [Lq, Lk]
-    if (AttentionRecordingEnabled()) {
+    if (attention != nullptr) {
       attn_sum = attn_sum.defined() ? Add(attn_sum, attn.Detach())
                                     : attn.Detach();
     }
     head_outputs.push_back(MatMul(attn, v));    // [Lq, hd]
   }
   if (attn_sum.defined()) {
-    last_attention_ =
-        Tensor::FromVector(attn_sum.shape(), attn_sum.data());
-    for (float& v : last_attention_.data())
-      v /= static_cast<float>(num_heads_);
+    *attention = Tensor::FromVector(attn_sum.shape(), attn_sum.data());
+    for (float& v : attention->data()) v /= static_cast<float>(num_heads_);
   }
   return out_proj_->Forward(ConcatCols(head_outputs));
 }

@@ -28,22 +28,22 @@ class MultiHeadSelfAttention : public Module {
   /// through the packed AttentionScores/MatMul ops (tensor/ops.h);
   /// inference only. With `queries` too, only the query rows attend
   /// (QueryRows picks and packs them) and only they come out; keys and
-  /// values still come from every row.
+  /// values still come from every row. `attention`: see below.
   Tensor Forward(const Tensor& x, std::span<const int> segments = {},
-                 std::span<const int> queries = {}) const {
-    return Forward(x, x, segments, queries);
+                 std::span<const int> queries = {},
+                 Tensor* attention = nullptr) const {
+    return Forward(x, x, segments, queries, attention);
   }
 
   /// Cross-attention: queries from `q_input` [Lq, dim], keys/values from
   /// `kv_input` [Lk, dim]. Returns [Lq, dim]. `segments` and `queries`
-  /// need self-attention.
+  /// need self-attention. When `attention` is given and the input is not
+  /// packed, it receives the row-stochastic attention matrix [Lq, Lk]
+  /// averaged over heads (detached; for attention visualization).
   Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
                  std::span<const int> segments = {},
-                 std::span<const int> queries = {}) const;
-
-  /// Row-stochastic attention matrix [Lq, Lk] of the last Forward call,
-  /// averaged over heads (detached; used for attention visualization).
-  const Tensor& last_attention() const { return last_attention_; }
+                 std::span<const int> queries = {},
+                 Tensor* attention = nullptr) const;
 
   void RegisterParameters(NamedParameters* out) const override {
     for (size_t h = 0; h < q_proj_.size(); ++h) {
@@ -66,7 +66,6 @@ class MultiHeadSelfAttention : public Module {
   std::vector<std::unique_ptr<Linear>> k_proj_;
   std::vector<std::unique_ptr<Linear>> v_proj_;
   std::unique_ptr<Linear> out_proj_;             // dim->dim
-  mutable Tensor last_attention_;
 };
 
 }  // namespace hiergat

@@ -21,14 +21,16 @@ TransformerEncoderLayer::TransformerEncoderLayer(
 Tensor TransformerEncoderLayer::Forward(const Tensor& x, bool training,
                                         Rng& rng,
                                         std::span<const int> segments,
-                                        std::span<const int> queries) const {
+                                        std::span<const int> queries,
+                                        Tensor* attention) const {
   // Pre-LN residual blocks: x + Attn(LN(x)), then h + FFN(LN(h)).
   // Pre-LN keeps gradients well-conditioned when training from scratch,
   // which our MiniLM-scale models do. Every projection below lowers to
   // the fused LinearOp / AttentionScores graph nodes (tensor/ops.h), so
   // a layer's forward builds ~2x fewer autograd nodes than the unfused
   // MatMul + Add chain it replaces.
-  Tensor attended = attn_->Forward(norm1_->Forward(x), segments, queries);
+  Tensor attended =
+      attn_->Forward(norm1_->Forward(x), segments, queries, attention);
   attended = Dropout(attended, config_.dropout, rng, training);
   Tensor h = Add(queries.empty() ? x : QueryRows(x, segments, queries),
                  attended);
@@ -49,7 +51,8 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& config,
 Tensor TransformerEncoder::Forward(const Tensor& x, bool training, Rng& rng,
                                    bool add_positions,
                                    std::span<const int> segments,
-                                   std::span<const int> queries) const {
+                                   std::span<const int> queries,
+                                   Tensor* attention) const {
   HG_CHECK(segments.empty() || !add_positions)
       << "packed sequences carry their own positions";
   HG_CHECK(!segments.empty() || queries.empty())
@@ -66,7 +69,8 @@ Tensor TransformerEncoder::Forward(const Tensor& x, bool training, Rng& rng,
   for (size_t i = 0; i < layers_.size(); ++i) {
     const bool last = i + 1 == layers_.size();
     h = layers_[i]->Forward(h, training, rng, segments,
-                            last ? last_queries : std::span<const int>());
+                            last ? last_queries : std::span<const int>(),
+                            last ? attention : nullptr);
   }
   return final_norm_->Forward(h);
 }

@@ -34,13 +34,12 @@ class TransformerEncoderLayer : public Module {
   /// `segments`: see TransformerEncoder::Forward. With `queries` too,
   /// the layer returns only the query rows, packed as QueryRows packs
   /// them; everything after its first LayerNorm and the key/value
-  /// projections runs on those rows alone.
+  /// projections runs on those rows alone. `attention`, when given,
+  /// receives the head-averaged attention (MultiHeadSelfAttention).
   Tensor Forward(const Tensor& x, bool training, Rng& rng,
                  std::span<const int> segments = {},
-                 std::span<const int> queries = {}) const;
-
-  /// Attention matrix of the most recent Forward (head-averaged).
-  const Tensor& last_attention() const { return attn_->last_attention(); }
+                 std::span<const int> queries = {},
+                 Tensor* attention = nullptr) const;
 
   void RegisterParameters(NamedParameters* out) const override {
     out->AddModule("attn", *attn_);
@@ -75,15 +74,14 @@ class TransformerEncoder : public Module {
   /// those come out, packed at rows [queries[s], queries[s + 1]). Every
   /// row that comes out has the bits it has when its sequence is encoded
   /// alone.
+  ///
+  /// `attention`, when given, receives the final layer's head-averaged
+  /// attention matrix (unpacked input only).
   Tensor Forward(const Tensor& x, bool training, Rng& rng,
                  bool add_positions = true,
                  std::span<const int> segments = {},
-                 std::span<const int> queries = {}) const;
-
-  /// Head-averaged attention of the final layer's last Forward call.
-  const Tensor& last_attention() const {
-    return layers_.back()->last_attention();
-  }
+                 std::span<const int> queries = {},
+                 Tensor* attention = nullptr) const;
 
   void RegisterParameters(NamedParameters* out) const override {
     for (size_t i = 0; i < layers_.size(); ++i) {

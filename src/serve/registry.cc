@@ -128,14 +128,6 @@ std::shared_ptr<Session> ModelRegistry::Get(const std::string& name) const {
   return it->second.session;
 }
 
-std::vector<std::string> ModelRegistry::ModelNames() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(models_.size());
-  for (const auto& [name, entry] : models_) names.push_back(name);
-  return names;
-}
-
 size_t ModelRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return models_.size();

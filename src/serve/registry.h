@@ -23,7 +23,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/status.h"
 #include "er/session.h"
@@ -56,9 +55,6 @@ class ModelRegistry {
   /// The returned shared_ptr keeps the model alive across a hot-swap
   /// for as long as the caller scores with it.
   std::shared_ptr<Session> Get(const std::string& name) const;
-
-  /// Published model names, sorted.
-  std::vector<std::string> ModelNames() const;
 
   size_t size() const;
 

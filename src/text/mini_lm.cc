@@ -87,8 +87,10 @@ Tensor MiniLm::AddSegments(const Tensor& embedded,
 }
 
 Tensor MiniLm::EncodeEmbedded(const Tensor& embedded, bool training,
-                              Rng& rng, bool add_positions) const {
-  return encoder_->Forward(embedded, training, rng, add_positions);
+                              Rng& rng, bool add_positions,
+                              Tensor* attention) const {
+  return encoder_->Forward(embedded, training, rng, add_positions, {}, {},
+                           attention);
 }
 
 float MiniLm::Pretrain(const std::vector<std::vector<int>>& corpus,

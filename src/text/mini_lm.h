@@ -61,9 +61,12 @@ class MiniLm : public Module {
                      const std::vector<int>& segments) const;
 
   /// Runs the encoder over an externally supplied [len, dim] embedding
-  /// matrix (used when WpC embeddings replace raw lookups).
+  /// matrix (used when WpC embeddings replace raw lookups). `attention`,
+  /// when given, receives the last encoder layer's head-averaged
+  /// attention [len, len] (visualization).
   Tensor EncodeEmbedded(const Tensor& embedded, bool training, Rng& rng,
-                        bool add_positions = true) const;
+                        bool add_positions = true,
+                        Tensor* attention = nullptr) const;
 
   /// Masked-token pre-training: for `steps` random sentences from
   /// `corpus`, masks ~15% of tokens and minimizes cross-entropy of
@@ -91,9 +94,6 @@ class MiniLm : public Module {
 
   /// The pair head's parameters (for warm-starting task classifiers).
   const Linear& pair_head() const { return *pair_head_; }
-
-  /// Head-averaged attention of the last encoder layer (visualization).
-  const Tensor& last_attention() const { return encoder_->last_attention(); }
 
   /// The fine-tuned parameters: token table, segment table, encoder.
   /// The token table comes first, so it is Parameters()[0]: the ER

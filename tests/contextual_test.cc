@@ -25,10 +25,12 @@ TEST(GraphAttentionPoolTest, WeightsSumToOneAndShape) {
   Rng rng(1);
   GraphAttentionPool pool(4, rng);
   Tensor nodes = Tensor::Randn({5, 4}, rng);
-  Tensor out = pool.Pool(nodes, nodes);
+  Tensor w;
+  Tensor out = pool.Pool(nodes, nodes, &w);
   EXPECT_EQ(out.dim(0), 1);
   EXPECT_EQ(out.dim(1), 4);
-  const Tensor& w = pool.last_weights();
+  // Asking for the weights leaves the output bit-identical.
+  EXPECT_EQ(pool.Pool(nodes, nodes).data(), out.data());
   float sum = 0.0f;
   for (int i = 0; i < w.dim(1); ++i) sum += w.at(0, i);
   EXPECT_NEAR(sum, 1.0f, 1e-4f);
@@ -178,12 +180,18 @@ TEST_F(ContextualFixture, AggregatorSummarizesAttributesAndEntities) {
   Tensor wpc = embedder.Compute(hhg, false, rng_);
   std::vector<Tensor> attrs;
   for (int a : hhg.entity(0).attributes) {
+    std::vector<float> token_attention;
     Tensor emb = aggregator.SummarizeAttribute(
-        wpc, hhg.attribute(a).token_seq, false, rng_);
+        wpc, hhg.attribute(a).token_seq, false, rng_, &token_attention);
     EXPECT_EQ(emb.dim(0), 1);
     EXPECT_EQ(emb.dim(1), lm_->dim());
-    EXPECT_EQ(aggregator.last_token_attention().size(),
-              hhg.attribute(a).token_seq.size());
+    EXPECT_EQ(token_attention.size(), hhg.attribute(a).token_seq.size());
+    // Asking for the attention leaves the summary bit-identical.
+    EXPECT_EQ(aggregator
+                  .SummarizeAttribute(wpc, hhg.attribute(a).token_seq, false,
+                                      rng_)
+                  .data(),
+              emb.data());
     attrs.push_back(emb);
   }
   Tensor entity = aggregator.SummarizeEntity(attrs);
@@ -217,8 +225,8 @@ TEST_F(ContextualFixture, WeightAverageAttentionSumsToOne) {
   for (int i = 0; i < 3; ++i) sims.push_back(Tensor::Randn({1, lm_->dim()}, rng));
   Tensor left = Tensor::Randn({1, 3 * lm_->dim()}, rng);
   Tensor right = Tensor::Randn({1, 3 * lm_->dim()}, rng);
-  comparator.CombineViews(sims, left, right);
-  const Tensor& w = comparator.last_view_weights();
+  Tensor w;
+  comparator.CombineViews(sims, left, right, &w);
   ASSERT_EQ(w.dim(1), 3);
   float sum = 0.0f;
   for (int i = 0; i < 3; ++i) sum += w.at(0, i);

@@ -48,26 +48,6 @@ TEST(CsvTest, EscapeInvertsParse) {
   }
 }
 
-TEST(CsvTest, EntitiesRoundTrip) {
-  std::vector<Entity> entities;
-  Entity a;
-  a.Add("name", "zorro, the fox");
-  a.Add("desc", "quick \"brown\"");
-  entities.push_back(a);
-  Entity b;
-  b.Add("name", "plain");
-  b.Add("desc", kMissingValue);
-  entities.push_back(b);
-  const std::string path = ::testing::TempDir() + "/entities.csv";
-  ASSERT_TRUE(WriteEntitiesCsv(path, entities).ok());
-  auto loaded = ReadEntitiesCsv(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().size(), 2u);
-  EXPECT_EQ(loaded.value()[0].Get("name"), "zorro, the fox");
-  EXPECT_EQ(loaded.value()[0].Get("desc"), "quick \"brown\"");
-  EXPECT_EQ(loaded.value()[1].Get("desc"), kMissingValue);
-}
-
 TEST(CsvTest, PairsRoundTrip) {
   SyntheticSpec spec;
   spec.name = "tiny";

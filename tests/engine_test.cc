@@ -493,6 +493,57 @@ TEST_F(EngineParityTest, ConcurrentCompiledScoringIsThreadSafe) {
   }
 }
 
+TEST_F(EngineParityTest, DirectConcurrentScoringAndInspectionDoNotRace) {
+  // Two threads share one model with no engine in between. Neither
+  // ScoreBatch nor InspectAttention may write shared module state, on
+  // the compiled path or the eager one; under TSan (engine label) this
+  // is the race canary for the forward itself. The summary cache is off
+  // so every call runs the whole forward.
+  hiergat_->set_cache_enabled(false);
+  const size_t inspected_pairs = std::min<size_t>(4, data_->test.size());
+  // Everything one report holds, flattened in a fixed order.
+  auto inspect = [&] {
+    std::vector<float> flat;
+    for (size_t i = 0; i < inspected_pairs; ++i) {
+      const StatusOr<HierGatModel::AttentionReport> report =
+          hiergat_->InspectAttention(data_->test[i]);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      if (!report.ok()) continue;
+      flat.push_back(report.value().match_probability);
+      const std::vector<float>& attribute = report.value().attribute_weights;
+      flat.insert(flat.end(), attribute.begin(), attribute.end());
+      for (const auto* side : {&report.value().left, &report.value().right}) {
+        for (const auto& attr : *side) {
+          flat.insert(flat.end(), attr.weights.begin(), attr.weights.end());
+        }
+      }
+    }
+    return flat;
+  };
+  for (const bool compile : {true, false}) {
+    hiergat_->set_graph_compile_enabled(compile);
+    hiergat_->InvalidateInferenceCache();
+    std::vector<std::vector<float>> scores(2);
+    std::vector<std::vector<float>> reports(2);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        scores[t] = hiergat_->ScoreBatch(data_->test);
+        reports[t] = inspect();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    SCOPED_TRACE(compile ? "graph compile on" : "graph compile off");
+    ASSERT_EQ(scores[0].size(), data_->test.size());
+    ExpectBitIdentical(scores[0], scores[1]);
+    EXPECT_FALSE(reports[0].empty());
+    ExpectBitIdentical(reports[0], reports[1]);
+  }
+  hiergat_->set_graph_compile_enabled(true);
+  hiergat_->set_cache_enabled(true);
+  hiergat_->InvalidateInferenceCache();
+}
+
 TEST_F(EngineParityTest, ConcurrentCallersSerializeToIdenticalScores) {
   EngineOptions options;
   options.num_threads = 2;

@@ -2,6 +2,7 @@
 // synthetic benchmark well above chance, and the HierGAT-specific
 // machinery (attention report, ablations) must behave.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 
@@ -148,20 +149,63 @@ TEST(HierGatTest, AttentionReportIsWellFormed) {
   options.max_train_items = 8;
   model.Train(data, options);
 
-  const HierGatModel::AttentionReport report =
-      model.InspectAttention(data.test.front());
-  ASSERT_EQ(report.left.size(), 3u);
-  ASSERT_EQ(report.right.size(), 3u);
-  for (const auto& attr : report.left) {
-    EXPECT_EQ(attr.tokens.size(), attr.weights.size());
+  // The report comes out of the scoring forward, so its probability is
+  // the served score bit for bit, whether scoring replays the compiled
+  // graphs or runs eager.
+  const size_t pairs = std::min<size_t>(6, data.test.size());
+  for (const bool compile : {true, false}) {
+    model.set_graph_compile_enabled(compile);
+    model.InvalidateInferenceCache();
+    for (size_t i = 0; i < pairs; ++i) {
+      const EntityPair& pair = data.test[i];
+      const StatusOr<HierGatModel::AttentionReport> report_or =
+          model.InspectAttention(pair);
+      ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
+      const HierGatModel::AttentionReport& report = report_or.value();
+      EXPECT_EQ(report.match_probability, model.ScoreBatch({&pair, 1})[0])
+          << "pair " << i << ", graph compile " << compile;
+      ASSERT_EQ(report.left.size(), 3u);
+      ASSERT_EQ(report.right.size(), 3u);
+      for (const auto* side : {&report.left, &report.right}) {
+        for (const auto& attr : *side) {
+          ASSERT_EQ(attr.tokens.size(), attr.weights.size());
+          for (float w : attr.weights) {
+            EXPECT_GE(w, 0.0f);
+            EXPECT_LE(w, 1.0f);
+          }
+        }
+      }
+      // Eq. 4 attribute weights: K entries summing to ~1.
+      ASSERT_EQ(report.attribute_weights.size(), 3u);
+      float sum = 0.0f;
+      for (float w : report.attribute_weights) sum += w;
+      EXPECT_NEAR(sum, 1.0f, 1e-3f);
+      EXPECT_GE(report.match_probability, 0.0f);
+      EXPECT_LE(report.match_probability, 1.0f);
+    }
   }
-  // Eq. 4 attribute weights: K entries summing to ~1.
-  ASSERT_EQ(report.attribute_weights.size(), 3u);
-  float sum = 0.0f;
-  for (float w : report.attribute_weights) sum += w;
-  EXPECT_NEAR(sum, 1.0f, 1e-3f);
-  EXPECT_GE(report.match_probability, 0.0f);
-  EXPECT_LE(report.match_probability, 1.0f);
+}
+
+TEST(HierGatTest, InspectAttentionRefusesSchemaDrift) {
+  PairDataset data = SmallDataset(44);
+  HierGatConfig config;
+  config.lm_size = LmSize::kSmall;
+  config.lm_pretrain_steps = 0;
+  HierGatModel model(config);
+  TrainOptions options = FastOptions();
+  options.epochs = 1;
+  options.max_train_items = 8;
+  model.Train(data, options);
+
+  // Trained on 3 attributes; an entity with a 4th is refused, not scored.
+  EntityPair drifted = data.test.front();
+  drifted.right.Add("extra", "unseen attribute value");
+  ASSERT_EQ(drifted.right.num_attributes(), 4);
+  const StatusOr<HierGatModel::AttentionReport> report =
+      model.InspectAttention(drifted);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+      << report.status().ToString();
 }
 
 TEST(HierGatTest, CombinationStrategiesAllTrain) {

@@ -60,10 +60,12 @@ TEST(AttentionTest, OutputShapeAndWeights) {
   Rng rng(5);
   MultiHeadSelfAttention attn(8, 2, rng);
   Tensor x = Tensor::Randn({5, 8}, rng);
-  Tensor y = attn.Forward(x);
+  Tensor weights;
+  Tensor y = attn.Forward(x, {}, {}, &weights);
   EXPECT_EQ(y.dim(0), 5);
   EXPECT_EQ(y.dim(1), 8);
-  const Tensor& weights = attn.last_attention();
+  // Asking for the weights leaves the output bit-identical.
+  EXPECT_EQ(attn.Forward(x).data(), y.data());
   EXPECT_EQ(weights.dim(0), 5);
   EXPECT_EQ(weights.dim(1), 5);
   for (int r = 0; r < 5; ++r) {
@@ -78,9 +80,11 @@ TEST(AttentionTest, CrossAttentionShapes) {
   MultiHeadSelfAttention attn(8, 2, rng);
   Tensor q = Tensor::Randn({3, 8}, rng);
   Tensor kv = Tensor::Randn({7, 8}, rng);
-  Tensor y = attn.Forward(q, kv);
+  Tensor weights;
+  Tensor y = attn.Forward(q, kv, {}, {}, &weights);
   EXPECT_EQ(y.dim(0), 3);
-  EXPECT_EQ(attn.last_attention().dim(1), 7);
+  EXPECT_EQ(weights.dim(1), 7);
+  EXPECT_EQ(attn.Forward(q, kv).data(), y.data());
 }
 
 TEST(TransformerTest, EncoderShapesAndVariableLength) {

@@ -166,8 +166,9 @@ TEST(RegistryTest, LoadGetAndNameResolution) {
   ASSERT_TRUE(registry.LoadModel("second", FixtureSessionOptions()).ok());
   // ...but is ambiguous once a second model is published.
   EXPECT_EQ(registry.Get(""), nullptr);
-  EXPECT_EQ(registry.ModelNames(),
-            (std::vector<std::string>{"second", "small"}));
+  EXPECT_EQ(registry.size(), 2u);
+  EXPECT_NE(registry.Get("second"), nullptr);
+  EXPECT_NE(registry.Get("small"), nullptr);
 }
 
 TEST(RegistryTest, RejectsUntrainedAndCollectiveOptions) {
