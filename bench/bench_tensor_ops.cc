@@ -595,7 +595,7 @@ int main_impl(int argc, char** argv) {
 
       // Correctness guard: replay must be bit-identical to eager.
       const Tensor reference = gcase.eager();
-      gcase.compiled->Run(in_ptrs.data(), &out_ptr, nullptr);
+      gcase.compiled->Run(in_ptrs.data(), &out_ptr);
       for (size_t i = 0; i < out_buf.size(); ++i) {
         if (out_buf[i] != reference.data()[i]) {
           std::fprintf(stderr, "%s: replay diverges from eager at %zu\n",
@@ -612,7 +612,7 @@ int main_impl(int argc, char** argv) {
       });
       const std::vector<double> replay_times = TimeReps(reps, [&] {
         for (int i = 0; i < inner; ++i) {
-          gcase.compiled->Run(in_ptrs.data(), &out_ptr, nullptr);
+          gcase.compiled->Run(in_ptrs.data(), &out_ptr);
         }
       });
       const double eager_p50 = bench::PercentileOf(eager_times, 0.5) / inner;

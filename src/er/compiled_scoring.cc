@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/threadpool.h"
 
 namespace hiergat {
 
@@ -209,7 +208,7 @@ bool CompiledScoring::Encode(PackedSequences* seqs, bool cls_only,
                              static_cast<size_t>(first) * f};
     float* outputs[] = {encoded.data() +
                         static_cast<size_t>(cls_only ? s : first) * f};
-    compiled->Run(inputs, outputs, &ThreadPool::Global(), table, queries);
+    compiled->Run(inputs, outputs, table, queries);
     s = end;
   }
   // Pool-backed tensors, like the eager path's, so their buffers
@@ -247,7 +246,7 @@ Tensor CompiledScoring::CompareHead(std::span<const Tensor> cls,
   HG_CHECK_EQ(static_cast<int>(inputs.size()), compiled->num_inputs());
   Tensor out = Tensor::Zeros({1, 2});
   float* outputs[] = {out.data().data()};
-  compiled->Run(inputs.data(), outputs, &ThreadPool::Global());
+  compiled->Run(inputs.data(), outputs);
   CompareReplays().Increment();
   return out;
 }

@@ -107,7 +107,7 @@ std::vector<std::vector<Tensor>> ContextualEmbedder::TokenEncodes(
 
 Tensor ContextualEmbedder::TokenLevelContext(
     const Hhg& hhg, const Tensor& base, bool training, Rng& rng,
-    SummaryCache* cache, const std::vector<Tensor>* token_encodes) const {
+    const std::vector<Tensor>* token_encodes) const {
   HG_TRACE_SPAN("ContextualEmbedder::TokenLevelContext");
   const int num_tokens = hhg.num_tokens();
   const int f = lm_->dim();
@@ -120,22 +120,13 @@ Tensor ContextualEmbedder::TokenLevelContext(
   for (int a = 0; a < hhg.num_attributes(); ++a) {
     const Hhg::AttributeNode& attr = hhg.attribute(a);
     if (attr.token_seq.empty()) continue;
-    // The encode reads only this attribute's own rows of `base` (the
-    // static per-token-string embeddings), so it is cacheable by value.
-    auto encode = [&]() {
-      LmEncodesCounter().Increment();
-      Tensor seq = GatherRows(base, attr.token_seq);
-      return lm_->EncodeEmbedded(seq, training, rng);
-    };
-    Tensor ctx;
     if (token_encodes != nullptr) {
-      ctx = (*token_encodes)[static_cast<size_t>(a)];
-    } else if (cache != nullptr) {
-      ctx = cache->GetOrCompute(TokenKey("ctx", hhg, attr.token_seq), encode);
+      encoded_parts.push_back((*token_encodes)[static_cast<size_t>(a)]);
     } else {
-      ctx = encode();
+      LmEncodesCounter().Increment();
+      encoded_parts.push_back(lm_->EncodeEmbedded(
+          GatherRows(base, attr.token_seq), training, rng));
     }
-    encoded_parts.push_back(ctx);
     for (size_t p = 0; p < attr.token_seq.size(); ++p) {
       row_token.emplace_back(flat_rows + static_cast<int>(p),
                              attr.token_seq[p]);
@@ -174,8 +165,7 @@ Tensor ContextualEmbedder::Compute(
 
   Tensor context;  // Accumulates C.
   if (config_.use_token_context) {
-    context =
-        TokenLevelContext(hhg, base, training, rng, cache, token_encodes);
+    context = TokenLevelContext(hhg, base, training, rng, token_encodes);
   }
 
   const auto& groups = hhg.key_groups();

@@ -42,18 +42,15 @@ class ContextualEmbedder : public Module {
 
   /// WpC embeddings for every token node of `hhg`: [num_tokens, F].
   ///
-  /// `cache`, if non-null at inference, memoizes the two sub-results
-  /// that depend only on a single attribute's own token sequence — the
-  /// token-level contextual encoding of each attribute and the Eq. 1
-  /// attribute pooling — keyed by the token strings, so the same
-  /// attribute value costs one encode across a whole candidate batch.
-  /// The cross-entity terms (key-group sums, common-token context) are
-  /// always recomputed, which keeps cached and uncached passes
-  /// bit-identical. Ignored when training.
+  /// `cache`, if non-null at inference, memoizes the Eq. 1 attribute
+  /// pooling, which depends only on one attribute's own tokens, keyed by
+  /// the token strings. The cross-entity terms (key-group sums,
+  /// common-token context) are always recomputed, which keeps cached and
+  /// uncached passes bit-identical. Ignored when training.
   ///
   /// `token_encodes`, if non-null, supplies the token-level encode of
-  /// every attribute (TokenEncodes), which Compute then neither runs nor
-  /// looks up.
+  /// every attribute (TokenEncodes, which memoizes them in the same
+  /// cache), and Compute does not run them. Null runs each encode.
   Tensor Compute(const Hhg& hhg, bool training, Rng& rng,
                  SummaryCache* cache = nullptr,
                  const std::vector<Tensor>* token_encodes = nullptr) const;
@@ -84,9 +81,9 @@ class ContextualEmbedder : public Module {
 
  private:
   /// C^t: encodes each attribute's token sequence with the LM encoder
-  /// and averages per unique token.
+  /// (or takes it from `token_encodes`) and averages per unique token.
   Tensor TokenLevelContext(const Hhg& hhg, const Tensor& base,
-                           bool training, Rng& rng, SummaryCache* cache,
+                           bool training, Rng& rng,
                            const std::vector<Tensor>* token_encodes) const;
 
   const MiniLm* lm_;

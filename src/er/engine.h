@@ -30,11 +30,10 @@ struct EngineOptions {
 /// any thread count. Scoring records no attention; to explain a score,
 /// call HierGatModel::InspectAttention, which is safe from any thread.
 ///
-/// Thread budget: kernels inside a chunk that the pool fanned out run
-/// serially (a nested ParallelFor on any pool runs inline), so a
-/// multi-lane engine never oversubscribes the machine. A job that fits
-/// one chunk, and every job of a 1-lane engine, runs inline on the
-/// caller, whose kernels may still fan out on ThreadPool::Global().
+/// Thread budget: the engine's lanes are the only parallelism in the
+/// process. Kernels run serially on the thread that calls them, so an
+/// N-lane engine uses at most N threads. A job that fits one chunk, and
+/// every job of a 1-lane engine, runs inline on the caller.
 ///
 /// The engine is reusable across calls and models; it does not own the
 /// models it scores. Score/Evaluate may be called from multiple caller

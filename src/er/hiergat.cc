@@ -321,17 +321,20 @@ bool HierGatStack::UseCompiled(bool training) const {
 std::vector<Tensor> HierGatStack::EncodeTokens(
     const std::vector<std::vector<int>>& ids, Rng& rng) const {
   const MiniLm& lm = *backbone.lm;
-  const size_t f = static_cast<size_t>(lm.dim());
-  const float* table = lm.token_table().table().data().data();
-  PackedSequences seqs(lm.dim());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    float* row = seqs.Append(static_cast<int>(ids[i].size()), i);
-    for (size_t p = 0; row != nullptr && p < ids[i].size(); ++p) {
-      std::copy_n(table + static_cast<size_t>(ids[i][p]) * f, f, row + p * f);
-    }
-  }
   std::vector<Tensor> out(ids.size());
-  compiled->Encode(&seqs, /*cls_only=*/false, &out);
+  if (UseCompiled(/*training=*/false)) {
+    const size_t f = static_cast<size_t>(lm.dim());
+    const float* table = lm.token_table().table().data().data();
+    PackedSequences seqs(lm.dim());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      float* row = seqs.Append(static_cast<int>(ids[i].size()), i);
+      for (size_t p = 0; row != nullptr && p < ids[i].size(); ++p) {
+        std::copy_n(table + static_cast<size_t>(ids[i][p]) * f, f,
+                    row + p * f);
+      }
+    }
+    compiled->Encode(&seqs, /*cls_only=*/false, &out);
+  }
   for (size_t i = 0; i < ids.size(); ++i) {
     if (!out[i].defined()) {
       out[i] = lm.EncodeEmbedded(lm.Embed(ids[i]), /*training=*/false, rng);
@@ -345,7 +348,7 @@ std::vector<Tensor> HierGatStack::Contextualize(std::span<const Hhg> hhgs,
                                                 SummaryCache* cache) const {
   std::vector<Tensor> wpc;
   wpc.reserve(hhgs.size());
-  if (!UseCompiled(training) || !config.context.use_token_context) {
+  if (training || !config.context.use_token_context) {
     for (const Hhg& hhg : hhgs) {
       wpc.push_back(contextual->Compute(hhg, training, rng, cache));
     }

@@ -92,7 +92,9 @@ struct HierGatStack {
   /// replays; otherwise, or when capture failed, it runs the eager
   /// modules item by item in order, which the replays match bit for bit.
   ///
-  /// WpC matrix of each HHG (ContextualEmbedder::Compute).
+  /// WpC matrix of each HHG (ContextualEmbedder::Compute). At inference
+  /// the token-level encodes of the whole batch go through one
+  /// ContextualEmbedder::TokenEncodes call, compiled or not.
   std::vector<Tensor> Contextualize(std::span<const Hhg> hhgs, bool training,
                                     Rng& rng, SummaryCache* cache) const;
 
@@ -161,8 +163,10 @@ struct HierGatStack {
   /// True on the pure inference path, where the compiled graphs replay.
   bool UseCompiled(bool training) const;
 
-  /// Contextual token encodes of vocabulary-id sequences (the
-  /// ContextualEmbedder::BatchEncoder of the packed path).
+  /// Contextual token encodes of vocabulary-id sequences at inference
+  /// (the ContextualEmbedder::BatchEncoder of Contextualize): packed
+  /// replays when UseCompiled, else, and for any sequence a replay
+  /// cannot hold, the eager encode of the looked-up rows.
   std::vector<Tensor> EncodeTokens(const std::vector<std::vector<int>>& ids,
                                    Rng& rng) const;
 

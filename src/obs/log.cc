@@ -57,11 +57,6 @@ void SetLogLevel(LogLevel level) {
   ThresholdStorage().store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(
-      ThresholdStorage().load(std::memory_order_relaxed));
-}
-
 bool LogLevelEnabled(LogLevel level) {
   return static_cast<int>(level) >=
          ThresholdStorage().load(std::memory_order_relaxed);

@@ -17,7 +17,6 @@ const char* LogLevelName(LogLevel level);
 /// formatting work. The initial value comes from the HIERGAT_LOG_LEVEL
 /// environment variable (INFO/WARN/ERROR/OFF); default WARN.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 bool LogLevelEnabled(LogLevel level);
 
 /// Test/embedding hook: receives every emitted record after level

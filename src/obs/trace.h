@@ -16,13 +16,12 @@ namespace obs {
 /// Request-scoped trace identity: a trace id naming one logical request
 /// (one Session::Score / ScoreBatch call) plus the span id of the
 /// request's root span. The context lives in a thread-local slot and is
-/// copied — not shared — across thread hops: a ThreadPool (the engine's
-/// own or the global one) hands it to chunk runners with each task, and
-/// compiled-graph replay inherits whatever the executing
-/// thread carries. Every completed span is stamped with the current
-/// trace id, so a Perfetto trace groups engine-job, threadpool-chunk,
-/// and graph-node spans under one per-request id instead of showing
-/// disconnected per-thread tracks.
+/// copied — not shared — across thread hops: a ThreadPool (an engine's
+/// lanes) hands it to chunk runners with each task, and compiled-graph
+/// replay inherits whatever the executing thread carries. Every
+/// completed span is stamped with the current trace id, so a Perfetto
+/// trace groups engine-job, threadpool-chunk, and graph-node spans under
+/// one per-request id instead of showing disconnected per-thread tracks.
 struct TraceContext {
   uint64_t trace_id = 0;  ///< 0 means "no request context".
   uint64_t span_id = 0;   ///< Root span of the request.

@@ -6,9 +6,6 @@
 #include <vector>
 
 namespace hiergat {
-
-class ThreadPool;  // tensor/threadpool.h
-
 namespace backend {
 
 // Backend registry: every compute kernel the op layer uses, behind a
@@ -186,38 +183,6 @@ inline void DotI8Rows(int dim, const int8_t* q, const int8_t* rows,
 inline void HashedNgramAccumulate(uint64_t hash, int dim, float* acc) {
   Active().hashed_ngram_accumulate(hash, dim, acc);
 }
-
-// -- Intra-op parallel wrappers ------------------------------------------
-//
-// Row-partitioned forward kernels for the ops' forward bodies
-// (tensor/ops.cc), dispatched over a persistent ThreadPool
-// (tensor/threadpool.h). Each runs the serial kernel when `pool` is
-// null (eager execution), the pool has one lane, the calling thread is
-// already running a chunk of some pool (InParallelChunk()), or the
-// problem is below the parallel threshold; otherwise rows of the
-// output are split into
-// chunks that each dispatch through the active table.
-//
-// Bit-identity: every kernel accumulates each output element over k
-// (or its row) in one fixed order regardless of how rows are blocked,
-// and the chunk boundaries depend only on the shape, so the result is
-// bit-identical to the serial kernel at any thread count. GEMM row
-// chunks stay aligned to the 4-row micro-tile for locality.
-
-/// C[m,n] += alpha * A[m,k] * B[k,n], rows of C partitioned.
-void ParallelGemmNN(ThreadPool* pool, int m, int n, int k, float alpha,
-                    const float* a, const float* b, float* c);
-/// C[m,n] += alpha * A[m,k] * B[n,k]^T, rows of C partitioned.
-void ParallelGemmNT(ThreadPool* pool, int m, int n, int k, float alpha,
-                    const float* a, const float* b, float* c);
-/// Row-wise softmax, rows partitioned. In-place (y == x) is allowed.
-void ParallelSoftmaxRows(ThreadPool* pool, int rows, int cols,
-                         const float* x, float* y);
-/// Row-wise layer norm, rows partitioned; same outputs as LayerNormRows.
-void ParallelLayerNormRows(ThreadPool* pool, int rows, int cols, float eps,
-                           const float* x, const float* gamma,
-                           const float* beta, float* y, float* xhat,
-                           float* inv_std);
 
 }  // namespace backend
 }  // namespace hiergat

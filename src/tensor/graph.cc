@@ -11,7 +11,6 @@
 #include "core/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/threadpool.h"
 
 namespace hiergat {
 namespace graph {
@@ -530,7 +529,7 @@ void CompiledGraph::ReleaseState(std::unique_ptr<State> state) const {
 }
 
 void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
-                        ThreadPool* pool, std::span<const int> segments,
+                        std::span<const int> segments,
                         std::span<const int> queries) const {
   const Impl& g = *impl_;
   std::unique_ptr<State> state = AcquireState();
@@ -539,8 +538,7 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
   if (queries.empty()) queries = segments;
   HG_CHECK_EQ(queries.size(), segments.size());
   // What each node sees: only query-side nodes get the query table.
-  const Replay replays[] = {{pool, segments, segments},
-                            {pool, segments, queries}};
+  const Replay replays[] = {{segments, segments}, {segments, queries}};
 
   // Resolve every value to its replay buffer. Constants resolve through
   // their retained impl (live weight bytes), inputs through the caller,

@@ -13,9 +13,6 @@
 #include "tensor/tensor.h"
 
 namespace hiergat {
-
-class ThreadPool;  // tensor/threadpool.h
-
 namespace graph {
 
 /// Record/replay layer for the NoGrad scoring path (DESIGN.md §11).
@@ -24,7 +21,7 @@ namespace graph {
 /// still execute eagerly (so the capture call itself returns correct
 /// values) and additionally append a node to the active recorder. The
 /// node is the op's one forward body, a raw-pointer closure over the
-/// op's dimensions, which eager execution runs with a null pool.
+/// op's dimensions, which eager execution runs too.
 /// Finish() runs the allocation planner over the trace and produces an
 /// immutable CompiledGraph whose Run() replays the node closures against
 /// a single arena block: no Tensor, shared_ptr, BufferPool, or metric
@@ -47,8 +44,8 @@ namespace graph {
 ///    during a poisoned capture remains fully correct.
 
 /// What a node closure receives besides its buffers. Eager execution
-/// passes a null pool and, for the packed attention ops and QueryRows,
-/// the op's own tables; a replay passes Run's pool and tables.
+/// passes, for the packed attention ops and QueryRows, the op's own
+/// tables; a replay passes Run's tables.
 ///
 /// A *packed* graph (DESIGN.md §11) is captured over [capacity, ·] row
 /// blocks and replayed over any `rows <= capacity` live rows holding
@@ -70,7 +67,6 @@ namespace graph {
 /// row 0 replays with the table 0, 1, ..., count and runs its last
 /// layer's query side on one row per sequence.
 struct Replay {
-  ThreadPool* pool = nullptr;  ///< May be null (run serial).
   /// Sequence s is rows [segments[s], segments[s + 1]); empty outside
   /// packed execution.
   std::span<const int> segments;
@@ -173,13 +169,14 @@ class CompiledGraph {
   const std::vector<NodeCost>& node_costs() const;
 
   /// Replays the graph. `inputs[i]` points at input_shape(i) elements;
-  /// `outputs[i]` receives output_size(i) elements. `pool` may be null.
+  /// `outputs[i]` receives output_size(i) elements. Every node runs
+  /// serially on the calling thread.
   /// A packed graph takes its sequence table in `segments` and its query
   /// table in `queries` (see Replay; empty means every row); its inputs
   /// are then the first `segments.back()` rows, and each output the first
   /// `segments.back()` rows, or `queries.back()` on the query side.
   void Run(const float* const* inputs, float* const* outputs,
-           ThreadPool* pool, std::span<const int> segments = {},
+           std::span<const int> segments = {},
            std::span<const int> queries = {}) const;
 
   struct Impl;   // Internal representation; graph.cc only.

@@ -20,9 +20,8 @@ namespace kernels {
 // tensor/backend.{h,cc} re-compiles the same bodies per wide ISA
 // (AVX2) and dispatches through a registry resolved at startup. ops.cc,
 // forward bodies and backward closures alike, calls backend::, never
-// kernels:: directly; the row-partitioned parallel wrappers live there
-// too. Only the registry's scalar table, tests and benches name
-// kernels:: symbols.
+// kernels:: directly. Only the registry's scalar table, tests and
+// benches name kernels:: symbols.
 //
 // Conventions:
 //  - GEMM kernels *accumulate*: C += alpha * op(A) * op(B). Callers

@@ -12,7 +12,6 @@
 #include "tensor/backend.h"
 #include "tensor/graph.h"
 #include "tensor/pool.h"
-#include "tensor/threadpool.h"
 
 namespace hiergat {
 
@@ -60,16 +59,15 @@ struct RowSplit {
 
 // Every recorded op writes its forward math once, as a graph::NodeFn-
 // shaped body, and runs it through Forward(). Eagerly the body runs
-// over the tensors' own buffers with a null pool, i.e. the serial
-// kernels, and every row (the packed attention ops pass their own
-// sequence table). Only under an active GraphCapture does Forward()
-// also hand the same body to graph::Record as the op's replay node (see
-// tensor/graph.h), which runs it over arena slots with the replay's
-// pool and sequence table. Replay matches eager bit for bit because there is no second
-// copy of the math, and the row-chunked kernels a body calls keep each
-// element's accumulation order at any thread count (backend.h). The
-// Capturing() gate keeps the std::function, the recorded input vector
-// and the scratch sizes off the eager path.
+// over the tensors' own buffers and every row (the packed attention
+// ops pass their own sequence table). Only under an active GraphCapture
+// does Forward() also hand the same body to graph::Record as the op's
+// replay node (see tensor/graph.h), which runs it over arena slots with
+// the replay's sequence table. Replay matches eager bit for bit because
+// there is no second copy of the math: both call the same serial
+// kernels on the calling thread. The Capturing() gate keeps the
+// std::function, the recorded input vector and the scratch sizes off
+// the eager path.
 bool Capturing() { return graph::GraphCapture::Active(); }
 
 // Most inputs a fixed-arity op takes (LayerNorm, Linear with bias,
@@ -351,10 +349,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Forward(
       out, {&a, &b}, "MatMul",
       [m, n, k](const float* const* in, float* const*, float* op,
-                const graph::Replay& replay) {
+                const graph::Replay&) {
         // Arena slots are uninitialized; GEMM accumulates.
         std::fill(op, op + static_cast<size_t>(m) * n, 0.0f);
-        backend::ParallelGemmNN(replay.pool, m, n, k, 1.0f, in[0], in[1], op);
+        backend::GemmNN(m, n, k, 1.0f, in[0], in[1], op);
       },
       2LL * m * n * k);
   if (rg) {
@@ -694,8 +692,8 @@ Tensor Softmax(const Tensor& a) {
   Forward(
       out, {&a}, "Softmax",
       [rows, cols](const float* const* in, float* const*, float* op,
-                   const graph::Replay& replay) {
-        backend::ParallelSoftmaxRows(replay.pool, rows, cols, in[0], op);
+                   const graph::Replay&) {
+        backend::SoftmaxRows(rows, cols, in[0], op);
       },
       5LL * rows * cols);
   if (rg) {
@@ -725,9 +723,8 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto body = [rows, cols, eps](const float* const* in,
                                 float* const* scratch, float* op,
                                 const graph::Replay& replay) {
-    backend::ParallelLayerNormRows(replay.pool, replay.Rows(rows), cols, eps,
-                                   in[0], in[1], in[2], op, scratch[0],
-                                   scratch[1]);
+    backend::LayerNormRows(replay.Rows(rows), cols, eps, in[0], in[1], in[2],
+                           op, scratch[0], scratch[1]);
   };
   if (!rg) {
     // Inference path: xhat/inv_std are per-call scratch. ~8 FLOPs per
@@ -800,8 +797,7 @@ Tensor LinearOp(const Tensor& x, const Tensor& w, const Tensor& bias) {
                           const graph::Replay& replay) {
         const int live = replay.Rows(m);
         std::fill(op, op + static_cast<size_t>(live) * n, 0.0f);
-        backend::ParallelGemmNN(replay.pool, live, n, k, 1.0f, in[0], in[1],
-                                op);
+        backend::GemmNN(live, n, k, 1.0f, in[0], in[1], op);
         if (has_bias) backend::AddBiasRows(live, n, in[2], op);
       },
       2LL * m * n * k + (has_bias ? 1LL * m * n : 0));
@@ -859,13 +855,12 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
   Forward(
       out, {&q, &k, &mask}, "AttentionScores",
       [lq, lk, d, scale, has_mask](const float* const* in, float* const*,
-                                   float* op, const graph::Replay& replay) {
+                                   float* op, const graph::Replay&) {
         const size_t n = static_cast<size_t>(lq) * lk;
         std::fill(op, op + n, 0.0f);
-        backend::ParallelGemmNT(replay.pool, lq, lk, d, scale, in[0], in[1],
-                                op);
+        backend::GemmNT(lq, lk, d, scale, in[0], in[1], op);
         if (has_mask) backend::Accumulate(n, in[2], op);
-        backend::ParallelSoftmaxRows(replay.pool, lq, lk, op, op);
+        backend::SoftmaxRows(lq, lk, op, op);
       },
       2LL * lq * lk * d + (has_mask ? 1LL * lq * lk : 0) + 5LL * lq * lk);
   if (rg) {
@@ -946,7 +941,7 @@ Tensor QueryRows(const Tensor& a, std::span<const int> segments,
           std::copy(src, src + floats, op + static_cast<size_t>(qry[s]) * d);
         }
       },
-      -1, {}, graph::Replay{nullptr, segments, queries}, {},
+      -1, {}, graph::Replay{segments, queries}, {},
       /*gathers_queries=*/true);
   return out;
 }
@@ -983,19 +978,18 @@ Tensor AttentionScores(const Tensor& q, const Tensor& k, float scale,
           const int qlen = qry[s + 1] - qry[s];
           const size_t floats = static_cast<size_t>(qlen) * len;
           std::fill(block, block + floats, 0.0f);
-          backend::ParallelGemmNT(replay.pool, qlen, len, d, scale,
-                                  in[0] + static_cast<size_t>(qry[s]) * d,
-                                  in[1] + static_cast<size_t>(seg[s]) * d,
-                                  block);
+          backend::GemmNT(qlen, len, d, scale,
+                          in[0] + static_cast<size_t>(qry[s]) * d,
+                          in[1] + static_cast<size_t>(seg[s]) * d, block);
           for (int i = 0; len > 1 && i < qlen; ++i) {
             float* row = block + static_cast<size_t>(i) * len;
             for (int j = 0; j < len; ++j) row[j] += j == i ? -1e9f : 0.0f;
           }
-          backend::ParallelSoftmaxRows(replay.pool, qlen, len, block, block);
+          backend::SoftmaxRows(qlen, len, block, block);
           block += floats;
         }
       },
-      -1, {}, graph::Replay{nullptr, segments, queries},
+      -1, {}, graph::Replay{segments, queries},
       graph::BlockCost{block_floats, 2LL * d + 6, 1, d, d});
   return out;
 }
@@ -1023,13 +1017,12 @@ Tensor MatMul(const Tensor& attn, const Tensor& v,
           const int qlen = qry[s + 1] - qry[s];
           float* rows = op + static_cast<size_t>(qry[s]) * d;
           std::fill(rows, rows + static_cast<size_t>(qlen) * d, 0.0f);
-          backend::ParallelGemmNN(replay.pool, qlen, d, len, 1.0f, block,
-                                  in[1] + static_cast<size_t>(seg[s]) * d,
-                                  rows);
+          backend::GemmNN(qlen, d, len, 1.0f, block,
+                          in[1] + static_cast<size_t>(seg[s]) * d, rows);
           block += static_cast<size_t>(qlen) * len;
         }
       },
-      -1, {}, graph::Replay{nullptr, segments, queries},
+      -1, {}, graph::Replay{segments, queries},
       graph::BlockCost{block_floats, 2LL * d, 1, d, d});
   return out;
 }

@@ -1,16 +1,10 @@
 #include "tensor/threadpool.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <system_error>
 
 #include "core/logging.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,17 +13,16 @@ namespace hiergat {
 namespace {
 
 // How long a worker spins (yielding) for the next task before it parks
-// on the condvar. Replay dispatches a ParallelFor every few
-// microseconds, so the spin catches the next node; a pool idle for
-// longer (an engine between serving batches) parks, and its lanes stop
-// taking CPU from the threads that produce the next batch. Bounded in
-// time, not in yields: a yield takes ~0.4us on an idle host and longer
-// on a busy one.
+// on the condvar. The spin catches a back-to-back dispatch; a pool idle
+// for longer (an engine between serving batches) parks, and its lanes
+// stop taking CPU from the threads that produce the next batch. Bounded
+// in time, not in yields: a yield takes ~0.4us on an idle host and
+// longer on a busy one.
 constexpr std::chrono::microseconds kSpinTime(50);
 
-// True while this thread is executing a ParallelFor chunk; a nested
-// ParallelFor from inside a kernel runs inline instead of deadlocking
-// on the single-task pool.
+// True while this thread is executing a ParallelFor chunk of any pool;
+// a nested ParallelFor runs inline instead of deadlocking on the
+// single-task pool.
 thread_local bool tls_in_chunk = false;
 
 obs::Counter& Tasks() {
@@ -55,24 +48,6 @@ obs::Gauge& ThreadsGauge() {
 
 }  // namespace
 
-int ParseNumThreads(const char* text) {
-  if (text == nullptr || text[0] == '\0') return 0;
-  const char* end = text + std::strlen(text);
-  int value = 0;
-  // from_chars accepts a leading '-', so insist on a digit first.
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (std::isdigit(static_cast<unsigned char>(text[0])) &&
-      ec == std::errc() && ptr == end && value <= kMaxThreads) {
-    return value;
-  }
-  HG_LOG(WARN) << "HIERGAT_NUM_THREADS=\"" << text
-               << "\" is not an integer in [0, " << kMaxThreads
-               << "]; using hardware concurrency";
-  return 0;
-}
-
-bool InParallelChunk() { return tls_in_chunk; }
-
 ThreadPool::ThreadPool(int num_threads) {
   HG_CHECK_LE(num_threads, kMaxThreads);
   if (num_threads <= 0) {
@@ -83,7 +58,7 @@ ThreadPool::ThreadPool(int num_threads) {
   for (int i = 0; i < num_threads - 1; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  // Summed over live pools: every engine owns one beside Global().
+  // Summed over live pools: every engine owns one.
   ThreadsGauge().Add(num_threads);
 }
 
@@ -99,13 +74,8 @@ ThreadPool::~ThreadPool() {
   ThreadsGauge().Add(-num_threads());
 }
 
-ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool(ParseNumThreads(std::getenv("HIERGAT_NUM_THREADS")));
-  return pool;
-}
-
 void ThreadPool::WorkerLoop(int worker_index) {
-  obs::SetTraceThreadName("intra-op-worker-" + std::to_string(worker_index));
+  obs::SetTraceThreadName("pool-worker-" + std::to_string(worker_index));
   uint64_t seen_epoch = 0;
   for (;;) {
     // Spin-then-park until a new task is published or we shut down.

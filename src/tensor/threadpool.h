@@ -14,35 +14,28 @@
 
 namespace hiergat {
 
-/// Most threads any configured count may ask for: HIERGAT_NUM_THREADS,
-/// hiergat_serve --threads and Session::Open's EngineOptions are refused
-/// above it, and a ThreadPool check-fails above it, so a typo cannot
-/// start millions of threads.
+/// Most threads any configured count may ask for: hiergat_serve
+/// --threads and Session::Open's EngineOptions are refused above it,
+/// and a ThreadPool check-fails above it, so a typo cannot start
+/// millions of threads.
 inline constexpr int kMaxThreads = 1024;
 
-/// Parses a HIERGAT_NUM_THREADS value. All of `text` must be a decimal
-/// integer in [0, kMaxThreads]; that value is returned (0 means
-/// hardware concurrency). Anything else (a sign, trailing characters,
-/// out of range) logs a WARN and returns 0. Null or empty means unset
-/// and returns 0 silently.
-int ParseNumThreads(const char* text);
-
-/// Persistent intra-op worker pool for the chunked row-parallel kernels
-/// (backend::ParallelGemmNN etc.) and compiled-graph replay. Workers are
-/// started once and live for the pool's lifetime: a dispatch is one
-/// atomic epoch bump plus (when a worker has parked) one condvar
-/// notify, not a thread spawn. Workers spin for up to 50us between
-/// tasks before parking, so back-to-back ParallelFor calls — the
-/// per-node cadence of graph replay — never pay a futex round trip,
-/// while a pool idle for longer (an engine between batches) parks.
+/// Persistent worker pool: the lanes of one InferenceEngine, the only
+/// parallelism in the process (kernels run serially on the thread that
+/// calls them). Workers are started once and live for the pool's
+/// lifetime: a dispatch is one atomic epoch bump plus (when a worker
+/// has parked) one condvar notify, not a thread spawn. Workers spin for
+/// up to 50us between tasks before parking, so back-to-back ParallelFor
+/// calls never pay a futex round trip, while a pool idle for longer (an
+/// engine between batches) parks.
 ///
 /// Determinism contract: ParallelFor partitions [begin, end) into
 /// fixed chunks of `grain` iterations derived from the arguments alone,
 /// never from thread timing. Which *thread* runs a chunk varies between
-/// runs, but the chunk boundaries do not — so kernels whose result
-/// depends only on the rows they are handed (every row-partitioned
-/// kernel in kernels.h) produce bit-identical output at any thread
-/// count, including the serial num_threads == 1 case.
+/// runs, but the chunk boundaries do not — so work whose result
+/// depends only on the items it is handed (an engine's ScoreBatch
+/// chunks) is bit-identical at any thread count, including the serial
+/// num_threads == 1 case.
 ///
 /// Exported metrics: `hiergat.threadpool.{tasks,chunks,parks}` counters
 /// and the `hiergat.threadpool.threads` gauge (lanes summed over every
@@ -58,12 +51,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool shared by the parallel kernels and the compiled
-  /// graph executor. Sized from HIERGAT_NUM_THREADS when set (see
-  /// ParseNumThreads), else hardware concurrency. Constructed on first
-  /// use.
-  static ThreadPool& Global();
-
   /// Total lanes including the calling thread (>= 1).
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
@@ -72,8 +59,10 @@ class ThreadPool {
   /// The caller executes chunks alongside the workers. Runs inline
   /// (one fn(begin, end) call) when the pool has no workers, the range
   /// fits in one chunk, or the call is nested inside a ParallelFor chunk
-  /// of this or any other pool (see InParallelChunk). Concurrent callers
-  /// are serialized: the pool executes one task at a time.
+  /// of this or any other pool: the outer fan-out already owns the
+  /// lanes, and a nested dispatch to this pool would deadlock on the
+  /// running task. Concurrent callers are serialized: the pool executes
+  /// one task at a time.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& fn);
 
@@ -116,13 +105,6 @@ class ThreadPool {
   std::condition_variable wake_cv_;
   std::vector<std::thread> workers_;
 };
-
-/// True while the calling thread runs a ParallelFor chunk of any pool.
-/// A nested ParallelFor then runs inline, and the parallel kernels stay
-/// serial: the outer fan-out already owns the lanes (the InferenceEngine
-/// scores its chunks this way), and nested fan-out would only thrash a
-/// fixed thread budget.
-bool InParallelChunk();
 
 }  // namespace hiergat
 

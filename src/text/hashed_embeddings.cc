@@ -49,21 +49,4 @@ std::vector<float> HashedEmbeddings::WordVector(
   return acc;
 }
 
-float HashedEmbeddings::Similarity(const std::string& a,
-                                   const std::string& b) const {
-  const std::vector<float> va = WordVector(a);
-  const std::vector<float> vb = WordVector(b);
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (int d = 0; d < dim_; ++d) {
-    dot += static_cast<double>(va[static_cast<size_t>(d)]) *
-           vb[static_cast<size_t>(d)];
-    na += static_cast<double>(va[static_cast<size_t>(d)]) *
-          va[static_cast<size_t>(d)];
-    nb += static_cast<double>(vb[static_cast<size_t>(d)]) *
-          vb[static_cast<size_t>(d)];
-  }
-  if (na == 0.0 || nb == 0.0) return 0.0f;
-  return static_cast<float>(dot / (std::sqrt(na) * std::sqrt(nb)));
-}
-
 }  // namespace hiergat

@@ -26,9 +26,6 @@ class HashedEmbeddings {
   /// Deterministic `dim`-dimensional vector for `word`.
   std::vector<float> WordVector(const std::string& word) const;
 
-  /// Cosine similarity between the vectors of two words.
-  float Similarity(const std::string& a, const std::string& b) const;
-
   int dim() const { return dim_; }
 
  private:

@@ -20,13 +20,4 @@ std::vector<std::string> Tokenize(const std::string& text) {
   return tokens;
 }
 
-std::string JoinTokens(const std::vector<std::string>& tokens) {
-  std::string out;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (i) out.push_back(' ');
-    out += tokens[i];
-  }
-  return out;
-}
-
 }  // namespace hiergat

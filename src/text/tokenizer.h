@@ -13,9 +13,6 @@ namespace hiergat {
 /// use before embedding.
 std::vector<std::string> Tokenize(const std::string& text);
 
-/// Joins tokens with single spaces (inverse-ish of Tokenize; for display).
-std::string JoinTokens(const std::vector<std::string>& tokens);
-
 }  // namespace hiergat
 
 #endif  // HIERGAT_TEXT_TOKENIZER_H_

@@ -184,9 +184,9 @@ class BlockingModel : public PairwiseModel {
 };
 
 /// A model that records, per ScoreBatch call, the slice size, the
-/// calling thread, and how many calls a nested
-/// ThreadPool::Global().ParallelFor made — the engine's thread budget,
-/// seen from inside a chunk.
+/// calling thread, and how many calls a ParallelFor on its own 4-lane
+/// probe pool made: the engine's thread budget, seen from inside a
+/// chunk.
 class BudgetProbeModel : public PairwiseModel {
  public:
   struct Call {
@@ -200,8 +200,8 @@ class BudgetProbeModel : public PairwiseModel {
   std::vector<float> ScoreBatch(
       std::span<const EntityPair> pairs) const override {
     std::atomic<int> nested{0};
-    ThreadPool::Global().ParallelFor(
-        0, 1000, 10, [&](int64_t, int64_t) { nested.fetch_add(1); });
+    probe_.ParallelFor(0, 1000, 10,
+                       [&](int64_t, int64_t) { nested.fetch_add(1); });
     std::lock_guard<std::mutex> lock(mutex_);
     calls_.push_back({pairs.size(), std::this_thread::get_id(), nested.load()});
     return std::vector<float>(pairs.size(), 0.5f);
@@ -212,13 +212,15 @@ class BudgetProbeModel : public PairwiseModel {
   }
 
  private:
+  mutable ThreadPool probe_{4};
   mutable std::mutex mutex_;
   mutable std::vector<Call> calls_;
 };
 
-TEST(EngineBudgetTest, MultiLaneEngineSpreadsSmallJobsAndRunsKernelsInline) {
+TEST(EngineBudgetTest, MultiLaneEngineSpreadsJobsAndInlinesNesting) {
   // 8 pairs on 4 lanes: chunks of at most 2 pairs reach every lane, and
-  // a kernel's ParallelFor inside a chunk runs as one inline call.
+  // a ParallelFor on another pool inside a chunk runs as one inline
+  // call.
   BudgetProbeModel model;
   InferenceEngine engine(EngineOptions{.num_threads = 4});
   const std::vector<EntityPair> pairs(8);
@@ -244,10 +246,9 @@ TEST(EngineBudgetTest, SingleLaneEngineScoresOnTheCallingThread) {
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0].slice, 8u);
   EXPECT_EQ(calls[0].thread, std::this_thread::get_id());
-  // Not inside a pool chunk, so the kernels keep intra-op parallelism.
-  if (ThreadPool::Global().num_threads() > 1) {
-    EXPECT_GT(calls[0].nested_calls, 1);
-  }
+  // Not inside a pool chunk, so the probe pool fans out: one call per
+  // chunk of 10.
+  EXPECT_EQ(calls[0].nested_calls, 100);
 }
 
 /// Shared trained models so the (expensive) training runs once.
@@ -475,6 +476,29 @@ TEST_F(EngineParityTest, ScoringCompilesPlannedGraphs) {
   EXPECT_GT(stats.plan_bytes, 0u);
   EXPECT_LT(stats.plan_bytes, stats.eager_bytes / 2)
       << "arena plan should reuse buffers across live ranges";
+}
+
+TEST_F(EngineParityTest, DirectScoringRunsOnTheCallingThreadOnly) {
+  // Engine lanes are the only parallelism: a compiled ScoreBatch called
+  // with no engine dispatches no pool task and starts no pool. The
+  // cache is off so every pair replays the packed encoders.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter& tasks = registry.GetCounter("hiergat.threadpool.tasks");
+  const obs::Gauge& lanes = registry.GetGauge("hiergat.threadpool.threads");
+  const obs::Counter& compiled_pairs =
+      registry.GetCounter("hiergat.score.compiled_pairs");
+  hiergat_->set_graph_compile_enabled(true);
+  hiergat_->set_cache_enabled(false);
+  hiergat_->InvalidateInferenceCache();
+  const int64_t tasks_before = tasks.Value();
+  const double lanes_before = lanes.Value();
+  const int64_t compiled_before = compiled_pairs.Value();
+  EXPECT_EQ(hiergat_->ScoreBatch(data_->test).size(), data_->test.size());
+  EXPECT_GT(compiled_pairs.Value(), compiled_before);
+  EXPECT_EQ(tasks.Value(), tasks_before);
+  EXPECT_EQ(lanes.Value(), lanes_before);
+  hiergat_->set_cache_enabled(true);
+  hiergat_->InvalidateInferenceCache();
 }
 
 TEST_F(EngineParityTest, ConcurrentCompiledScoringIsThreadSafe) {

@@ -433,7 +433,7 @@ TEST(TraceContextTest, GraphReplayNodesCarryContextAndCosts) {
   recorder.Start();
   {
     ScopedTraceContext request(context);
-    compiled->Run(inputs, outputs, nullptr);
+    compiled->Run(inputs, outputs);
   }
   recorder.Stop();
 
@@ -615,8 +615,17 @@ TEST(TraceMacroTest, CompilesInUnbracedIf) {
 
 class LogTest : public ::testing::Test {
  protected:
+  /// The threshold, read back through the public predicate.
+  static LogLevel CurrentLevel() {
+    for (const LogLevel level :
+         {LogLevel::kInfo, LogLevel::kWarn, LogLevel::kError}) {
+      if (LogLevelEnabled(level)) return level;
+    }
+    return LogLevel::kOff;
+  }
+
   void SetUp() override {
-    previous_level_ = GetLogLevel();
+    previous_level_ = CurrentLevel();
     records_.clear();
     SetLogSink([this](LogLevel level, const char* file, int line,
                       const std::string& message) {

@@ -4,12 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/rng.h"
 #include "er/baselines/similarity_features.h"
-#include "text/tokenizer.h"
 
 namespace hiergat {
 namespace {
+
+std::string Join(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& token : tokens) {
+    if (!out.empty()) out.push_back(' ');
+    out += token;
+  }
+  return out;
+}
 
 std::vector<std::string> RandomTokens(Rng& rng, int max_len) {
   const int n = static_cast<int>(rng.NextInt(0, max_len));
@@ -88,8 +99,8 @@ TEST(PairFeaturesPropertyTest, BoundedForRandomPairs) {
   for (int trial = 0; trial < 40; ++trial) {
     EntityPair pair;
     for (const char* key : {"title", "desc"}) {
-      pair.left.Add(key, JoinTokens(RandomTokens(rng, 6)));
-      pair.right.Add(key, JoinTokens(RandomTokens(rng, 6)));
+      pair.left.Add(key, Join(RandomTokens(rng, 6)));
+      pair.right.Add(key, Join(RandomTokens(rng, 6)));
     }
     const std::vector<float> features = PairFeatures(pair);
     EXPECT_EQ(static_cast<int>(features.size()), PairFeatureCount(2));

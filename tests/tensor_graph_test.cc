@@ -18,7 +18,6 @@
 #include "tensor/backend.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
-#include "tensor/threadpool.h"
 
 namespace hiergat {
 namespace {
@@ -57,7 +56,7 @@ TEST(TensorGraphTest, UnaryChainReplaysBitwise) {
   std::vector<float> got(32);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)])
@@ -82,7 +81,7 @@ TEST(TensorGraphTest, LinearLayerNormReplaysBitwise) {
   std::vector<float> got(30);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, &ThreadPool::Global());
+  compiled->Run(in, out);
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);
@@ -105,7 +104,7 @@ TEST(TensorGraphTest, AttentionScoresReplayBitwise) {
   std::vector<float> got(18);
   const float* in[] = {q.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 18; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);
@@ -113,13 +112,9 @@ TEST(TensorGraphTest, AttentionScoresReplayBitwise) {
 }
 
 // Every recorded op, replayed over a fresh input, must match its eager
-// result bit for bit, both serially and on a 4-lane pool. The input is
-// [64, 160]: 10240 elements, above the row-op parallel threshold
-// (kMinParallelElems, 8192), and every GEMM here is at least
-// 64x32x160 multiply-adds, above kMinParallelFlops (65536). So on the
-// pool the row-chunked forward path really runs (`row_chunked` cases
-// assert it dispatched) and is compared with the serial eager one.
-TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
+// result bit for bit. The input is fresh so that a row the replay
+// failed to write cannot keep the bits of the capture-time run.
+TEST(TensorGraphTest, EveryRecordedOpReplaysBitwise) {
   NoGradGuard no_grad;
   constexpr int kRows = 64, kCols = 160;
   Rng rng(41);
@@ -137,8 +132,7 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
   std::vector<int> indices;
   for (int i = 0; i < 40; ++i) indices.push_back((i * 13) % kRows);
   // Packed sequences of 1, 3, 36 and 24 rows: the one-row sequence takes
-  // no diagonal mask, and the 36-row one's GEMMs are large enough to fan
-  // out on the pool.
+  // no diagonal mask.
   const std::vector<int> segments = {0, 1, 4, 40, kRows};
   const Tensor probabilities =
       AttentionScores(Tensor::Randn({kRows, 8}, rng),
@@ -146,7 +140,6 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
 
   struct Case {
     const char* name;
-    bool row_chunked;
     std::function<Tensor(const Tensor&)> fwd;
     std::span<const int> segments = {};
     /// Leading output floats with defined values (0: all). The packed
@@ -154,81 +147,64 @@ TEST(TensorGraphTest, EveryRecordedOpReplaysBitwiseSerialAndPooled) {
     size_t defined_floats = 0;
   };
   const std::vector<Case> cases = {
-      {"Add", false, [&](const Tensor& x) { return Add(x, same); }},
-      {"Add(bias)", false, [&](const Tensor& x) { return Add(x, bias); }},
-      {"Sub", false, [&](const Tensor& x) { return Sub(x, same); }},
-      {"Sub(bias)", false, [&](const Tensor& x) { return Sub(x, bias); }},
-      {"Mul", false, [&](const Tensor& x) { return Mul(x, same); }},
-      {"Scale", false, [&](const Tensor& x) { return Scale(x, -0.37f); }},
-      {"Relu", false, [&](const Tensor& x) { return Relu(x); }},
-      {"LeakyRelu", false,
-       [&](const Tensor& x) { return LeakyRelu(x, 0.1f); }},
-      {"Tanh", false, [&](const Tensor& x) { return Tanh(x); }},
-      {"Sigmoid", false, [&](const Tensor& x) { return Sigmoid(x); }},
-      {"Gelu", false, [&](const Tensor& x) { return Gelu(x); }},
-      {"Exp", false, [&](const Tensor& x) { return Exp(x); }},
-      {"MatMul", true, [&](const Tensor& x) { return MatMul(x, w); }},
-      {"Transpose", false, [&](const Tensor& x) { return Transpose(x); }},
-      {"ConcatRows", false,
+      {"Add", [&](const Tensor& x) { return Add(x, same); }},
+      {"Add(bias)", [&](const Tensor& x) { return Add(x, bias); }},
+      {"Sub", [&](const Tensor& x) { return Sub(x, same); }},
+      {"Sub(bias)", [&](const Tensor& x) { return Sub(x, bias); }},
+      {"Mul", [&](const Tensor& x) { return Mul(x, same); }},
+      {"Scale", [&](const Tensor& x) { return Scale(x, -0.37f); }},
+      {"Relu", [&](const Tensor& x) { return Relu(x); }},
+      {"LeakyRelu", [&](const Tensor& x) { return LeakyRelu(x, 0.1f); }},
+      {"Tanh", [&](const Tensor& x) { return Tanh(x); }},
+      {"Sigmoid", [&](const Tensor& x) { return Sigmoid(x); }},
+      {"Gelu", [&](const Tensor& x) { return Gelu(x); }},
+      {"Exp", [&](const Tensor& x) { return Exp(x); }},
+      {"MatMul", [&](const Tensor& x) { return MatMul(x, w); }},
+      {"Transpose", [&](const Tensor& x) { return Transpose(x); }},
+      {"ConcatRows",
        [&](const Tensor& x) { return ConcatRows({extra_rows, x}); }},
-      {"ConcatCols", false,
+      {"ConcatCols",
        [&](const Tensor& x) { return ConcatCols({x, extra_cols, x}); }},
-      {"GatherRows", false,
-       [&](const Tensor& x) { return GatherRows(x, indices); }},
-      {"Sum", false, [&](const Tensor& x) { return Sum(x); }},
-      {"SumRows", false, [&](const Tensor& x) { return SumRows(x); }},
-      {"Softmax", true, [&](const Tensor& x) { return Softmax(x); }},
-      {"LayerNorm", true,
-       [&](const Tensor& x) { return LayerNorm(x, gamma, beta); }},
-      {"Linear", true, [&](const Tensor& x) { return LinearOp(x, w, b); }},
-      {"Linear(no bias)", true,
+      {"GatherRows", [&](const Tensor& x) { return GatherRows(x, indices); }},
+      {"Sum", [&](const Tensor& x) { return Sum(x); }},
+      {"SumRows", [&](const Tensor& x) { return SumRows(x); }},
+      {"Softmax", [&](const Tensor& x) { return Softmax(x); }},
+      {"LayerNorm", [&](const Tensor& x) { return LayerNorm(x, gamma, beta); }},
+      {"Linear", [&](const Tensor& x) { return LinearOp(x, w, b); }},
+      {"Linear(no bias)",
        [&](const Tensor& x) { return LinearOp(x, w, Tensor()); }},
-      {"AttentionScores", true,
+      {"AttentionScores",
        [&](const Tensor& x) {
          return AttentionScores(x, keys, 0.125f, mask);
        }},
-      {"AttentionScores(no mask)", true,
+      {"AttentionScores(no mask)",
        [&](const Tensor& x) {
          return AttentionScores(x, keys, 0.125f, Tensor());
        }},
-      {"AttentionScores(packed)", true,
+      {"AttentionScores(packed)",
        [&](const Tensor& x) {
          return AttentionScores(x, same, 0.125f, segments);
        },
        segments, 1 + 9 + 36 * 36 + 24 * 24},
-      {"MatMul(packed)", true,
+      {"MatMul(packed)",
        [&](const Tensor& x) { return MatMul(probabilities, x, segments); },
        segments},
   };
 
-  ThreadPool pool(4);
-  obs::Counter& tasks =
-      obs::MetricsRegistry::Global().GetCounter("hiergat.threadpool.tasks");
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     auto compiled = CompileUnary(kRows, kCols, c.fwd);
     ASSERT_NE(compiled, nullptr);
     ASSERT_EQ(compiled->stats().num_nodes, 1);
-    for (ThreadPool* run_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      // A fresh input per run: the arena block is recycled between runs,
-      // so a row the pooled run failed to write would otherwise still
-      // hold the serial run's (correct) bits.
-      const Tensor x = Tensor::Randn({kRows, kCols}, rng);
-      const Tensor want = c.fwd(x);
-      const float* in[] = {x.data().data()};
-      std::vector<float> got(want.data().size(), -7.0f);
-      float* out[] = {got.data()};
-      const int64_t tasks_before = tasks.Value();
-      compiled->Run(in, out, run_pool, c.segments);
-      if (run_pool != nullptr && c.row_chunked) {
-        EXPECT_GT(tasks.Value(), tasks_before) << "pool never dispatched";
-      }
-      const size_t floats =
-          c.defined_floats > 0 ? c.defined_floats : got.size();
-      for (size_t i = 0; i < floats; ++i) {
-        ASSERT_EQ(got[i], want.data()[i])
-            << (run_pool ? "pooled" : "serial") << " element " << i;
-      }
+    const Tensor x = Tensor::Randn({kRows, kCols}, rng);
+    const Tensor want = c.fwd(x);
+    const float* in[] = {x.data().data()};
+    std::vector<float> got(want.data().size(), -7.0f);
+    float* out[] = {got.data()};
+    compiled->Run(in, out, c.segments);
+    const size_t floats = c.defined_floats > 0 ? c.defined_floats : got.size();
+    for (size_t i = 0; i < floats; ++i) {
+      ASSERT_EQ(got[i], want.data()[i]) << "element " << i;
     }
   }
 }
@@ -270,7 +246,7 @@ TEST(TensorGraphTest, PackedEncoderMatchesEachSequenceAlone) {
     std::vector<float> got(packed.size(), -7.0f);
     const float* in[] = {packed.data()};
     float* out[] = {got.data()};
-    compiled->Run(in, out, &ThreadPool::Global(), segments);
+    compiled->Run(in, out, segments);
     for (size_t s = 0; s < sequences.size(); ++s) {
       const Tensor want =
           encoder.Forward(sequences[s], /*training=*/false, rng);
@@ -324,23 +300,20 @@ TEST(TensorGraphTest, PackedEncoderQueryRowsMatchTheAllRowsReplay) {
     const size_t f = static_cast<size_t>(config.dim);
     std::vector<float> all(x.data().size(), -7.0f);
     const float* in[] = {x.data().data()};
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr),
-                             &ThreadPool::Global()}) {
-      float* all_out[] = {all.data()};
-      compiled->Run(in, all_out, pool, segments);
-      for (const std::vector<int>* queries : {&row0, &leading}) {
-        std::vector<float> got(static_cast<size_t>(queries->back()) * f,
-                               -7.0f);
-        float* out[] = {got.data()};
-        compiled->Run(in, out, pool, segments, *queries);
-        for (size_t s = 0; s < lens.size(); ++s) {
-          const int qlen = (*queries)[s + 1] - (*queries)[s];
-          for (size_t i = 0; i < static_cast<size_t>(qlen) * f; ++i) {
-            ASSERT_EQ(got[static_cast<size_t>((*queries)[s]) * f + i],
-                      all[static_cast<size_t>(segments[s]) * f + i])
-                << "sequence " << s << " element " << i << " of "
-                << qlen << " query rows";
-          }
+    float* all_out[] = {all.data()};
+    compiled->Run(in, all_out, segments);
+    for (const std::vector<int>* queries : {&row0, &leading}) {
+      std::vector<float> got(static_cast<size_t>(queries->back()) * f,
+                             -7.0f);
+      float* out[] = {got.data()};
+      compiled->Run(in, out, segments, *queries);
+      for (size_t s = 0; s < lens.size(); ++s) {
+        const int qlen = (*queries)[s + 1] - (*queries)[s];
+        for (size_t i = 0; i < static_cast<size_t>(qlen) * f; ++i) {
+          ASSERT_EQ(got[static_cast<size_t>((*queries)[s]) * f + i],
+                    all[static_cast<size_t>(segments[s]) * f + i])
+              << "sequence " << s << " element " << i << " of " << qlen
+              << " query rows";
         }
       }
     }
@@ -435,7 +408,7 @@ TEST(TensorGraphTest, NodeCountersAddStaticPerOpTotalsPerReplay) {
   std::vector<float> got(48);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  for (int r = 0; r < kReplays; ++r) compiled->Run(in, out, nullptr);
+  for (int r = 0; r < kReplays; ++r) compiled->Run(in, out);
   for (const auto& [op, totals] : per_op) {
     SCOPED_TRACE(op);
     EXPECT_EQ(counter(op, "replays") - before[op].replays,
@@ -487,7 +460,7 @@ TEST(TensorGraphTest, PackedReplayAddsItsLiveCost) {
     std::vector<float> got(static_cast<size_t>(kCapacity) * kDim);
     const float* in[] = {x.data().data()};
     float* out[] = {got.data()};
-    compiled->Run(in, out, nullptr, segments, queries);
+    compiled->Run(in, out, segments, queries);
     std::map<std::string, graph::NodeCost> added;
     for (const auto& [op, cost] : static_cost) {
       added[op] = {nullptr, counter(op, "est_flops") - before[op].flops,
@@ -574,10 +547,10 @@ TEST(TensorGraphTest, QueryTableLeavesEveryRowNodesAlone) {
   float* all_out[] = {all.data()};
   float* heads_out[] = {heads.data()};
   int64_t before = cost();
-  compiled->Run(in, all_out, nullptr, segments);
+  compiled->Run(in, all_out, segments);
   const int64_t all_cost = cost() - before;
   before = cost();
-  compiled->Run(in, heads_out, nullptr, segments, std::vector<int>{0, 1, 2, 3});
+  compiled->Run(in, heads_out, segments, std::vector<int>{0, 1, 2, 3});
   EXPECT_EQ(cost() - before, all_cost);
   EXPECT_EQ(heads, all);
 }
@@ -616,7 +589,7 @@ TEST(TensorGraphTest, LeafOnlySubgraphFoldsToConstant) {
   std::vector<float> got(16);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);
@@ -642,7 +615,7 @@ TEST(TensorGraphTest, FullyConstantGraphHasNoNodes) {
 
   std::vector<float> got(15);
   float* out[] = {got.data()};
-  compiled->Run(nullptr, out, nullptr);
+  compiled->Run(nullptr, out);
   for (int i = 0; i < 15; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);
@@ -662,11 +635,11 @@ TEST(TensorGraphTest, LeafParametersAreResolvedLive) {
   std::vector<float> got(6);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   EXPECT_EQ(got[0], 11.0f);
 
   w.data()[0] = 100.0f;  // In-place parameter edit.
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   EXPECT_EQ(got[0], 110.0f) << "leaf edit not visible at replay";
 }
 
@@ -689,7 +662,7 @@ TEST(TensorGraphTest, SlicesAndReshapesBecomeViews) {
   std::vector<float> got(12);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 12; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);
@@ -706,7 +679,7 @@ TEST(TensorGraphTest, OutputMayBeAViewOfAnInput) {
   std::vector<float> got(6);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)], 7.0f + i);
   }
@@ -807,7 +780,7 @@ TEST(TensorGraphTest, RepeatedReplayMatchesEagerEachTime) {
     std::vector<float> got(18);
     const float* in[] = {x.data().data()};
     float* out[] = {got.data()};
-    compiled->Run(in, out, nullptr);
+    compiled->Run(in, out);
     for (int i = 0; i < 18; ++i) {
       EXPECT_EQ(got[static_cast<size_t>(i)],
                 want.data()[static_cast<size_t>(i)])
@@ -839,7 +812,7 @@ TEST(TensorGraphTest, ConcurrentReplayIsThreadSafe) {
       const float* in[] = {x.data().data()};
       float* out[] = {got.data()};
       for (int rep = 0; rep < kReps; ++rep) {
-        compiled->Run(in, out, nullptr);
+        compiled->Run(in, out);
         for (int i = 0; i < 32; ++i) {
           if (got[static_cast<size_t>(i)] !=
               want.data()[static_cast<size_t>(i)]) {
@@ -875,7 +848,7 @@ TEST(TensorGraphTest, MultipleInputsAndOutputsKeepOrder) {
   std::vector<float> got_sum(4), got_prod(4);
   const float* in[] = {a.data().data(), b.data().data()};
   float* out[] = {got_sum.data(), got_prod.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 4; ++i) {
     const float av = a.data()[static_cast<size_t>(i)];
     const float bv = b.data()[static_cast<size_t>(i)];
@@ -900,7 +873,7 @@ TEST(TensorGraphTest, GatherConcatPipelineReplays) {
   std::vector<float> got(3);
   const float* in[] = {x.data().data()};
   float* out[] = {got.data()};
-  compiled->Run(in, out, nullptr);
+  compiled->Run(in, out);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)],
               want.data()[static_cast<size_t>(i)]);

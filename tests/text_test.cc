@@ -1,4 +1,5 @@
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -22,12 +23,6 @@ TEST(TokenizerTest, BasicSplitting) {
             (std::vector<std::string>{"spaces", "and", "newlines"}));
   EXPECT_TRUE(Tokenize("").empty());
   EXPECT_TRUE(Tokenize("!!! ---").empty());
-}
-
-TEST(TokenizerTest, JoinRoundTrip) {
-  const std::vector<std::string> tokens = {"a", "b", "c"};
-  EXPECT_EQ(JoinTokens(tokens), "a b c");
-  EXPECT_EQ(Tokenize(JoinTokens(tokens)), tokens);
 }
 
 TEST(VocabTest, SpecialTokensFirst) {
@@ -100,18 +95,32 @@ TEST(HashedEmbeddingsTest, PinnedWordVectors) {
   }
 }
 
+/// Cosine similarity between the hashed vectors of two words.
+float Cosine(const HashedEmbeddings& emb, const std::string& a,
+             const std::string& b) {
+  const std::vector<float> va = emb.WordVector(a);
+  const std::vector<float> vb = emb.WordVector(b);
+  double dot = 0.0, na = 0.0, nb = 0.0;
+  for (size_t d = 0; d < va.size(); ++d) {
+    dot += static_cast<double>(va[d]) * vb[d];
+    na += static_cast<double>(va[d]) * va[d];
+    nb += static_cast<double>(vb[d]) * vb[d];
+  }
+  return static_cast<float>(dot / std::sqrt(na * nb));
+}
+
 TEST(HashedEmbeddingsTest, SubwordSimilarityOrdering) {
   // Words sharing n-grams must be more similar than unrelated words.
   HashedEmbeddings emb(48);
-  const float related = emb.Similarity("photoshop", "photoshopped");
-  const float unrelated = emb.Similarity("photoshop", "bzqvx");
+  const float related = Cosine(emb, "photoshop", "photoshopped");
+  const float unrelated = Cosine(emb, "photoshop", "bzqvx");
   EXPECT_GT(related, unrelated);
   EXPECT_GT(related, 0.4f);
 }
 
 TEST(HashedEmbeddingsTest, SelfSimilarityIsOne) {
   HashedEmbeddings emb(32);
-  EXPECT_NEAR(emb.Similarity("gadget", "gadget"), 1.0f, 1e-5f);
+  EXPECT_NEAR(Cosine(emb, "gadget", "gadget"), 1.0f, 1e-5f);
 }
 
 TEST(TfIdfTest, TransformAndCosine) {
