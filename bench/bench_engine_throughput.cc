@@ -4,10 +4,13 @@
 // candidate pairs.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 #include <span>
 #include <string>
@@ -21,6 +24,28 @@
 #include "er/hiergat.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+
+// Every operator-new call in the process, for host.allocs_per_compiled_pair.
+// This binary replaces the global operator new (and the deletes that
+// free what it returns) so the count needs nothing from the library; the
+// array and nothrow forms forward to these. The deletes stay out of line
+// so the compiler pairs each delete with a new, not with free().
+namespace {
+std::atomic<int64_t> operator_new_calls{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace hiergat {
 namespace {
@@ -167,7 +192,13 @@ int main_impl(int argc, char** argv) {
 
   model.set_cache_enabled(true);
   model.InvalidateInferenceCache();
+  // The single-lane run's allocations are deterministic; the 4-lane
+  // run's concurrent cache misses are not, so it is not counted.
+  const int64_t news_before = operator_new_calls.load();
   const double one_thread_seconds = run_engine(1);
+  const double allocs_per_pair =
+      static_cast<double>(operator_new_calls.load() - news_before) /
+      static_cast<double>(workload.size());
   const auto cache_stats = model.summary_cache().stats();
 
   // The headline measurement (4-thread engine) repeats for stable
@@ -245,6 +276,8 @@ int main_impl(int argc, char** argv) {
       100.0 * static_cast<double>(cache_stats.hits) /
           static_cast<double>(std::max<int64_t>(
               1, cache_stats.hits + cache_stats.misses)));
+  std::printf("host: %.1f operator-new calls per pair (engine 1 thread)\n",
+              allocs_per_pair);
   std::printf(
       "note: thread speedup requires free cores; on a single-core host "
       "the gain comes from the cache alone.\n");
@@ -280,6 +313,7 @@ int main_impl(int argc, char** argv) {
   result.AddMetric("cache.hit_rate", warm_stats.HitRate());
   result.AddMetric("cache.hits", static_cast<double>(warm_stats.hits));
   result.AddMetric("cache.misses", static_cast<double>(warm_stats.misses));
+  result.AddMetric("host.allocs_per_compiled_pair", allocs_per_pair);
 
   // Per-op cost accounting: the graph replay counters accumulate as
   // "hiergat.graph.node.<op>.{replays,ns,est_flops,est_bytes}"; fold

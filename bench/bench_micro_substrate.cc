@@ -103,12 +103,12 @@ void BM_HhgBuild(benchmark::State& state) {
   spec.seed = 6;
   PairDataset data = GeneratePairDataset(spec);
   // Collective-sized graph: 1 + 16 entities.
-  std::vector<Entity> entities;
-  for (int i = 0; i < 17 && i < static_cast<int>(data.train.size()); ++i) {
-    entities.push_back(data.train[static_cast<size_t>(i)].left);
+  std::vector<Entity> candidates;
+  for (int i = 1; i < 17 && i < static_cast<int>(data.train.size()); ++i) {
+    candidates.push_back(data.train[static_cast<size_t>(i)].left);
   }
   for (auto _ : state) {
-    Hhg hhg = Hhg::Build(entities);
+    Hhg hhg = Hhg::Build(data.train.front().left, candidates);
     benchmark::DoNotOptimize(hhg.num_tokens());
   }
 }

@@ -1,7 +1,7 @@
 #include "er/baselines/gnn.h"
 
 #include <cmath>
-#include <unordered_set>
+#include <span>
 
 #include "core/logging.h"
 #include "er/lm_backbone.h"
@@ -36,11 +36,7 @@ Tensor GraphCollectiveModel::ForwardQueryLogits(const CollectiveQuery& query,
                                                 bool training,
                                                 Rng& rng) const {
   HG_CHECK(built_) << "Train before inference";
-  std::vector<Entity> entities;
-  entities.push_back(query.query);
-  entities.insert(entities.end(), query.candidates.begin(),
-                  query.candidates.end());
-  const Hhg hhg = Hhg::Build(entities);
+  const Hhg hhg = Hhg::Build(query.query, query.candidates);
 
   std::vector<int> ids;
   ids.reserve(static_cast<size_t>(hhg.num_tokens()));
@@ -91,10 +87,7 @@ HomogeneousGraph Flatten(const Hhg& hhg) {
   g.total = g.num_tokens + g.num_attributes + g.num_entities;
   for (int a = 0; a < g.num_attributes; ++a) {
     const int attr_flat = g.num_tokens + a;
-    std::unordered_set<int> seen;
-    for (int t : hhg.attribute(a).token_seq) {
-      if (seen.insert(t).second) g.edges.emplace_back(t, attr_flat);
-    }
+    for (int t : hhg.attribute_tokens(a)) g.edges.emplace_back(t, attr_flat);
     g.edges.emplace_back(attr_flat,
                          g.num_tokens + g.num_attributes +
                              hhg.attribute(a).entity);
@@ -254,17 +247,13 @@ Tensor HgatCollectiveModel::EntityEmbeddings(const Hhg& hhg,
   std::vector<Tensor> attr_rows;
   attr_rows.reserve(static_cast<size_t>(hhg.num_attributes()));
   for (int a = 0; a < hhg.num_attributes(); ++a) {
-    const auto& seq = hhg.attribute(a).token_seq;
-    if (seq.empty()) {
+    const std::span<const int> distinct = hhg.attribute_tokens(a);
+    if (distinct.empty()) {
       attr_rows.push_back(Tensor::Zeros({1, config_.embedding_dim}));
       continue;
     }
-    std::vector<int> distinct;
-    std::unordered_set<int> seen;
-    for (int t : seq) {
-      if (seen.insert(t).second) distinct.push_back(t);
-    }
-    Tensor nodes = GatherRows(tokens, distinct);
+    Tensor nodes = GatherRows(
+        tokens, std::vector<int>(distinct.begin(), distinct.end()));
     attr_rows.push_back(token_pool_->Pool(nodes, nodes));
   }
   Tensor attrs = ConcatRows(attr_rows);

@@ -2,7 +2,6 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/logging.h"
 #include "obs/metrics.h"
@@ -23,10 +22,12 @@ obs::Counter& LmEncodesCounter() {
 
 // Cache key for a token-id list: the token *strings* (ids are local to
 // one HHG), '\x1f'-joined under a site prefix so the encode and pool
-// entries for the same value never collide.
-std::string TokenKey(const char* prefix, const Hhg& hhg,
-                     const std::vector<int>& token_ids) {
-  std::string key(prefix);
+// entries for the same value never collide. Built in a per-thread
+// buffer, valid until this thread's next call.
+const std::string& TokenKey(const char* prefix, const Hhg& hhg,
+                            std::span<const int> token_ids) {
+  thread_local std::string key;
+  key.assign(prefix);
   for (int t : token_ids) {
     key += '\x1f';
     key += hhg.token(t);
@@ -68,7 +69,7 @@ std::vector<std::vector<Tensor>> ContextualEmbedder::TokenEncodes(
       if (seq.empty()) continue;
       const size_t attr = static_cast<size_t>(a);
       if (cache != nullptr) {
-        std::string key = TokenKey("ctx", hhg, seq);
+        const std::string& key = TokenKey("ctx", hhg, seq);
         Tensor hit = cache->Find(key);
         if (hit.defined()) {
           encodes[h][attr] = std::move(hit);
@@ -79,7 +80,7 @@ std::vector<std::vector<Tensor>> ContextualEmbedder::TokenEncodes(
           uses.push_back({h, attr, it->second, true});
           continue;
         }
-        keys.push_back(std::move(key));
+        keys.push_back(key);
       }
       uses.push_back({h, attr, ids.size(), false});
       std::vector<int>& value_ids = ids.emplace_back();
@@ -115,7 +116,8 @@ Tensor ContextualEmbedder::TokenLevelContext(
   // contextual rows. The averaging matrix is constant data, so the
   // gradient flows through the encoded rows only.
   std::vector<Tensor> encoded_parts;
-  std::vector<std::pair<int, int>> row_token;  // (flat row, token id)
+  encoded_parts.reserve(static_cast<size_t>(hhg.num_attributes()));
+  std::vector<int> counts(static_cast<size_t>(num_tokens), 0);
   int flat_rows = 0;
   for (int a = 0; a < hhg.num_attributes(); ++a) {
     const Hhg::AttributeNode& attr = hhg.attribute(a);
@@ -127,21 +129,20 @@ Tensor ContextualEmbedder::TokenLevelContext(
       encoded_parts.push_back(lm_->EncodeEmbedded(
           GatherRows(base, attr.token_seq), training, rng));
     }
-    for (size_t p = 0; p < attr.token_seq.size(); ++p) {
-      row_token.emplace_back(flat_rows + static_cast<int>(p),
-                             attr.token_seq[p]);
-    }
+    for (int t : attr.token_seq) ++counts[static_cast<size_t>(t)];
     flat_rows += static_cast<int>(attr.token_seq.size());
   }
   if (encoded_parts.empty()) return Tensor::Zeros({num_tokens, f});
   Tensor all_rows = ConcatRows(encoded_parts);  // [flat_rows, F]
-  // Averaging matrix M [num_tokens, flat_rows]: M[t][r] = 1/count_t.
-  std::vector<int> counts(static_cast<size_t>(num_tokens), 0);
-  for (const auto& [row, token] : row_token) ++counts[static_cast<size_t>(token)];
+  // Averaging matrix M [num_tokens, flat_rows]: M[t][r] = 1/count_t for
+  // every row r that encodes token t.
   Tensor m = Tensor::Zeros({num_tokens, flat_rows});
-  for (const auto& [row, token] : row_token) {
-    m.set(token, row,
-          1.0f / static_cast<float>(counts[static_cast<size_t>(token)]));
+  int row = 0;
+  for (const Hhg::AttributeNode& attr : hhg.attributes()) {
+    for (int t : attr.token_seq) {
+      m.set(t, row++,
+            1.0f / static_cast<float>(counts[static_cast<size_t>(t)]));
+    }
   }
   return MatMul(m, all_rows);  // [num_tokens, F]
 }
@@ -176,26 +177,23 @@ Tensor ContextualEmbedder::Compute(
     std::vector<Tensor> attr_embeddings(
         static_cast<size_t>(hhg.num_attributes()));
     for (int a = 0; a < hhg.num_attributes(); ++a) {
-      const auto& seq = hhg.attribute(a).token_seq;
-      if (seq.empty()) {
+      // Eq. 1 pools over the attribute's own distinct tokens only —
+      // also pair-independent, hence cacheable by value.
+      const std::span<const int> distinct = hhg.attribute_tokens(a);
+      if (distinct.empty()) {
         attr_embeddings[static_cast<size_t>(a)] = Tensor::Zeros({1, f});
         continue;
       }
-      // Distinct adjacent tokens of the attribute node.
-      std::vector<int> distinct;
-      std::unordered_set<int> seen;
-      for (int t : seq) {
-        if (seen.insert(t).second) distinct.push_back(t);
+      const std::string* key =
+          cache != nullptr ? &TokenKey("attr", hhg, distinct) : nullptr;
+      Tensor& pooled = attr_embeddings[static_cast<size_t>(a)];
+      if (key != nullptr) pooled = cache->Find(*key);
+      if (!pooled.defined()) {
+        Tensor nodes = GatherRows(
+            base, std::vector<int>(distinct.begin(), distinct.end()));
+        pooled = attr_attention_->Pool(nodes, nodes);
+        if (key != nullptr) pooled = cache->Insert(*key, pooled);
       }
-      // Eq. 1 pools over the attribute's own distinct tokens only —
-      // also pair-independent, hence cacheable by value.
-      auto pool = [&]() {
-        Tensor nodes = GatherRows(base, distinct);
-        return attr_attention_->Pool(nodes, nodes);
-      };
-      attr_embeddings[static_cast<size_t>(a)] =
-          cache ? cache->GetOrCompute(TokenKey("attr", hhg, distinct), pool)
-                : pool();
     }
     std::vector<Tensor> unique_attr;  // C^a_bar rows, one per key group.
     unique_attr.reserve(static_cast<size_t>(num_groups));
@@ -241,23 +239,25 @@ Tensor ContextualEmbedder::Compute(
 
     if (group_context.defined()) {
       // Phi: token t receives the mean of its key-groups' context rows.
-      std::vector<std::vector<int>> token_groups(
-          static_cast<size_t>(num_tokens));
-      for (int g = 0; g < num_groups; ++g) {
-        std::unordered_set<int> group_tokens;
-        for (int a : groups[static_cast<size_t>(g)].second) {
-          for (int t : hhg.attribute(a).token_seq) group_tokens.insert(t);
-        }
-        for (int t : group_tokens) {
-          token_groups[static_cast<size_t>(t)].push_back(g);
-        }
-      }
+      // Row t first marks each group of t's attributes with 1, then
+      // spreads 1/|groups| over the marks.
       Tensor phi = Tensor::Zeros({num_tokens, num_groups});
+      std::vector<float>& phi_data = phi.data();
       for (int t = 0; t < num_tokens; ++t) {
-        const auto& gs = token_groups[static_cast<size_t>(t)];
-        if (gs.empty()) continue;
-        const float w = 1.0f / static_cast<float>(gs.size());
-        for (int g : gs) phi.set(t, g, w);
+        float* phi_row = phi_data.data() + static_cast<size_t>(t) *
+                                               static_cast<size_t>(num_groups);
+        int token_groups = 0;
+        for (int a : hhg.token_attributes(t)) {
+          float& mark = phi_row[hhg.attribute(a).key_group];
+          if (mark == 0.0f) {
+            mark = 1.0f;
+            ++token_groups;
+          }
+        }
+        const float w = 1.0f / static_cast<float>(token_groups);
+        for (int g = 0; g < num_groups; ++g) {
+          if (phi_row[g] != 0.0f) phi_row[g] = w;
+        }
       }
       Tensor mapped = MatMul(phi, group_context);  // [T, F]
       context = context.defined() ? Add(context, mapped) : mapped;

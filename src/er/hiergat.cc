@@ -539,7 +539,7 @@ std::vector<Tensor> HierGatModel::ForwardBatch(
   for (const EntityPair& pair : pairs) {
     const Status schema = ValidatePair(pair);
     HG_CHECK(schema.ok()) << schema.ToString();
-    hhgs.push_back(Hhg::Build({pair.left, pair.right}));
+    hhgs.push_back(Hhg::Build(pair.left, {&pair.right, 1}));
   }
   // Repeated attribute values hit the summary cache from their second
   // occurrence on, across pairs and batches.

@@ -26,16 +26,13 @@ Tensor HierGatPlusModel::ForwardQueryLogits(const CollectiveQuery& query,
       << "HierGatPlusModel::Train must run before inference";
   // One HHG for the query and all candidates (Figure 2's relation
   // network lives inside this shared graph).
-  std::vector<Entity> entities;
-  entities.reserve(query.candidates.size() + 1);
-  entities.push_back(query.query);
-  entities.insert(entities.end(), query.candidates.begin(),
-                  query.candidates.end());
-  for (const Entity& entity : entities) {
+  auto check_schema = [&](const Entity& entity) {
     const Status schema = stack_.CheckSchema(entity);
     HG_CHECK(schema.ok()) << schema.ToString();
-  }
-  const Hhg hhg = Hhg::Build(entities);
+  };
+  check_schema(query.query);
+  for (const Entity& candidate : query.candidates) check_schema(candidate);
+  const Hhg hhg = Hhg::Build(query.query, query.candidates);
   SummaryCache* cache = training ? nullptr : &stack_.summary_cache;
   const Tensor wpc = stack_.Contextualize(std::span<const Hhg>(&hhg, 1),
                                           training, rng, cache)

@@ -32,12 +32,6 @@ obs::Gauge& SizeGauge() {
 
 }  // namespace
 
-Tensor SummaryCache::GetOrCompute(const std::string& key,
-                                  const std::function<Tensor()>& compute) {
-  Tensor hit = Find(key);
-  return hit.defined() ? hit : Insert(key, compute());
-}
-
 Tensor SummaryCache::Find(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);

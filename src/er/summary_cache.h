@@ -2,7 +2,6 @@
 #define HIERGAT_ER_SUMMARY_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -62,18 +61,12 @@ class SummaryCache {
   explicit SummaryCache(size_t max_entries = kDefaultMaxEntries)
       : max_entries_(max_entries > 0 ? max_entries : 1) {}
 
-  /// Returns the cached tensor for `key`, computing (and storing) it
-  /// via `compute` on a miss. `compute` runs outside the lock; if two
-  /// threads race on the same key, both compute the same deterministic
-  /// value and the first insert wins.
-  Tensor GetOrCompute(const std::string& key,
-                      const std::function<Tensor()>& compute);
-
-  /// The two halves of GetOrCompute, for callers that compute a whole
-  /// batch of misses at once: Find returns the entry for `key` and counts
-  /// a hit, or an undefined Tensor (counting nothing); Insert counts a
-  /// miss and stores a detached copy of `value` (the first insert of a
-  /// key wins) and returns the stored tensor.
+  /// Find returns the entry for `key` and counts a hit, or an undefined
+  /// Tensor (counting nothing); the caller then computes the value
+  /// outside the lock. Insert counts a miss and stores a detached copy
+  /// of `value` (if two threads race on a key, both compute the same
+  /// deterministic value and the first insert wins) and returns the
+  /// stored tensor.
   Tensor Find(const std::string& key);
   Tensor Insert(const std::string& key, const Tensor& value);
 

@@ -1,8 +1,9 @@
 #ifndef HIERGAT_GRAPH_HHG_H_
 #define HIERGAT_GRAPH_HHG_H_
 
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/entity.h"
@@ -21,12 +22,15 @@ namespace hiergat {
 ///
 /// Edges: token-attribute (with token order preserved per attribute for
 /// positional information), attribute-entity, and the implicit
-/// entity-entity relation of candidates sharing the graph.
+/// entity-entity relation of candidates sharing the graph. The
+/// token-attribute and token-entity relations are stored flat, as
+/// compressed sparse rows (DESIGN.md §3, "HHG layout").
 class Hhg {
  public:
   struct AttributeNode {
     std::string key;
     int entity = 0;                ///< Owning entity index.
+    int key_group = 0;             ///< Index into key_groups().
     std::vector<int> token_seq;    ///< Ordered token ids (repeats kept).
   };
 
@@ -34,9 +38,10 @@ class Hhg {
     std::vector<int> attributes;   ///< Attribute node ids, schema order.
   };
 
-  /// Builds the HHG for 2 entities (pairwise ER) or 1 + N entities
-  /// (collective ER; the first entity is the query).
-  static Hhg Build(const std::vector<Entity>& entities);
+  /// Builds the HHG for `first` and `rest`: one other entity for
+  /// pairwise ER, or the N candidates of collective ER (`first` is the
+  /// query). The graph copies what it keeps of the entities.
+  static Hhg Build(const Entity& first, std::span<const Entity> rest);
 
   int num_tokens() const { return static_cast<int>(tokens_.size()); }
   int num_attributes() const { return static_cast<int>(attributes_.size()); }
@@ -56,15 +61,19 @@ class Hhg {
   const std::vector<EntityNode>& entities() const { return entities_; }
 
   /// Unique attribute keys with the attribute-node ids sharing each key
-  /// (the paper's unique-attribute set \bar{V^a}).
+  /// (the paper's unique-attribute set \bar{V^a}), in first-seen order.
   const std::vector<std::pair<std::string, std::vector<int>>>& key_groups()
       const {
     return key_groups_;
   }
 
-  /// Attribute-node ids adjacent to each token (token -> attributes).
-  const std::vector<std::vector<int>>& token_to_attributes() const {
-    return token_to_attributes_;
+  /// Distinct token ids of attribute `id`, in first-occurrence order.
+  std::span<const int> attribute_tokens(int id) const {
+    return attribute_tokens_.row(id);
+  }
+  /// Attribute-node ids adjacent to token `id`, ascending.
+  std::span<const int> token_attributes(int id) const {
+    return token_attributes_.row(id);
   }
 
   /// Ids of tokens appearing in at least two different entities — the
@@ -81,14 +90,28 @@ class Hhg {
   std::vector<int> RelatedEntities(int entity_id) const;
 
  private:
+  /// One relation in compressed sparse rows: row r holds
+  /// ids[offsets[r], offsets[r + 1]).
+  struct Csr {
+    std::vector<int> ids;
+    std::vector<int> offsets;
+
+    std::span<const int> row(int r) const {
+      const size_t begin = static_cast<size_t>(offsets[static_cast<size_t>(r)]);
+      const size_t end =
+          static_cast<size_t>(offsets[static_cast<size_t>(r) + 1]);
+      return std::span<const int>(ids).subspan(begin, end - begin);
+    }
+  };
+
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, int> token_ids_;
   std::vector<AttributeNode> attributes_;
   std::vector<EntityNode> entities_;
   std::vector<std::pair<std::string, std::vector<int>>> key_groups_;
-  std::vector<std::vector<int>> token_to_attributes_;
+  Csr attribute_tokens_;
+  Csr token_attributes_;
+  Csr token_entities_;  ///< Ascending entity ids per token.
   std::vector<int> common_tokens_;
-  std::vector<std::vector<int>> token_entities_;  // token -> entity ids
 };
 
 }  // namespace hiergat

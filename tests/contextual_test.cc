@@ -21,6 +21,10 @@ Entity MakeEntity(const std::string& title, const std::string& desc) {
   return e;
 }
 
+Hhg PairGraph(const Entity& left, const Entity& right) {
+  return Hhg::Build(left, {&right, 1});
+}
+
 TEST(GraphAttentionPoolTest, WeightsSumToOneAndShape) {
   Rng rng(1);
   GraphAttentionPool pool(4, rng);
@@ -87,8 +91,8 @@ class ContextualFixture : public ::testing::Test {
 TEST_F(ContextualFixture, WpcShapeMatchesTokens) {
   ContextualConfig config;
   ContextualEmbedder embedder(lm_.get(), config, rng_);
-  const Hhg hhg = Hhg::Build({MakeEntity("adobe spark", "design suite"),
-                              MakeEntity("spark cluster", "big data")});
+  const Hhg hhg = PairGraph(MakeEntity("adobe spark", "design suite"),
+                            MakeEntity("spark cluster", "big data"));
   Tensor wpc = embedder.Compute(hhg, /*training=*/false, rng_);
   EXPECT_EQ(wpc.dim(0), hhg.num_tokens());
   EXPECT_EQ(wpc.dim(1), lm_->dim());
@@ -100,7 +104,8 @@ TEST_F(ContextualFixture, NonContextReturnsBaseEmbeddings) {
   config.use_attribute_context = false;
   config.use_entity_context = false;
   ContextualEmbedder embedder(lm_.get(), config, rng_);
-  const Hhg hhg = Hhg::Build({MakeEntity("adobe spark", "design suite")});
+  const Hhg hhg =
+      Hhg::Build(MakeEntity("adobe spark", "design suite"), {});
   Tensor wpc = embedder.Compute(hhg, false, rng_);
   std::vector<int> ids;
   for (const std::string& t : hhg.tokens()) ids.push_back(vocab_.Id(t));
@@ -113,8 +118,8 @@ TEST_F(ContextualFixture, NonContextReturnsBaseEmbeddings) {
 TEST_F(ContextualFixture, ContextChangesEmbeddings) {
   ContextualConfig with;
   ContextualEmbedder embedder(lm_.get(), with, rng_);
-  const Hhg hhg = Hhg::Build({MakeEntity("adobe spark", "design suite"),
-                              MakeEntity("spark cluster", "big data")});
+  const Hhg hhg = PairGraph(MakeEntity("adobe spark", "design suite"),
+                            MakeEntity("spark cluster", "big data"));
   Tensor wpc = embedder.Compute(hhg, false, rng_);
   std::vector<int> ids;
   for (const std::string& t : hhg.tokens()) ids.push_back(vocab_.Id(t));
@@ -132,8 +137,10 @@ TEST_F(ContextualFixture, SameWordDifferentContextGetsDifferentWpc) {
   // different neighbors.
   ContextualConfig config;
   ContextualEmbedder embedder(lm_.get(), config, rng_);
-  const Hhg design = Hhg::Build({MakeEntity("adobe spark", "design suite")});
-  const Hhg data = Hhg::Build({MakeEntity("spark cluster", "big data")});
+  const Hhg design =
+      Hhg::Build(MakeEntity("adobe spark", "design suite"), {});
+  const Hhg data =
+      Hhg::Build(MakeEntity("spark cluster", "big data"), {});
   auto wpc_of = [&](const Hhg& hhg, const std::string& word) {
     Tensor wpc = embedder.Compute(hhg, false, rng_);
     for (int t = 0; t < hhg.num_tokens(); ++t) {
@@ -161,8 +168,8 @@ TEST_F(ContextualFixture, EntityContextTermAddsRedundantRemoval) {
   Rng r1(7), r2(7);
   ContextualEmbedder e1(lm_.get(), without, r1);
   ContextualEmbedder e2(lm_.get(), with, r2);
-  const Hhg hhg = Hhg::Build({MakeEntity("spark cloud", "big data"),
-                              MakeEntity("spark cloud", "video suite")});
+  const Hhg hhg = PairGraph(MakeEntity("spark cloud", "big data"),
+                            MakeEntity("spark cloud", "video suite"));
   Tensor a = e1.Compute(hhg, false, rng_);
   Tensor b = e2.Compute(hhg, false, rng_);
   float diff = 0.0f;
@@ -174,7 +181,8 @@ TEST_F(ContextualFixture, EntityContextTermAddsRedundantRemoval) {
 
 TEST_F(ContextualFixture, AggregatorSummarizesAttributesAndEntities) {
   HierarchicalAggregator aggregator(lm_.get(), 0.0f, rng_);
-  const Hhg hhg = Hhg::Build({MakeEntity("adobe spark", "design suite")});
+  const Hhg hhg =
+      Hhg::Build(MakeEntity("adobe spark", "design suite"), {});
   ContextualConfig config;
   ContextualEmbedder embedder(lm_.get(), config, rng_);
   Tensor wpc = embedder.Compute(hhg, false, rng_);

@@ -66,29 +66,37 @@ void ExpectBitIdentical(const std::vector<float>& expected,
   }
 }
 
+/// The lookup scoring does: a hit, or `compute` stored on a miss.
+template <typename Compute>
+Tensor Lookup(SummaryCache& cache, const std::string& key,
+              Compute&& compute) {
+  Tensor hit = cache.Find(key);
+  return hit.defined() ? hit : cache.Insert(key, compute());
+}
+
 TEST(SummaryCacheTest, MemoizesByKeyAndClears) {
   SummaryCache cache;
-  std::atomic<int> computes{0};
-  auto make = [&] {
-    ++computes;
-    return Tensor::Full({1, 2}, 3.0f);
-  };
-  Tensor first = cache.GetOrCompute("k", make);
-  Tensor again = cache.GetOrCompute("k", make);
-  EXPECT_EQ(computes.load(), 1);
+  EXPECT_FALSE(cache.Find("k").defined());
+  EXPECT_EQ(cache.stats().hits, 0) << "a miss in Find counts nothing";
+  Tensor first = cache.Insert("k", Tensor::Full({1, 2}, 3.0f));
+  Tensor again = cache.Find("k");
+  ASSERT_TRUE(again.defined());
   EXPECT_EQ(first.data(), again.data());
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
 
-  cache.GetOrCompute("other", make);
-  EXPECT_EQ(computes.load(), 2);
+  // The first insert of a key wins.
+  Tensor second = cache.Insert("k", Tensor::Full({1, 2}, 4.0f));
+  EXPECT_EQ(second.data(), first.data());
+  EXPECT_EQ(cache.size(), 1u);
+
+  cache.Insert("other", Tensor::Full({1, 2}, 5.0f));
   EXPECT_EQ(cache.size(), 2u);
 
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  cache.GetOrCompute("k", make);
-  EXPECT_EQ(computes.load(), 3) << "Clear must drop entries";
+  EXPECT_FALSE(cache.Find("k").defined()) << "Clear must drop entries";
 }
 
 TEST(SummaryCacheTest, CapacityEvictionBoundsSizeAndStaysCorrect) {
@@ -97,20 +105,20 @@ TEST(SummaryCacheTest, CapacityEvictionBoundsSizeAndStaysCorrect) {
     return [v] { return Tensor::Full({1, 2}, v); };
   };
   for (int i = 0; i < 4; ++i) {
-    cache.GetOrCompute(std::string(1, static_cast<char>('a' + i)),
-                       make(static_cast<float>(i)));
+    Lookup(cache, std::string(1, static_cast<char>('a' + i)),
+           make(static_cast<float>(i)));
   }
   EXPECT_EQ(cache.size(), 4u);
 
   // Fifth distinct key triggers segmented eviction: down to half
   // capacity (2 survivors), then the insert — not a full flush.
-  Tensor e = cache.GetOrCompute("e", make(9.0f));
+  Tensor e = Lookup(cache, "e", make(9.0f));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.stats().evictions, 2);
   EXPECT_EQ(e.data()[0], 9.0f);
 
   // Evicted keys are simply recomputed with identical values.
-  Tensor a = cache.GetOrCompute("a", make(0.0f));
+  Tensor a = Lookup(cache, "a", make(0.0f));
   EXPECT_EQ(a.data()[0], 0.0f);
   EXPECT_LE(cache.size(), 4u);
 }
@@ -133,7 +141,7 @@ TEST(SummaryCacheTest, SegmentedEvictionBeatsFullFlushHitRate) {
   for (int round = 0; round < kRounds; ++round) {
     for (int k = 0; k < kKeys; ++k) {
       const std::string key = "k" + std::to_string(k);
-      cache.GetOrCompute(key, [] { return Tensor::Full({1, 2}, 1.0f); });
+      Lookup(cache, key, [] { return Tensor::Full({1, 2}, 1.0f); });
       if (full_flush.count(key)) {
         ++full_flush_hits;
       } else {
@@ -150,8 +158,7 @@ TEST(SummaryCacheTest, ConstructorCapBoundsSize) {
   SummaryCache cache(/*max_entries=*/3);
   EXPECT_EQ(cache.max_entries(), 3u);
   for (int i = 0; i < 8; ++i) {
-    cache.GetOrCompute("k" + std::to_string(i),
-                       [] { return Tensor::Full({1, 2}, 1.0f); });
+    cache.Insert("k" + std::to_string(i), Tensor::Full({1, 2}, 1.0f));
     EXPECT_LE(cache.size(), 3u);
   }
   EXPECT_GT(cache.stats().evictions, 0);
@@ -159,11 +166,10 @@ TEST(SummaryCacheTest, ConstructorCapBoundsSize) {
 
 TEST(SummaryCacheTest, CachedTensorsAreDetached) {
   SummaryCache cache;
-  Tensor value = cache.GetOrCompute("k", [] {
-    Tensor t = Tensor::Full({1, 2}, 1.0f, /*requires_grad=*/true);
-    return Add(t, t);
-  });
+  Tensor t = Tensor::Full({1, 2}, 1.0f, /*requires_grad=*/true);
+  Tensor value = cache.Insert("k", Add(t, t));
   EXPECT_FALSE(value.requires_grad());
+  EXPECT_FALSE(cache.Find("k").requires_grad());
 }
 
 /// A model whose ScoreBatch blocks until released, so a test can hold

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -230,6 +231,62 @@ TEST(SessionTest, TrainingExportsValidF1MarginOverAlwaysMatch) {
                 .Value(),
             0.0);
   EXPECT_EQ(margin_warnings, 1);
+}
+
+TEST(SessionTest, HostileValuesScoreFiniteAndIndependentOfBatchAndPath) {
+  // Empty, punctuation-only and non-Latin values leave an attribute with
+  // no token (UTF-8 bytes are not alphanumeric); a value of about 1,000
+  // tokens is longer than CompiledScoring::kMaxRows, so its sequences
+  // take the eager path while the rest of the batch replays.
+  const PairDataset data = SmallDataset(29);
+  auto session_or = Session::Open(TinySessionOptions());
+  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+  std::unique_ptr<Session> session = std::move(session_or).value();
+  ASSERT_TRUE(session->Train(data, TinyOptions()).ok());
+
+  std::string long_value;
+  for (int i = 0; i < 1000; ++i) {
+    long_value += "w" + std::to_string(i % 97) + " ";
+  }
+  const std::string hostile[] = {
+      "",
+      "-- !! ... ,",
+      "\xe6\x97\xa5\xe6\x9c\xac\xe8\xaa\x9e",
+      "\xd0\xbc\xd0\xb8\xd1\x80 caf\xc3\xa9 na\xc3\xafve",
+      long_value,
+  };
+  ASSERT_FALSE(data.test.empty());
+  const EntityPair& base = data.test.front();
+  std::vector<EntityPair> pairs;
+  for (const std::string& value : hostile) {
+    // The value in one attribute of the left entity, then in every
+    // attribute of the right one.
+    EntityPair one = base;
+    one.left.attribute(0).second = value;
+    pairs.push_back(one);
+    EntityPair all = base;
+    for (int a = 0; a < all.right.num_attributes(); ++a) {
+      all.right.attribute(a).second = value;
+    }
+    pairs.push_back(all);
+  }
+
+  const std::vector<float> batch = session->Score(pairs);
+  ASSERT_EQ(batch.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(std::isfinite(batch[i]));
+    EXPECT_GE(batch[i], 0.0f);
+    EXPECT_LE(batch[i], 1.0f);
+    EXPECT_EQ(session->Score({&pairs[i], 1}).front(), batch[i])
+        << "alone vs in a batch";
+  }
+
+  auto* hiergat = dynamic_cast<HierGatModel*>(session->model());
+  ASSERT_NE(hiergat, nullptr);
+  hiergat->set_graph_compile_enabled(false);
+  hiergat->InvalidateInferenceCache();
+  EXPECT_EQ(session->Score(pairs), batch) << "eager vs compiled";
 }
 
 }  // namespace
